@@ -4,7 +4,8 @@ One orchestration thread; field evaluation parallelism lives in the
 library and is capped by PSEUDOLAB_THREADS (0 = automatic).
 
 Exit codes: 0 success (and verdict pass for studies), 1 study verdict
-fail, 2 configuration or usage error.
+fail, 2 configuration or usage error, 3 numerical failure (an iterative
+kernel did not converge).
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .experiments import (
     empty_resolvent_probe,
     global_min_scan,
 )
-from .numkernel import SingularMatrixError
+from .numkernel import ConvergenceError, SingularMatrixError
 from .operators import (
     NAMED_EXAMPLES,
     DenseOperator,
@@ -450,6 +451,9 @@ def parse_and_dispatch(argv) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

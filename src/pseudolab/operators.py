@@ -205,18 +205,22 @@ class DiagBlockFamily:
     block_shape chooses between the 2x2 antidiagonal block
     [[0, f(alpha_k)], [alpha_k, 0]] and the 4x4 variant carrying alpha_k
     at positions (3,1), (2,3) and f(alpha_k) at (1,4), (4,2) (1-based).
-    m_hint optionally records the constant used when checking the
-    constant-norm tail condition.
+    The 4x4 tail certificates are derived for the symbol 1 + 1/x only, so
+    four_by_four accepts no other symbol kind.
     """
 
     symbol: SymbolSpec
     alpha: AlphaRule = field(default_factory=AlphaRule)
     block_shape: str = "two_by_two"
-    m_hint: float | None = None
 
     def __post_init__(self):
         if self.block_shape not in ("two_by_two", "four_by_four"):
             raise ConfigurationError(f"unknown block shape {self.block_shape!r}")
+        if self.block_shape == "four_by_four" and self.symbol.kind != "one_plus_inv":
+            raise ConfigurationError(
+                "four_by_four blocks need the one_plus_inv symbol; "
+                f"got {self.symbol.kind!r}"
+            )
         ks = np.array(VALIDATION_KS, dtype=np.float64)
         alphas = self.alpha.values(ks)
         if not np.all(alphas > 0.0):

@@ -5,9 +5,21 @@ set at their lattice coordinates.  Distances are Euclidean between cell
 centers, so every quantity inherits the grid's h-level discretization
 error; callers budget for that explicitly.
 
-Directed distances run as a direct double loop while both sets hold at
-most BRUTE_FORCE_LIMIT points, and switch to a bucketed nearest-neighbor
-grid beyond that.  Both routes are deterministic, which makes Hausdorff
+Every distance reported here is the float value |q - p| taken over the
+complex coordinates of region.lattice(), minimized and maximized
+exactly; no route rounds differently from that formula.
+
+Two masks on one lattice (every study, the CLI round trip) and every
+delta-neighborhood go through an exact squared Euclidean distance
+transform of the member mask, separable in the two lattice axes
+(Felzenszwalb & Huttenlocher, "Distance transforms of sampled
+functions", Theory of Computing 8, 2012).  The transform only selects
+cells: the Hausdorff queries within a roundoff band of the largest
+distance, and the lattice cells within that band of delta.  Those cells
+are recomputed with the float formula against the members in a box
+around them, so results are bit-for-bit those of the brute-force double
+loop.  Masks on different lattices take that double loop directly, in
+row chunks.  Both routes are deterministic, which makes Hausdorff
 symmetry exact rather than approximate.
 """
 
@@ -21,10 +33,12 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .pseudospectra import GridRegion, LevelSetMask
 
-BRUTE_FORCE_LIMIT = 10**4
-
 # chunk rows of the brute-force distance table to bound peak memory
 _BRUTE_CHUNK_ENTRIES = 2**22
+
+# entries per chunk of the transform's row minimum and of the recomputed
+# boxes; a few MB of temporaries
+_CHUNK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -85,68 +99,109 @@ def _min_dists_brute(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _min_dists_bucketed(queries, targets, cell: float) -> np.ndarray:
-    buckets: dict = {}
-    kx = np.floor(targets.real / cell).astype(int)
-    ky = np.floor(targets.imag / cell).astype(int)
-    for idx in range(len(targets)):
-        buckets.setdefault((kx[idx], ky[idx]), []).append(targets[idx])
-    buckets = {k: np.array(v) for k, v in buckets.items()}
+def _squared_distance_transform(region: GridRegion, mask: np.ndarray) -> np.ndarray:
+    """Squared distance from every cell to the nearest member, (nx, ny).
 
-    out = np.empty(len(queries))
-    for qi, q in enumerate(queries):
-        cx = math.floor(q.real / cell)
-        cy = math.floor(q.imag / cell)
-        best = math.inf
-        ring = 0
-        while True:
-            # any point in a cell at Chebyshev ring r is at least (r-1)*cell away
-            if ring > 0 and (ring - 1) * cell > best:
-                break
-            hits = []
-            if ring == 0:
-                keys = [(cx, cy)]
-            else:
-                keys = [(cx + dx, cy - ring) for dx in range(-ring, ring + 1)]
-                keys += [(cx + dx, cy + ring) for dx in range(-ring, ring + 1)]
-                keys += [(cx - ring, cy + dy) for dy in range(-ring + 1, ring)]
-                keys += [(cx + ring, cy + dy) for dy in range(-ring + 1, ring)]
-            for key in keys:
-                pts = buckets.get(key)
-                if pts is not None:
-                    hits.append(np.abs(pts - q).min())
-            if hits:
-                best = min(best, min(hits))
-            ring += 1
-        out[qi] = best
+    Distances are measured between the ideal points (i hx, j hy); they
+    differ from the float formula by roundoff only.
+    """
+    nx, ny = mask.shape
+    rows = np.arange(nx)[:, None]
+    # pass 1: per column j, the row offset g to the nearest member in it
+    above = np.maximum.accumulate(np.where(mask, rows, -2 * nx), axis=0)
+    below = np.minimum.accumulate(np.where(mask, rows, 3 * nx)[::-1], axis=0)[::-1]
+    g = np.minimum(rows - above, below - rows).astype(np.float64)
+    g[g >= nx] = np.inf  # column without members
+    col = g * g * (region.hx * region.hx)
+    # pass 2: min over j' of g(i, j')^2 hx^2 + (j - j')^2 hy^2, per row i
+    dj = np.arange(ny, dtype=np.float64)
+    across = (dj[:, None] - dj[None, :]) ** 2 * (region.hy * region.hy)
+    out = np.empty((nx, ny))
+    step = max(1, _CHUNK_ENTRIES // (ny * ny))
+    for start in range(0, nx, step):
+        out[start : start + step] = (
+            col[start : start + step, None, :] + across[None, :, :]
+        ).min(axis=2)
     return out
 
 
-def _min_dists(queries, targets, cell: float) -> np.ndarray:
-    if len(queries) == 0:
-        return np.empty(0)
-    if len(queries) <= BRUTE_FORCE_LIMIT and len(targets) <= BRUTE_FORCE_LIMIT:
-        return _min_dists_brute(queries, targets)
-    return _min_dists_bucketed(queries, targets, cell)
+def _roundoff_band(region: GridRegion, reach: float) -> float:
+    """Bound on |float formula - transform distance| for distances <= reach.
+
+    Lattice coordinates carry rounding relative to the window's
+    coordinate magnitudes, so the band in lattice steps grows with
+    magnitude / step; the factor leaves ample room over the few ulps the
+    coordinates, their differences, |.| and the transform each add.
+    """
+    scale = max(
+        abs(region.re_min), abs(region.re_max), abs(region.im_min), abs(region.im_max)
+    )
+    return 32.0 * np.finfo(np.float64).eps * (scale + reach)
 
 
-def _nonempty_points(side: str, s: MaskSet) -> np.ndarray:
-    pts = s.points()
-    if len(pts) == 0:
+def _near_min_dists(
+    region: GridRegion, mask: np.ndarray, cells: np.ndarray, reach: float
+) -> np.ndarray:
+    """Float formula min |q - p| from each cell (rows of `cells`, lattice
+    indices) to the members within `reach` of it along each axis, or to
+    all members when they are fewer than the cells of one box."""
+    nx, ny = mask.shape
+    lat = region.lattice()
+    rx = min(nx - 1, math.floor(reach / region.hx) + 1)
+    ry = min(ny - 1, math.floor(reach / region.hy) + 1)
+    box = (2 * rx + 1) * (2 * ry + 1)
+    members = lat[mask]
+    if len(members) <= box:
+        return _min_dists_brute(lat[cells[:, 0], cells[:, 1]], members)
+    di = np.arange(-rx, rx + 1)[None, :, None]
+    dj = np.arange(-ry, ry + 1)[None, None, :]
+    out = np.empty(len(cells))
+    step = max(1, _CHUNK_ENTRIES // box)
+    for start in range(0, len(cells), step):
+        ci, cj = cells[start : start + step].T
+        ii = ci[:, None, None] + di
+        jj = cj[:, None, None] + dj
+        inside = (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
+        ii = np.clip(ii, 0, nx - 1)
+        jj = np.clip(jj, 0, ny - 1)
+        dist = np.abs(lat[ci, cj][:, None, None] - lat[ii, jj])
+        dist[~(inside & mask[ii, jj])] = np.inf
+        out[start : start + len(ci)] = dist.reshape(len(ci), -1).min(axis=1)
+    return out
+
+
+def _directed_on_lattice(
+    region: GridRegion, queries: np.ndarray, targets: np.ndarray
+) -> float:
+    """sup over query members of the distance to the nearest target member."""
+    d2 = _squared_distance_transform(region, targets)[queries]
+    top2 = float(d2.max())
+    if top2 == 0.0:
+        return 0.0
+    top = math.sqrt(top2)
+    band = _roundoff_band(region, top)
+    cells = np.argwhere(queries)[np.sqrt(d2) >= top - band]
+    return float(_near_min_dists(region, targets, cells, top + 2.0 * band).max())
+
+
+def _require_members(side: str, s: MaskSet) -> None:
+    if not s.mask.any():
         raise DomainError(
             f"hausdorff distance needs non-empty sets; the {side} mask is empty"
         )
-    return pts
 
 
 def hausdorff_distance(a: MaskSet, b: MaskSet) -> float:
     """max of the two directed sup-min distances between the point sets."""
-    pa = _nonempty_points("first", a)
-    pb = _nonempty_points("second", b)
-    cell_b = max(b.region.hx, b.region.hy)
-    cell_a = max(a.region.hx, a.region.hy)
-    d_ab = float(_min_dists(pa, pb, cell_b).max())
-    d_ba = float(_min_dists(pb, pa, cell_a).max())
+    _require_members("first", a)
+    _require_members("second", b)
+    if a.region == b.region:
+        d_ab = _directed_on_lattice(a.region, a.mask, b.mask)
+        d_ba = _directed_on_lattice(a.region, b.mask, a.mask)
+        return max(d_ab, d_ba)
+    pa, pb = a.points(), b.points()
+    d_ab = float(_min_dists_brute(pa, pb).max())
+    d_ba = float(_min_dists_brute(pb, pa).max())
     return max(d_ab, d_ba)
 
 
@@ -158,11 +213,12 @@ def delta_neighborhood(a: MaskSet, delta: float) -> MaskSet:
     """
     if not (delta > 0.0 and math.isfinite(delta)):
         raise DomainError("delta must be positive and finite")
-    pts = a.points()
-    if len(pts) == 0:
+    if not a.mask.any():
         raise DomainError("delta neighborhood of an empty mask")
-    queries = a.region.lattice().ravel()
-    cell = max(a.region.hx, a.region.hy)
-    dists = _min_dists(queries, pts, cell)
-    mask = (dists <= delta).reshape(a.region.nx, a.region.ny)
+    dist = np.sqrt(_squared_distance_transform(a.region, a.mask))
+    band = _roundoff_band(a.region, delta)
+    mask = dist <= delta
+    near = np.abs(dist - delta) <= band
+    cells = np.argwhere(near)
+    mask[near] = _near_min_dists(a.region, a.mask, cells, delta + 2.0 * band) <= delta
     return MaskSet(a.region, mask)

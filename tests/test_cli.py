@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from pseudolab import MaskSet, hausdorff_distance, read_mask_csv
+from pseudolab import MaskSet, hausdorff_distance, read_mask_csv, resolvent
 from pseudolab.cli import parse_and_dispatch
+from pseudolab.numkernel import ConvergenceError
 
 
 def run(argv):
@@ -140,6 +141,17 @@ class TestExitCodeMatrix:
         monkeypatch.setenv("PSEUDOLAB_THREADS", "abc")
         assert run(["field", "--model", "shargorodsky",
                     "--region", "0,1,0,1", "--nx", "3", "--ny", "3"]) == 2
+
+    def test_numerical_failure_is_three(self, tmp_path, capsys, monkeypatch):
+        def stall(a):
+            raise ConvergenceError("inverse iteration stalled at dimension 2")
+
+        monkeypatch.setattr(resolvent, "smallest_singular_value", stall)
+        p = tmp_path / "jordan.csv"  # not diagonal, so the dense kernel runs
+        p.write_text("1,0,1,0\n0,0,1,0\n")
+        assert run(["field", "--model", str(p),
+                    "--region", "0,0.1,0,0.1", "--nx", "2", "--ny", "2"]) == 3
+        assert capsys.readouterr().err.startswith("error: inverse iteration stalled")
 
 
 class TestStudies:

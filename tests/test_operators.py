@@ -99,6 +99,17 @@ class TestSymbolSpec:
             SymbolSpec("rational")
 
 
+class TestDiagBlockFamily:
+    @pytest.mark.parametrize(
+        "symbol", [SymbolSpec("constant", c=2.0), SymbolSpec("one_minus_inv_sqrt")]
+    )
+    def test_four_by_four_needs_one_plus_inv(self, symbol):
+        # the 4x4 tail certificates assume the limit of 1 + 1/x
+        with pytest.raises(ConfigurationError, match="one_plus_inv"):
+            DiagBlockFamily(symbol=symbol, block_shape="four_by_four")
+        assert DiagBlockFamily(symbol=symbol).block_dim == 2
+
+
 class TestAssembleTruncation:
     def test_shargorodsky_first_block(self):
         t = assemble_truncation(shargorodsky_family(), 1)

@@ -1,8 +1,9 @@
 """Hausdorff distance and neighborhoods on lattice masks."""
+import math
+
 import numpy as np
 import pytest
 
-import pseudolab.setgeom as setgeom
 from pseudolab import (
     ConfigurationError,
     DomainError,
@@ -12,7 +13,7 @@ from pseudolab import (
     hausdorff_distance,
     region_with_step,
 )
-from pseudolab.setgeom import _min_dists_brute, _min_dists_bucketed
+from pseudolab.setgeom import _min_dists_brute
 
 
 def random_mask(rng, region, density=0.2) -> MaskSet:
@@ -94,23 +95,6 @@ class TestHausdorffDistance:
         with pytest.raises(DomainError, match="second"):
             hausdorff_distance(full, empty)
 
-    def test_bucketed_route_matches_brute_force(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        region = region_with_step(-2.0, 2.0, -2.0, 2.0, 0.1)
-        a = random_mask(rng, region, density=0.4)
-        b = random_mask(rng, region, density=0.4)
-        brute = hausdorff_distance(a, b)
-        monkeypatch.setattr(setgeom, "BRUTE_FORCE_LIMIT", 10)
-        assert hausdorff_distance(a, b) == brute
-
-    def test_bucketed_kernel_equals_brute_kernel(self):
-        rng = np.random.default_rng(5)
-        qs = rng.normal(size=200) + 1j * rng.normal(size=200)
-        ts = rng.normal(size=300) + 1j * rng.normal(size=300)
-        got = _min_dists_bucketed(qs, ts, 0.25)
-        want = _min_dists_brute(qs, ts)
-        assert np.array_equal(got, want)
-
 
 class TestDeltaNeighborhood:
     def test_unit_disc_around_origin(self):
@@ -161,3 +145,76 @@ class TestDeltaNeighborhood:
         s = MaskSet.from_points(REGION, [0.0])
         with pytest.raises(DomainError):
             delta_neighborhood(s, 0.0)
+
+
+def brute_hausdorff(a: MaskSet, b: MaskSet) -> float:
+    pa, pb = a.points(), b.points()
+    return max(
+        float(_min_dists_brute(pa, pb).max()), float(_min_dists_brute(pb, pa).max())
+    )
+
+
+def brute_neighborhood(a: MaskSet, delta: float) -> np.ndarray:
+    dists = _min_dists_brute(a.region.lattice().ravel(), a.points())
+    return (dists <= delta).reshape(a.mask.shape)
+
+
+# square and hx != hy lattices, near the origin and far from it
+TRANSFORM_REGIONS = [
+    GridRegion(-2.0, 2.0, -2.0, 2.0, 41, 41),
+    GridRegion(-1.0, 2.0, 0.5, 1.3, 31, 17),
+    GridRegion(1e3, 1e3 + 3.0, -2.0, -1.5, 23, 37),
+    GridRegion(-1e6, -1e6 + 0.7, 1e6, 1e6 + 0.9, 19, 26),
+]
+REGION_IDS = ["square", "hx-ne-hy", "re-min-1e3", "far-1e6"]
+
+
+class TestTransformMatchesBruteForce:
+    """The lattice transform route returns the brute-force floats bit for bit."""
+
+    @pytest.mark.parametrize("density", [0.02, 0.2, 0.9])
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_hausdorff_random_masks(self, region, density):
+        rng = np.random.default_rng(40)
+        for _ in range(4):
+            a = random_mask(rng, region, density)
+            b = random_mask(rng, region, density)
+            assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
+
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_hausdorff_single_member_and_identical(self, region):
+        rng = np.random.default_rng(41)
+        one = MaskSet.from_points(region, [region.point(region.nx - 1, 0)])
+        for density in (0.02, 0.9):
+            s = random_mask(rng, region, density)
+            assert hausdorff_distance(s, one) == brute_hausdorff(s, one)
+            assert hausdorff_distance(s, s) == 0.0
+        full = MaskSet(region, np.ones((region.nx, region.ny), dtype=bool))
+        assert hausdorff_distance(one, full) == brute_hausdorff(one, full)
+
+    @pytest.mark.parametrize("density", [0.02, 0.2, 0.9])
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_neighborhood_at_lattice_distances(self, region, density):
+        rng = np.random.default_rng(42)
+        s = random_mask(rng, region, density)
+        diagonal = math.hypot(region.hx, region.hy)
+        for h in (region.hx, region.hy):
+            for delta in (h, math.hypot(h, h), 2.0 * h, diagonal):
+                got = delta_neighborhood(s, delta).mask
+                assert np.array_equal(got, brute_neighborhood(s, delta))
+
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_neighborhood_of_single_member(self, region):
+        one = MaskSet.from_points(region, [region.point(region.nx // 2, 1)])
+        for delta in (region.hx, 3.5 * region.hy, 1e9):
+            got = delta_neighborhood(one, delta).mask
+            assert np.array_equal(got, brute_neighborhood(one, delta))
+
+    def test_different_regions_take_the_brute_route(self):
+        rng = np.random.default_rng(43)
+        coarse = region_with_step(-1.0, 1.0, -1.0, 1.0, 0.2)
+        fine = region_with_step(-1.0, 1.0, -1.0, 1.0, 0.1)
+        a = random_mask(rng, coarse, 0.3)
+        b = random_mask(rng, fine, 0.3)
+        assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
+        assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
