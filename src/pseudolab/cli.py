@@ -1,8 +1,5 @@
 """Command-line front end.
 
-One orchestration thread; field evaluation parallelism lives in the
-library and is capped by PSEUDOLAB_THREADS (0 = automatic).
-
 Exit codes: 0 success (and verdict pass for studies), 1 study verdict
 fail, 2 configuration or usage error, 3 numerical failure (an iterative
 kernel did not converge).
@@ -50,6 +47,7 @@ from .pseudospectra import (
     read_mask_csv,
     region_with_step,
     write_field_csv,
+    write_json,
     write_mask_csv,
 )
 from .setgeom import MaskSet, hausdorff_distance
@@ -84,7 +82,6 @@ def _epilog() -> str:
     lines.append("--region takes re_min,re_max,im_min,im_max; a wrong count is an")
     lines.append("error, never silently defaulted. --model also accepts a path to a")
     lines.append("CSV matrix file: m rows of 2m re,im-interleaved columns, square.")
-    lines.append("PSEUDOLAB_THREADS caps field-evaluation workers (0 = auto).")
     return "\n".join(lines)
 
 
@@ -162,10 +159,6 @@ def _sink(path):
             yield fh
 
 
-def _jsonable(v: float):
-    return v if math.isfinite(v) else repr(v)
-
-
 def _emit_report(report, out) -> int:
     with _sink(out) as fh:
         fh.write(report.to_json())
@@ -176,20 +169,7 @@ def _emit_report(report, out) -> int:
 def _cmd_field(args) -> int:
     field = compute_norm_field(_load_model(args.model, args.beta), _make_region(args), args.n)
     with _sink(args.out) as fh:
-        if args.format == "csv":
-            write_field_csv(field, fh)
-        else:
-            import json
-
-            region = field.region
-            doc = {
-                "re_min": region.re_min, "re_max": region.re_max,
-                "im_min": region.im_min, "im_max": region.im_max,
-                "nx": region.nx, "ny": region.ny, "n": field.n,
-                "values": [[_jsonable(v) for v in row] for row in field.values.tolist()],
-            }
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        (write_field_csv if args.format == "csv" else write_json)(field, fh)
     return 0
 
 
@@ -197,21 +177,7 @@ def _cmd_levelset(args) -> int:
     field = compute_norm_field(_load_model(args.model, args.beta), _make_region(args), args.n)
     mask = level_set(field, args.epsilon, STRICTNESS_FLAG[args.strictness])
     with _sink(args.out) as fh:
-        if args.format == "csv":
-            write_mask_csv(mask, fh)
-        else:
-            import json
-
-            region = mask.region
-            doc = {
-                "re_min": region.re_min, "re_max": region.re_max,
-                "im_min": region.im_min, "im_max": region.im_max,
-                "nx": region.nx, "ny": region.ny,
-                "epsilon": mask.epsilon, "n": mask.n, "strictness": mask.strictness,
-                "member": mask.mask.astype(int).tolist(),
-            }
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        (write_mask_csv if args.format == "csv" else write_json)(mask, fh)
     return 0
 
 

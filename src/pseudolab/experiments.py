@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -119,17 +119,6 @@ def _closure_proxy_mask(field_obj, epsilon) -> MaskSet:
     return MaskSet(field_obj.region, dilate_one_cell(open_mask))
 
 
-def _region_params(region: GridRegion) -> dict:
-    return {
-        "re_min": region.re_min,
-        "re_max": region.re_max,
-        "im_min": region.im_min,
-        "im_max": region.im_max,
-        "nx": region.nx,
-        "ny": region.ny,
-    }
-
-
 def convergence_study(
     seq,
     epsilon: float,
@@ -138,7 +127,6 @@ def convergence_study(
     n: int = 0,
     *,
     defect_threshold: float = DEFECT_THRESHOLD_DEFAULT,
-    workers=None,
 ) -> StudyReport:
     """Distance of truncated level sets to the limit level set over k.
 
@@ -162,10 +150,10 @@ def convergence_study(
         "epsilon": epsilon,
         "ks": ks,
         "n": n,
-        "region": _region_params(region),
+        "region": asdict(region),
         "sequence": type(seq).__name__,
     }
-    limit_field = compute_norm_field(seq.limit_model(), region, n, workers=workers)
+    limit_field = compute_norm_field(seq.limit_model(), region, n)
     check = assumption_i_check(limit_field, epsilon)
     if not check.holds_at_resolution:
         where = (
@@ -202,7 +190,7 @@ def convergence_study(
     series = []
     notes = [STUDY_PROXY_NOTE]
     for k in ks:
-        term_field = compute_norm_field(seq.term(k), region, n, workers=workers)
+        term_field = compute_norm_field(seq.term(k), region, n)
         term_mask = _closed_mask(term_field, epsilon)
         if term_mask.size == 0:
             return StudyReport(
@@ -279,7 +267,7 @@ def counterexample_K_study(
         "epsilon": epsilon,
         "direction": direction,
         "ks": ks,
-        "region": _region_params(region),
+        "region": asdict(region),
     }
 
     def masks_for(shift_factor: float):
@@ -325,7 +313,7 @@ def counterexample_const_study(ks, region: GridRegion) -> StudyReport:
     base = build_named_example("shargorodsky").model
     h = _grid_step(region)
     budget = {"h": h, "min_slack": MIN_SLACK, "tail_tol": TAIL_TOL_DEFAULT}
-    params = {"ks": ks, "region": _region_params(region)}
+    params = {"ks": ks, "region": asdict(region)}
     notes = [STUDY_PROXY_NOTE]
 
     limit_field = compute_norm_field(base, region)
@@ -374,7 +362,7 @@ def global_min_scan(model, region: GridRegion, l: int, M: float) -> StudyReport:
         "required_min": required,
         "tail_tol": TAIL_TOL_DEFAULT,
     }
-    params = {"l": l, "M": M, "region": _region_params(region)}
+    params = {"l": l, "M": M, "region": asdict(region)}
     notes = (
         f"argmin at {region.point(i, j)} with value {lo!r}",
         STUDY_PROXY_NOTE,
@@ -402,7 +390,9 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
     """Probe |norm - M| <= tol inside the claimed constant region.
 
     Probes outside the region are recorded as skipped, never failed;
-    the verdict covers the evaluated probes only.
+    the verdict covers the evaluated probes only.  The equality is only
+    judged on certified values: an uncertified probe is a lower bound
+    and fails.
     """
     if not (M > 0.0 and math.isfinite(M)):
         raise ConfigurationError("M must be positive and finite")
@@ -419,10 +409,17 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
         if not in_constant_region(z):
             notes.append(f"probe {idx} at {z} outside the region: skipped")
             continue
-        value = resolvent_norm(model, z).value
+        rv = resolvent_norm(model, z)
+        value = rv.value
         series.append((float(idx), value))
         evaluated += 1
-        if not (math.isfinite(value) and abs(value - M) <= tol):
+        if not rv.certified:
+            ok = False
+            notes.append(
+                f"probe {idx} at {z}: value {value!r} uncertified "
+                f"(tail gap {rv.tail_gap!r})"
+            )
+        elif not (math.isfinite(value) and abs(value - M) <= tol):
             ok = False
             notes.append(f"probe {idx} at {z}: value {value!r} not within {tol} of {M}")
     if evaluated == 0:

@@ -16,16 +16,15 @@ with member in {0,1}.
 from __future__ import annotations
 
 import csv
+import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .operators import DenseOperator, DiagBlockFamily, ScaledOperator, TruncatedFamily
-from .resolvent import TAIL_TOL_DEFAULT, resolvent_power_norm
+from .resolvent import MAX_BLOCKS_DEFAULT, TAIL_TOL_DEFAULT, resolvent_power_norm
 
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
@@ -35,25 +34,6 @@ STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 FIELD_MAX_BLOCKS = {2: 20000, 4: 256}
 
 DEFAULT_GRID_POINTS = 101
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get("PSEUDOLAB_THREADS", "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"PSEUDOLAB_THREADS must be an integer, got {raw!r}"
-                ) from None
-        else:
-            workers = 0
-    if workers == 0:
-        return min(8, os.cpu_count() or 1)
-    if workers < 0:
-        raise ConfigurationError("worker count must be nonnegative")
-    return workers
 
 
 @dataclass(frozen=True)
@@ -192,27 +172,7 @@ def _diagonal_of(model):
     return None
 
 
-def _pointwise_values(model, zs, n, tail_tol, max_blocks, workers):
-    def at(z):
-        return resolvent_power_norm(
-            model, complex(z), n, tail_tol=tail_tol, max_blocks=max_blocks
-        ).value
-
-    k = _worker_count(workers)
-    if k <= 1 or len(zs) < 64:
-        return np.array([at(z) for z in zs])
-    chunks = np.array_split(np.arange(len(zs)), k * 4)
-    out = np.empty(len(zs))
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        def run(idx):
-            return idx, [at(zs[i]) for i in idx]
-
-        for idx, vals in pool.map(run, chunks):
-            out[idx] = vals
-    return out
-
-
-def _field_values(model, zs, n, tail_tol, max_blocks, workers):
+def _field_values(model, zs, n, tail_tol, max_blocks):
     diag = _diagonal_of(model)
     if diag is not None:
         # normal matrix: every power norm collapses to inverse distance
@@ -221,13 +181,18 @@ def _field_values(model, zs, n, tail_tol, max_blocks, workers):
             return np.divide(1.0, dists)
     if isinstance(model, ScaledOperator):
         s = complex(model.factor)
-        inner = _field_values(model.inner, zs / s, n, tail_tol, max_blocks, workers)
+        inner = _field_values(model.inner, zs / s, n, tail_tol, max_blocks)
         return inner / abs(s)
     if max_blocks is None and isinstance(model, DiagBlockFamily):
         max_blocks = FIELD_MAX_BLOCKS[model.block_dim]
     if max_blocks is None:
-        max_blocks = 10**6
-    return _pointwise_values(model, zs, n, tail_tol, max_blocks, workers)
+        max_blocks = MAX_BLOCKS_DEFAULT
+    return np.array([
+        resolvent_power_norm(
+            model, complex(z), n, tail_tol=tail_tol, max_blocks=max_blocks
+        ).value
+        for z in zs
+    ])
 
 
 def compute_norm_field(
@@ -237,17 +202,16 @@ def compute_norm_field(
     *,
     tail_tol: float = TAIL_TOL_DEFAULT,
     max_blocks: int | None = None,
-    workers: int | None = None,
 ) -> NormField:
     """Sample the resolvent power norm of model at every lattice point.
 
-    Each cell depends only on (model, z, n), so the result is identical
-    for any worker count.  max_blocks bounds the tail scan for infinite
-    families; the per-shape defaults keep full-window sweeps affordable
-    while the reported values remain certified lower bounds.
+    Each cell depends only on (model, z, n).  max_blocks bounds the tail
+    scan for infinite families; the per-shape defaults keep full-window
+    sweeps affordable while the reported values remain certified lower
+    bounds.
     """
     zs = region.lattice().ravel()
-    vals = _field_values(model, zs, n, tail_tol, max_blocks, workers)
+    vals = _field_values(model, zs, n, tail_tol, max_blocks)
     return NormField(region, n, vals.reshape(region.nx, region.ny))
 
 
@@ -335,6 +299,29 @@ def write_mask_csv(mask: LevelSetMask, fp) -> None:
         for j in range(region.ny):
             im = region.im_min + j * region.hy
             w.writerow([repr(re), repr(im), "1" if mask.mask[i, j] else "0"])
+
+
+def write_json(obj, fp) -> None:
+    """Write a NormField or LevelSetMask as one JSON document.
+
+    Keys are sorted: the grid geometry, n, and either the value rows
+    (unbounded values as the string "inf") or the 0/1 member rows with
+    epsilon and strictness.
+    """
+    doc = {**asdict(obj.region), "n": obj.n}
+    if isinstance(obj, NormField):
+        doc["values"] = [
+            [v if math.isfinite(v) else repr(v) for v in row]
+            for row in obj.values.tolist()
+        ]
+    else:
+        doc.update(
+            epsilon=obj.epsilon,
+            strictness=obj.strictness,
+            member=obj.mask.astype(int).tolist(),
+        )
+    json.dump(doc, fp, indent=2, sort_keys=True)
+    fp.write("\n")
 
 
 def _read_rows(fp, header):

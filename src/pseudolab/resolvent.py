@@ -4,19 +4,20 @@ The dense path is exact linear algebra: ||(T - z)^-1|| = 1/sigma_min(T - z),
 and for powers a deterministic power iteration on the 2^n-fold solve
 composition with the factorization reused.
 
-The block-family path evaluates sup_k ||(B_k - z)^-m|| ^ (1/m) over an
-infinite sequence of 2x2 or 4x4 blocks.  A finite head is scanned exactly
-in vectorised chunks; the infinite tail is handled with closed-form
-certificates:
+The block-family path evaluates sup_k ||(B_k - z)^-m|| ^ (1/m) with one
+block-scan engine over 2x2 or 4x4 blocks in vectorised chunks: finite
+ranges take the exact maximum, and infinite families scan a head until a
+closed-form certificate for the tail beyond it closes the gap:
 
-* for the 2x2 shapes with finite positive tail limit C, a per-kind
+* 2x2 shapes: for n = 0 with finite positive tail limit C, a per-kind
   algebraic criterion shows every block beyond the scan point stays
   strictly below 1/C (so the tail supremum is exactly 1/C), and a
   monotone envelope (r + x) / (x f(x) - r^2) bounds the tail otherwise;
-* for powers, Schur-style bounds on the squared block resolvent give a
+  for powers, Schur-style bounds on the squared block resolvent give a
   decreasing tail majorant;
 * the 4x4 shape carries an explicit deviation bound from its limiting
-  nilpotent resolvent.
+  nilpotent resolvent; its head values are bracketed by Gram-iteration
+  bounds, with the few blocks that matter refined exactly.
 
 The reported value is max(head maximum, analytic tail limit): a certified
 lower bound that is exact whenever the certificates close the gap.  The
@@ -333,55 +334,104 @@ def _power_tail_bound(family, a: float, z: complex, m: int) -> float | None:
     return math.sqrt(g)
 
 
-# -------------------------------------------------------- 2x2 block engine
+# -------------------------------------------------------- block-scan engine
 
 
-def _two_family_value(
-    family, z: complex, n: int, tail_tol: float, max_blocks: int, strict: bool
-) -> ResolventValue:
+def _chunks(lo: int, hi: int):
+    """Block indices lo < k <= hi in chunks growing from HEAD_CHUNK to CHUNK_CAP."""
+    size = HEAD_CHUNK
+    while lo < hi:
+        stop = min(lo + size, hi)
+        yield np.arange(lo + 1, stop + 1)
+        lo = stop
+        size = min(size * CHUNK_GROWTH, CHUNK_CAP)
+
+
+def _head_max(family, lo: int, hi: int, z: complex, n: int) -> float:
+    """Exact max of the block values over lo < k <= hi; inf on a singular block."""
+    m = 1 << n
+    best = 0.0
+    for ks in _chunks(lo, hi):
+        if family.block_dim == 2:
+            best = max(best, float(np.max(_two_block_values(family, ks, z, m))))
+            continue
+        mats, sing = _four_resolvent_batch(family, ks, z)
+        if bool(np.any(sing)):
+            return math.inf
+        mats, logs = _batch_square_scaled(mats, n)
+        for j in range(len(ks)):
+            sigma = float(jacobi_singular_values(mats[j])[0])
+            best = max(best, sigma ** (1.0 / m) * math.exp(float(logs[j]) / m))
+    return best
+
+
+def _two_shape(family, z: complex, n: int):
+    """(tail limit, tail_ub(a), head(ks, floor)) for 2x2 blocks; exact heads."""
     m = 1 << n
     c = family.tail_C
-    tail_limit = 1.0 / c if (n == 0 and math.isfinite(c) and c > 0.0) else 0.0
-    head_max = 0.0
+    has_limit = math.isfinite(c) and c > 0.0
+    tail_limit = 1.0 / c if (n == 0 and has_limit) else 0.0
+
+    def tail_ub(a: float) -> float | None:
+        if n > 0:
+            return _power_tail_bound(family, a, z, m)
+        if has_limit and _tail_stays_below_limit(family, a, z):
+            return tail_limit
+        return _envelope_sup(family, a, z)
+
+    def head(ks: np.ndarray, floor: float):
+        vmax = float(np.max(_two_block_values(family, ks, z, m)))
+        return None if math.isinf(vmax) else (vmax, vmax)
+
+    return tail_limit, tail_ub, head
+
+
+def _family_value(
+    family, z: complex, n: int, tail_tol: float, max_blocks: int, strict: bool
+) -> ResolventValue:
+    """Certified sup of the block values of an infinite 2x2 or 4x4 family.
+
+    head(ks, floor) gives (lower, upper) bounds of a chunk's maximum, or
+    None on a singular block; after each chunk the gap is
+    max(0, max(head upper bound, tail_ub(next weight)) - reported).
+    """
+    m = 1 << n
+    if family.block_dim == 4 and z == 0 and m in (1, 2):
+        # closed forms: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| = 1/beta_k^2 < 1
+        # for every block, while the tail limit is exactly 1
+        return ResolventValue(1.0, "block_exact_with_tail", 0.0, True, k_cutoff=0)
+    if family.block_dim == 2:
+        tail_limit, tail_ub, head = _two_shape(family, z, n)
+    else:
+        tail_limit, tail_ub, head = _four_shape(family, z, n, tail_tol)
+    head_value = head_ub = 0.0
     best_gap = math.inf
     k_done = 0
-    chunk = HEAD_CHUNK
-    while k_done < max_blocks:
-        hi = min(k_done + chunk, max_blocks)
-        ks = np.arange(k_done + 1, hi + 1)
-        vals = _two_block_values(family, ks, z, m)
-        vmax = float(np.max(vals))
-        if math.isinf(vmax):
+    for ks in _chunks(0, max_blocks):
+        k_done = int(ks[-1])
+        bounds = head(ks, max(head_value, tail_limit))
+        if bounds is None:
             return ResolventValue(
-                math.inf, "block_exact_with_tail", 0.0, True, k_cutoff=hi
+                math.inf, "block_exact_with_tail", 0.0, True, k_cutoff=k_done
             )
-        head_max = max(head_max, vmax)
-        k_done = hi
-        chunk = min(chunk * CHUNK_GROWTH, CHUNK_CAP)
-        a_next = float(family.alpha_values(np.array([k_done + 1]))[0])
-        reported = max(head_max, tail_limit)
-        tail_ub: float | None
-        if n == 0:
-            if math.isfinite(c) and c > 0.0 and _tail_stays_below_limit(
-                family, a_next, z
-            ):
-                tail_ub = tail_limit
-            else:
-                tail_ub = _envelope_sup(family, a_next, z)
-        else:
-            tail_ub = _power_tail_bound(family, a_next, z, m)
-        if tail_ub is not None:
-            gap = max(0.0, tail_ub - reported)
-            best_gap = min(best_gap, gap)
-            if gap <= tail_tol:
-                return ResolventValue(
-                    reported, "block_exact_with_tail", gap, True, k_cutoff=k_done
-                )
-    reported = max(head_max, tail_limit)
+        head_value = max(head_value, bounds[0])
+        head_ub = max(head_ub, bounds[1])
+        ub = tail_ub(float(family.alpha_values(np.array([k_done + 1]))[0]))
+        if ub is None:
+            continue
+        reported = max(head_value, tail_limit)
+        gap = max(0.0, max(head_ub, ub) - reported)
+        best_gap = min(best_gap, gap)
+        if gap <= tail_tol:
+            return ResolventValue(
+                reported, "block_exact_with_tail", gap, True, k_cutoff=k_done
+            )
+    reported = max(head_value, tail_limit)
     if strict:
+        dim = family.block_dim
         raise TailCertificationError(
-            f"tail not pinned within {tail_tol:g} after {k_done} blocks "
-            f"(achieved gap {best_gap:g})",
+            f"{dim}x{dim} tail not pinned within {tail_tol:g} after {k_done} "
+            f"blocks (achieved gap {best_gap:g})",
             achieved_gap=best_gap,
             blocks_scanned=k_done,
         )
@@ -435,8 +485,7 @@ def _inverse_family_value(
             )
         # tail limit misdeclared (possible for tabulated symbols): report
         # the scanned head as an uncertified lower bound
-        ks = np.arange(1, max_blocks + 1)
-        head = float(np.max(_two_block_values(family, ks, z, 1)))
+        head = _head_max(family, 0, max_blocks, z, 0)
         if strict:
             raise TailCertificationError(
                 "tail limit 0 could not be certified divergent",
@@ -447,7 +496,7 @@ def _inverse_family_value(
             head, "block_exact_with_tail", math.inf, False, k_cutoff=max_blocks
         )
     if family.symbol.kind != "inverse":
-        return _two_family_value(family, z, n, tail_tol, max_blocks, strict)
+        return _family_value(family, z, n, tail_tol, max_blocks, strict)
     # powers of the inverse-symbol family: (B - z)^-m = [A' I + D' B] with
     # scalars from w+- = 1/(1-z), -1/(1+z); the off-diagonal carries
     # D' alpha_k, unbounded unless D' vanishes (m even, z = 0)
@@ -466,7 +515,7 @@ def _inverse_family_value(
     return ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
 
 
-# -------------------------------------------------------- 4x4 block engine
+# --------------------------------------------------------------- 4x4 blocks
 
 
 def _four_resolvent_batch(family, ks: np.ndarray, z: complex):
@@ -520,7 +569,7 @@ def _batch_square_scaled(mats: np.ndarray, n: int):
 def _batch_sigma_bounds(mats: np.ndarray):
     """Per-block (lower, upper) bounds for sigma_max of stacked 4x4 blocks.
 
-    Lower: Rayleigh quotient after 30 deterministic Gram iterations.
+    Lower: Rayleigh quotient after 20 deterministic Gram iterations.
     Upper: sqrt of the Gram's maximum absolute row sum.
     """
     gram = np.einsum("bki,bkj->bij", mats.conj(), mats)
@@ -554,119 +603,48 @@ def _four_tail_deviation(family, a: float, z: complex) -> float | None:
     return (c1 + c2 * a) / (a * a - r**4)
 
 
-def _four_exact_at_zero(family, m: int) -> ResolventValue:
-    # closed forms: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| = 1/beta_k^2 < 1
-    # for every block, while the tail limit is exactly 1
-    return ResolventValue(1.0, "block_exact_with_tail", 0.0, True, k_cutoff=0)
+def _four_shape(family, z: complex, n: int, tail_tol: float):
+    """(tail limit, tail_ub(a), head(ks, floor)) for 4x4 blocks.
 
-
-def _four_family_value(
-    family, z: complex, n: int, tail_tol: float, max_blocks: int, strict: bool
-) -> ResolventValue:
+    head takes the Gram bounds and refines, at most REFINE_CAP times per
+    point, the blocks whose upper bound rivals floor (the best value the
+    point can still report); blocks below it cannot matter.
+    """
     m = 1 << n
-    if z == 0 and m in (1, 2):
-        return _four_exact_at_zero(family, m)
-    head_value = 0.0
-    head_ub = 0.0
-    best_gap = math.inf
-    k_done = 0
-    chunk = HEAD_CHUNK
+    limit0 = _four_limit_norm(z)
+    tail_limit = limit0 if m == 1 else (1.0 if m == 2 else 0.0)
     refines_left = REFINE_CAP
-    tail_floor = _four_limit_norm(z) if m == 1 else (1.0 if m == 2 else 0.0)
-    bmax = family.symbol.value(family.alpha.value(1))
-    while k_done < max_blocks:
-        hi = min(k_done + chunk, max_blocks)
-        ks = np.arange(k_done + 1, hi + 1)
+
+    def tail_ub(a: float) -> float | None:
+        xi = _four_tail_deviation(family, a, z)
+        if xi is None:
+            return None
+        if m == 1:
+            return limit0 + xi
+        eta = xi * (xi + 2.0 * limit0)
+        return math.sqrt(1.0 + eta) if m == 2 else (2.0 * eta + eta * eta) ** 0.25
+
+    def head(ks: np.ndarray, floor: float):
+        nonlocal refines_left
         mats, sing = _four_resolvent_batch(family, ks, z)
         if bool(np.any(sing)):
-            return ResolventValue(
-                math.inf, "block_exact_with_tail", 0.0, True, k_cutoff=hi
-            )
-        if m > 1:
-            mats, logs = _batch_square_scaled(mats, n)
-        else:
-            logs = np.zeros(len(ks))
+            return None
+        mats, logs = _batch_square_scaled(mats, n)
         lb, ub = _batch_sigma_bounds(mats)
         factor = np.exp(logs / m)
-        lb_vals = lb ** (1.0 / m) * factor
         ub_vals = ub ** (1.0 / m) * factor
-        head_value = max(head_value, float(np.max(lb_vals)))
-        # refine the few blocks whose upper bound rivals the best value the
-        # point can still report; blocks below the tail limit cannot matter
-        order = np.argsort(-ub_vals)
-        for j in order:
-            floor = max(head_value, tail_floor) + tail_tol
-            if refines_left <= 0 or ub_vals[j] <= floor:
+        best = float(np.max(lb ** (1.0 / m) * factor))
+        for j in np.argsort(-ub_vals):
+            if refines_left <= 0 or ub_vals[j] <= max(floor, best) + tail_tol:
                 break
             sigma = float(jacobi_singular_values(mats[j])[0])
             exact = sigma ** (1.0 / m) * float(factor[j])
-            head_value = max(head_value, exact)
+            best = max(best, exact)
             ub_vals[j] = exact
             refines_left -= 1
-        head_ub = max(head_ub, float(np.max(ub_vals)))
-        k_done = hi
-        chunk = min(chunk * CHUNK_GROWTH, CHUNK_CAP)
-        a_next = float(family.alpha_values(np.array([k_done + 1]))[0])
-        limit0 = _four_limit_norm(z)
-        tail_limit = limit0 if m == 1 else (1.0 if m == 2 else 0.0)
-        xi = _four_tail_deviation(family, a_next, z)
-        if xi is not None:
-            if m == 1:
-                tail_ub = limit0 + xi
-            else:
-                eta = xi * (xi + 2.0 * limit0)
-                tail_ub = (
-                    math.sqrt(1.0 + eta) if m == 2 else (2.0 * eta + eta * eta) ** 0.25
-                )
-            reported = max(head_value, tail_limit)
-            gap = max(0.0, max(head_ub, tail_ub) - reported)
-            best_gap = min(best_gap, gap)
-            if gap <= tail_tol:
-                return ResolventValue(
-                    reported, "block_exact_with_tail", gap, True, k_cutoff=k_done
-                )
-    tail_limit = _four_limit_norm(z) if m == 1 else (1.0 if m == 2 else 0.0)
-    reported = max(head_value, tail_limit)
-    if strict:
-        raise TailCertificationError(
-            f"4x4 tail not pinned within {tail_tol:g} after {k_done} blocks "
-            f"(achieved gap {best_gap:g})",
-            achieved_gap=best_gap,
-            blocks_scanned=k_done,
-        )
-    return ResolventValue(
-        reported, "block_exact_with_tail", best_gap, False, k_cutoff=k_done
-    )
+        return best, float(np.max(ub_vals))
 
-
-def _truncated_value(trunc: TruncatedFamily, z: complex, n: int) -> ResolventValue:
-    """Exact value for a finite truncation, computed blockwise."""
-    family = trunc.family
-    m = 1 << n
-    total = trunc.n_blocks
-    if family.block_dim == 2:
-        best = 0.0
-        k_done = 0
-        while k_done < total:
-            hi = min(k_done + CHUNK_CAP, total)
-            ks = np.arange(k_done + 1, hi + 1)
-            vals = _two_block_values(family, ks, z, m)
-            best = max(best, float(np.max(vals)))
-            k_done = hi
-        return ResolventValue(best, "dense_exact", 0.0, True, k_cutoff=total)
-    ks = np.arange(1, total + 1)
-    mats, sing = _four_resolvent_batch(family, ks, z)
-    if bool(np.any(sing)):
-        return ResolventValue(math.inf, "dense_exact", 0.0, True, k_cutoff=total)
-    if m > 1:
-        mats, logs = _batch_square_scaled(mats, n)
-    else:
-        logs = np.zeros(total)
-    best = 0.0
-    for j in range(total):
-        sigma = float(jacobi_singular_values(mats[j])[0])
-        best = max(best, sigma ** (1.0 / m) * math.exp(float(logs[j]) / m))
-    return ResolventValue(best, "dense_exact", 0.0, True, k_cutoff=total)
+    return tail_limit, tail_ub, head
 
 
 # ------------------------------------------------------------- public API
@@ -724,13 +702,13 @@ def resolvent_power_norm(
             value = _dense_power_norm(model.matrix, z, n)
         return ResolventValue(value, "dense_exact")
     if isinstance(model, TruncatedFamily):
-        return _truncated_value(model, z, n)
+        total = model.n_blocks
+        value = _head_max(model.family, 0, total, z, n)
+        return ResolventValue(value, "dense_exact", 0.0, True, k_cutoff=total)
     if isinstance(model, DiagBlockFamily):
-        if model.block_dim == 4:
-            return _four_family_value(model, z, n, tail_tol, max_blocks, strict)
         if model.tail_C == 0.0:
             return _inverse_family_value(model, z, n, tail_tol, max_blocks, strict)
-        return _two_family_value(model, z, n, tail_tol, max_blocks, strict)
+        return _family_value(model, z, n, tail_tol, max_blocks, strict)
     raise DomainError(f"unknown operator model {type(model).__name__}")
 
 
@@ -755,24 +733,6 @@ def _clearance_or_raise(matrix: np.ndarray, z: complex, label: str) -> None:
         )
 
 
-def _block_values_range(family, lo: int, hi: int, z: complex) -> float:
-    """max block resolvent value over lo < k <= hi (n = 0)."""
-    if family.block_dim == 2:
-        best = 0.0
-        k = lo
-        while k < hi:
-            stop = min(k + CHUNK_CAP, hi)
-            vals = _two_block_values(family, np.arange(k + 1, stop + 1), z, 1)
-            best = max(best, float(np.max(vals)))
-            k = stop
-        return best
-    ks = np.arange(lo + 1, hi + 1)
-    mats, sing = _four_resolvent_batch(family, ks, z)
-    if bool(np.any(sing)):
-        return math.inf
-    return max(float(jacobi_singular_values(mats[j])[0]) for j in range(len(ks)))
-
-
 def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
     """||R_k(anchor) P_k - R_ref(anchor) P|| for the k-th sequence term.
 
@@ -788,7 +748,7 @@ def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
         if k < 1:
             raise DomainError("sequence index must be >= 1")
         # a singular block anywhere in the reference makes the anchor invalid
-        probe = _block_values_range(family, 0, max(k, n_ref), lam)
+        probe = _head_max(family, 0, max(k, n_ref), lam, 0)
         if math.isinf(probe) or probe > 1.0 / SPECTRUM_CLEARANCE:
             raise SingularityError(
                 f"{lam} is numerically on the spectrum of the reference truncation",
@@ -796,7 +756,7 @@ def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
             )
         if k >= n_ref:
             return 0.0
-        return _block_values_range(family, k, n_ref, lam)
+        return _head_max(family, k, n_ref, lam, 0)
     term = _dense_matrix_of(seq.term(k))
     ref = _dense_matrix_of(seq.limit_model())
     _clearance_or_raise(term, lam, f"term k={k}")

@@ -33,11 +33,8 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .pseudospectra import GridRegion, LevelSetMask
 
-# chunk rows of the brute-force distance table to bound peak memory
-_BRUTE_CHUNK_ENTRIES = 2**22
-
-# entries per chunk of the transform's row minimum and of the recomputed
-# boxes; a few MB of temporaries
+# entries per chunk of every distance table (brute force, the transform's
+# row minimum, the recomputed boxes); a few MB of temporaries
 _CHUNK_ENTRIES = 2**17
 
 
@@ -90,7 +87,7 @@ class MaskSet:
 
 def _min_dists_brute(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     out = np.empty(len(queries))
-    step = max(1, _BRUTE_CHUNK_ENTRIES // max(1, len(targets)))
+    step = max(1, _CHUNK_ENTRIES // max(1, len(targets)))
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
         out[start : start + len(block)] = np.abs(

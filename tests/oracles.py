@@ -50,6 +50,11 @@ def resolvent_power_norm_oracle(a, z: complex, n: int) -> float:
     return spectral_norm_oracle(power) ** (1.0 / 2**n)
 
 
+def block_family_power_norm_oracle(family, ks, z: complex, n: int = 0) -> float:
+    """max over k in ks of ||(B_k - z)^-2^n||^(1 / 2^n), one block at a time."""
+    return max(resolvent_power_norm_oracle(family.block(int(k)), z, n) for k in ks)
+
+
 def eigenvalues_oracle(a) -> np.ndarray:
     return np.linalg.eigvals(np.asarray(a, dtype=np.complex128))
 

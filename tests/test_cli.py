@@ -137,11 +137,6 @@ class TestExitCodeMatrix:
         assert run(["converge", "--model", "shargorodsky", "--sequence", "shrink",
                     "--region", "1,7,-1.5,1.5", "--h", "0.5", "--ks", "2,4"]) == 2
 
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PSEUDOLAB_THREADS", "abc")
-        assert run(["field", "--model", "shargorodsky",
-                    "--region", "0,1,0,1", "--nx", "3", "--ny", "3"]) == 2
-
     def test_numerical_failure_is_three(self, tmp_path, capsys, monkeypatch):
         def stall(a):
             raise ConvergenceError("inverse iteration stalled at dimension 2")
@@ -206,6 +201,19 @@ class TestRoundTrip:
         flat = [v for row in doc["values"] for v in row]
         for rec, jv in zip(rows, flat):
             assert float(rec[2]) == (float("inf") if jv == "inf" else jv)
+
+    def test_levelset_json_matches_csv(self, diag_matrix_file, tmp_path):
+        mc, mj = tmp_path / "m.csv", tmp_path / "m.json"
+        common = ["levelset", "--model", diag_matrix_file,
+                  "--region", "1,3,-1,1", "--nx", "3", "--ny", "3", "--epsilon", "1"]
+        assert run([*common, "--out", str(mc)]) == 0
+        assert run([*common, "--format", "json", "--out", str(mj)]) == 0
+        doc = json.loads(mj.read_text())
+        rows = list(csv.reader(mc.open()))[1:]
+        flat = [v for row in doc["member"] for v in row]
+        assert [int(rec[2]) for rec in rows] == flat
+        assert set(flat) == {0, 1}
+        assert (doc["epsilon"], doc["n"], doc["strictness"]) == (1.0, 0, "closed_Sigma")
 
 
 def test_module_entry_point_runs():

@@ -11,6 +11,7 @@ from pseudolab import (
     DenseOperator,
     DomainError,
     MaskSet,
+    ResolventValue,
     build_named_example,
     compute_norm_field,
     hausdorff_distance,
@@ -18,6 +19,7 @@ from pseudolab import (
     region_with_step,
     scale_operator,
 )
+from pseudolab import experiments
 from pseudolab.experiments import (
     StudyReport,
     constant_region_scan,
@@ -263,6 +265,14 @@ class TestConstantRegionScan:
     def test_all_probes_outside_fails(self):
         rep = constant_region_scan(SHARG, [2.0, 3.0], 1.0, 1e-9)
         assert not rep.passed
+
+    def test_uncertified_value_fails_closed(self, monkeypatch):
+        # an uncertified lower bound that equals M proves nothing about M
+        fake = ResolventValue(1.0, "block_exact_with_tail", 0.25, False, 64)
+        monkeypatch.setattr(experiments, "resolvent_norm", lambda model, z: fake)
+        rep = constant_region_scan(SHARG, [0.2], 1.0, 1e-9)
+        assert rep.verdict == "fail"
+        assert any("uncertified (tail gap 0.25)" in s for s in rep.notes)
 
 
 class TestDecayStudy:

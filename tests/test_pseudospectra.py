@@ -100,20 +100,6 @@ class TestComputeNormField:
         ratio = field.values[1, 1] / field.values[0, 0]
         assert abs(ratio - 10.0 ** (-2.0 / 3.0)) <= 0.15 * 10.0 ** (-2.0 / 3.0)
 
-    def test_workers_do_not_change_values(self):
-        region = GridRegion(-0.3, 0.3, -0.3, 0.3, 5, 5)
-        a = compute_norm_field(SHARG, region, workers=1)
-        b = compute_norm_field(SHARG, region, workers=3)
-        assert np.array_equal(a.values, b.values)
-
-    def test_thread_env_validation(self, monkeypatch):
-        region = GridRegion(1.0, 7.0, -1.0, 1.0, 3, 3)
-        monkeypatch.setenv("PSEUDOLAB_THREADS", "2")
-        diag_field(region)
-        monkeypatch.setenv("PSEUDOLAB_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            compute_norm_field(SHARG, region)
-
     def test_determinism_across_calls(self):
         region = GridRegion(0.5, 4.0, -1.0, 1.0, 9, 5)
         a = compute_norm_field(SHARG, region)

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    block_family_power_norm_oracle,
     random_complex_matrix,
     resolvent_norm_oracle,
     resolvent_power_norm_oracle,
@@ -239,6 +242,39 @@ class TestPowerNorms:
     def test_negative_power_rejected(self):
         with pytest.raises(DomainError):
             resolvent_power_norm(DIAG26, 3.0, -1)
+
+
+class TestBlockScanChunks:
+    """Finite block ranges that cross the 64- and 320-block chunk ends."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(["shargorodsky", "remark_n1"]),
+        n_blocks=st.integers(1, 400),
+        n=st.integers(0, 2),
+        re=st.floats(0.2, 2.0),
+        im=st.floats(0.2, 2.0),
+        quadrant=st.sampled_from([1, 1j, -1, -1j]),
+    )
+    @example("remark_n1", 65, 0, 0.3, 0.4, 1)
+    @example("remark_n1", 321, 0, 0.3, 0.4, 1)
+    @example("remark_n1", 65, 1, 0.5, 0.2, -1)
+    @example("remark_n1", 321, 1, 0.5, 0.2, -1)
+    @example("shargorodsky", 65, 0, 0.7, 0.2, 1j)
+    @example("shargorodsky", 321, 0, 0.7, 0.2, 1j)
+    def test_truncation_matches_per_block_oracle(self, name, n_blocks, n, re, im, quadrant):
+        # block eigenvalues lie on the axes, so z keeps 0.2 away from them
+        family = build_named_example(name).model
+        z = complex(re, im) * quadrant
+        got = resolvent_power_norm(TruncatedFamily(family, n_blocks), z, n)
+        want = block_family_power_norm_oracle(family, range(1, n_blocks + 1), z, n)
+        assert got.k_cutoff == n_blocks
+        assert got.value == pytest.approx(want, rel=1e-9)
+
+    def test_remark_defect_spans_two_chunks(self):
+        seq = TruncationSequence(REMARK, gnr_anchor=1j, reference_truncation_N=100)
+        want = block_family_power_norm_oracle(REMARK, range(11, 101), 1j)
+        assert gnr_defect(seq, 10) == pytest.approx(want, rel=1e-10)
 
 
 class TestTailCertification:
