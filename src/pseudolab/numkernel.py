@@ -8,10 +8,14 @@ matrices:
 * ``largest_singular_value``  power iteration on A*A
 * ``sv2x2``                   closed-form singular values of a 2x2 block
 
+plus ``jacobi_singular_values``, all singular values of one matrix or of
+a stack of them by one-sided Jacobi in round-robin order.
+
 The iterative kernels are deterministic: all-ones start vectors, a fixed
 iteration cap and a Rayleigh-quotient stagnation test.  When iteration
-stalls (clustered extreme singular values) they fall back to a one-sided
-Jacobi SVD, which converges quadratically and is accurate to roundoff.
+stalls (clustered extreme singular values) they fall back to Jacobi,
+which converges quadratically and is accurate to roundoff.  The block
+engine calls the same kernel on stacks of 4x4 blocks.
 No LAPACK-style library call appears on any of these paths; numpy is used
 for array storage and vectorised arithmetic only.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,47 +160,74 @@ def solve_factored(a, b) -> np.ndarray:
     return lu_solve(lu, piv, rhs)
 
 
-def jacobi_singular_values(a: np.ndarray) -> np.ndarray:
-    """All singular values by one-sided Jacobi rotations, descending.
+@lru_cache(maxsize=None)
+def _round_robin(n: int) -> tuple:
+    """Rounds of disjoint column pairs that meet every pair of n columns once.
 
-    Orthogonalises column pairs until every off-diagonal Gram entry is
-    negligible; singular values are then the column norms.
+    Brent & Luk's parallel ordering: column 0 stays in place and the
+    others move one seat per round (an odd n gets a ghost column).
     """
-    w = np.array(a, dtype=np.complex128)
-    if w.ndim != 2:
-        raise DimensionError("jacobi needs a 2-d array")
-    if w.shape[0] < w.shape[1]:
-        w = w.conj().T
-    n = w.shape[1]
-    if n == 1:
-        return np.array([float(np.linalg.norm(w[:, 0]))])
+    size = n + n % 2
+    seats = list(range(size))
+    rounds = []
+    for _ in range(size - 1):
+        facing = zip(seats, seats[: size // 2 - 1 : -1])
+        pairs = [(p, q) for p, q in facing if max(p, q) < n]
+        if pairs:
+            rounds.append(tuple(np.array(pairs).T))
+        seats.insert(1, seats.pop())
+    return tuple(rounds)
+
+
+def jacobi_singular_values(a) -> np.ndarray:
+    """All singular values of a matrix (m, n) or a stack (b, m, n), descending.
+
+    One-sided Jacobi: the columns of each matrix (its rows if it is wide)
+    are orthogonalised pairwise until every off-diagonal Gram entry is
+    negligible; the singular values are then their norms.  One numpy step
+    rotates one round-robin round, the disjoint pairs of every matrix of
+    the stack at once.  A matrix's rotations depend on that matrix alone,
+    so its values do not depend on the rest of the stack.
+    """
+    w = np.asarray(a, dtype=np.complex128)
+    if w.ndim not in (2, 3):
+        raise DimensionError("jacobi needs a matrix or a stack of matrices")
+    # u holds the vectors to orthogonalise as rows
+    u = np.array(w if w.shape[-2] < w.shape[-1] else np.swapaxes(w, -1, -2), order="C")
+    stack = u.reshape((-1,) + u.shape[-2:])
+    rounds = _round_robin(stack.shape[1])
     for _ in range(JACOBI_SWEEP_CAP):
         rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                up = w[:, p].copy()
-                uq = w[:, q]
-                hpp = float(np.vdot(up, up).real)
-                hqq = float(np.vdot(uq, uq).real)
-                hpq = complex(np.vdot(up, uq))
-                if hpp == 0.0 or hqq == 0.0:
-                    continue
-                if abs(hpq) <= 1e-15 * math.sqrt(hpp * hqq):
-                    continue
-                rotated = True
-                phase = hpq / abs(hpq)
-                tau = (hqq - hpp) / (2.0 * abs(hpq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                vq = uq * phase.conjugate()
-                w[:, p] = c * up - s * vq
-                w[:, q] = (s * up + c * vq) * phase
+        for ps, qs in rounds:
+            up, uq = stack[:, ps], stack[:, qs]
+            hpp = _row_sq_norms(up)
+            hqq = _row_sq_norms(uq)
+            hpq = np.einsum("bkl,bkl->bk", up.conj(), uq)
+            mag = np.abs(hpq)
+            rot = (mag > 1e-15 * np.sqrt(hpp * hqq)) & (hpp > 0.0) & (hqq > 0.0)
+            if not rot.any():
+                continue
+            rotated = True
+            # identity rotation (c = 1, s = 0, phase = 1) where rot is False
+            safe = np.where(rot, mag, 1.0)
+            phase = np.where(rot, hpq / safe, 1.0)[..., None]
+            tau = (hqq - hpp) / (2.0 * safe)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            t = np.where(rot, t, 0.0)
+            c = (1.0 / np.hypot(1.0, t))[..., None]
+            s = t[..., None] * c
+            vq = uq * phase.conj()
+            stack[:, ps] = c * up - s * vq
+            stack[:, qs] = (s * up + c * vq) * phase
         if not rotated:
             break
-    sv = np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
-    sv.sort()
-    return sv[::-1]
+    sv = np.sort(np.sqrt(_row_sq_norms(stack)), axis=-1)[:, ::-1]
+    return sv.reshape(u.shape[:-1])
+
+
+def _row_sq_norms(x: np.ndarray) -> np.ndarray:
+    r = x.view(np.float64)
+    return np.einsum("bkl,bkl->bk", r, r)
 
 
 def _stalled(history: list, tol: float) -> bool:

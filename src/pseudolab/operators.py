@@ -32,17 +32,15 @@ from .errors import (
     InapplicableConditionError,
     SingularityError,
 )
-from .numkernel import (
-    as_square_matrix,
-    jacobi_singular_values,
-    smallest_singular_value,
-    sv2x2_batch,
-)
+from .numkernel import as_square_matrix, smallest_singular_value
 
 # construction-time sanity checks sample the weight rule at these indices
 VALIDATION_KS = (1, 2, 3, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
 ANCHOR_CLEARANCE = 1e-10
-SCAN_CHUNK = 1 << 18
+# block scans walk k = 1, 2, ... in chunks growing from HEAD_CHUNK to CHUNK_CAP
+HEAD_CHUNK = 64
+CHUNK_GROWTH = 4
+CHUNK_CAP = 1 << 18
 
 ALPHA_KINDS = ("successor", "index", "log_grid")
 SYMBOL_KINDS = (
@@ -275,6 +273,16 @@ class DiagBlockFamily:
         return b
 
 
+def block_chunks(lo: int, hi: int):
+    """Block indices lo < k <= hi in chunks growing from HEAD_CHUNK to CHUNK_CAP."""
+    size = HEAD_CHUNK
+    while lo < hi:
+        stop = min(lo + size, hi)
+        yield np.arange(lo + 1, stop + 1)
+        lo = stop
+        size = min(size * CHUNK_GROWTH, CHUNK_CAP)
+
+
 def assemble_truncation(family: DiagBlockFamily, n_blocks: int) -> DenseOperator:
     """Dense block-diagonal matrix of the first n_blocks blocks.
 
@@ -357,15 +365,11 @@ def check_constant_norm_condition(
         raise DomainError("condition constant m must be nonnegative")
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
-    start = 1
-    while start <= k_max:
-        stop = min(start + SCAN_CHUNK, k_max + 1)
-        ks = np.arange(start, stop)
+    for ks in block_chunks(0, k_max):
         alphas = family.alpha_values(ks)
         fs = family.symbol_values(alphas)
         if np.any(fs * fs < c * c - m / alphas):
             return False
-        start = stop
     return True
 
 
@@ -395,19 +399,10 @@ def _min_singular_distance(model, z: complex) -> float:
 
 
 def _min_block_distance(family: DiagBlockFamily, n_blocks: int, z: complex) -> float:
-    ks = np.arange(1, n_blocks + 1)
-    if family.block_dim == 2:
-        alphas = family.alpha_values(ks)
-        fs = family.symbol_values(alphas)
-        mz = np.full(alphas.shape, -z, dtype=np.complex128)
-        _, lo = sv2x2_batch(mz, fs, alphas, mz)
-        return float(np.min(lo))
-    best = math.inf
-    eye = np.eye(4)
-    for k in ks:
-        sv = jacobi_singular_values(family.block(int(k)) - z * eye)
-        best = min(best, float(sv[-1]))
-    return best
+    """min of sigma_min(B_k - z) = 1 / ||(B_k - z)^-1|| over k <= n_blocks."""
+    from .resolvent import _head_max  # resolvent imports this module
+
+    return 1.0 / _head_max(family, 0, n_blocks, z, 0)
 
 
 def _verify_anchor(labelled_models, anchor: complex):

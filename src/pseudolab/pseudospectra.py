@@ -28,9 +28,9 @@ from .resolvent import MAX_BLOCKS_DEFAULT, TAIL_TOL_DEFAULT, resolvent_power_nor
 
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
-# Tail-scan budgets for infinite families during field sweeps.  The 4x4
-# family refines interior singular values per point and is priced
-# accordingly; reported values stay certified lower bounds either way.
+# Tail-scan budgets for infinite families during field sweeps.  A 4x4
+# block costs a Cholesky screen and, if it may set the maximum, a Jacobi
+# evaluation; reported values stay certified lower bounds either way.
 FIELD_MAX_BLOCKS = {2: 20000, 4: 256}
 
 DEFAULT_GRID_POINTS = 101

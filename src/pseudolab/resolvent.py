@@ -16,8 +16,10 @@ closed-form certificate for the tail beyond it closes the gap:
   for powers, Schur-style bounds on the squared block resolvent give a
   decreasing tail majorant;
 * the 4x4 shape carries an explicit deviation bound from its limiting
-  nilpotent resolvent; its head values are bracketed by Gram-iteration
-  bounds, with the few blocks that matter refined exactly.
+  nilpotent resolvent.  Its head values are exact: a Cholesky positivity
+  test of floor^2 I - M*M drops the blocks M whose norm cannot reach the
+  value the scan must beat, and one stacked Jacobi call evaluates the
+  rest.
 
 The reported value is max(head maximum, analytic tail limit): a certified
 lower bound that is exact whenever the certificates close the gap.  The
@@ -34,6 +36,7 @@ import numpy as np
 from .errors import DomainError, SingularityError, TailCertificationError
 from .numkernel import (
     ITERATION_CAP,
+    JACOBI_DIM_LIMIT,
     RAYLEIGH_TOL,
     SingularMatrixError,
     jacobi_singular_values,
@@ -50,14 +53,11 @@ from .operators import (
     DiagBlockFamily,
     ScaledOperator,
     TruncatedFamily,
+    block_chunks,
 )
 
 TAIL_TOL_DEFAULT = 1e-9
 MAX_BLOCKS_DEFAULT = 10**6
-HEAD_CHUNK = 64
-CHUNK_GROWTH = 4
-CHUNK_CAP = 1 << 18
-REFINE_CAP = 8
 SPECTRUM_CLEARANCE = 1e-10
 
 MODES = ("dense_exact", "block_exact_with_tail", "scaled")
@@ -134,7 +134,7 @@ def _dense_power_fallback(lu, piv, dim: int, n: int) -> float:
             return math.inf if not math.isfinite(s) else 0.0
         w /= s
         logscale += math.log(s)
-    if dim <= 512:
+    if dim <= JACOBI_DIM_LIMIT:
         sigma = float(jacobi_singular_values(w)[0])
     else:
         sigma = largest_singular_value(w)
@@ -337,36 +337,39 @@ def _power_tail_bound(family, a: float, z: complex, m: int) -> float | None:
 # -------------------------------------------------------- block-scan engine
 
 
-def _chunks(lo: int, hi: int):
-    """Block indices lo < k <= hi in chunks growing from HEAD_CHUNK to CHUNK_CAP."""
-    size = HEAD_CHUNK
-    while lo < hi:
-        stop = min(lo + size, hi)
-        yield np.arange(lo + 1, stop + 1)
-        lo = stop
-        size = min(size * CHUNK_GROWTH, CHUNK_CAP)
+def _block_values(family, ks: np.ndarray, z: complex, n: int, floor: float):
+    """Exact values of the blocks ks that may reach floor; inf marks a singular block.
+
+    2x2 values are all returned.  4x4 blocks whose value provably stays
+    below floor are dropped first; the others share one Jacobi call.
+    """
+    m = 1 << n
+    if family.block_dim == 2:
+        return _two_block_values(family, ks, z, m)
+    mats, sing = _four_resolvent_batch(family, ks, z)
+    if bool(np.any(sing)):
+        return np.array([math.inf])
+    mats, logs = _batch_square_scaled(mats, n)
+    if floor > 0.0:
+        # value < floor  <=>  sigma_max(mats) < floor^m / exp(logs)
+        keep = ~_norm_below(mats, np.exp(m * math.log(floor) - logs))
+        mats, logs = mats[keep], logs[keep]
+    sigma = jacobi_singular_values(mats)[:, 0]
+    return sigma ** (1.0 / m) * np.exp(logs / m)
 
 
 def _head_max(family, lo: int, hi: int, z: complex, n: int) -> float:
     """Exact max of the block values over lo < k <= hi; inf on a singular block."""
-    m = 1 << n
     best = 0.0
-    for ks in _chunks(lo, hi):
-        if family.block_dim == 2:
-            best = max(best, float(np.max(_two_block_values(family, ks, z, m))))
-            continue
-        mats, sing = _four_resolvent_batch(family, ks, z)
-        if bool(np.any(sing)):
-            return math.inf
-        mats, logs = _batch_square_scaled(mats, n)
-        for j in range(len(ks)):
-            sigma = float(jacobi_singular_values(mats[j])[0])
-            best = max(best, sigma ** (1.0 / m) * math.exp(float(logs[j]) / m))
+    for ks in block_chunks(lo, hi):
+        best = float(np.max(_block_values(family, ks, z, n, best), initial=best))
+        if math.isinf(best):
+            break
     return best
 
 
 def _two_shape(family, z: complex, n: int):
-    """(tail limit, tail_ub(a), head(ks, floor)) for 2x2 blocks; exact heads."""
+    """(tail limit, tail_ub(a)) for 2x2 blocks."""
     m = 1 << n
     c = family.tail_C
     has_limit = math.isfinite(c) and c > 0.0
@@ -379,11 +382,7 @@ def _two_shape(family, z: complex, n: int):
             return tail_limit
         return _envelope_sup(family, a, z)
 
-    def head(ks: np.ndarray, floor: float):
-        vmax = float(np.max(_two_block_values(family, ks, z, m)))
-        return None if math.isinf(vmax) else (vmax, vmax)
-
-    return tail_limit, tail_ub, head
+    return tail_limit, tail_ub
 
 
 def _family_value(
@@ -391,42 +390,36 @@ def _family_value(
 ) -> ResolventValue:
     """Certified sup of the block values of an infinite 2x2 or 4x4 family.
 
-    head(ks, floor) gives (lower, upper) bounds of a chunk's maximum, or
-    None on a singular block; after each chunk the gap is
-    max(0, max(head upper bound, tail_ub(next weight)) - reported).
+    The head maximum is exact; after each chunk the gap is
+    max(0, tail_ub(next weight) - reported).
     """
     m = 1 << n
     if family.block_dim == 4 and z == 0 and m in (1, 2):
         # closed forms: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| = 1/beta_k^2 < 1
         # for every block, while the tail limit is exactly 1
         return ResolventValue(1.0, "block_exact_with_tail", 0.0, True, k_cutoff=0)
-    if family.block_dim == 2:
-        tail_limit, tail_ub, head = _two_shape(family, z, n)
-    else:
-        tail_limit, tail_ub, head = _four_shape(family, z, n, tail_tol)
-    head_value = head_ub = 0.0
+    shape = _two_shape if family.block_dim == 2 else _four_shape
+    tail_limit, tail_ub = shape(family, z, n)
+    reported = tail_limit
     best_gap = math.inf
     k_done = 0
-    for ks in _chunks(0, max_blocks):
+    for ks in block_chunks(0, max_blocks):
         k_done = int(ks[-1])
-        bounds = head(ks, max(head_value, tail_limit))
-        if bounds is None:
+        vals = _block_values(family, ks, z, n, reported)
+        reported = float(np.max(vals, initial=reported))
+        if math.isinf(reported):
             return ResolventValue(
                 math.inf, "block_exact_with_tail", 0.0, True, k_cutoff=k_done
             )
-        head_value = max(head_value, bounds[0])
-        head_ub = max(head_ub, bounds[1])
         ub = tail_ub(float(family.alpha_values(np.array([k_done + 1]))[0]))
         if ub is None:
             continue
-        reported = max(head_value, tail_limit)
-        gap = max(0.0, max(head_ub, ub) - reported)
+        gap = max(0.0, ub - reported)
         best_gap = min(best_gap, gap)
         if gap <= tail_tol:
             return ResolventValue(
                 reported, "block_exact_with_tail", gap, True, k_cutoff=k_done
             )
-    reported = max(head_value, tail_limit)
     if strict:
         dim = family.block_dim
         raise TailCertificationError(
@@ -566,24 +559,20 @@ def _batch_square_scaled(mats: np.ndarray, n: int):
     return w, logs
 
 
-def _batch_sigma_bounds(mats: np.ndarray):
-    """Per-block (lower, upper) bounds for sigma_max of stacked 4x4 blocks.
-
-    Lower: Rayleigh quotient after 20 deterministic Gram iterations.
-    Upper: sqrt of the Gram's maximum absolute row sum.
-    """
-    gram = np.einsum("bki,bkj->bij", mats.conj(), mats)
-    ub = np.sqrt(np.max(np.sum(np.abs(gram), axis=2), axis=1))
-    v = np.full((mats.shape[0], 4), 0.5, dtype=np.complex128)
-    for _ in range(20):
-        w = np.einsum("bij,bj->bi", gram, v)
-        nrm = np.linalg.norm(w, axis=1)
-        safe = np.where(nrm > 0.0, nrm, 1.0)
-        v = w / safe[:, None]
-    w = np.einsum("bij,bj->bi", gram, v)
-    rho = np.maximum(np.einsum("bi,bi->b", v.conj(), w).real, 0.0)
-    lb = np.sqrt(rho)
-    return np.minimum(lb, ub), ub
+def _norm_below(mats: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per block, whether sigma_max(M) < bound: the LDL* pivots of the
+    Hermitian bound^2 I - M*M are all positive exactly when it is positive
+    definite."""
+    a = -np.einsum("bki,bkj->bij", mats.conj(), mats)
+    d = a.shape[1]
+    a[:, range(d), range(d)] += (bound * bound)[:, None]
+    ok = np.ones(len(a), dtype=bool)
+    for j in range(d):
+        pivot = a[:, j, j].real
+        ok &= pivot > 0.0
+        col = a[:, j + 1 :, j] / np.where(ok, pivot, 1.0)[:, None]
+        a[:, j + 1 :, j + 1 :] -= col[:, :, None] * a[:, j, None, j + 1 :]
+    return ok
 
 
 def _four_limit_norm(z: complex) -> float:
@@ -603,17 +592,11 @@ def _four_tail_deviation(family, a: float, z: complex) -> float | None:
     return (c1 + c2 * a) / (a * a - r**4)
 
 
-def _four_shape(family, z: complex, n: int, tail_tol: float):
-    """(tail limit, tail_ub(a), head(ks, floor)) for 4x4 blocks.
-
-    head takes the Gram bounds and refines, at most REFINE_CAP times per
-    point, the blocks whose upper bound rivals floor (the best value the
-    point can still report); blocks below it cannot matter.
-    """
+def _four_shape(family, z: complex, n: int):
+    """(tail limit, tail_ub(a)) for 4x4 blocks."""
     m = 1 << n
     limit0 = _four_limit_norm(z)
     tail_limit = limit0 if m == 1 else (1.0 if m == 2 else 0.0)
-    refines_left = REFINE_CAP
 
     def tail_ub(a: float) -> float | None:
         xi = _four_tail_deviation(family, a, z)
@@ -624,27 +607,7 @@ def _four_shape(family, z: complex, n: int, tail_tol: float):
         eta = xi * (xi + 2.0 * limit0)
         return math.sqrt(1.0 + eta) if m == 2 else (2.0 * eta + eta * eta) ** 0.25
 
-    def head(ks: np.ndarray, floor: float):
-        nonlocal refines_left
-        mats, sing = _four_resolvent_batch(family, ks, z)
-        if bool(np.any(sing)):
-            return None
-        mats, logs = _batch_square_scaled(mats, n)
-        lb, ub = _batch_sigma_bounds(mats)
-        factor = np.exp(logs / m)
-        ub_vals = ub ** (1.0 / m) * factor
-        best = float(np.max(lb ** (1.0 / m) * factor))
-        for j in np.argsort(-ub_vals):
-            if refines_left <= 0 or ub_vals[j] <= max(floor, best) + tail_tol:
-                break
-            sigma = float(jacobi_singular_values(mats[j])[0])
-            exact = sigma ** (1.0 / m) * float(factor[j])
-            best = max(best, exact)
-            ub_vals[j] = exact
-            refines_left -= 1
-        return best, float(np.max(ub_vals))
-
-    return tail_limit, tail_ub, head
+    return tail_limit, tail_ub
 
 
 # ------------------------------------------------------------- public API
@@ -747,16 +710,17 @@ def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
         n_ref = seq.reference_truncation_N
         if k < 1:
             raise DomainError("sequence index must be >= 1")
-        # a singular block anywhere in the reference makes the anchor invalid
-        probe = _head_max(family, 0, max(k, n_ref), lam, 0)
-        if math.isinf(probe) or probe > 1.0 / SPECTRUM_CLEARANCE:
+        # a singular block anywhere in the reference makes the anchor
+        # invalid; blocks 1..k cancel, blocks k+1..n_ref are the defect
+        cut = min(k, n_ref)
+        shared = _head_max(family, 0, cut, lam, 0)
+        rest = _head_max(family, cut, max(k, n_ref), lam, 0)
+        if max(shared, rest) > 1.0 / SPECTRUM_CLEARANCE:
             raise SingularityError(
                 f"{lam} is numerically on the spectrum of the reference truncation",
                 which=f"truncation N={n_ref}",
             )
-        if k >= n_ref:
-            return 0.0
-        return _head_max(family, k, n_ref, lam, 0)
+        return 0.0 if k >= n_ref else rest
     term = _dense_matrix_of(seq.term(k))
     ref = _dense_matrix_of(seq.limit_model())
     _clearance_or_raise(term, lam, f"term k={k}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pseudolab.numkernel import (
     DimensionError,
@@ -158,6 +160,48 @@ class TestJacobi:
         got = jacobi_singular_values(a)
         want = np.linalg.svd(a, compute_uv=False)
         assert np.allclose(got, want, rtol=1e-10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        stack=st.sampled_from([None, 1, 3]),
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 9),
+        structure=st.sampled_from(
+            ["random", "zero_column", "rank_deficient", "clustered"]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @example(None, 1, 1, "random", 0)
+    @example(None, 3, 8, "random", 1)  # wide
+    @example(3, 7, 7, "zero_column", 2)  # odd n
+    @example(3, 6, 4, "rank_deficient", 3)
+    @example(None, 8, 8, "clustered", 4)
+    @example(1, 5, 1, "zero_column", 5)  # a zero matrix
+    def test_property_matches_numpy_svd(self, stack, rows, cols, structure, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, cols) if stack is None else (stack, rows, cols)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        k = min(rows, cols)
+        if structure == "zero_column":
+            a[..., rng.integers(cols)] = 0.0
+        elif structure == "rank_deficient":
+            a = a[..., :, : k // 2] @ a[..., : k // 2, :]
+        elif structure == "clustered":
+            q1 = np.linalg.qr(a[..., :, :k])[0]
+            q2 = np.linalg.qr(np.conj(np.swapaxes(a, -1, -2))[..., :, :k])[0]
+            s = 1.0 + 1e-9 * rng.standard_normal(k)
+            a = (q1 * s) @ np.conj(np.swapaxes(q2, -1, -2))
+        got = jacobi_singular_values(a)
+        want = np.linalg.svd(a, compute_uv=False)
+        assert got.shape == want.shape
+        scale = np.maximum(want[..., :1], 1e-300)
+        assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * scale)
+        if stack is None:
+            assert np.array_equal(got, jacobi_singular_values(a[None])[0])
+
+    def test_rejects_vectors(self):
+        with pytest.raises(DimensionError):
+            jacobi_singular_values(np.ones(3))
 
 
 class TestSv2x2:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -11,6 +11,8 @@ from oracles import (
     random_complex_matrix,
     resolvent_norm_oracle,
     resolvent_power_norm_oracle,
+    singular_values_oracle,
+    spectral_norm_oracle,
 )
 from pseudolab import (
     AlphaRule,
@@ -34,6 +36,7 @@ from pseudolab import (
     scale_operator,
 )
 from pseudolab.operators import TruncatedFamily
+from pseudolab.resolvent import _batch_square_scaled, _four_resolvent_batch, _norm_below
 
 SHARG = build_named_example("shargorodsky").model
 EMPTY = build_named_example("empty_resolvent").model
@@ -277,6 +280,67 @@ class TestBlockScanChunks:
         assert gnr_defect(seq, 10) == pytest.approx(want, rel=1e-10)
 
 
+def _four_limit_oracle(z: complex, n: int) -> float:
+    """||L^2^n||^(1/2^n) for L = lim_k (B_k - z)^-1 of the 4x4 family.
+
+    Entrywise, (B^3 + z B^2 + z^2 B + z^3) / ((alpha f)^2 - z^4) tends to
+    1 at (4,1) and (2,4) and to z at (2,1) (1-based); every other entry
+    vanishes like 1/alpha.
+    """
+    lim = np.zeros((4, 4), dtype=complex)
+    lim[3, 0] = lim[1, 3] = 1.0
+    lim[1, 0] = z
+    m = 1 << n
+    return spectral_norm_oracle(np.linalg.matrix_power(lim, m)) ** (1.0 / m)
+
+
+class TestFourByFourHeads:
+    """Exact 4x4 head values: Cholesky screen plus one stacked Jacobi call."""
+
+    def test_default_field_point_closes_most_of_the_gap(self):
+        got = resolvent_power_norm(REMARK, 0.4, 0, max_blocks=4096)
+        assert got.value == pytest.approx(1.219803902718557, rel=1e-15)
+        assert got.tail_gap < 0.005
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 2),
+        re=st.floats(-1.3, 1.3),
+        im=st.floats(-1.3, 1.3),
+        budget=st.sampled_from([64, 256]),
+    )
+    @example(0, 0.4, 0.0, 256)
+    @example(1, 0.3, 0.2, 256)
+    @example(2, -0.5, 1.1, 64)
+    def test_value_is_head_maximum_or_tail_limit(self, n, re, im, budget):
+        z = complex(re, im)
+        assume(abs(z) > 1e-3)  # z = 0 has closed forms and scans no block
+        got = resolvent_power_norm(REMARK, z, n, max_blocks=budget)
+        head = block_family_power_norm_oracle(REMARK, range(1, got.k_cutoff + 1), z, n)
+        assert got.value >= head * (1.0 - 1e-12)
+        assert got.value <= max(head, _four_limit_oracle(z, n)) * (1.0 + 1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 2),
+        re=st.floats(-1.3, 1.3),
+        im=st.floats(-1.3, 1.3),
+        first=st.integers(1, 10**6),
+        spread=st.floats(-0.05, 0.05),
+    )
+    def test_screen_drops_only_blocks_below_their_bound(self, n, re, im, first, spread):
+        ks = np.arange(first, first + 32)
+        mats, sing = _four_resolvent_batch(REMARK, ks, complex(re, im))
+        assume(not sing.any())
+        mats, _ = _batch_square_scaled(mats, n)
+        sigma = np.array([singular_values_oracle(mat)[0] for mat in mats])
+        # bounds straddle the true norms: blocks at one end of ks sit above theirs
+        bound = sigma * np.exp(spread * np.linspace(-1.0, 1.0, len(ks)))
+        dropped = _norm_below(mats, bound)
+        assert np.all(sigma[dropped] < bound[dropped] * (1.0 + 1e-13))
+        assert np.all(dropped[sigma < bound * (1.0 - 1e-10)])
+
+
 class TestTailCertification:
     def test_strict_mode_raises_when_gap_stays_open(self):
         with pytest.raises(TailCertificationError) as err:
@@ -336,9 +400,11 @@ class TestGnrDefect:
         assert gnr_defect(seq, 16) == 0.0
 
     def test_anchor_on_spectrum_raises(self):
+        # 2.0 = sqrt(alpha f) of block 2: a defect block at k = 1, a shared one at k = 4
         seq = TruncationSequence(SHARG, gnr_anchor=1j, reference_truncation_N=64)
-        with pytest.raises(SingularityError):
-            gnr_defect(seq, 4, anchor=2.0)
+        for k in (1, 4):
+            with pytest.raises(SingularityError):
+                gnr_defect(seq, k, anchor=2.0)
 
     def test_scaling_anchor_on_spectrum_names_operator(self):
         ex = build_named_example("diag_pair")
