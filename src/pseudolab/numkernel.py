@@ -11,11 +11,16 @@ matrices:
 plus ``jacobi_singular_values``, all singular values of one matrix or of
 a stack of them by one-sided Jacobi in round-robin order.
 
-The iterative kernels are deterministic: all-ones start vectors, a fixed
-iteration cap and a Rayleigh-quotient stagnation test.  When iteration
-stalls (clustered extreme singular values) they fall back to Jacobi,
-which converges quadratically and is accurate to roundoff.  The block
-engine calls the same kernel on stacks of 4x4 blocks.
+Every iterative estimate, here and on resolvent's dense power path, is
+one ``power_iteration`` on C*C for some operator C given as a pair of
+callables: deterministic from the all-ones start vector, converged on the
+relative change of the Rayleigh quotient, and stopped by one stall rule
+(``_stalled``: the best step of the last 24 fails to halve the best
+before them) or by ITERATION_CAP.  A stalled estimate falls back to
+Jacobi on the explicit matrix, which converges quadratically and is
+accurate to roundoff, when its smaller side is at most JACOBI_DIM_LIMIT,
+and raises ConvergenceError otherwise.  The block engine calls the same
+Jacobi kernel on stacks of 4x4 blocks.
 No LAPACK-style library call appears on any of these paths; numpy is used
 for array storage and vectorised arithmetic only.
 """
@@ -74,55 +79,37 @@ def as_square_matrix(a) -> np.ndarray:
 
 
 def lu_factor(a: np.ndarray):
-    """Partial-pivot LU: returns (packed, piv) with P A = L U.
+    """Partial-pivot LU: returns (packed, perm) with A[perm] = L U.
 
     ``packed`` holds U on and above the diagonal and the unit-lower L
-    strictly below it; ``piv[k]`` is the row swapped into position k at
-    step k.  Raises SingularMatrixError if any pivot magnitude <= 1e-300.
+    strictly below it; row k of L U is row ``perm[k]`` of A.  Raises
+    SingularMatrixError if any pivot magnitude <= 1e-300.
     """
     lu = np.array(a, dtype=np.complex128, order="C")
     n = lu.shape[0]
-    piv = np.empty(n, dtype=np.int64)
+    perm = np.arange(n)
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv[k] = p
         if p != k:
             lu[[k, p], :] = lu[[p, k], :]
+            perm[[k, p]] = perm[[p, k]]
         pivot = lu[k, k]
         if abs(pivot) <= PIVOT_FLOOR:
             raise SingularMatrixError(f"pivot {abs(pivot):.3e} at step {k}")
         if k + 1 < n:
             lu[k + 1 :, k] /= pivot
             lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, piv
+    return lu, perm
 
 
-def _apply_piv(b: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    x = b.copy()
-    for k in range(len(piv)):
-        p = piv[k]
-        if p != k:
-            x[[k, p]] = x[[p, k]]
-    return x
-
-
-def _apply_piv_inverse(b: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    x = b.copy()
-    for k in range(len(piv) - 1, -1, -1):
-        p = piv[k]
-        if p != k:
-            x[[k, p]] = x[[p, k]]
-    return x
-
-
-def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
+def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b given lu_factor output.  b may be a vector or matrix."""
     n = lu.shape[0]
-    x = _apply_piv(np.asarray(b, dtype=np.complex128), piv)
+    x = np.asarray(b, dtype=np.complex128)[perm]
     squeeze = x.ndim == 1
     if squeeze:
         x = x[:, None]
-    for k in range(1, n):  # L y = P b, unit diagonal
+    for k in range(1, n):  # L y = b[perm], unit diagonal
         x[k] -= lu[k, :k] @ x[:k]
     for k in range(n - 1, -1, -1):  # U x = y
         if k + 1 < n:
@@ -131,8 +118,8 @@ def lu_solve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if squeeze else x
 
 
-def lu_solve_adjoint(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A* x = b with the factors of A (A* = U* L* P)."""
+def lu_solve_adjoint(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A* x = b with the factors of A (A* = U* L* P with P A = A[perm])."""
     n = lu.shape[0]
     x = np.array(b, dtype=np.complex128)
     squeeze = x.ndim == 1
@@ -146,8 +133,9 @@ def lu_solve_adjoint(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarr
     for k in range(n - 1, -1, -1):  # L* v = w, unit upper triangular
         if k + 1 < n:
             x[k] -= uh[k + 1 :, k] @ x[k + 1 :]
-    x = _apply_piv_inverse(x, piv)
-    return x[:, 0] if squeeze else x
+    out = np.empty_like(x)
+    out[perm] = x
+    return out[:, 0] if squeeze else out
 
 
 def solve_factored(a, b) -> np.ndarray:
@@ -243,75 +231,94 @@ def _stalled(history: list, tol: float) -> bool:
     return recent > 0.5 * min(history[:-24])
 
 
+def log_normalize(v: np.ndarray):
+    """(v / ||v||, log ||v||); the log is nan when ||v|| is 0 or not finite."""
+    nrm = float(np.linalg.norm(v))
+    if not 0.0 < nrm < math.inf:
+        return v, math.nan
+    return v / nrm, math.log(nrm)
+
+
+def power_iteration(apply, apply_adjoint, dim: int) -> float | None:
+    """log sigma_max(C)^2 by power iteration on C*C, or None when it stalls.
+
+    apply(x) and apply_adjoint(y) return C x and C* y as (v, log s) with
+    the product equal to s v, so that an operator can rescale as it goes.
+    The iterate starts at the normalised all-ones vector.  Converged when
+    the Rayleigh quotient ||C x||^2 of the unit iterate changes by at most
+    RAYLEIGH_TOL relative, tracked in logs so that no product overflows.
+    A zero or non-finite product, ``_stalled`` or ITERATION_CAP steps end
+    it with None.
+    """
+    x = np.ones(dim, dtype=np.complex128) / math.sqrt(dim)
+    log_prev = None
+    increments: list = []
+    for _ in range(ITERATION_CAP):
+        v, log_s = apply(x)
+        y, log_y = log_normalize(v)
+        v, _ = apply_adjoint(y)
+        x, log_x = log_normalize(v)
+        log_rho = 2.0 * (log_s + log_y)
+        if not math.isfinite(log_rho + log_x):
+            return None
+        if log_prev is not None:
+            inc = abs(math.expm1(log_prev - log_rho))
+            if inc <= RAYLEIGH_TOL:
+                return log_rho
+            increments.append(inc)
+            if _stalled(increments, RAYLEIGH_TOL):
+                return None
+        log_prev = log_rho
+    return None
+
+
+def _jacobi_fallback(m: np.ndarray, index: int) -> float:
+    if min(m.shape) <= JACOBI_DIM_LIMIT:
+        return float(jacobi_singular_values(m)[index])
+    raise ConvergenceError(f"power iteration stalled at shape {m.shape}")
+
+
 def smallest_singular_value(a) -> float:
     """Smallest singular value of a square complex matrix.
 
-    Inverse iteration on A*A applied implicitly through the LU factors of
-    A (one adjoint solve plus one direct solve per step).  Returns exactly
+    ``power_iteration`` with C = A^-*, applied through the LU factors of A
+    (one adjoint solve plus one direct solve per step).  Returns exactly
     0.0 when factorisation detects singularity.
     """
     m = as_square_matrix(a)
-    n = m.shape[0]
-    if n == 1:
+    if m.shape[0] == 1:
         return abs(complex(m[0, 0]))
     try:
-        lu, piv = lu_factor(m)
+        lu, perm = lu_factor(m)
     except SingularMatrixError:
         return 0.0
-    x = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    rho_prev = None
-    increments: list = []
-    for _ in range(ITERATION_CAP):
-        w = lu_solve_adjoint(lu, piv, x)
-        y = lu_solve(lu, piv, w)
-        rho = float(np.vdot(x, y).real)  # -> 1 / sigma_min^2
-        nrm = float(np.linalg.norm(y))
-        if rho <= 0.0 or nrm == 0.0 or not math.isfinite(nrm):
-            break
-        x = y / nrm
-        if rho_prev is not None:
-            inc = abs(rho - rho_prev)
-            increments.append(inc)
-            if inc <= RAYLEIGH_TOL * rho:
-                return 1.0 / math.sqrt(rho)
-            if _stalled(increments, RAYLEIGH_TOL * rho):
-                break
-        rho_prev = rho
-    if n <= JACOBI_DIM_LIMIT:
-        return float(jacobi_singular_values(m)[-1])
-    raise ConvergenceError(f"inverse iteration stalled at dimension {n}")
+    log_rho = power_iteration(
+        lambda x: (lu_solve_adjoint(lu, perm, x), 0.0),
+        lambda y: (lu_solve(lu, perm, y), 0.0),
+        m.shape[0],
+    )
+    if log_rho is None:
+        return _jacobi_fallback(m, -1)
+    return math.exp(-0.5 * log_rho)
 
 
 def largest_singular_value(a) -> float:
-    """Largest singular value (spectral norm); accepts any 2-d complex array."""
+    """Largest singular value (spectral norm); accepts any 2-d complex array.
+
+    ``power_iteration`` with C = A.
+    """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.size == 0:
         raise DimensionError(f"expected a nonempty 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise DimensionError("matrix entries must be finite")
-    ncols = m.shape[1]
-    x = np.ones(ncols, dtype=np.complex128) / math.sqrt(ncols)
-    rho_prev = None
-    increments: list = []
-    for _ in range(ITERATION_CAP):
-        y = m @ x
-        z = m.conj().T @ y
-        rho = float(np.vdot(x, z).real)  # -> sigma_max^2
-        nrm = float(np.linalg.norm(z))
-        if nrm == 0.0:
-            return 0.0
-        x = z / nrm
-        if rho_prev is not None:
-            inc = abs(rho - rho_prev)
-            increments.append(inc)
-            if inc <= RAYLEIGH_TOL * max(rho, 1e-300):
-                return math.sqrt(max(rho, 0.0))
-            if _stalled(increments, RAYLEIGH_TOL * max(rho, 1e-300)):
-                break
-        rho_prev = rho
-    if min(m.shape) <= JACOBI_DIM_LIMIT:
-        return float(jacobi_singular_values(m)[0])
-    raise ConvergenceError(f"power iteration stalled at shape {m.shape}")
+    if not m.any():
+        return 0.0
+    mh = m.conj().T
+    log_rho = power_iteration(lambda x: (m @ x, 0.0), lambda y: (mh @ y, 0.0), m.shape[1])
+    if log_rho is None:
+        return _jacobi_fallback(m, 0)
+    return math.exp(0.5 * log_rho)
 
 
 def sv2x2(m) -> SingularExtremes:

@@ -277,28 +277,22 @@ def _format(v: float) -> str:
     return repr(float(v))
 
 
+def _write_rows(fp, column: str, region: GridRegion, cells) -> None:
+    # header re,im,<column>, then one row per lattice point, real axis outer
+    pts = region.lattice().ravel()
+    w = csv.writer(fp, lineterminator="\n")
+    w.writerow(["re", "im", column])
+    w.writerows(zip(map(repr, pts.real.tolist()), map(repr, pts.imag.tolist()), cells))
+
+
 def write_field_csv(field: NormField, fp) -> None:
     """Write `re,im,value` rows, row-major with the real axis outer."""
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(["re", "im", "value"])
-    region = field.region
-    for i in range(region.nx):
-        re = region.re_min + i * region.hx
-        for j in range(region.ny):
-            im = region.im_min + j * region.hy
-            w.writerow([repr(re), repr(im), _format(field.values[i, j])])
+    _write_rows(fp, "value", field.region, map(_format, field.values.ravel().tolist()))
 
 
 def write_mask_csv(mask: LevelSetMask, fp) -> None:
     """Write `re,im,member` rows in the same order as field CSVs."""
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(["re", "im", "member"])
-    region = mask.region
-    for i in range(region.nx):
-        re = region.re_min + i * region.hx
-        for j in range(region.ny):
-            im = region.im_min + j * region.hy
-            w.writerow([repr(re), repr(im), "1" if mask.mask[i, j] else "0"])
+    _write_rows(fp, "member", mask.region, np.where(mask.mask.ravel(), "1", "0"))
 
 
 def write_json(obj, fp) -> None:
@@ -360,19 +354,18 @@ def _region_from_rows(rows) -> GridRegion:
     nx = len(rows) // ny
     if nx < 2:
         raise ConfigurationError("CSV lattice needs at least 2 rows per axis")
-    res = [rows[i * ny][0] for i in range(nx)]
-    ims = [rows[j][1] for j in range(ny)]
-    region = GridRegion(res[0], res[-1], ims[0], ims[-1], nx, ny)
-    scale = max(abs(res[-1] - res[0]), abs(ims[-1] - ims[0]), 1.0)
-    for i in range(nx):
-        for j in range(ny):
-            re, im, _ = rows[i * ny + j]
-            want = region.point(i, j)
-            if abs(re - want.real) + abs(im - want.imag) > 1e-9 * scale:
-                raise ConfigurationError(
-                    f"row {i * ny + j + 2}: lattice point ({re},{im}) is not "
-                    "on a uniform grid"
-                )
+    im0, re1, im1 = rows[0][1], rows[-ny][0], rows[ny - 1][1]
+    region = GridRegion(re0, re1, im0, im1, nx, ny)
+    scale = max(abs(re1 - re0), abs(im1 - im0), 1.0)
+    want = region.lattice().ravel()
+    got = np.array(rows)
+    off = np.abs(got[:, 0] - want.real) + np.abs(got[:, 1] - want.imag) > 1e-9 * scale
+    if off.any():
+        row = int(np.argmax(off))
+        re, im, _ = rows[row]
+        raise ConfigurationError(
+            f"row {row + 2}: lattice point ({re},{im}) is not on a uniform grid"
+        )
     return region
 
 
@@ -395,10 +388,10 @@ def read_mask_csv(fp, epsilon: float = 1.0, n: int = 0, strictness: str = "close
     """
     rows = _read_rows(fp, ["re", "im", "member"])
     region = _region_from_rows(rows)
-    flags = []
-    for re, im, v in rows:
-        if v not in (0.0, 1.0):
-            raise ConfigurationError(f"member flag must be 0 or 1, got {v}")
-        flags.append(bool(v))
-    mask = np.array(flags, dtype=bool).reshape(region.nx, region.ny)
+    flags = np.array([r[2] for r in rows])
+    bad = (flags != 0.0) & (flags != 1.0)
+    if bad.any():
+        v = rows[int(np.argmax(bad))][2]
+        raise ConfigurationError(f"member flag must be 0 or 1, got {v}")
+    mask = (flags == 1.0).reshape(region.nx, region.ny)
     return LevelSetMask(region, epsilon, n, strictness, mask)

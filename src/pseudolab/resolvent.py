@@ -1,8 +1,9 @@
 """Resolvent norms and resolvent-power norms for all operator models.
 
 The dense path is exact linear algebra: ||(T - z)^-1|| = 1/sigma_min(T - z),
-and for powers a deterministic power iteration on the 2^n-fold solve
-composition with the factorization reused.
+and for powers numkernel's one power iteration on the 2^n-fold solve
+composition with the factorization reused.  When it stalls, the explicit
+inverse is squared n times and handed to largest_singular_value.
 
 The block-family path evaluates sup_k ||(B_k - z)^-m|| ^ (1/m) with one
 block-scan engine over 2x2 or 4x4 blocks in vectorised chunks: finite
@@ -35,15 +36,14 @@ import numpy as np
 
 from .errors import DomainError, SingularityError, TailCertificationError
 from .numkernel import (
-    ITERATION_CAP,
-    JACOBI_DIM_LIMIT,
-    RAYLEIGH_TOL,
     SingularMatrixError,
     jacobi_singular_values,
     largest_singular_value,
+    log_normalize,
     lu_factor,
     lu_solve,
     lu_solve_adjoint,
+    power_iteration,
     smallest_singular_value,
     solve_factored,
     sv2x2_batch,
@@ -59,6 +59,9 @@ from .operators import (
 TAIL_TOL_DEFAULT = 1e-9
 MAX_BLOCKS_DEFAULT = 10**6
 SPECTRUM_CLEARANCE = 1e-10
+# 4x4 chunks are evaluated in slices of this many blocks to bound the
+# (blocks, 4, 4) stacks held at once
+FOUR_SLICE = 1 << 14
 
 MODES = ("dense_exact", "block_exact_with_tail", "scaled")
 
@@ -121,72 +124,45 @@ def _dense_norm(matrix: np.ndarray, z: complex) -> float:
     return 1.0 / smin
 
 
-def _dense_power_fallback(lu, piv, dim: int, n: int) -> float:
+def _dense_power_fallback(lu, perm, dim: int, n: int) -> float:
     # explicit inverse, repeated squaring with per-step rescaling
-    inv = lu_solve(lu, piv, np.eye(dim, dtype=np.complex128))
-    w = inv
+    w = lu_solve(lu, perm, np.eye(dim, dtype=np.complex128))
     logscale = 0.0
     for _ in range(n):
         w = w @ w
         logscale *= 2.0
         s = float(np.max(np.abs(w)))
-        if s == 0.0 or not math.isfinite(s):
-            return math.inf if not math.isfinite(s) else 0.0
+        if not 0.0 < s < math.inf:
+            return math.inf
         w /= s
         logscale += math.log(s)
-    if dim <= JACOBI_DIM_LIMIT:
-        sigma = float(jacobi_singular_values(w)[0])
-    else:
-        sigma = largest_singular_value(w)
     m = 1 << n
-    return sigma ** (1.0 / m) * math.exp(logscale / m)
+    return largest_singular_value(w) ** (1.0 / m) * math.exp(logscale / m)
 
 
 def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
-    """||(T - z)^-2^n|| ^ (1/2^n) via solves; log-scaled against overflow."""
+    """||(T - z)^-2^n|| ^ (1/2^n) by power iteration on the 2^n-fold solve chain."""
     dim = matrix.shape[0]
-    shifted = matrix - z * np.eye(dim)
     try:
-        lu, piv = lu_factor(shifted)
+        lu, perm = lu_factor(matrix - z * np.eye(dim))
     except SingularMatrixError:
         return math.inf
     m = 1 << n
 
-    def apply_chain(vec, adjoint):
-        v = vec
-        ls = 0.0
-        for _ in range(m):
-            v = lu_solve_adjoint(lu, piv, v) if adjoint else lu_solve(lu, piv, v)
-            nrm = float(np.linalg.norm(v))
-            if nrm == 0.0 or not math.isfinite(nrm):
-                return None, math.inf
-            v = v / nrm
-            ls += math.log(nrm)
-        return v, ls
+    def chain(solve):
+        def apply(v):
+            log_s = 0.0
+            for _ in range(m):
+                v, s = log_normalize(solve(lu, perm, v))
+                log_s += s
+            return v, log_s
 
-    x = np.ones(dim, dtype=np.complex128) / math.sqrt(dim)
-    log_prev = None
-    history: list = []
-    for _ in range(ITERATION_CAP):
-        y, ls1 = apply_chain(x, adjoint=False)
-        if y is None:
-            return math.inf
-        log_sigma = ls1  # ||B^-m x|| for unit x
-        w, ls2 = apply_chain(y, adjoint=True)
-        if w is None:
-            return math.inf
-        x = w
-        if log_prev is not None:
-            inc = abs(log_sigma - log_prev)
-            history.append(inc)
-            if inc <= RAYLEIGH_TOL:
-                return math.exp(log_sigma / m)
-            if len(history) >= 16:
-                recent, older = sum(history[-8:]), sum(history[-16:-8])
-                if older > 0.0 and recent / older > 0.993**8:
-                    break
-        log_prev = log_sigma
-    return _dense_power_fallback(lu, piv, dim, n)
+        return apply
+
+    log_rho = power_iteration(chain(lu_solve), chain(lu_solve_adjoint), dim)
+    if log_rho is None:
+        return _dense_power_fallback(lu, perm, dim, n)
+    return math.exp(log_rho / (2 * m))
 
 
 # --------------------------------------------------- 2x2 block head values
@@ -340,12 +316,18 @@ def _power_tail_bound(family, a: float, z: complex, m: int) -> float | None:
 def _block_values(family, ks: np.ndarray, z: complex, n: int, floor: float):
     """Exact values of the blocks ks that may reach floor; inf marks a singular block.
 
-    2x2 values are all returned.  4x4 blocks whose value provably stays
-    below floor are dropped first; the others share one Jacobi call.
+    2x2 values are all returned.  4x4 blocks are taken FOUR_SLICE at a
+    time; in each slice the blocks whose value provably stays below floor
+    are dropped first and the others share one Jacobi call.
     """
     m = 1 << n
     if family.block_dim == 2:
         return _two_block_values(family, ks, z, m)
+    if len(ks) > FOUR_SLICE:
+        return np.concatenate([
+            _block_values(family, ks[i : i + FOUR_SLICE], z, n, floor)
+            for i in range(0, len(ks), FOUR_SLICE)
+        ])
     mats, sing = _four_resolvent_batch(family, ks, z)
     if bool(np.any(sing)):
         return np.array([math.inf])

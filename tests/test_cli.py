@@ -1,11 +1,13 @@
 """Front-end behavior: flag parsing, exit codes, file round trips."""
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pseudolab
 from pseudolab import MaskSet, hausdorff_distance, read_mask_csv, resolvent
 from pseudolab.cli import parse_and_dispatch
 from pseudolab.numkernel import ConvergenceError
@@ -217,10 +219,14 @@ class TestRoundTrip:
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package as this interpreter, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudolab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pseudolab.cli",
          "verify", "empty-resolvent", "--sizes", "5,20"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"

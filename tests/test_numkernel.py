@@ -59,6 +59,18 @@ class TestLU:
         with pytest.raises(SingularMatrixError):
             solve_factored(a, np.ones(3))
 
+    def test_permutation_reconstructs_matrix(self):
+        # A[perm] = L U, also when the leading entry is zero
+        rng = np.random.default_rng(19)
+        for n in (2, 5, 13):
+            a = random_complex_matrix(rng, n)
+            a[0, 0] = 0.0
+            lu, perm = lu_factor(a)
+            lower = np.tril(lu, -1) + np.eye(n)
+            upper = np.triu(lu)
+            assert sorted(perm) == list(range(n))
+            assert np.linalg.norm(a[perm] - lower @ upper) <= 1e-13 * np.linalg.norm(a)
+
     def test_pivoting_handles_zero_leading_entry(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         x = solve_factored(a, np.array([2.0, 3.0]))
@@ -137,6 +149,11 @@ class TestLargestSingularValue:
 
     def test_zero_matrix(self):
         assert largest_singular_value(np.zeros((4, 4))) == 0.0
+
+    def test_start_vector_in_null_space(self):
+        # A annihilates the all-ones start vector, yet ||A|| = 2
+        a = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=complex)
+        assert largest_singular_value(a) == pytest.approx(2.0, rel=1e-12)
 
     def test_repeated_top_value(self):
         a = np.diag([2.0, 2.0, 1.0]).astype(complex)

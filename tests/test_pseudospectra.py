@@ -250,6 +250,29 @@ class TestCsvRoundTrip:
             (2.0, 1.0),
         ]
 
+    def test_rows_match_per_point_reference(self):
+        region = GridRegion(-0.9, 1.3, -0.7, 0.9, 13, 11)
+        field = diag_field(region)
+        mask = level_set(field, 1.0, "closed_Sigma")
+        want_field, want_mask = ["re,im,value"], ["re,im,member"]
+        for i in range(region.nx):
+            for j in range(region.ny):
+                p = region.point(i, j)
+                v = field.values[i, j]
+                cell = "inf" if math.isinf(v) else repr(float(v))
+                want_field.append(f"{p.real!r},{p.imag!r},{cell}")
+                want_mask.append(f"{p.real!r},{p.imag!r},{int(mask.mask[i, j])}")
+        for write, obj, want in ((write_field_csv, field, want_field),
+                                 (write_mask_csv, mask, want_mask)):
+            buf = io.StringIO()
+            write(obj, buf)
+            assert buf.getvalue() == "\n".join(want) + "\n"
+
+    def test_first_off_grid_row_is_named(self):
+        text = "re,im,value\n0,0,1\n0,1,1\n1,0,1\n1,1.5,1\n2,0,1\n2,7,1\n"
+        with pytest.raises(ConfigurationError, match=r"^row 5: lattice point \(1.0,1.5\)"):
+            read_field_csv(io.StringIO(text))
+
     def test_bad_header_rejected(self):
         with pytest.raises(ConfigurationError):
             read_field_csv(io.StringIO("x,y,v\n0,0,1\n"))

@@ -12,6 +12,7 @@ from oracles import (
     resolvent_norm_oracle,
     resolvent_power_norm_oracle,
     singular_values_oracle,
+    smallest_sv_oracle,
     spectral_norm_oracle,
 )
 from pseudolab import (
@@ -35,6 +36,8 @@ from pseudolab import (
     resolvent_power_norm,
     scale_operator,
 )
+from pseudolab import resolvent
+from pseudolab.numkernel import largest_singular_value, smallest_singular_value
 from pseudolab.operators import TruncatedFamily
 from pseudolab.resolvent import _batch_square_scaled, _four_resolvent_batch, _norm_below
 
@@ -245,6 +248,80 @@ class TestPowerNorms:
     def test_negative_power_rejected(self):
         with pytest.raises(DomainError):
             resolvent_power_norm(DIAG26, 3.0, -1)
+
+
+def _clustered(rng, dims, delta):
+    # Q diag(s) Q^H with the two smallest and the two largest of s at
+    # relative distance delta
+    s = np.linspace(1.0, 3.0, dims)
+    s[1], s[-2] = 1.0 + delta, 3.0 - 3.0 * delta
+    q = np.linalg.qr(random_complex_matrix(rng, dims))[0]
+    return (q * s) @ q.conj().T
+
+
+class TestDensePowerIteration:
+    """The one power iteration behind every dense estimate, against LAPACK."""
+
+    def test_stalled_chain_falls_back_to_the_explicit_power(self, monkeypatch):
+        # the top singular values of A^-2^n differ by a few 1e-6, too little
+        # for the iteration: it stalls, and the explicit power is evaluated
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(random_complex_matrix(rng, 6))[0]
+        a = q @ np.diag([1.0, 1.0 + 1e-6, 1.5, 2.0, 2.5, 3.0]) @ q.conj().T
+        calls = []
+        fallback = resolvent._dense_power_fallback
+
+        def counted(*args):
+            calls.append(args)
+            return fallback(*args)
+
+        monkeypatch.setattr(resolvent, "_dense_power_fallback", counted)
+        for n in (1, 2):
+            got = resolvent_power_norm(DenseOperator(a), 0.0, n).value
+            want = resolvent_power_norm_oracle(a, 0.0, n)
+            assert got == pytest.approx(want, rel=1e-10)
+        assert len(calls) == 2
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        structure=st.sampled_from(["random", "truncation", "clustered"]),
+        dims=st.integers(1, 16),
+        seed=st.integers(0, 2**16),
+        re=st.floats(0.2, 2.0),
+        im=st.floats(0.2, 2.0),
+        quadrant=st.sampled_from([1, 1j, -1, -1j]),
+        delta=st.sampled_from([0.0, 1e-12, 1e-9]),
+    )
+    @example("random", 1, 0, 0.5, 0.5, 1, 0.0)
+    @example("truncation", 12, 0, 0.3, 0.4, 1, 0.0)  # remark_n1, 6 blocks
+    @example("truncation", 11, 1, 0.7, 0.2, 1j, 0.0)  # shargorodsky, 5 blocks
+    @example("clustered", 6, 2, 0.2, 0.2, 1, 0.0)  # exact double values
+    @example("clustered", 16, 3, 0.2, 0.2, 1, 1e-9)
+    def test_property_matches_lapack_oracles(
+        self, structure, dims, seed, re, im, quadrant, delta
+    ):
+        rng = np.random.default_rng(seed)
+        z = complex(re, im) * quadrant
+        tol = 1e-10
+        if structure == "random":
+            a = random_complex_matrix(rng, dims)
+        elif structure == "truncation":
+            # block eigenvalues lie on the axes, 0.2 or more away from z
+            family = REMARK if dims % 2 == 0 else SHARG
+            a = assemble_truncation(family, max(1, dims // 2)).matrix
+        else:
+            # a normal matrix at z = 0: the clusters stay clusters
+            a, z = _clustered(rng, max(dims, 4), delta), 0.0
+            tol += delta  # within a cluster the iteration may settle anywhere
+        assert largest_singular_value(a) == pytest.approx(
+            spectral_norm_oracle(a), rel=tol
+        )
+        assert smallest_singular_value(a) == pytest.approx(
+            smallest_sv_oracle(a), rel=tol
+        )
+        for n in range(3):
+            got = resolvent_power_norm(DenseOperator(a), z, n).value
+            assert got == pytest.approx(resolvent_power_norm_oracle(a, z, n), rel=tol)
 
 
 class TestBlockScanChunks:
