@@ -4,23 +4,24 @@ Everything downstream reduces to four operations on square complex
 matrices:
 
 * ``solve_factored``          LU with partial pivoting, multiple right-hand sides
-* ``smallest_singular_value`` inverse iteration on A*A through the LU factors
+* ``smallest_singular_value`` 1 / sigma_max of the explicit inverse
 * ``largest_singular_value``  power iteration on A*A
 * ``sv2x2``                   closed-form singular values of a 2x2 block
 
 plus ``jacobi_singular_values``, all singular values of one matrix or of
-a stack of them by one-sided Jacobi in round-robin order.
+a stack of them by one-sided Jacobi in round-robin order, and
+``norm_below``, the LDL* positivity test of bound^2 I - M*M over a stack.
 
-Every iterative estimate, here and on resolvent's dense power path, is
-one ``power_iteration`` on C*C for some operator C given as a pair of
-callables: deterministic from the all-ones start vector, converged on the
-relative change of the Rayleigh quotient, and stopped by one stall rule
+Every iterative estimate is one ``power_iteration`` on C*C for an explicit
+matrix C: deterministic from the all-ones start vector, converged on the
+relative change of the Rayleigh quotient, stopped by one stall rule
 (``_stalled``: the best step of the last 24 fails to halve the best
-before them) or by ITERATION_CAP.  A stalled estimate falls back to
+before them) or by ITERATION_CAP, and accepted only when ``norm_below``
+certifies it to CERTIFY_SLACK.  An estimate that fails falls back to
 Jacobi on the explicit matrix, which converges quadratically and is
 accurate to roundoff, when its smaller side is at most JACOBI_DIM_LIMIT,
 and raises ConvergenceError otherwise.  The block engine calls the same
-Jacobi kernel on stacks of 4x4 blocks.
+Jacobi and positivity kernels on stacks of 4x4 blocks.
 No LAPACK-style library call appears on any of these paths; numpy is used
 for array storage and vectorised arithmetic only.
 """
@@ -34,6 +35,8 @@ import numpy as np
 
 PIVOT_FLOOR = 1e-300
 RAYLEIGH_TOL = 1e-12
+# a converged sigma is accepted once sigma_max^2 < (1 + CERTIFY_SLACK) sigma^2
+CERTIFY_SLACK = 1e-10
 ITERATION_CAP = 500
 JACOBI_DIM_LIMIT = 512
 JACOBI_SWEEP_CAP = 60
@@ -48,7 +51,8 @@ class SingularMatrixError(ArithmeticError):
 
 
 class ConvergenceError(ArithmeticError):
-    """Iteration stalled and the matrix is too large for the Jacobi fallback."""
+    """Iteration stalled or was not certified, and the matrix is too large
+    for the Jacobi fallback."""
 
 
 class DimensionError(ValueError):
@@ -231,44 +235,61 @@ def _stalled(history: list, tol: float) -> bool:
     return recent > 0.5 * min(history[:-24])
 
 
-def log_normalize(v: np.ndarray):
-    """(v / ||v||, log ||v||); the log is nan when ||v|| is 0 or not finite."""
-    nrm = float(np.linalg.norm(v))
-    if not 0.0 < nrm < math.inf:
-        return v, math.nan
-    return v / nrm, math.log(nrm)
+def norm_below(mats: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Per matrix M of a stack (b, m, n), whether sigma_max(M) < bound.
 
-
-def power_iteration(apply, apply_adjoint, dim: int) -> float | None:
-    """log sigma_max(C)^2 by power iteration on C*C, or None when it stalls.
-
-    apply(x) and apply_adjoint(y) return C x and C* y as (v, log s) with
-    the product equal to s v, so that an operator can rescale as it goes.
-    The iterate starts at the normalised all-ones vector.  Converged when
-    the Rayleigh quotient ||C x||^2 of the unit iterate changes by at most
-    RAYLEIGH_TOL relative, tracked in logs so that no product overflows.
-    A zero or non-finite product, ``_stalled`` or ITERATION_CAP steps end
-    it with None.
+    The LDL* pivots of the Hermitian bound^2 I - M*M are all positive
+    exactly when it is positive definite.  A matrix stops eliminating at
+    its first nonpositive pivot, so its entries never grow.
     """
-    x = np.ones(dim, dtype=np.complex128) / math.sqrt(dim)
-    log_prev = None
+    a = -np.einsum("bki,bkj->bij", mats.conj(), mats)
+    d = a.shape[1]
+    a[:, range(d), range(d)] += (bound * bound)[:, None]
+    ok = np.ones(len(a), dtype=bool)
+    for j in range(d):
+        pivot = a[:, j, j].real
+        ok &= pivot > 0.0
+        col = a[:, j + 1 :, j] / np.where(ok, pivot, 1.0)[:, None]
+        col[~ok] = 0.0
+        a[:, j + 1 :, j + 1 :] -= col[:, :, None] * a[:, j, None, j + 1 :]
+    return ok
+
+
+def power_iteration(c: np.ndarray) -> float | None:
+    """sigma_max(C) by power iteration on C*C, or None when it fails.
+
+    C x is ``c @ x`` and C* y is ``conj(conj(y) @ c)``, so no adjoint copy
+    of c is made.  The iterate starts at the normalised all-ones vector.
+    Converged when the Rayleigh quotient ||C x||^2 of the unit iterate
+    changes by at most RAYLEIGH_TOL relative; the estimate sigma is then
+    returned only if ``norm_below`` proves sigma_max(C)^2 <
+    (1 + CERTIFY_SLACK) sigma^2, tested on C scaled by its largest entry
+    modulus.  A zero or non-finite product, ``_stalled``, ITERATION_CAP
+    steps or a refused certificate end it with None.
+    """
+    x = np.ones(c.shape[1], dtype=np.complex128) / math.sqrt(c.shape[1])
+    prev = None
     increments: list = []
     for _ in range(ITERATION_CAP):
-        v, log_s = apply(x)
-        y, log_y = log_normalize(v)
-        v, _ = apply_adjoint(y)
-        x, log_x = log_normalize(v)
-        log_rho = 2.0 * (log_s + log_y)
-        if not math.isfinite(log_rho + log_x):
+        v = c @ x
+        sigma = float(np.linalg.norm(v))
+        if not 0.0 < sigma < math.inf:
             return None
-        if log_prev is not None:
-            inc = abs(math.expm1(log_prev - log_rho))
+        x = ((v / sigma).conj() @ c).conj()
+        size = float(np.linalg.norm(x))
+        if not 0.0 < size < math.inf:
+            return None
+        x /= size
+        if prev is not None:
+            inc = abs((prev / sigma) ** 2 - 1.0)
             if inc <= RAYLEIGH_TOL:
-                return log_rho
+                scale = float(np.max(np.abs(c)))
+                bound = np.array([sigma / scale * math.sqrt(1.0 + CERTIFY_SLACK)])
+                return sigma if norm_below((c / scale)[None], bound)[0] else None
             increments.append(inc)
             if _stalled(increments, RAYLEIGH_TOL):
                 return None
-        log_prev = log_rho
+        prev = sigma
     return None
 
 
@@ -281,25 +302,24 @@ def _jacobi_fallback(m: np.ndarray, index: int) -> float:
 def smallest_singular_value(a) -> float:
     """Smallest singular value of a square complex matrix.
 
-    ``power_iteration`` with C = A^-*, applied through the LU factors of A
-    (one adjoint solve plus one direct solve per step).  Returns exactly
-    0.0 when factorisation detects singularity.
+    1 / sigma_max(W) for the explicit inverse W = A^-1 (one LU and one
+    multi-column solve), by ``power_iteration`` with C = W*; the Jacobi
+    fallback runs on A itself.  Returns exactly 0.0 when factorisation
+    detects singularity.
     """
     m = as_square_matrix(a)
     if m.shape[0] == 1:
         return abs(complex(m[0, 0]))
     try:
-        lu, perm = lu_factor(m)
+        w = solve_factored(m, np.eye(m.shape[0], dtype=np.complex128))
     except SingularMatrixError:
         return 0.0
-    log_rho = power_iteration(
-        lambda x: (lu_solve_adjoint(lu, perm, x), 0.0),
-        lambda y: (lu_solve(lu, perm, y), 0.0),
-        m.shape[0],
-    )
-    if log_rho is None:
+    # W.T = conj(W*): from the real start vector its iterates are the
+    # conjugates of those of W*, and W is held once
+    sigma = power_iteration(w.T)
+    if sigma is None:
         return _jacobi_fallback(m, -1)
-    return math.exp(-0.5 * log_rho)
+    return 1.0 / sigma
 
 
 def largest_singular_value(a) -> float:
@@ -314,54 +334,38 @@ def largest_singular_value(a) -> float:
         raise DimensionError("matrix entries must be finite")
     if not m.any():
         return 0.0
-    mh = m.conj().T
-    log_rho = power_iteration(lambda x: (m @ x, 0.0), lambda y: (mh @ y, 0.0), m.shape[1])
-    if log_rho is None:
+    sigma = power_iteration(m)
+    if sigma is None:
         return _jacobi_fallback(m, 0)
-    return math.exp(0.5 * log_rho)
+    return sigma
 
 
 def sv2x2(m) -> SingularExtremes:
-    """Closed-form singular values of a 2x2 complex matrix.
-
-    With F = sum |m_ij|^2 and D = |det M|^2 the squares are
-    (F +- sqrt(F^2 - 4 D)) / 2.  The radicand equals
-    (sigma_max^2 - sigma_min^2)^2 >= 0; tiny negative values down to
-    -1e-14 F^2 are roundoff and are clamped to zero.
-    """
+    """Closed-form singular values of a 2x2 complex matrix (see sv2x2_batch)."""
     a = np.asarray(m, dtype=np.complex128)
     if a.shape != (2, 2):
         raise DimensionError(f"sv2x2 expects shape (2, 2), got {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise DimensionError("matrix entries must be finite")
-    f = float(np.sum(np.abs(a) ** 2))
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    d = float(abs(det)) ** 2
-    rad = f * f - 4.0 * d
-    if rad < 0.0:
-        if rad < -1e-14 * f * f:
-            raise ArithmeticError(f"sv2x2 radicand {rad:.3e} below clamp threshold")
-        rad = 0.0
-    root = math.sqrt(rad)
-    hi = math.sqrt((f + root) / 2.0)
-    lo_sq = (f - root) / 2.0
-    lo = math.sqrt(lo_sq) if lo_sq > 0.0 else 0.0
-    return SingularExtremes(sigma_max=hi, sigma_min=min(lo, hi))
+    hi, lo = sv2x2_batch(a[0, 0], a[0, 1], a[1, 0], a[1, 1])
+    return SingularExtremes(sigma_max=float(hi), sigma_min=min(float(lo), float(hi)))
 
 
 def sv2x2_batch(m00, m01, m10, m11):
-    """Vectorised sv2x2 over aligned arrays of entries.
+    """Singular values of 2x2 matrices given as aligned arrays of entries.
 
-    Returns (sigma_max, sigma_min) float arrays.  Used by the block-family
-    scans, where millions of 2x2 blocks may be evaluated per call.
+    Returns (sigma_max, sigma_min) float arrays.  With F = sum |m_ij|^2 and
+    D = |det M|^2, sigma_max^2 = (F + sqrt(F^2 - 4 D)) / 2, the radicand
+    clamped at zero against roundoff, and sigma_min = |det M| / sigma_max,
+    which does not cancel however large sigma_max / sigma_min is.  Used by
+    the block-family scans, where millions of 2x2 blocks may be evaluated
+    per call.
     """
     a, b = np.asarray(m00, dtype=np.complex128), np.asarray(m01, dtype=np.complex128)
     c, d = np.asarray(m10, dtype=np.complex128), np.asarray(m11, dtype=np.complex128)
     f = (np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2).astype(float)
-    det = a * d - b * c
-    dd = np.abs(det).astype(float) ** 2
-    rad = np.maximum(f * f - 4.0 * dd, 0.0)
-    root = np.sqrt(rad)
-    hi = np.sqrt((f + root) / 2.0)
-    lo = np.sqrt(np.maximum((f - root) / 2.0, 0.0))
+    det = np.abs(a * d - b * c).astype(float)
+    rad = np.maximum(f * f - 4.0 * det**2, 0.0)
+    hi = np.sqrt((f + np.sqrt(rad)) / 2.0)
+    lo = det / np.where(hi > 0.0, hi, 1.0)
     return hi, lo

@@ -333,18 +333,18 @@ class TruncatedFamily:
 
 
 def block_eigenvalues(family: DiagBlockFamily, k: int) -> list:
-    """Eigenvalues of the k-th block.
+    """Eigenvalues of the k-th block in closed form.
 
-    2x2 blocks have the closed form +-sqrt(alpha_k f(alpha_k)); 4x4
-    blocks are handled numerically through their dense characteristic
-    roots.
+    B^2 = alpha f I for 2x2 blocks and B^4 = (alpha f)^2 I for 4x4 blocks,
+    so the eigenvalues are +-sqrt(alpha_k f(alpha_k)), and for 4x4 blocks
+    also +-i sqrt(alpha_k f(alpha_k)).
     """
-    if family.block_dim == 2:
-        a = family.alpha.value(k)
-        f = family.symbol.value(a)
-        root = math.sqrt(a * f)
-        return [complex(root), complex(-root)]
-    return [complex(v) for v in np.linalg.eigvals(family.block(k))]
+    a = family.alpha.value(k)
+    root = math.sqrt(a * family.symbol.value(a))
+    roots = [complex(root), complex(-root)]
+    if family.block_dim == 4:
+        roots += [complex(0.0, root), complex(0.0, -root)]
+    return roots
 
 
 def check_constant_norm_condition(

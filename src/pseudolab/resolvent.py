@@ -1,9 +1,9 @@
 """Resolvent norms and resolvent-power norms for all operator models.
 
-The dense path is exact linear algebra: ||(T - z)^-1|| = 1/sigma_min(T - z),
-and for powers numkernel's one power iteration on the 2^n-fold solve
-composition with the factorization reused.  When it stalls, the explicit
-inverse is squared n times and handed to largest_singular_value.
+The dense path is exact linear algebra on one explicit inverse
+W = (T - z)^-1 per point: ||(T - z)^-1|| = 1/sigma_min(T - z) = sigma_max(W),
+and for powers W is squared n times with rescaling and handed to
+largest_singular_value.  numkernel certifies every such value.
 
 The block-family path evaluates sup_k ||(B_k - z)^-m|| ^ (1/m) with one
 block-scan engine over 2x2 or 4x4 blocks in vectorised chunks: finite
@@ -39,11 +39,7 @@ from .numkernel import (
     SingularMatrixError,
     jacobi_singular_values,
     largest_singular_value,
-    log_normalize,
-    lu_factor,
-    lu_solve,
-    lu_solve_adjoint,
-    power_iteration,
+    norm_below,
     smallest_singular_value,
     solve_factored,
     sv2x2_batch,
@@ -116,17 +112,17 @@ class PowerDiffBound:
 # ---------------------------------------------------------------- dense path
 
 
-def _dense_norm(matrix: np.ndarray, z: complex) -> float:
-    shifted = matrix - z * np.eye(matrix.shape[0])
-    smin = smallest_singular_value(shifted)
-    if smin == 0.0:
+def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
+    """||(T - z)^-2^n|| ^ (1/2^n) from the explicit inverse squared n times."""
+    eye = np.eye(matrix.shape[0], dtype=np.complex128)
+    if n == 0:
+        smin = smallest_singular_value(matrix - z * eye)
+        return math.inf if smin == 0.0 else 1.0 / smin
+    try:
+        w = solve_factored(matrix - z * eye, eye)
+    except SingularMatrixError:
         return math.inf
-    return 1.0 / smin
-
-
-def _dense_power_fallback(lu, perm, dim: int, n: int) -> float:
-    # explicit inverse, repeated squaring with per-step rescaling
-    w = lu_solve(lu, perm, np.eye(dim, dtype=np.complex128))
+    # repeated squaring with per-step rescaling, so no power overflows
     logscale = 0.0
     for _ in range(n):
         w = w @ w
@@ -140,31 +136,6 @@ def _dense_power_fallback(lu, perm, dim: int, n: int) -> float:
     return largest_singular_value(w) ** (1.0 / m) * math.exp(logscale / m)
 
 
-def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
-    """||(T - z)^-2^n|| ^ (1/2^n) by power iteration on the 2^n-fold solve chain."""
-    dim = matrix.shape[0]
-    try:
-        lu, perm = lu_factor(matrix - z * np.eye(dim))
-    except SingularMatrixError:
-        return math.inf
-    m = 1 << n
-
-    def chain(solve):
-        def apply(v):
-            log_s = 0.0
-            for _ in range(m):
-                v, s = log_normalize(solve(lu, perm, v))
-                log_s += s
-            return v, log_s
-
-        return apply
-
-    log_rho = power_iteration(chain(lu_solve), chain(lu_solve_adjoint), dim)
-    if log_rho is None:
-        return _dense_power_fallback(lu, perm, dim, n)
-    return math.exp(log_rho / (2 * m))
-
-
 # --------------------------------------------------- 2x2 block head values
 
 
@@ -172,10 +143,20 @@ def _two_block_values(family, ks: np.ndarray, z: complex, m: int) -> np.ndarray:
     alphas = family.alpha_values(ks)
     fs = family.symbol_values(alphas)
     if m == 1:
-        mz = np.full(alphas.shape, -z, dtype=np.complex128)
-        _, lo = sv2x2_batch(mz, fs, alphas, mz)
+        # 1/sigma_min(B - z) = sigma_max / |det| with det = z^2 - alpha f, in
+        # real arithmetic.  sigma_max^2 = (F + sqrt(F^2 - 4 |det|^2)) / 2 with
+        # F = ||B - z||_F^2; the radicand is summed from the rows (-z, f),
+        # (alpha, -z) as (f^2 - alpha^2)^2 + 4 |alpha z + f conj(z)|^2, so it
+        # does not cancel when sigma_max is close to sigma_min
+        x, y = z.real, z.imag
+        zsq = z * z
+        big = 2.0 * (x * x + y * y) + alphas * alphas + fs * fs
+        det = np.hypot(alphas * fs - zsq.real, zsq.imag)
+        rows = (fs - alphas) * (fs + alphas)
+        cross = ((alphas + fs) * x) ** 2 + ((alphas - fs) * y) ** 2
+        hi = np.sqrt((big + np.sqrt(rows * rows + 4.0 * cross)) / 2.0)
         with np.errstate(divide="ignore"):
-            return np.where(lo > 0.0, 1.0 / np.where(lo > 0.0, lo, 1.0), np.inf)
+            return hi / det
     # (B - z)^-m = [(B + z)/q]^m with q = alpha f - z^2 and B^2 = (alpha f) I,
     # evaluated through the two scalars w+- = (z +- sqrt(alpha f))/q, rescaled
     # so no intermediate power overflows
@@ -334,7 +315,7 @@ def _block_values(family, ks: np.ndarray, z: complex, n: int, floor: float):
     mats, logs = _batch_square_scaled(mats, n)
     if floor > 0.0:
         # value < floor  <=>  sigma_max(mats) < floor^m / exp(logs)
-        keep = ~_norm_below(mats, np.exp(m * math.log(floor) - logs))
+        keep = ~norm_below(mats, np.exp(m * math.log(floor) - logs))
         mats, logs = mats[keep], logs[keep]
     sigma = jacobi_singular_values(mats)[:, 0]
     return sigma ** (1.0 / m) * np.exp(logs / m)
@@ -541,22 +522,6 @@ def _batch_square_scaled(mats: np.ndarray, n: int):
     return w, logs
 
 
-def _norm_below(mats: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Per block, whether sigma_max(M) < bound: the LDL* pivots of the
-    Hermitian bound^2 I - M*M are all positive exactly when it is positive
-    definite."""
-    a = -np.einsum("bki,bkj->bij", mats.conj(), mats)
-    d = a.shape[1]
-    a[:, range(d), range(d)] += (bound * bound)[:, None]
-    ok = np.ones(len(a), dtype=bool)
-    for j in range(d):
-        pivot = a[:, j, j].real
-        ok &= pivot > 0.0
-        col = a[:, j + 1 :, j] / np.where(ok, pivot, 1.0)[:, None]
-        a[:, j + 1 :, j + 1 :] -= col[:, :, None] * a[:, j, None, j + 1 :]
-    return ok
-
-
 def _four_limit_norm(z: complex) -> float:
     """Norm of the limiting resolvent (nilpotent part plus z times its square)."""
     t = 2.0 + abs(z) ** 2
@@ -641,11 +606,7 @@ def resolvent_power_norm(
             k_cutoff=inner.k_cutoff,
         )
     if isinstance(model, DenseOperator):
-        if n == 0:
-            value = _dense_norm(model.matrix, z)
-        else:
-            value = _dense_power_norm(model.matrix, z, n)
-        return ResolventValue(value, "dense_exact")
+        return ResolventValue(_dense_power_norm(model.matrix, z, n), "dense_exact")
     if isinstance(model, TruncatedFamily):
         total = model.n_blocks
         value = _head_max(model.family, 0, total, z, n)

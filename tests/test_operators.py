@@ -166,13 +166,16 @@ class TestBlockEigenvalues:
         got = sorted(block_eigenvalues(family, 1), key=lambda z: z.real)
         assert got == [pytest.approx(-1.0), pytest.approx(1.0)]
 
-    def test_four_by_four_matches_dense_roots(self):
+    @pytest.mark.parametrize("k", [1, 3, 50, 10**6])
+    def test_four_by_four_matches_dense_roots(self, k):
+        # the roots of (alpha f)^2 - z^4, one to one with LAPACK's eigenvalues
         family = build_named_example("remark_n1").model
-        got = sorted(block_eigenvalues(family, 1), key=lambda z: (z.real, z.imag))
-        want = sorted(
-            eigenvalues_oracle(family.block(1)), key=lambda z: (z.real, z.imag)
-        )
-        assert np.allclose(got, want)
+        got = np.array(block_eigenvalues(family, k))
+        want = eigenvalues_oracle(family.block(k))
+        dist = np.abs(got[:, None] - want[None, :])
+        nearest = np.argmin(dist, axis=1)
+        assert sorted(nearest) == [0, 1, 2, 3]
+        assert np.all(dist.min(axis=1) <= 2e-15 * np.abs(got))
 
     def test_truncation_spectrum_is_union_of_blocks(self):
         family = shargorodsky_family()

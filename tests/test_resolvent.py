@@ -17,6 +17,7 @@ from oracles import (
 )
 from pseudolab import (
     AlphaRule,
+    ConfigurationError,
     DenseOperator,
     DiagBlockFamily,
     DomainError,
@@ -37,9 +38,14 @@ from pseudolab import (
     scale_operator,
 )
 from pseudolab import resolvent
-from pseudolab.numkernel import largest_singular_value, smallest_singular_value
+from pseudolab.numkernel import (
+    largest_singular_value,
+    norm_below,
+    smallest_singular_value,
+    sv2x2_batch,
+)
 from pseudolab.operators import TruncatedFamily
-from pseudolab.resolvent import _batch_square_scaled, _four_resolvent_batch, _norm_below
+from pseudolab.resolvent import _batch_square_scaled, _four_resolvent_batch
 
 SHARG = build_named_example("shargorodsky").model
 EMPTY = build_named_example("empty_resolvent").model
@@ -262,25 +268,20 @@ def _clustered(rng, dims, delta):
 class TestDensePowerIteration:
     """The one power iteration behind every dense estimate, against LAPACK."""
 
-    def test_stalled_chain_falls_back_to_the_explicit_power(self, monkeypatch):
-        # the top singular values of A^-2^n differ by a few 1e-6, too little
-        # for the iteration: it stalls, and the explicit power is evaluated
-        rng = np.random.default_rng(0)
-        q = np.linalg.qr(random_complex_matrix(rng, 6))[0]
-        a = q @ np.diag([1.0, 1.0 + 1e-6, 1.5, 2.0, 2.5, 3.0]) @ q.conj().T
-        calls = []
-        fallback = resolvent._dense_power_fallback
-
-        def counted(*args):
-            calls.append(args)
-            return fallback(*args)
-
-        monkeypatch.setattr(resolvent, "_dense_power_fallback", counted)
-        for n in (1, 2):
-            got = resolvent_power_norm(DenseOperator(a), 0.0, n).value
-            want = resolvent_power_norm_oracle(a, 0.0, n)
-            assert got == pytest.approx(want, rel=1e-10)
-        assert len(calls) == 2
+    def test_clustered_top_values_are_certified(self):
+        # Q diag(1, 1 + 1e-6, 1.5, 2, 2.5, 3) Q^H at z = 0: the top singular
+        # values of A^-2^n differ by a few 1e-6, too little for the iteration,
+        # and an uncertified Rayleigh quotient from inside the cluster is up
+        # to 1e-6 off
+        d = np.array([1.0, 1.0 + 1e-6, 1.5, 2.0, 2.5, 3.0])
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            q = np.linalg.qr(random_complex_matrix(rng, 6))[0]
+            a = DenseOperator((q * d) @ q.conj().T)
+            for n in (0, 1, 2):
+                want = resolvent_power_norm_oracle(a.matrix, 0.0, n)
+                got = resolvent_power_norm(a, 0.0, n).value
+                assert got == pytest.approx(want, rel=1e-10), (seed, n)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -357,6 +358,66 @@ class TestBlockScanChunks:
         assert gnr_defect(seq, 10) == pytest.approx(want, rel=1e-10)
 
 
+# every symbol kind, and each alpha rule taken to weights of about 10^7
+TWO_SYMBOLS = (
+    SymbolSpec("one_plus_inv"),
+    SymbolSpec("one_minus_inv_sqrt"),
+    SymbolSpec("inverse"),
+    SymbolSpec("power_beta", beta=0.5),
+    SymbolSpec("constant", c=2.0),
+    SymbolSpec("tabulated", table=((1.0, 2.0), (10.0, 0.5), (1e3, 1.0))),
+)
+TWO_ALPHAS = (
+    (AlphaRule("successor"), 10**7 - 1),
+    (AlphaRule("index"), 10**7),
+    (AlphaRule("log_grid", lo=1.0, hi=1e7, count=2048), 2048),
+)
+
+
+class TestTwoByTwoValues:
+    """n = 0 block values 1/sigma_min(B_k - z) = sigma_max / |det|, exact."""
+
+    def test_large_weight_point_is_exact(self):
+        # the maximum sits at k = 2284 (alpha = 2285), where sigma_max / sigma_min
+        # is about 2300; the cancelling sqrt((F - root) / 2) form reported
+        # 1.000030518975180 here, certified
+        z = -2.8 - 2.6j
+        got = resolvent_norm(SHARG, z)
+        block = SHARG.block(2284) - z * np.eye(2)
+        assert got.certified
+        assert got.value == pytest.approx(
+            1.0 / np.linalg.svd(block, compute_uv=False)[-1], rel=1e-13
+        )
+        assert got.value == pytest.approx(1.000017505919421, rel=1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        symbol=st.sampled_from(TWO_SYMBOLS),
+        alpha=st.sampled_from(TWO_ALPHAS),
+        re=st.floats(-3.0, 3.0),
+        im=st.floats(-3.0, 3.0),
+    )
+    def test_property_matches_numpy_svd(self, symbol, alpha, re, im):
+        rule, k_max = alpha
+        try:
+            family = DiagBlockFamily(symbol=symbol, alpha=rule)
+        except ConfigurationError:
+            assume(False)
+        z = complex(re, im)
+        ks = np.unique(np.geomspace(1, k_max, 64).astype(np.int64))
+        got = resolvent._two_block_values(family, ks, z, 1)
+        eps = np.finfo(float).eps
+        for k, value in zip(ks, got):
+            block = family.block(int(k)) - z * np.eye(2)
+            sv = np.linalg.svd(block, compute_uv=False)
+            exact = abs(np.linalg.det(block)) / sv[0]
+            assert 1.0 / value == pytest.approx(exact, rel=1e-13)
+            # numpy's SVD is backward stable: sigma_min to within u sigma_max
+            assert abs(1.0 / value - sv[1]) <= 8.0 * eps * sv[0]
+            hi, lo = sv2x2_batch(block[0, 0], block[0, 1], block[1, 0], block[1, 1])
+            assert lo * hi == pytest.approx(abs(np.linalg.det(block)), rel=1e-13)
+
+
 def _four_limit_oracle(z: complex, n: int) -> float:
     """||L^2^n||^(1/2^n) for L = lim_k (B_k - z)^-1 of the 4x4 family.
 
@@ -413,7 +474,7 @@ class TestFourByFourHeads:
         sigma = np.array([singular_values_oracle(mat)[0] for mat in mats])
         # bounds straddle the true norms: blocks at one end of ks sit above theirs
         bound = sigma * np.exp(spread * np.linspace(-1.0, 1.0, len(ks)))
-        dropped = _norm_below(mats, bound)
+        dropped = norm_below(mats, bound)
         assert np.all(sigma[dropped] < bound[dropped] * (1.0 + 1e-13))
         assert np.all(dropped[sigma < bound * (1.0 - 1e-10)])
 
