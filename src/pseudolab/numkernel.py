@@ -265,8 +265,14 @@ def power_iteration(c: np.ndarray) -> float | None:
     returned only if ``norm_below`` proves sigma_max(C)^2 <
     (1 + CERTIFY_SLACK) sigma^2, tested on C scaled by its largest entry
     modulus.  A zero or non-finite product, ``_stalled``, ITERATION_CAP
-    steps or a refused certificate end it with None.
+    steps or a refused certificate end it with None.  The iteration runs on
+    C / 2^e with 2^e the power of two above that modulus, an exact scaling
+    that keeps the norms in range.
     """
+    top = float(np.max(np.abs(c)))
+    _, e = math.frexp(top)
+    c = _times_pow2(c, -e)
+    top = math.ldexp(top, -e)
     x = np.ones(c.shape[1], dtype=np.complex128) / math.sqrt(c.shape[1])
     prev = None
     increments: list = []
@@ -283,9 +289,10 @@ def power_iteration(c: np.ndarray) -> float | None:
         if prev is not None:
             inc = abs((prev / sigma) ** 2 - 1.0)
             if inc <= RAYLEIGH_TOL:
-                scale = float(np.max(np.abs(c)))
-                bound = np.array([sigma / scale * math.sqrt(1.0 + CERTIFY_SLACK)])
-                return sigma if norm_below((c / scale)[None], bound)[0] else None
+                bound = np.array([sigma / top * math.sqrt(1.0 + CERTIFY_SLACK)])
+                if norm_below((c / top)[None], bound)[0]:
+                    return _times_pow2(sigma, e)
+                return None
             increments.append(inc)
             if _stalled(increments, RAYLEIGH_TOL):
                 return None
@@ -293,9 +300,22 @@ def power_iteration(c: np.ndarray) -> float | None:
     return None
 
 
+def _times_pow2(a, e: int):
+    """a * 2^e, exact while the results stay normal; inf where they overflow.
+
+    Two factors of about 2^(e/2) keep each factor finite for any exponent
+    of a finite double.
+    """
+    half = e // 2
+    return a * math.ldexp(1.0, half) * math.ldexp(1.0, e - half)
+
+
 def _jacobi_fallback(m: np.ndarray, index: int) -> float:
+    """Singular value ``index`` of m by Jacobi on m / 2^e, scaled back by 2^e."""
     if min(m.shape) <= JACOBI_DIM_LIMIT:
-        return float(jacobi_singular_values(m)[index])
+        _, e = math.frexp(float(np.max(np.abs(m))))
+        sigma = float(jacobi_singular_values(_times_pow2(m, -e))[index])
+        return _times_pow2(sigma, e)
     raise ConvergenceError(f"power iteration stalled at shape {m.shape}")
 
 
@@ -354,18 +374,22 @@ def sv2x2(m) -> SingularExtremes:
 def sv2x2_batch(m00, m01, m10, m11):
     """Singular values of 2x2 matrices given as aligned arrays of entries.
 
-    Returns (sigma_max, sigma_min) float arrays.  With F = sum |m_ij|^2 and
-    D = |det M|^2, sigma_max^2 = (F + sqrt(F^2 - 4 D)) / 2, the radicand
-    clamped at zero against roundoff, and sigma_min = |det M| / sigma_max,
-    which does not cancel however large sigma_max / sigma_min is.  Used by
-    the block-family scans, where millions of 2x2 blocks may be evaluated
-    per call.
+    Returns (sigma_max, sigma_min) float arrays.  With rows r1, r2 and
+    F = |r1|^2 + |r2|^2, sigma_max^2 = (F + sqrt(R)) / 2, where the
+    radicand R = F^2 - 4 |det M|^2 is summed from the rows as
+    (|r1|^2 - |r2|^2)^2 + 4 |<r1, r2>|^2, so it does not cancel when
+    sigma_max is close to sigma_min; sigma_min = |det M| / sigma_max, which
+    does not cancel however large sigma_max / sigma_min is.  Used by the
+    block-family scans, where millions of 2x2 blocks may be evaluated per
+    call.
     """
     a, b = np.asarray(m00, dtype=np.complex128), np.asarray(m01, dtype=np.complex128)
     c, d = np.asarray(m10, dtype=np.complex128), np.asarray(m11, dtype=np.complex128)
-    f = (np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2).astype(float)
-    det = np.abs(a * d - b * c).astype(float)
-    rad = np.maximum(f * f - 4.0 * det**2, 0.0)
-    hi = np.sqrt((f + np.sqrt(rad)) / 2.0)
+    top = np.abs(a) ** 2 + np.abs(b) ** 2
+    bottom = np.abs(c) ** 2 + np.abs(d) ** 2
+    inner = np.abs(a * c.conj() + b * d.conj())
+    det = np.abs(a * d - b * c)
+    rad = (top - bottom) ** 2 + 4.0 * inner**2
+    hi = np.sqrt((top + bottom + np.sqrt(rad)) / 2.0)
     lo = det / np.where(hi > 0.0, hi, 1.0)
     return hi, lo

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .operators import DenseOperator, DiagBlockFamily, ScaledOperator, TruncatedFamily
-from .resolvent import MAX_BLOCKS_DEFAULT, TAIL_TOL_DEFAULT, resolvent_power_norm
+from .resolvent import MAX_BLOCKS_DEFAULT, TAIL_TOL_DEFAULT, resolvent_power_norms
 
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
@@ -187,12 +187,10 @@ def _field_values(model, zs, n, tail_tol, max_blocks):
         max_blocks = FIELD_MAX_BLOCKS[model.block_dim]
     if max_blocks is None:
         max_blocks = MAX_BLOCKS_DEFAULT
-    return np.array([
-        resolvent_power_norm(
-            model, complex(z), n, tail_tol=tail_tol, max_blocks=max_blocks
-        ).value
-        for z in zs
-    ])
+    cells = resolvent_power_norms(
+        model, zs, n, tail_tol=tail_tol, max_blocks=max_blocks
+    )
+    return np.array([cell.value for cell in cells])
 
 
 def compute_norm_field(
@@ -205,7 +203,11 @@ def compute_norm_field(
 ) -> NormField:
     """Sample the resolvent power norm of model at every lattice point.
 
-    Each cell depends only on (model, z, n).  max_blocks bounds the tail
+    Each cell is resolvent_power_norm(model, z, n) at its lattice point,
+    bit for bit at the same tail_tol and block budget; all cells go to
+    resolvent in one call, so block families scan every point's blocks in
+    shared stacks.  Diagonal matrices, also under scaling, take the
+    distance to the nearest eigenvalue instead.  max_blocks bounds the tail
     scan for infinite families; the per-shape defaults keep full-window
     sweeps affordable while the reported values remain certified lower
     bounds.

@@ -1,14 +1,22 @@
 """Resolvent norms and resolvent-power norms for all operator models.
 
+resolvent_power_norms evaluates one model at many points z;
+resolvent_power_norm is its one-point call.
+
 The dense path is exact linear algebra on one explicit inverse
 W = (T - z)^-1 per point: ||(T - z)^-1|| = 1/sigma_min(T - z) = sigma_max(W),
 and for powers W is squared n times with rescaling and handed to
 largest_singular_value.  numkernel certifies every such value.
 
-The block-family path evaluates sup_k ||(B_k - z)^-m|| ^ (1/m) with one
-block-scan engine over 2x2 or 4x4 blocks in vectorised chunks: finite
-ranges take the exact maximum, and infinite families scan a head until a
-closed-form certificate for the tail beyond it closes the gap:
+Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
+engine that takes all points at once.  The points walk the
+operators.block_chunks schedule together; each chunk is evaluated for the
+points still active as (points x blocks) stacks of at most STACK_CAP 4x4
+matrices (16 * STACK_CAP 2x2 values), each reduced to per-point maxima at
+once.  Finite ranges (truncations, GNR defects) take the exact maximum.
+Infinite families scan a head until a closed-form certificate for the tail
+beyond it closes the gap; a point leaves the active set once its
+certificate closes, its value is inf, or the budget ends:
 
 * 2x2 shapes: for n = 0 with finite positive tail limit C, a per-kind
   algebraic criterion shows every block beyond the scan point stays
@@ -19,18 +27,21 @@ closed-form certificate for the tail beyond it closes the gap:
 * the 4x4 shape carries an explicit deviation bound from its limiting
   nilpotent resolvent.  Its head values are exact: a Cholesky positivity
   test of floor^2 I - M*M drops the blocks M whose norm cannot reach the
-  value the scan must beat, and one stacked Jacobi call evaluates the
-  rest.
+  value the point's scan must beat at the start of the chunk, and one
+  stacked Jacobi call evaluates the rest.
 
-The reported value is max(head maximum, analytic tail limit): a certified
-lower bound that is exact whenever the certificates close the gap.  The
-one-sided gap that remains is reported in the diagnostics; strict mode
-raises instead of returning an uncertified value.
+Each point's arithmetic depends on that point alone, so a value does not
+depend on the other points of the call.  The reported value is
+max(head maximum, analytic tail limit): a certified lower bound that is
+exact whenever the certificates close the gap.  The one-sided gap that
+remains is reported in the diagnostics; strict mode raises instead of
+returning an uncertified value.  Families with tail limit 0 and dense
+models are evaluated point by point.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,9 +66,10 @@ from .operators import (
 TAIL_TOL_DEFAULT = 1e-9
 MAX_BLOCKS_DEFAULT = 10**6
 SPECTRUM_CLEARANCE = 1e-10
-# 4x4 chunks are evaluated in slices of this many blocks to bound the
-# (blocks, 4, 4) stacks held at once
-FOUR_SLICE = 1 << 14
+# the most 4x4 matrices one stack of the block engine holds, for one point
+# or many; a 2x2 stack holds 16 * STACK_CAP values, one per entry of those
+# matrices
+STACK_CAP = 1 << 10
 
 MODES = ("dense_exact", "block_exact_with_tail", "scaled")
 
@@ -139,9 +151,16 @@ def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
 # --------------------------------------------------- 2x2 block head values
 
 
-def _two_block_values(family, ks: np.ndarray, z: complex, m: int) -> np.ndarray:
+def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, m: int) -> np.ndarray:
+    """(points, blocks) values ||(B_k - z)^-m||^(1/m); inf marks a singular block.
+
+    The z-dependent scalars are taken per point in Python complex
+    arithmetic, so every value is the one a single-point call computes.
+    """
     alphas = family.alpha_values(ks)
     fs = family.symbol_values(alphas)
+    z = zs[:, None]
+    zsq = np.array([w * w for w in zs.tolist()])[:, None]
     if m == 1:
         # 1/sigma_min(B - z) = sigma_max / |det| with det = z^2 - alpha f, in
         # real arithmetic.  sigma_max^2 = (F + sqrt(F^2 - 4 |det|^2)) / 2 with
@@ -149,7 +168,6 @@ def _two_block_values(family, ks: np.ndarray, z: complex, m: int) -> np.ndarray:
         # (alpha, -z) as (f^2 - alpha^2)^2 + 4 |alpha z + f conj(z)|^2, so it
         # does not cancel when sigma_max is close to sigma_min
         x, y = z.real, z.imag
-        zsq = z * z
         big = 2.0 * (x * x + y * y) + alphas * alphas + fs * fs
         det = np.hypot(alphas * fs - zsq.real, zsq.imag)
         rows = (fs - alphas) * (fs + alphas)
@@ -162,7 +180,7 @@ def _two_block_values(family, ks: np.ndarray, z: complex, m: int) -> np.ndarray:
     # so no intermediate power overflows
     p = alphas * fs
     s = np.sqrt(p)
-    q = p - z * z
+    q = p - zsq
     sing = q == 0
     qs = np.where(sing, 1.0, q)
     wp = (z + s) / qs
@@ -294,41 +312,71 @@ def _power_tail_bound(family, a: float, z: complex, m: int) -> float | None:
 # -------------------------------------------------------- block-scan engine
 
 
-def _block_values(family, ks: np.ndarray, z: complex, n: int, floor: float):
-    """Exact values of the blocks ks that may reach floor; inf marks a singular block.
+def _group_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
+    """Per point of zs, the max of its block values over ks; inf on a singular block.
 
-    2x2 values are all returned.  4x4 blocks are taken FOUR_SLICE at a
-    time; in each slice the blocks whose value provably stays below floor
-    are dropped first and the others share one Jacobi call.
+    2x2 values are all evaluated.  A 4x4 block whose value provably stays
+    below its point's floor is dropped by one positivity screen, and the
+    blocks left share one Jacobi call; a point with every block dropped
+    gets 0.
     """
     m = 1 << n
     if family.block_dim == 2:
-        return _two_block_values(family, ks, z, m)
-    if len(ks) > FOUR_SLICE:
-        return np.concatenate([
-            _block_values(family, ks[i : i + FOUR_SLICE], z, n, floor)
-            for i in range(0, len(ks), FOUR_SLICE)
-        ])
-    mats, sing = _four_resolvent_batch(family, ks, z)
-    if bool(np.any(sing)):
-        return np.array([math.inf])
+        return _two_block_values(family, ks, zs, m).max(axis=1)
+    mats, sing = _four_resolvent_batch(family, ks, zs)
     mats, logs = _batch_square_scaled(mats, n)
-    if floor > 0.0:
-        # value < floor  <=>  sigma_max(mats) < floor^m / exp(logs)
-        keep = ~norm_below(mats, np.exp(m * math.log(floor) - logs))
-        mats, logs = mats[keep], logs[keep]
-    sigma = jacobi_singular_values(mats)[:, 0]
-    return sigma ** (1.0 / m) * np.exp(logs / m)
+    # value < floor  <=>  sigma_max(mats) < floor^m / exp(logs); a zero
+    # floor gives bound 0, which drops nothing
+    lead = [m * math.log(f) if f > 0.0 else -math.inf for f in floors.tolist()]
+    keep = ~norm_below(mats, np.exp(np.repeat(lead, len(ks)) - logs))
+    vals = np.zeros(len(mats))
+    if keep.any():
+        sigma = jacobi_singular_values(mats[keep])[:, 0]
+        vals[keep] = sigma ** (1.0 / m) * np.exp(logs[keep] / m)
+    out = vals.reshape(len(zs), len(ks)).max(axis=1)
+    out[sing.any(axis=1)] = math.inf
+    return out
+
+
+def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
+    """Per point of zs, max(floor, max of its block values over ks).
+
+    The (points x blocks) pairs are evaluated in groups of at most
+    STACK_CAP 4x4 matrices or 16 * STACK_CAP 2x2 values, each reduced to
+    per-point maxima at once.  Every group screens against the floors the
+    chunk started with, so a point's value does not depend on which points
+    share its groups.
+    """
+    cap = STACK_CAP if family.block_dim == 4 else 16 * STACK_CAP
+    width = min(len(ks), cap)
+    rows = cap // width
+    best = floors.copy()
+    for i in range(0, len(zs), rows):
+        part = slice(i, i + rows)
+        for j in range(0, len(ks), width):
+            group = _group_maxima(family, ks[j : j + width], zs[part], n, floors[part])
+            best[part] = np.maximum(best[part], group)
+    return best
+
+
+def _head_maxima(family, lo: int, hi: int, zs: np.ndarray, n: int) -> np.ndarray:
+    """Exact max of the block values over lo < k <= hi at each point.
+
+    inf marks a singular block; such a point leaves the scan.
+    """
+    best = np.zeros(len(zs))
+    active = np.arange(len(zs))
+    for ks in block_chunks(lo, hi):
+        best[active] = _chunk_maxima(family, ks, zs[active], n, best[active])
+        active = active[np.isfinite(best[active])]
+        if not len(active):
+            break
+    return best
 
 
 def _head_max(family, lo: int, hi: int, z: complex, n: int) -> float:
-    """Exact max of the block values over lo < k <= hi; inf on a singular block."""
-    best = 0.0
-    for ks in block_chunks(lo, hi):
-        best = float(np.max(_block_values(family, ks, z, n, best), initial=best))
-        if math.isinf(best):
-            break
-    return best
+    """_head_maxima at the single point z."""
+    return float(_head_maxima(family, lo, hi, np.array([complex(z)]), n)[0])
 
 
 def _two_shape(family, z: complex, n: int):
@@ -348,52 +396,68 @@ def _two_shape(family, z: complex, n: int):
     return tail_limit, tail_ub
 
 
-def _family_value(
-    family, z: complex, n: int, tail_tol: float, max_blocks: int, strict: bool
-) -> ResolventValue:
-    """Certified sup of the block values of an infinite 2x2 or 4x4 family.
+def _family_values(
+    family, zs: np.ndarray, n: int, tail_tol: float, max_blocks: int, strict: bool
+) -> list:
+    """Certified sup of the block values of an infinite 2x2 or 4x4 family at each point.
 
-    The head maximum is exact; after each chunk the gap is
-    max(0, tail_ub(next weight) - reported).
+    All points walk the block_chunks schedule together.  A point's head
+    maximum is exact; after each chunk its gap is
+    max(0, tail_ub(next weight) - reported), and the point leaves the scan
+    once the gap is within tail_tol or its value is inf.  Points still open
+    when the budget ends are uncertified (strict mode raises instead).
     """
     m = 1 << n
-    if family.block_dim == 4 and z == 0 and m in (1, 2):
-        # closed forms: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| = 1/beta_k^2 < 1
-        # for every block, while the tail limit is exactly 1
-        return ResolventValue(1.0, "block_exact_with_tail", 0.0, True, k_cutoff=0)
+    mode = "block_exact_with_tail"
     shape = _two_shape if family.block_dim == 2 else _four_shape
-    tail_limit, tail_ub = shape(family, z, n)
-    reported = tail_limit
-    best_gap = math.inf
+    out = [None] * len(zs)
+    tails = [None] * len(zs)
+    for i, z in enumerate(zs.tolist()):
+        if family.block_dim == 4 and z == 0 and m in (1, 2):
+            # closed forms: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| = 1/beta_k^2 < 1
+            # for every block, while the tail limit is exactly 1
+            out[i] = ResolventValue(1.0, mode, 0.0, True, k_cutoff=0)
+        else:
+            tails[i] = shape(family, z, n)
+    active = [i for i in range(len(zs)) if out[i] is None]
+    reported = np.array([t[0] if t else 0.0 for t in tails])
+    best_gap = [math.inf] * len(zs)
     k_done = 0
     for ks in block_chunks(0, max_blocks):
+        if not active:
+            break
         k_done = int(ks[-1])
-        vals = _block_values(family, ks, z, n, reported)
-        reported = float(np.max(vals, initial=reported))
-        if math.isinf(reported):
-            return ResolventValue(
-                math.inf, "block_exact_with_tail", 0.0, True, k_cutoff=k_done
-            )
-        ub = tail_ub(float(family.alpha_values(np.array([k_done + 1]))[0]))
-        if ub is None:
-            continue
-        gap = max(0.0, ub - reported)
-        best_gap = min(best_gap, gap)
-        if gap <= tail_tol:
-            return ResolventValue(
-                reported, "block_exact_with_tail", gap, True, k_cutoff=k_done
-            )
-    if strict:
+        reported[active] = _chunk_maxima(family, ks, zs[active], n, reported[active])
+        a = float(family.alpha_values(np.array([k_done + 1]))[0])
+        still = []
+        for i in active:
+            value = float(reported[i])
+            if math.isinf(value):
+                out[i] = ResolventValue(math.inf, mode, 0.0, True, k_cutoff=k_done)
+                continue
+            ub = tails[i][1](a)
+            if ub is not None:
+                gap = max(0.0, ub - value)
+                best_gap[i] = min(best_gap[i], gap)
+                if gap <= tail_tol:
+                    out[i] = ResolventValue(value, mode, gap, True, k_cutoff=k_done)
+                    continue
+            still.append(i)
+        active = still
+    if strict and active:
         dim = family.block_dim
+        gap = best_gap[active[0]]
         raise TailCertificationError(
             f"{dim}x{dim} tail not pinned within {tail_tol:g} after {k_done} "
-            f"blocks (achieved gap {best_gap:g})",
-            achieved_gap=best_gap,
+            f"blocks (achieved gap {gap:g})",
+            achieved_gap=gap,
             blocks_scanned=k_done,
         )
-    return ResolventValue(
-        reported, "block_exact_with_tail", best_gap, False, k_cutoff=k_done
-    )
+    for i in active:
+        out[i] = ResolventValue(
+            float(reported[i]), mode, best_gap[i], False, k_cutoff=k_done
+        )
+    return out
 
 
 def _inverse_family_divergence(family, z: complex):
@@ -451,8 +515,6 @@ def _inverse_family_value(
         return ResolventValue(
             head, "block_exact_with_tail", math.inf, False, k_cutoff=max_blocks
         )
-    if family.symbol.kind != "inverse":
-        return _family_value(family, z, n, tail_tol, max_blocks, strict)
     # powers of the inverse-symbol family: (B - z)^-m = [A' I + D' B] with
     # scalars from w+- = 1/(1-z), -1/(1+z); the off-diagonal carries
     # D' alpha_k, unbounded unless D' vanishes (m even, z = 0)
@@ -474,38 +536,41 @@ def _inverse_family_value(
 # --------------------------------------------------------------- 4x4 blocks
 
 
-def _four_resolvent_batch(family, ks: np.ndarray, z: complex):
-    """Stacked (B_k - z)^-1 matrices; returns (mats, singular_mask)."""
+def _four_resolvent_batch(family, ks: np.ndarray, zs: np.ndarray):
+    """Stacked (B_k - z)^-1 over points x blocks; returns (mats, singular_mask).
+
+    mats is (points * blocks, 4, 4), point-major; the mask is (points, blocks).
+    """
     alphas = family.alpha_values(ks)
     betas = family.symbol_values(alphas)
     p = alphas * betas
-    q = p * p - z**4
+    powers = np.array([(z, z * z, z**3, z**4) for z in zs.tolist()]).reshape(-1, 4)
+    z1, z2, z3, z4 = (powers[:, i, None] for i in range(4))
+    q = p * p - z4
     sing = q == 0
     qs = np.where(sing, 1.0, q)
-    nblk = len(ks)
-    r = np.zeros((nblk, 4, 4), dtype=np.complex128)
-    z1, z2, z3 = z, z * z, z**3
+    r = np.zeros(sing.shape + (4, 4), dtype=np.complex128)
     a2b = alphas * alphas * betas
     ab2 = alphas * betas * betas
     ab = alphas * betas
-    r[:, 3, 0] = a2b
-    r[:, 1, 0] = z1 * alphas * alphas
-    r[:, 2, 0] = z2 * alphas
-    r[:, 0, 0] = z3
-    r[:, 2, 1] = ab2
-    r[:, 0, 1] = z1 * betas * betas
-    r[:, 3, 1] = z2 * betas
-    r[:, 1, 1] = z3
-    r[:, 0, 2] = ab2
-    r[:, 3, 2] = z1 * ab
-    r[:, 1, 2] = z2 * alphas
-    r[:, 2, 2] = z3
-    r[:, 1, 3] = a2b
-    r[:, 2, 3] = z1 * ab
-    r[:, 0, 3] = z2 * betas
-    r[:, 3, 3] = z3
-    r /= qs[:, None, None]
-    return r, sing
+    r[..., 3, 0] = a2b
+    r[..., 1, 0] = z1 * alphas * alphas
+    r[..., 2, 0] = z2 * alphas
+    r[..., 0, 0] = z3
+    r[..., 2, 1] = ab2
+    r[..., 0, 1] = z1 * betas * betas
+    r[..., 3, 1] = z2 * betas
+    r[..., 1, 1] = z3
+    r[..., 0, 2] = ab2
+    r[..., 3, 2] = z1 * ab
+    r[..., 1, 2] = z2 * alphas
+    r[..., 2, 2] = z3
+    r[..., 1, 3] = a2b
+    r[..., 2, 3] = z1 * ab
+    r[..., 0, 3] = z2 * betas
+    r[..., 3, 3] = z3
+    r /= qs[..., None, None]
+    return r.reshape(-1, 4, 4), sing
 
 
 def _batch_square_scaled(mats: np.ndarray, n: int):
@@ -584,37 +649,64 @@ def resolvent_power_norm(
     strict: bool = False,
 ) -> ResolventValue:
     """||(T - z)^-2^n|| ^ (1/2^n); n = 0 is the plain resolvent norm."""
+    return resolvent_power_norms(
+        model, [z], n, tail_tol=tail_tol, max_blocks=max_blocks, strict=strict
+    )[0]
+
+
+def resolvent_power_norms(
+    model,
+    zs,
+    n: int,
+    *,
+    tail_tol: float = TAIL_TOL_DEFAULT,
+    max_blocks: int = MAX_BLOCKS_DEFAULT,
+    strict: bool = False,
+) -> list:
+    """resolvent_power_norm at every point of zs, as a list of ResolventValues.
+
+    Block families and their truncations scan all points in one block
+    engine pass; each value is the one a single-point call gives.  Dense
+    models and families with tail limit 0 are evaluated point by point.
+    strict raises on the first point whose tail stays open.
+    """
     if n < 0:
         raise DomainError("power index n must be nonnegative")
-    z = complex(z)
+    zs = np.asarray(zs, dtype=np.complex128).ravel()
     if isinstance(model, ScaledOperator):
         factor = complex(model.factor)
-        inner = resolvent_power_norm(
+        s = abs(factor)
+        inner = resolvent_power_norms(
             model.inner,
-            z / factor,
+            zs / factor,
             n,
             tail_tol=tail_tol,
             max_blocks=max_blocks,
             strict=strict,
         )
-        s = abs(factor)
-        return ResolventValue(
-            inner.value / s,
-            "scaled",
-            tail_gap=inner.tail_gap / s,
-            certified=inner.certified,
-            k_cutoff=inner.k_cutoff,
-        )
+        return [
+            replace(rv, value=rv.value / s, mode="scaled", tail_gap=rv.tail_gap / s)
+            for rv in inner
+        ]
     if isinstance(model, DenseOperator):
-        return ResolventValue(_dense_power_norm(model.matrix, z, n), "dense_exact")
+        return [
+            ResolventValue(_dense_power_norm(model.matrix, z, n), "dense_exact")
+            for z in zs.tolist()
+        ]
     if isinstance(model, TruncatedFamily):
         total = model.n_blocks
-        value = _head_max(model.family, 0, total, z, n)
-        return ResolventValue(value, "dense_exact", 0.0, True, k_cutoff=total)
+        values = _head_maxima(model.family, 0, total, zs, n)
+        return [
+            ResolventValue(v, "dense_exact", 0.0, True, k_cutoff=total)
+            for v in values.tolist()
+        ]
     if isinstance(model, DiagBlockFamily):
-        if model.tail_C == 0.0:
-            return _inverse_family_value(model, z, n, tail_tol, max_blocks, strict)
-        return _family_value(model, z, n, tail_tol, max_blocks, strict)
+        if model.tail_C == 0.0 and (n == 0 or model.symbol.kind == "inverse"):
+            return [
+                _inverse_family_value(model, z, n, tail_tol, max_blocks, strict)
+                for z in zs.tolist()
+            ]
+        return _family_values(model, zs, n, tail_tol, max_blocks, strict)
     raise DomainError(f"unknown operator model {type(model).__name__}")
 
 

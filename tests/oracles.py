@@ -55,6 +55,22 @@ def block_family_power_norm_oracle(family, ks, z: complex, n: int = 0) -> float:
     return max(resolvent_power_norm_oracle(family.block(int(k)), z, n) for k in ks)
 
 
+def two_block_power_norms_oracle(blocks, z: complex, n: int = 0) -> np.ndarray:
+    """||(B - z)^-2^n||^(1 / 2^n) for each block of a (b, 2, 2) stack.
+
+    (B - z)^-1 is the adjugate over numpy's determinant, accurate entry by
+    entry at any weight; its powers and their largest singular values come
+    from numpy's matmul and SVD.
+    """
+    shifted = np.asarray(blocks, dtype=np.complex128) - z * np.eye(2)
+    adj = np.empty_like(shifted)
+    adj[:, 0, 0], adj[:, 1, 1] = shifted[:, 1, 1], shifted[:, 0, 0]
+    adj[:, 0, 1], adj[:, 1, 0] = -shifted[:, 0, 1], -shifted[:, 1, 0]
+    det = np.linalg.det(shifted)
+    power = np.linalg.matrix_power(adj / det[:, None, None], 2**n)
+    return np.linalg.svd(power, compute_uv=False)[:, 0] ** (1.0 / 2**n)
+
+
 def eigenvalues_oracle(a) -> np.ndarray:
     return np.linalg.eigvals(np.asarray(a, dtype=np.complex128))
 

@@ -129,6 +129,12 @@ class TestSmallestSingularValue:
         a = np.diag([1e-8, 1.0]).astype(complex)
         assert smallest_singular_value(a) == pytest.approx(1e-8, rel=1e-9)
 
+    def test_value_near_underflow(self):
+        # the inverse has norm 1e160, whose square overflows unless the
+        # iteration is scaled; unscaled, Jacobi on A gave 9.99994433575849e-161
+        a = np.diag([1e-160, 2.0, 3.0]).astype(complex)
+        assert smallest_singular_value(a) == pytest.approx(1e-160, rel=1e-12, abs=0.0)
+
 
 class TestLargestSingularValue:
     def test_against_oracle_random(self):
@@ -158,6 +164,11 @@ class TestLargestSingularValue:
     def test_repeated_top_value(self):
         a = np.diag([2.0, 2.0, 1.0]).astype(complex)
         assert largest_singular_value(a) == pytest.approx(2.0, rel=1e-10)
+
+    def test_value_near_overflow(self):
+        # squared norms of 1e200 overflow unless the matrix is scaled first
+        a = np.diag([1e200, 2e200, 3.0]).astype(complex)
+        assert largest_singular_value(a) == pytest.approx(2e200, rel=1e-12)
 
 
 class TestJacobi:

@@ -14,6 +14,7 @@ from oracles import (
     singular_values_oracle,
     smallest_sv_oracle,
     spectral_norm_oracle,
+    two_block_power_norms_oracle,
 )
 from pseudolab import (
     AlphaRule,
@@ -21,6 +22,7 @@ from pseudolab import (
     DenseOperator,
     DiagBlockFamily,
     DomainError,
+    GridRegion,
     ResolventValue,
     ScalingSequence,
     SingularityError,
@@ -30,6 +32,7 @@ from pseudolab import (
     assemble_truncation,
     boundedness_probe,
     build_named_example,
+    compute_norm_field,
     expansion_residual,
     gnr_defect,
     power_diff_bound_check,
@@ -397,6 +400,10 @@ class TestTwoByTwoValues:
         re=st.floats(-3.0, 3.0),
         im=st.floats(-3.0, 3.0),
     )
+    # B_1 - z = [[-z, 1], [1, -z]]: the clamped F^2 - 4D radicand gave
+    # sigma_max 1.0000000074505806 at z = 1e-8 and exactly 1.0 at z = 1e-10
+    @example(SymbolSpec("inverse"), TWO_ALPHAS[1], 1e-8, 0.0)
+    @example(SymbolSpec("inverse"), TWO_ALPHAS[1], 1e-10, 0.0)
     def test_property_matches_numpy_svd(self, symbol, alpha, re, im):
         rule, k_max = alpha
         try:
@@ -405,7 +412,7 @@ class TestTwoByTwoValues:
             assume(False)
         z = complex(re, im)
         ks = np.unique(np.geomspace(1, k_max, 64).astype(np.int64))
-        got = resolvent._two_block_values(family, ks, z, 1)
+        got = resolvent._two_block_values(family, ks, np.array([z]), 1)[0]
         eps = np.finfo(float).eps
         for k, value in zip(ks, got):
             block = family.block(int(k)) - z * np.eye(2)
@@ -415,6 +422,7 @@ class TestTwoByTwoValues:
             # numpy's SVD is backward stable: sigma_min to within u sigma_max
             assert abs(1.0 / value - sv[1]) <= 8.0 * eps * sv[0]
             hi, lo = sv2x2_batch(block[0, 0], block[0, 1], block[1, 0], block[1, 1])
+            assert hi == pytest.approx(sv[0], rel=1e-13)
             assert lo * hi == pytest.approx(abs(np.linalg.det(block)), rel=1e-13)
 
 
@@ -468,7 +476,7 @@ class TestFourByFourHeads:
     )
     def test_screen_drops_only_blocks_below_their_bound(self, n, re, im, first, spread):
         ks = np.arange(first, first + 32)
-        mats, sing = _four_resolvent_batch(REMARK, ks, complex(re, im))
+        mats, sing = _four_resolvent_batch(REMARK, ks, np.array([complex(re, im)]))
         assume(not sing.any())
         mats, _ = _batch_square_scaled(mats, n)
         sigma = np.array([singular_values_oracle(mat)[0] for mat in mats])
@@ -495,6 +503,154 @@ class TestTailCertification:
     def test_decay_family_certifies_exactly(self):
         got = resolvent_norm(DECAY, 1.0 + 0.5j)
         assert got.certified and got.tail_gap == 0.0
+
+
+def _checked_cells(model, z: complex, step: float, n: int, budget: int):
+    """ResolventValues of the 2x2 lattice cornered at z, one point at a time,
+    after checking that compute_norm_field reports each value bit for bit."""
+    region = GridRegion(z.real, z.real + step, z.imag, z.imag + step, 2, 2)
+    field = compute_norm_field(model, region, n, max_blocks=budget)
+    cells = []
+    for (i, j), zc in np.ndenumerate(region.lattice()):
+        rv = resolvent_power_norm(model, zc, n, max_blocks=budget)
+        assert field.values[i, j] == rv.value
+        cells.append((complex(zc), rv))
+    return cells
+
+
+def _beyond(k_cutoff: int, k_max: int, count: int) -> np.ndarray:
+    """Block indices in (k_cutoff, k_max]: the next count, then a geometric sample."""
+    near = np.arange(k_cutoff + 1, min(k_cutoff + count, k_max) + 1)
+    far = np.geomspace(k_cutoff + 1, k_max, max(count // 4, 2)).astype(np.int64)
+    return np.unique(np.concatenate([near, far]))
+
+
+# the oracles agree with the block values to about 2.4e-13 at weights of 10^7
+SOUND_SLACK = 1e-11
+
+
+class TestCertifiedValuesAreSound:
+    """A certified value leaves no block beyond k_cutoff above value + tail_gap."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        symbol=st.sampled_from(TWO_SYMBOLS),
+        alpha=st.sampled_from(TWO_ALPHAS),
+        n=st.integers(0, 2),
+        re=st.floats(-3.0, 3.0),
+        im=st.floats(-3.0, 3.0),
+        budget=st.sampled_from([64, 320, 3000]),
+    )
+    def test_two_by_two(self, symbol, alpha, n, re, im, budget):
+        rule, k_max = alpha
+        try:
+            family = DiagBlockFamily(symbol=symbol, alpha=rule)
+        except ConfigurationError:
+            assume(False)
+        for z, rv in _checked_cells(family, complex(re, im), 0.3, n, budget):
+            if not (rv.certified and math.isfinite(rv.value)):
+                continue
+            ks = _beyond(rv.k_cutoff, k_max, 2000)
+            alphas = family.alpha_values(ks)
+            blocks = np.zeros((len(ks), 2, 2), dtype=complex)
+            blocks[:, 0, 1] = family.symbol_values(alphas)
+            blocks[:, 1, 0] = alphas
+            deep = two_block_power_norms_oracle(blocks, z, n).max()
+            assert deep <= (rv.value + rv.tail_gap) * (1.0 + SOUND_SLACK)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        alpha=st.sampled_from(TWO_ALPHAS),
+        n=st.integers(0, 2),
+        re=st.floats(-1.5, 1.5),
+        im=st.floats(-1.5, 1.5),
+        budget=st.sampled_from([64, 256, 1024]),
+    )
+    @example(TWO_ALPHAS[0], 0, -0.15, -0.15, 256)  # z = 0 takes the closed forms
+    def test_four_by_four(self, alpha, n, re, im, budget):
+        rule, k_max = alpha
+        family = DiagBlockFamily(SymbolSpec("one_plus_inv"), rule, "four_by_four")
+        for z, rv in _checked_cells(family, complex(re, im), 0.15, n, budget):
+            if not (rv.certified and math.isfinite(rv.value)):
+                continue
+            ks = _beyond(rv.k_cutoff, k_max, 48)
+            deep = block_family_power_norm_oracle(family, ks, z, n)
+            assert deep <= (rv.value + rv.tail_gap) * (1.0 + SOUND_SLACK)
+
+
+# shargorodsky and remark_n1 have a block eigenvalue at z = 2 (block k = 2)
+ENGINE_MODELS = {
+    "shargorodsky": SHARG,
+    "empty_resolvent": EMPTY,
+    "nonconstant": NONCONST,
+    "decay": DECAY,
+    "remark_n1": REMARK,
+    "truncated": TruncatedFamily(SHARG, 700),
+    "scaled": scale_operator(REMARK, 1.0 - 0.5j),
+}
+
+
+class TestFieldEngine:
+    """compute_norm_field is the per-point route, bit for bit, in shared stacks."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(ENGINE_MODELS)),
+        n=st.integers(0, 2),
+        corner=st.tuples(st.integers(-4, 0), st.integers(-4, 0)),
+        step=st.sampled_from([0.25, 0.5, 1.0]),
+        budget=st.sampled_from([64, 400, 3000]),
+    )
+    @example("shargorodsky", 0, (-2, -2), 1.0, 3000)
+    @example("remark_n1", 1, (-2, -2), 1.0, 400)
+    @example("shargorodsky", 1, (-4, -4), 1.0, 3000)
+    @example("remark_n1", 0, (-2, -2), 0.25, 3000)
+    def test_field_cells_equal_point_values(self, name, n, corner, step, budget):
+        # every window holds z = 0; step 1 with corner >= -2 also holds z = 2
+        model = ENGINE_MODELS[name]
+        re0, im0 = corner[0] * step, corner[1] * step
+        region = GridRegion(re0, re0 + 4 * step, im0, im0 + 4 * step, 5, 5)
+        field = compute_norm_field(model, region, n, max_blocks=budget)
+        zs = region.lattice().ravel()
+        batch = resolvent.resolvent_power_norms(model, zs, n, max_blocks=budget)
+        for z, cell, rv in zip(zs, field.values.ravel(), batch):
+            one = resolvent_power_norm(model, z, n, max_blocks=budget)
+            assert rv == one
+            assert cell == one.value
+
+    def test_window_closes_in_several_chunks(self):
+        # inf cells, cells closed in the first chunk and cells open at the
+        # end of the budget share one engine pass
+        zs = GridRegion(-2.0, 2.0, -2.0, 2.0, 9, 9).lattice().ravel()
+        batch = resolvent.resolvent_power_norms(REMARK, zs, 1, max_blocks=3000)
+        assert len({rv.k_cutoff for rv in batch}) >= 4
+        assert any(math.isinf(rv.value) for rv in batch)
+        assert not all(rv.certified for rv in batch)
+        for z, rv in zip(zs, batch):
+            assert rv == resolvent_power_norm(REMARK, z, 1, max_blocks=3000)
+
+    def test_stacks_respect_the_cap(self, monkeypatch):
+        four, two = [], []
+
+        def record(name, sizes, entries):
+            kernel = getattr(resolvent, name)
+
+            def wrapped(*args):
+                sizes.append(np.size(args[0]) // entries)
+                return kernel(*args)
+
+            monkeypatch.setattr(resolvent, name, wrapped)
+
+        record("jacobi_singular_values", four, 16)
+        record("norm_below", four, 16)
+        record("sv2x2_batch", two, 1)
+        region = GridRegion(-1.0, 1.0, -1.0, 1.0, 11, 11)
+        compute_norm_field(REMARK, region, 0, max_blocks=4096)
+        resolvent_power_norm(REMARK, 0.4, 1, max_blocks=20000)
+        compute_norm_field(SHARG, region, 1, max_blocks=20000)
+        resolvent_power_norm(TruncatedFamily(SHARG, 10**5), 0.3 + 3j, 1)
+        assert max(four) == resolvent.STACK_CAP
+        assert max(two) == 16 * resolvent.STACK_CAP
 
 
 class TestGnrDefect:
