@@ -129,6 +129,8 @@ def _read_matrix_csv(path: str) -> DenseOperator:
                 vals = [float(t) for t in rec]
             except ValueError:
                 raise ConfigurationError(f"non-numeric entry in matrix file {path!r}") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise ConfigurationError(f"non-finite entry in matrix file {path!r}")
             if len(vals) % 2:
                 raise ConfigurationError("matrix rows need re,im pairs (even column count)")
             rows.append([complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)])

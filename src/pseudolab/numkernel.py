@@ -3,9 +3,10 @@
 Everything downstream reduces to four operations on square complex
 matrices:
 
-* ``solve_factored``          LU with partial pivoting, multiple right-hand sides
-* ``smallest_singular_value`` 1 / sigma_max of the explicit inverse
+* ``explicit_inverse``        A^-1 by one LU with partial pivoting and one
+                              multi-column solve (``solve_factored``)
 * ``largest_singular_value``  power iteration on A*A
+* ``smallest_singular_value`` 1 / largest_singular_value of the explicit inverse
 * ``sv2x2``                   closed-form singular values of a 2x2 block
 
 plus ``jacobi_singular_values``, all singular values of one matrix or of
@@ -310,36 +311,41 @@ def _times_pow2(a, e: int):
     return a * math.ldexp(1.0, half) * math.ldexp(1.0, e - half)
 
 
-def _jacobi_fallback(m: np.ndarray, index: int) -> float:
-    """Singular value ``index`` of m by Jacobi on m / 2^e, scaled back by 2^e."""
+def _jacobi_fallback(m: np.ndarray) -> float:
+    """sigma_max(m) by Jacobi on m / 2^e, scaled back by 2^e."""
     if min(m.shape) <= JACOBI_DIM_LIMIT:
         _, e = math.frexp(float(np.max(np.abs(m))))
-        sigma = float(jacobi_singular_values(_times_pow2(m, -e))[index])
+        sigma = float(jacobi_singular_values(_times_pow2(m, -e))[0])
         return _times_pow2(sigma, e)
     raise ConvergenceError(f"power iteration stalled at shape {m.shape}")
+
+
+def explicit_inverse(a) -> np.ndarray | None:
+    """A^-1 of a square matrix by one LU and one multi-column solve.
+
+    None when the factorisation detects singularity or an entry of the
+    inverse overflows.
+    """
+    m = as_square_matrix(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            w = solve_factored(m, np.eye(m.shape[0], dtype=np.complex128))
+        except SingularMatrixError:
+            return None
+    return w if np.all(np.isfinite(w.view(np.float64))) else None
 
 
 def smallest_singular_value(a) -> float:
     """Smallest singular value of a square complex matrix.
 
-    1 / sigma_max(W) for the explicit inverse W = A^-1 (one LU and one
-    multi-column solve), by ``power_iteration`` with C = W*; the Jacobi
-    fallback runs on A itself.  Returns exactly 0.0 when factorisation
-    detects singularity.
+    1 / largest_singular_value(W) for the explicit inverse W = A^-1.
+    Returns exactly 0.0 when A is singular or W overflows.
     """
     m = as_square_matrix(a)
     if m.shape[0] == 1:
         return abs(complex(m[0, 0]))
-    try:
-        w = solve_factored(m, np.eye(m.shape[0], dtype=np.complex128))
-    except SingularMatrixError:
-        return 0.0
-    # W.T = conj(W*): from the real start vector its iterates are the
-    # conjugates of those of W*, and W is held once
-    sigma = power_iteration(w.T)
-    if sigma is None:
-        return _jacobi_fallback(m, -1)
-    return 1.0 / sigma
+    w = explicit_inverse(m)
+    return 0.0 if w is None else 1.0 / largest_singular_value(w)
 
 
 def largest_singular_value(a) -> float:
@@ -356,7 +362,7 @@ def largest_singular_value(a) -> float:
         return 0.0
     sigma = power_iteration(m)
     if sigma is None:
-        return _jacobi_fallback(m, 0)
+        return _jacobi_fallback(m)
     return sigma
 
 

@@ -4,9 +4,13 @@ resolvent_power_norms evaluates one model at many points z;
 resolvent_power_norm is its one-point call.
 
 The dense path is exact linear algebra on one explicit inverse
-W = (T - z)^-1 per point: ||(T - z)^-1|| = 1/sigma_min(T - z) = sigma_max(W),
-and for powers W is squared n times with rescaling and handed to
-largest_singular_value.  numkernel certifies every such value.
+W = (T - z)^-1 per point, one LU and one multi-column solve: every dense
+norm is sigma_max(W^2^n)^(1/2^n), with n = 0 the resolvent norm
+1/sigma_min(T - z).  W is squared n times with rescaling by
+_batch_square_scaled, the squaring the 4x4 block stacks use, and handed
+to largest_singular_value, which certifies the value.  The clearance
+checks of gnr_defect, expansion_residual and power_diff_bound_check read
+sigma_min(T - z) = 1/sigma_max(W) off the inverse they go on to use.
 
 Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
 engine that takes all points at once.  The points walk the
@@ -47,12 +51,10 @@ import numpy as np
 
 from .errors import DomainError, SingularityError, TailCertificationError
 from .numkernel import (
-    SingularMatrixError,
+    explicit_inverse,
     jacobi_singular_values,
     largest_singular_value,
     norm_below,
-    smallest_singular_value,
-    solve_factored,
     sv2x2_batch,
 )
 from .operators import (
@@ -125,27 +127,15 @@ class PowerDiffBound:
 
 
 def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
-    """||(T - z)^-2^n|| ^ (1/2^n) from the explicit inverse squared n times."""
-    eye = np.eye(matrix.shape[0], dtype=np.complex128)
-    if n == 0:
-        smin = smallest_singular_value(matrix - z * eye)
-        return math.inf if smin == 0.0 else 1.0 / smin
-    try:
-        w = solve_factored(matrix - z * eye, eye)
-    except SingularMatrixError:
+    """||(T - z)^-2^n|| ^ (1/2^n) = sigma_max(W^2^n) ^ (1/2^n), W = (T - z)^-1."""
+    w = explicit_inverse(matrix - z * np.eye(matrix.shape[0]))
+    if w is None:
         return math.inf
-    # repeated squaring with per-step rescaling, so no power overflows
-    logscale = 0.0
-    for _ in range(n):
-        w = w @ w
-        logscale *= 2.0
-        s = float(np.max(np.abs(w)))
-        if not 0.0 < s < math.inf:
-            return math.inf
-        w /= s
-        logscale += math.log(s)
+    mats, logs = _batch_square_scaled(w[None], n)
+    if math.isinf(logs[0]):
+        return math.inf
     m = 1 << n
-    return largest_singular_value(w) ** (1.0 / m) * math.exp(logscale / m)
+    return largest_singular_value(mats[0]) ** (1.0 / m) * math.exp(logs[0] / m)
 
 
 # --------------------------------------------------- 2x2 block head values
@@ -574,16 +564,22 @@ def _four_resolvent_batch(family, ks: np.ndarray, zs: np.ndarray):
 
 
 def _batch_square_scaled(mats: np.ndarray, n: int):
-    """mats^(2^n) with per-block rescaling; returns (scaled, logscale)."""
+    """A stack (b, d, d) raised to the power 2^n by repeated squaring.
+
+    Each square is divided by its largest entry modulus s, so no power
+    overflows; returns (scaled, logscale) with power = scaled * e^logscale.
+    A zero or non-finite s makes that matrix's logscale +inf.
+    """
     w = mats
     logs = np.zeros(mats.shape[0])
-    for _ in range(n):
-        w = np.einsum("bij,bjk->bik", w, w)
-        logs *= 2.0
-        s = np.max(np.abs(w), axis=(1, 2))
-        safe = np.where(s > 0.0, s, 1.0)
-        w = w / safe[:, None, None]
-        logs += np.log(safe)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            w = w @ w
+            s = np.max(np.abs(w), axis=(1, 2))
+            ok = (s > 0.0) & (s < math.inf)
+            safe = np.where(ok, s, 1.0)
+            w = w / safe[:, None, None]
+            logs = np.where(ok, 2.0 * logs + np.log(safe), math.inf)
     return w, logs
 
 
@@ -722,15 +718,6 @@ def _dense_matrix_of(model) -> np.ndarray:
     )
 
 
-def _clearance_or_raise(matrix: np.ndarray, z: complex, label: str) -> None:
-    d = smallest_singular_value(matrix - z * np.eye(matrix.shape[0]))
-    if not d > SPECTRUM_CLEARANCE:
-        raise SingularityError(
-            f"{z} is numerically on the spectrum of {label} (clearance {d:.3e})",
-            which=label,
-        )
-
-
 def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
     """||R_k(anchor) P_k - R_ref(anchor) P|| for the k-th sequence term.
 
@@ -756,20 +743,13 @@ def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
                 which=f"truncation N={n_ref}",
             )
         return 0.0 if k >= n_ref else rest
-    term = _dense_matrix_of(seq.term(k))
-    ref = _dense_matrix_of(seq.limit_model())
-    _clearance_or_raise(term, lam, f"term k={k}")
-    _clearance_or_raise(ref, lam, "limit")
-    dim = max(term.shape[0], ref.shape[0])
-    r_term = np.zeros((dim, dim), dtype=np.complex128)
-    r_ref = np.zeros((dim, dim), dtype=np.complex128)
-    eye_t = np.eye(term.shape[0], dtype=np.complex128)
-    eye_r = np.eye(ref.shape[0], dtype=np.complex128)
-    r_term[: term.shape[0], : term.shape[0]] = solve_factored(
-        term - lam * eye_t, eye_t
-    )
-    r_ref[: ref.shape[0], : ref.shape[0]] = solve_factored(ref - lam * eye_r, eye_r)
-    return largest_singular_value(r_term - r_ref)
+    w_term, _ = _inverse_of(_dense_matrix_of(seq.term(k)), lam, f"term k={k}")
+    w_ref, _ = _inverse_of(_dense_matrix_of(seq.limit_model()), lam, "limit")
+    dim = max(len(w_term), len(w_ref))
+    diff = np.zeros((dim, dim), dtype=np.complex128)
+    diff[: len(w_term), : len(w_term)] = w_term
+    diff[: len(w_ref), : len(w_ref)] -= w_ref
+    return largest_singular_value(diff)
 
 
 def _raw_power(value: float, m: int) -> float:
@@ -807,11 +787,20 @@ def boundedness_probe(seq, z: complex, ks, n: int = 0) -> BoundednessProbe:
     )
 
 
-def _inverse_of(matrix: np.ndarray, z: complex, label: str) -> np.ndarray:
-    _clearance_or_raise(matrix, z, label)
-    dim = matrix.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    return solve_factored(matrix - z * eye, eye)
+def _inverse_of(matrix: np.ndarray, z: complex, label: str):
+    """(W, sigma_max(W)) for W = (matrix - z)^-1.
+
+    Raises SingularityError unless the clearance 1 / sigma_max(W) =
+    sigma_min(matrix - z) exceeds SPECTRUM_CLEARANCE.
+    """
+    w = explicit_inverse(matrix - z * np.eye(matrix.shape[0]))
+    sigma = math.inf if w is None else largest_singular_value(w)
+    if not 1.0 / sigma > SPECTRUM_CLEARANCE:
+        raise SingularityError(
+            f"{z} is numerically on the spectrum of {label} (clearance {1.0 / sigma:.3e})",
+            which=label,
+        )
+    return w, sigma
 
 
 def _mat_power(a: np.ndarray, m: int) -> np.ndarray:
@@ -839,8 +828,8 @@ def expansion_residual(op, lam: complex, lam0: complex, l: int) -> float:
         raise DomainError("expansion needs l >= 2")
     matrix = _dense_matrix_of(op)
     lam, lam0 = complex(lam), complex(lam0)
-    r = _inverse_of(matrix, lam, "the operator at lam")
-    r0 = _inverse_of(matrix, lam0, "the operator at lam0")
+    r, _ = _inverse_of(matrix, lam, "the operator at lam")
+    r0, _ = _inverse_of(matrix, lam0, "the operator at lam0")
     a = lam - lam0
     dim = matrix.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
@@ -859,9 +848,8 @@ def power_diff_bound_check(op, lam_k: complex, nu: complex, n: int) -> PowerDiff
     """Compare ||R(nu)^2^n - R(lam_k)^2^n|| against its binomial bound."""
     matrix = _dense_matrix_of(op)
     lam_k, nu = complex(lam_k), complex(nu)
-    r_lam = _inverse_of(matrix, lam_k, "the operator at lam_k")
-    r_nu = _inverse_of(matrix, nu, "the operator at nu")
-    c = largest_singular_value(r_lam)
+    r_lam, c = _inverse_of(matrix, lam_k, "the operator at lam_k")
+    r_nu, _ = _inverse_of(matrix, nu, "the operator at nu")
     d = abs(nu - lam_k)
     if d * c >= 1.0:
         raise DomainError(

@@ -120,6 +120,15 @@ class TestExitCodeMatrix:
         assert run(["field", "--model", str(p),
                     "--region", "0,1,0,1", "--nx", "3", "--ny", "3"]) == 2
 
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_matrix_entry(self, tmp_path, capsys, entry):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"{entry},0,1,0\n0,0,1,0\n")
+        assert run(["field", "--model", str(p),
+                    "--region", "0,1,0,1", "--nx", "2", "--ny", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite entry" in err and str(p) in err
+
     def test_odd_column_matrix_file(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1,0,2\n")
@@ -141,14 +150,14 @@ class TestExitCodeMatrix:
 
     def test_numerical_failure_is_three(self, tmp_path, capsys, monkeypatch):
         def stall(a):
-            raise ConvergenceError("inverse iteration stalled at dimension 2")
+            raise ConvergenceError("power iteration stalled at shape (2, 2)")
 
-        monkeypatch.setattr(resolvent, "smallest_singular_value", stall)
+        monkeypatch.setattr(resolvent, "largest_singular_value", stall)
         p = tmp_path / "jordan.csv"  # not diagonal, so the dense kernel runs
         p.write_text("1,0,1,0\n0,0,1,0\n")
         assert run(["field", "--model", str(p),
                     "--region", "0,0.1,0,0.1", "--nx", "2", "--ny", "2"]) == 3
-        assert capsys.readouterr().err.startswith("error: inverse iteration stalled")
+        assert capsys.readouterr().err.startswith("error: power iteration stalled")
 
 
 class TestStudies:

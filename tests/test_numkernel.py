@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pseudolab import numkernel
 from pseudolab.numkernel import (
     DimensionError,
     SingularExtremes,
@@ -132,6 +133,13 @@ class TestSmallestSingularValue:
     def test_value_near_underflow(self):
         # the inverse has norm 1e160, whose square overflows unless the
         # iteration is scaled; unscaled, Jacobi on A gave 9.99994433575849e-161
+        a = np.diag([1e-160, 2.0, 3.0]).astype(complex)
+        assert smallest_singular_value(a) == pytest.approx(1e-160, rel=1e-12, abs=0.0)
+
+    def test_fallback_keeps_tiny_values(self, monkeypatch):
+        # the Jacobi fallback runs on the inverse, whose top value is 1e160;
+        # on A itself the column of size 1e-160 has a subnormal squared norm
+        monkeypatch.setattr(numkernel, "power_iteration", lambda c: None)
         a = np.diag([1e-160, 2.0, 3.0]).astype(complex)
         assert smallest_singular_value(a) == pytest.approx(1e-160, rel=1e-12, abs=0.0)
 

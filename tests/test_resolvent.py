@@ -1,5 +1,6 @@
 """Resolvent and resolvent-power norms: frozen values, invariants, errors."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from pseudolab import (
     resolvent_power_norm,
     scale_operator,
 )
-from pseudolab import resolvent
+from pseudolab import numkernel, resolvent
 from pseudolab.numkernel import (
     largest_singular_value,
     norm_below,
@@ -89,6 +90,44 @@ class TestDensePath:
         got = resolvent_norm(TruncatedFamily(SHARG, 200), 0.0)
         assert got.mode == "dense_exact"
         assert abs(got.value - 201.0 / 202.0) <= 1e-12
+
+    def test_overflowing_inverse(self):
+        # the LU pivots clear the singularity floor, but W holds -inf
+        a = np.array([[1.5e-300, 1.0], [0.0, 1e-10]], dtype=complex)
+        model = DenseOperator(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (0, 1):
+                assert resolvent_power_norm(model, 0.0, n).value == math.inf
+            assert smallest_singular_value(a) == 0.0
+            with pytest.raises(SingularityError):
+                expansion_residual(model, 0.0, 1.0, 2)
+            with pytest.raises(SingularityError):
+                power_diff_bound_check(model, 0.0, 1e-3, 1)
+
+    def test_one_factorization_per_shifted_matrix(self, monkeypatch):
+        calls = []
+        lu_factor = numkernel.lu_factor
+
+        def counting(a):
+            calls.append(1)
+            return lu_factor(a)
+
+        monkeypatch.setattr(numkernel, "lu_factor", counting)
+        rng = np.random.default_rng(19)
+        model = DenseOperator(random_complex_matrix(rng, 5))
+        scale = build_named_example("diag_pair").sequences["scale"]
+        runs = [
+            (1, lambda: resolvent_power_norm(model, 0.3 + 0.1j, 0)),
+            (1, lambda: resolvent_power_norm(model, 0.3 + 0.1j, 1)),
+            (2, lambda: gnr_defect(scale, 10)),
+            (2, lambda: expansion_residual(model, 0.3 + 0.1j, 0.2, 3)),
+            (2, lambda: power_diff_bound_check(model, 0.3 + 0.1j, 0.3 + 0.1001j, 1)),
+        ]
+        for want, call in runs:
+            calls.clear()
+            call()
+            assert len(calls) == want
 
     def test_random_dense_matches_oracle(self):
         rng = np.random.default_rng(11)
