@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import re
@@ -277,7 +278,9 @@ def _add_out_flag(p):
     p.add_argument("--out", default=None, help="output file (default: standard output)")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args fills a fresh namespace every call
     parser = argparse.ArgumentParser(
         prog="pseudolab",
         description="Norm fields, level-set masks and study drivers for block operator families.",

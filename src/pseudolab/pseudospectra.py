@@ -15,10 +15,12 @@ with member in {0,1}.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,6 +36,8 @@ STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 FIELD_MAX_BLOCKS = {2: 20000, 4: 256}
 
 DEFAULT_GRID_POINTS = 101
+
+READ_SLICE = 4096  # CSV records a reader parses at a time
 
 
 @dataclass(frozen=True)
@@ -280,21 +284,23 @@ def _format(v: float) -> str:
 
 
 def _write_rows(fp, column: str, region: GridRegion, cells) -> None:
-    # header re,im,<column>, then one row per lattice point, real axis outer
-    pts = region.lattice().ravel()
-    w = csv.writer(fp, lineterminator="\n")
-    w.writerow(["re", "im", column])
-    w.writerows(zip(map(repr, pts.real.tolist()), map(repr, pts.imag.tolist()), cells))
+    # header re,im,<column>, then one line per lattice point, real axis outer:
+    # each coordinate is repr'd once, each row of cells strings is one write
+    pts = region.lattice()
+    fp.write(f"re,im,{column}\n")
+    ims = [f",{v!r}," for v in pts[0].imag.tolist()]
+    for re, row in zip(map(repr, pts[:, 0].real.tolist()), cells):
+        fp.write(re + ("\n" + re).join(map(str.__add__, ims, row)) + "\n")
 
 
 def write_field_csv(field: NormField, fp) -> None:
     """Write `re,im,value` rows, row-major with the real axis outer."""
-    _write_rows(fp, "value", field.region, map(_format, field.values.ravel().tolist()))
+    _write_rows(fp, "value", field.region, (map(_format, r) for r in field.values.tolist()))
 
 
 def write_mask_csv(mask: LevelSetMask, fp) -> None:
     """Write `re,im,member` rows in the same order as field CSVs."""
-    _write_rows(fp, "member", mask.region, np.where(mask.mask.ravel(), "1", "0"))
+    _write_rows(fp, "member", mask.region, np.where(mask.mask, "1", "0").tolist())
 
 
 def write_json(obj, fp) -> None:
@@ -320,7 +326,27 @@ def write_json(obj, fp) -> None:
     fp.write("\n")
 
 
-def _read_rows(fp, header):
+def _parse_records(records, lineno) -> np.ndarray:
+    # the floats of csv records from line lineno on, blank ones skipped, each
+    # distinct token converted once; a failed slice is replayed record by
+    # record to name its first bad line
+    if set(map(len, records)) <= {0, 3}:
+        tokens = list(chain.from_iterable(records))
+        unique = set(tokens)
+        with contextlib.suppress(ValueError):
+            value = dict(zip(unique, map(float, unique)))
+            return np.fromiter(map(value.__getitem__, tokens), float, len(tokens))
+    for lineno, row in enumerate(records, start=lineno):
+        if row and len(row) != 3:
+            raise ConfigurationError(f"line {lineno}: expected 3 columns")
+        try:
+            list(map(float, row))
+        except ValueError:
+            raise ConfigurationError(f"line {lineno}: malformed number") from None
+    raise AssertionError("a failed slice holds a bad record")
+
+
+def _read_rows(fp, header) -> np.ndarray:
     reader = csv.reader(fp)
     try:
         first = next(reader)
@@ -330,41 +356,42 @@ def _read_rows(fp, header):
         raise ConfigurationError(
             f"expected header {','.join(header)}, got {','.join(first)}"
         )
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ConfigurationError(f"line {lineno}: expected 3 columns")
+    parts, lineno = [np.empty(0)], 2
+    while True:
+        records = []
         try:
-            rows.append((float(row[0]), float(row[1]), float(row[2])))
-        except ValueError:
-            raise ConfigurationError(f"line {lineno}: malformed number") from None
-    if not rows:
+            records.extend(islice(reader, READ_SLICE))  # keeps what was read
+        except csv.Error:
+            # a bad record before the one csv.reader failed on is named first
+            _parse_records(records, lineno)
+            raise
+        if not records:
+            break
+        parts.append(_parse_records(records, lineno))
+        lineno += len(records)
+    rows = np.concatenate(parts).reshape(-1, 3)
+    if not len(rows):
         raise ConfigurationError("CSV holds no data rows")
     return rows
 
 
-def _region_from_rows(rows) -> GridRegion:
+def _region_from_rows(rows: np.ndarray) -> GridRegion:
     # row-major with re outer: the leading run of equal re values fixes ny
-    re0 = rows[0][0]
-    ny = 1
-    while ny < len(rows) and rows[ny][0] == re0:
-        ny += 1
+    re0 = float(rows[0, 0])
+    ny = int(np.argmin(np.append(rows[1:, 0] == re0, False))) + 1
     if ny < 2 or len(rows) % ny != 0:
         raise ConfigurationError("CSV rows do not form a full lattice")
     nx = len(rows) // ny
     if nx < 2:
         raise ConfigurationError("CSV lattice needs at least 2 rows per axis")
-    im0, re1, im1 = rows[0][1], rows[-ny][0], rows[ny - 1][1]
+    im0, re1, im1 = float(rows[0, 1]), float(rows[-ny, 0]), float(rows[ny - 1, 1])
     region = GridRegion(re0, re1, im0, im1, nx, ny)
     scale = max(abs(re1 - re0), abs(im1 - im0), 1.0)
     want = region.lattice().ravel()
-    got = np.array(rows)
-    off = np.abs(got[:, 0] - want.real) + np.abs(got[:, 1] - want.imag) > 1e-9 * scale
+    off = np.abs(rows[:, 0] - want.real) + np.abs(rows[:, 1] - want.imag) > 1e-9 * scale
     if off.any():
         row = int(np.argmax(off))
-        re, im, _ = rows[row]
+        re, im, _ = rows[row].tolist()
         raise ConfigurationError(
             f"row {row + 2}: lattice point ({re},{im}) is not on a uniform grid"
         )
@@ -378,8 +405,7 @@ def read_field_csv(fp, n: int = 0) -> NormField:
     """
     rows = _read_rows(fp, ["re", "im", "value"])
     region = _region_from_rows(rows)
-    vals = np.array([r[2] for r in rows]).reshape(region.nx, region.ny)
-    return NormField(region, n, vals)
+    return NormField(region, n, rows[:, 2].reshape(region.nx, region.ny))
 
 
 def read_mask_csv(fp, epsilon: float = 1.0, n: int = 0, strictness: str = "closed_Sigma") -> LevelSetMask:
@@ -390,10 +416,10 @@ def read_mask_csv(fp, epsilon: float = 1.0, n: int = 0, strictness: str = "close
     """
     rows = _read_rows(fp, ["re", "im", "member"])
     region = _region_from_rows(rows)
-    flags = np.array([r[2] for r in rows])
+    flags = rows[:, 2]
     bad = (flags != 0.0) & (flags != 1.0)
     if bad.any():
-        v = rows[int(np.argmax(bad))][2]
+        v = float(flags[np.argmax(bad)])
         raise ConfigurationError(f"member flag must be 0 or 1, got {v}")
     mask = (flags == 1.0).reshape(region.nx, region.ny)
     return LevelSetMask(region, epsilon, n, strictness, mask)

@@ -131,11 +131,10 @@ def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
     w = explicit_inverse(matrix - z * np.eye(matrix.shape[0]))
     if w is None:
         return math.inf
-    mats, logs = _batch_square_scaled(w[None], n)
-    if math.isinf(logs[0]):
+    mats, exps = _batch_square_scaled(w[None], n)
+    if math.isinf(exps[0]):
         return math.inf
-    m = 1 << n
-    return largest_singular_value(mats[0]) ** (1.0 / m) * math.exp(logs[0] / m)
+    return float(_scaled_root(largest_singular_value(mats[0]), exps[0], 1 << n))
 
 
 # --------------------------------------------------- 2x2 block head values
@@ -314,15 +313,15 @@ def _group_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
     if family.block_dim == 2:
         return _two_block_values(family, ks, zs, m).max(axis=1)
     mats, sing = _four_resolvent_batch(family, ks, zs)
-    mats, logs = _batch_square_scaled(mats, n)
-    # value < floor  <=>  sigma_max(mats) < floor^m / exp(logs); a zero
+    mats, exps = _batch_square_scaled(mats, n)
+    # value < floor  <=>  sigma_max(mats) < floor^m / 2^exps; a zero
     # floor gives bound 0, which drops nothing
     lead = [m * math.log(f) if f > 0.0 else -math.inf for f in floors.tolist()]
-    keep = ~norm_below(mats, np.exp(np.repeat(lead, len(ks)) - logs))
+    keep = ~norm_below(mats, np.exp(np.repeat(lead, len(ks)) - exps * math.log(2.0)))
     vals = np.zeros(len(mats))
     if keep.any():
         sigma = jacobi_singular_values(mats[keep])[:, 0]
-        vals[keep] = sigma ** (1.0 / m) * np.exp(logs[keep] / m)
+        vals[keep] = _scaled_root(sigma, exps[keep], m)
     out = vals.reshape(len(zs), len(ks)).max(axis=1)
     out[sing.any(axis=1)] = math.inf
     return out
@@ -566,21 +565,40 @@ def _four_resolvent_batch(family, ks: np.ndarray, zs: np.ndarray):
 def _batch_square_scaled(mats: np.ndarray, n: int):
     """A stack (b, d, d) raised to the power 2^n by repeated squaring.
 
-    Each square is divided by its largest entry modulus s, so no power
-    overflows; returns (scaled, logscale) with power = scaled * e^logscale.
-    A zero or non-finite s makes that matrix's logscale +inf.
+    Before each square a matrix is scaled exactly by 2^-e, e the frexp
+    exponent of its largest entry modulus s (at least -1023, so 2^-e is
+    finite), so no power overflows; returns (scaled, exps), power =
+    scaled * 2^exps with integer-valued exps.  A zero or non-finite s
+    makes that matrix's exponent +inf.
     """
     w = mats
-    logs = np.zeros(mats.shape[0])
+    exps = np.zeros(mats.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n):
-            w = w @ w
             s = np.max(np.abs(w), axis=(1, 2))
             ok = (s > 0.0) & (s < math.inf)
-            safe = np.where(ok, s, 1.0)
-            w = w / safe[:, None, None]
-            logs = np.where(ok, 2.0 * logs + np.log(safe), math.inf)
-    return w, logs
+            e = np.maximum(np.frexp(np.where(ok, s, 1.0))[1], -1023)
+            w = w * np.exp2(-e)[:, None, None]
+            w = w @ w
+            exps = np.where(ok, 2.0 * (exps + e), math.inf)
+    return w, exps
+
+
+def _scaled_root(sigma, exps, m: int):
+    """(sigma * 2^exps)^(1/m) for integer-valued exps; inf where exps is.
+
+    With exps = m q + r, 0 <= r < m, this is (sigma 2^r)^(1/m) 2^q: the
+    scalings stay exact and only the root rounds.  Above m = 512, where
+    sigma 2^r may overflow, 2^(r/m) is taken on its own.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = np.floor(exps / m)  # exact: m is a power of two
+        r = exps - m * q
+        if m <= 512:
+            head = (sigma * np.exp2(r)) ** (1.0 / m)
+        else:
+            head = sigma ** (1.0 / m) * np.exp2(r / m)
+        return np.where(np.isinf(exps), math.inf, head * np.exp2(q))
 
 
 def _four_limit_norm(z: complex) -> float:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import pseudolab
-from pseudolab import MaskSet, hausdorff_distance, read_mask_csv, resolvent
+from pseudolab import MaskSet, cli, hausdorff_distance, read_mask_csv, resolvent
 from pseudolab.cli import parse_and_dispatch
 from pseudolab.numkernel import ConvergenceError
 
@@ -53,6 +53,27 @@ class TestDocumentedInvocations:
         assert code == 0
         assert run(["hausdorff", "--a", str(mask), "--b", str(mask)]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+
+class TestCachedParser:
+    def test_no_value_leaks_between_calls(self, diag_matrix_file, tmp_path):
+        grid = ["--model", diag_matrix_file, "--region", "1,3,-1,1", "--nx", "3", "--ny", "3"]
+        first = ["levelset", *grid, "--n", "1", "--epsilon", "0.5", "--strictness", "open",
+                 "--format", "json", "--out", str(tmp_path / "m1.json")]
+        second = ["field", *grid, "--out", str(tmp_path / "f.csv")]
+        third = ["levelset", *grid, "--format", "json", "--out", str(tmp_path / "m2.json")]
+        for argv in (first, second, third):
+            assert run(argv) == 0
+        m1 = json.loads((tmp_path / "m1.json").read_text())
+        m2 = json.loads((tmp_path / "m2.json").read_text())
+        assert (m1["epsilon"], m1["n"], m1["strictness"]) == (0.5, 1, "open_sigma")
+        assert (m2["epsilon"], m2["n"], m2["strictness"]) == (1.0, 0, "closed_Sigma")
+        assert (tmp_path / "f.csv").read_text().startswith("re,im,value\n")
+        # the cached parser gives the namespaces a freshly built one gives
+        assert cli._build_parser() is cli._build_parser()
+        fresh = cli._build_parser.__wrapped__()
+        for argv in (second, third, first):
+            assert vars(cli._build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 class TestHelpText:

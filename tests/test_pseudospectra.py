@@ -1,10 +1,18 @@
 """Grid fields, level-set masks, closure checks, CSV round-trips."""
+import csv
 import io
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pseudolab
 from pseudolab import (
     ConfigurationError,
     DenseOperator,
@@ -21,7 +29,7 @@ from pseudolab import (
     write_field_csv,
     write_mask_csv,
 )
-from pseudolab.pseudospectra import dilate_one_cell
+from pseudolab.pseudospectra import READ_SLICE, LevelSetMask, dilate_one_cell
 
 DIAG26 = DenseOperator(np.diag([2.0, 6.0]))
 SHARG = build_named_example("shargorodsky").model
@@ -29,6 +37,48 @@ SHARG = build_named_example("shargorodsky").model
 
 def diag_field(region, n=0):
     return compute_norm_field(DIAG26, region, n)
+
+
+def per_point_csv(region, column, cell):
+    """The CSV text a per-point writer gives: one f-string per lattice point."""
+    lines = [f"re,im,{column}"]
+    for i in range(region.nx):
+        for j in range(region.ny):
+            p = region.point(i, j)
+            lines.append(f"{p.real!r},{p.imag!r},{cell(i, j)}")
+    return "\n".join(lines) + "\n"
+
+
+def field_cell(v):
+    return "inf" if math.isinf(v) else repr(float(v))
+
+
+def written(write, obj):
+    buf = io.StringIO()
+    write(obj, buf)
+    return buf.getvalue()
+
+
+# window bounds with signed zeros, subnormals and huge values; spans from
+# one ulp of the lower bound to about 1e300
+BOUNDS = st.one_of(
+    st.sampled_from([-0.0, 0.0, -5e-324, 1e-310, 1.0, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+SPANS = st.one_of(st.sampled_from([5e-324, 1e-300, 1e-12, 1e300]), st.floats(5e-324, 1e300))
+CELL_VALUES = st.one_of(
+    st.sampled_from([math.inf, math.nan, 5e-324, 2.2e-308]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
+)
+
+
+@st.composite
+def regions(draw):
+    bounds = []
+    for _ in range(2):
+        lo, span = draw(BOUNDS), draw(SPANS)
+        bounds += [lo, max(lo + span, math.nextafter(lo, math.inf))]
+    return GridRegion(*bounds, draw(st.integers(2, 40)), draw(st.integers(2, 40)))
 
 
 class TestGridRegion:
@@ -254,19 +304,10 @@ class TestCsvRoundTrip:
         region = GridRegion(-0.9, 1.3, -0.7, 0.9, 13, 11)
         field = diag_field(region)
         mask = level_set(field, 1.0, "closed_Sigma")
-        want_field, want_mask = ["re,im,value"], ["re,im,member"]
-        for i in range(region.nx):
-            for j in range(region.ny):
-                p = region.point(i, j)
-                v = field.values[i, j]
-                cell = "inf" if math.isinf(v) else repr(float(v))
-                want_field.append(f"{p.real!r},{p.imag!r},{cell}")
-                want_mask.append(f"{p.real!r},{p.imag!r},{int(mask.mask[i, j])}")
-        for write, obj, want in ((write_field_csv, field, want_field),
-                                 (write_mask_csv, mask, want_mask)):
-            buf = io.StringIO()
-            write(obj, buf)
-            assert buf.getvalue() == "\n".join(want) + "\n"
+        assert written(write_field_csv, field) == per_point_csv(
+            region, "value", lambda i, j: field_cell(field.values[i, j]))
+        assert written(write_mask_csv, mask) == per_point_csv(
+            region, "member", lambda i, j: int(mask.mask[i, j]))
 
     def test_first_off_grid_row_is_named(self):
         text = "re,im,value\n0,0,1\n0,1,1\n1,0,1\n1,1.5,1\n2,0,1\n2,7,1\n"
@@ -286,3 +327,132 @@ class TestCsvRoundTrip:
         text = "re,im,value\n0,0,1\n0,1,1\n1,0,1\n"
         with pytest.raises(ConfigurationError):
             read_field_csv(io.StringIO(text))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(region=regions(), data=st.data())
+    def test_writers_match_per_point_reference(self, region, data):
+        shape = (region.nx, region.ny)
+        values = np.array(data.draw(st.lists(
+            CELL_VALUES, min_size=region.nx * region.ny, max_size=region.nx * region.ny)))
+        members = np.array(data.draw(st.lists(
+            st.booleans(), min_size=values.size, max_size=values.size)))
+        # write_field_csv reads only region and values, so nan cells, which
+        # a NormField refuses, still exercise the cell format
+        field = types.SimpleNamespace(region=region, values=values.reshape(shape))
+        mask = LevelSetMask(region, 1.0, 0, "closed_Sigma", members.reshape(shape))
+        assert written(write_field_csv, field) == per_point_csv(
+            region, "value", lambda i, j: field_cell(field.values[i, j]))
+        assert written(write_mask_csv, mask) == per_point_csv(
+            region, "member", lambda i, j: int(mask.mask[i, j]))
+
+
+def lattice_csv(nx, ny):
+    return written(write_field_csv, NormField(
+        GridRegion(0.0, 1.0, 0.0, 1.0, nx, ny), 0, np.ones((nx, ny))))
+
+
+class TestCsvReaderEdges:
+    def test_blank_lines_keep_their_line_numbers(self):
+        text = "re,im,value\n0,0,1\n\n0,1,1\n\n1,0,x\n1,1,1\n"
+        with pytest.raises(ConfigurationError, match=r"^line 6: malformed number$"):
+            read_field_csv(io.StringIO(text))
+
+    def test_blank_lines_between_rows_are_skipped(self):
+        text = "re,im,value\n0,0,1\n\n0,1,2\n1,0,3\n\n\n1,1,4\n\n"
+        back = read_field_csv(io.StringIO(text))
+        assert back.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_crlf_and_quoted_numbers_round_trip(self):
+        field = diag_field(GridRegion(1.0, 7.0, -1.0, 1.0, 7, 3))
+        text = written(write_field_csv, field)
+        lines = text.splitlines()
+        quoted = [lines[0]] + [",".join(f'"{t}"' for t in line.split(",")) for line in lines[1:]]
+        for variant in (text.replace("\n", "\r\n"), "\r\n".join(quoted) + "\r\n"):
+            back = read_field_csv(io.StringIO(variant, newline=""))
+            assert back.region == field.region
+            assert np.array_equal(back.values, field.values)
+
+    def test_first_bad_line_wins_over_later_column_error(self):
+        text = "re,im,value\n0,0,1\n0,1,1e\n1,0,1\n1,1,1,1\n"
+        with pytest.raises(ConfigurationError, match=r"^line 3: malformed number$"):
+            read_field_csv(io.StringIO(text))
+        text = "re,im,value\n0,0,1\n0,1\n1,0,1\n1,1,x\n"
+        with pytest.raises(ConfigurationError, match=r"^line 3: expected 3 columns$"):
+            read_field_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.5,0.5,one", "malformed number"),
+        ("0.5,0.5", "expected 3 columns"),
+    ])
+    @pytest.mark.parametrize("lineno", [READ_SLICE, READ_SLICE + 1, 5000])
+    def test_bad_line_past_the_first_slice_keeps_its_number(self, bad, message, lineno):
+        lines = lattice_csv(100, 60).splitlines()
+        lines[lineno - 1] = bad
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ConfigurationError, match=rf"^line {lineno}: {message}$"):
+            read_field_csv(io.StringIO(text))
+
+    def test_csv_error_comes_after_earlier_bad_lines(self):
+        # a field over the csv module's size limit fails inside the reader
+        big = "1" * (csv.field_size_limit() + 1)
+        text = f"re,im,value\n0,0,1\n0,1,x\n1,0,{big}\n1,1,1\n"
+        with pytest.raises(ConfigurationError, match=r"^line 3: malformed number$"):
+            read_field_csv(io.StringIO(text))
+        with pytest.raises(csv.Error):
+            read_field_csv(io.StringIO(text.replace("0,1,x", "0,1,1")))
+
+    def test_many_slices_round_trip(self):
+        field = diag_field(GridRegion(1.0, 7.0, -1.0, 1.0, 150, 70))
+        back = read_field_csv(io.StringIO(written(write_field_csv, field)))
+        assert back.region == field.region
+        assert np.array_equal(back.values, field.values)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty CSV input"),
+        ("re,im,value\n", "CSV holds no data rows"),
+        ("re,im,value\n\n\n", "CSV holds no data rows"),
+        ("x,y,v\n0,0,1\n", "expected header re,im,value, got x,y,v"),
+    ])
+    def test_messages_unchanged(self, text, message):
+        with pytest.raises(ConfigurationError) as err:
+            read_field_csv(io.StringIO(text))
+        assert str(err.value) == message
+
+
+# VmHWM, the peak RSS of this process image: ru_maxrss of a child would
+# also count the memory of the process that started it
+READ_PEAK = """
+import sys
+from pseudolab import read_mask_csv
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kib()
+with open(sys.argv[1], newline="") as fh:
+    mask = read_mask_csv(fh)
+print((peak_kib() - before) / 1024.0, int(mask.mask.sum()))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_reading_a_401_mask_keeps_peak_rss_low(tmp_path):
+    region = GridRegion(-1.0, 1.0, -1.0, 1.0, 401, 401)
+    mask = LevelSetMask(region, 0.5, 0, "closed_Sigma", np.abs(region.lattice()) < 0.7)
+    path = tmp_path / "mask.csv"
+    with path.open("w", newline="") as fh:
+        write_mask_csv(mask, fh)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudolab.__file__)))
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", READ_PEAK, str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path_var},
+    )
+    assert proc.returncode == 0, proc.stderr
+    added_mb, members = proc.stdout.split()
+    assert int(members) == int(mask.mask.sum())
+    # a list of per-row tuples added about 37 MB here, one list of every
+    # csv record about 50 MB; slices of parsed floats add about 13 MB
+    assert float(added_mb) < 20.0

@@ -105,6 +105,26 @@ class TestDensePath:
             with pytest.raises(SingularityError):
                 power_diff_bound_check(model, 0.0, 1e-3, 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_powers_of_a_huge_inverse_stay_finite(self, n):
+        # W = diag(1e160, 1): W^2 overflows unless it is scaled first
+        model = DenseOperator(np.diag([1e-160, 1.0]).astype(complex))
+        assert resolvent_power_norm(model, 0.0, n).value == 1e160
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_high_powers_take_the_root_without_overflow(self, n):
+        # from 2^n = 1024 on, sigma 2^r alone could overflow
+        model = DenseOperator(np.diag([1e-160, 1.0]).astype(complex))
+        assert resolvent_power_norm(model, 0.0, n).value == pytest.approx(1e160, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_scaling_loses_no_ulps(self):
+        # powers of two scale exactly, so the root of sigma 2^E is exact here
+        model = DenseOperator(np.diag([1e-100, 1.0]).astype(complex))
+        assert resolvent_power_norm(model, 0.0, 1).value == 1e100
+
     def test_one_factorization_per_shifted_matrix(self, monkeypatch):
         calls = []
         lu_factor = numkernel.lu_factor
