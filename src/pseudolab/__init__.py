@@ -18,7 +18,6 @@ from .errors import (
     DomainError,
     InapplicableConditionError,
     SingularityError,
-    TailCertificationError,
 )
 from .numkernel import (
     SingularExtremes,
@@ -91,7 +90,6 @@ __all__ = [
     "DomainError",
     "InapplicableConditionError",
     "SingularityError",
-    "TailCertificationError",
     "SingularExtremes",
     "SingularMatrixError",
     "largest_singular_value",

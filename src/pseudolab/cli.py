@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     InapplicableConditionError,
     SingularityError,
-    TailCertificationError,
 )
 from .experiments import (
     constant_region_scan,
@@ -416,9 +415,9 @@ def parse_and_dispatch(argv) -> int:
         DomainError,
         InapplicableConditionError,
         SingularityError,
-        TailCertificationError,
         SingularMatrixError,
         OSError,
+        csv.Error,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,9 @@
 """Shared exception types.
 
-The CLI maps ConfigurationError / DomainError / InapplicableConditionError
-to exit code 2; everything else that escapes is a genuine failure.
+The CLI maps ConfigurationError, DomainError, InapplicableConditionError,
+SingularityError, numkernel.SingularMatrixError, OSError and csv.Error to
+exit code 2 and numkernel.ConvergenceError to exit code 3; everything else
+that escapes is a genuine failure.
 """
 
 
@@ -23,12 +25,3 @@ class SingularityError(ArithmeticError):
     def __init__(self, message: str, which: str = ""):
         super().__init__(message)
         self.which = which
-
-
-class TailCertificationError(ArithmeticError):
-    """Strict-mode tail evaluation could not pin the infinite sup within tolerance."""
-
-    def __init__(self, message: str, achieved_gap: float, blocks_scanned: int):
-        super().__init__(message)
-        self.achieved_gap = achieved_gap
-        self.blocks_scanned = blocks_scanned

@@ -38,7 +38,7 @@ from .pseudospectra import (
     dilate_one_cell,
     level_set,
 )
-from .resolvent import TAIL_TOL_DEFAULT, gnr_defect, resolvent_norm
+from .resolvent import TAIL_TOL, gnr_defect, resolvent_norm
 from .setgeom import MaskSet, hausdorff_distance
 
 PASS = "pass"
@@ -144,7 +144,7 @@ def convergence_study(
         "h": h,
         "final_limit": 3.0 * h,
         "defect_threshold": defect_threshold,
-        "tail_tol": TAIL_TOL_DEFAULT,
+        "tail_tol": TAIL_TOL,
     }
     params = {
         "epsilon": epsilon,
@@ -312,7 +312,7 @@ def counterexample_const_study(ks, region: GridRegion) -> StudyReport:
         raise ConfigurationError("window must also leave the disc of radius 1/2")
     base = build_named_example("shargorodsky").model
     h = _grid_step(region)
-    budget = {"h": h, "min_slack": MIN_SLACK, "tail_tol": TAIL_TOL_DEFAULT}
+    budget = {"h": h, "min_slack": MIN_SLACK, "tail_tol": TAIL_TOL}
     params = {"ks": ks, "region": asdict(region)}
     notes = [STUDY_PROXY_NOTE]
 
@@ -360,7 +360,7 @@ def global_min_scan(model, region: GridRegion, l: int, M: float) -> StudyReport:
     budget = {
         "h": _grid_step(region),
         "required_min": required,
-        "tail_tol": TAIL_TOL_DEFAULT,
+        "tail_tol": TAIL_TOL,
     }
     params = {"l": l, "M": M, "region": asdict(region)}
     notes = (
@@ -425,7 +425,7 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
     if evaluated == 0:
         ok = False
         notes.append("no probe inside the region")
-    budget = {"tol": tol, "M": M, "tail_tol": TAIL_TOL_DEFAULT}
+    budget = {"tol": tol, "M": M, "tail_tol": TAIL_TOL}
     params = {"probes": [repr(p) for p in probes], "M": M}
     return StudyReport(
         "constant_region",
@@ -547,7 +547,7 @@ def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyRepor
         "exponent_tol": 0.05,
         "settle_tol": 0.02 if dense_spectrum else None,
         "alpha_rule": rule.kind,
-        "tail_tol": TAIL_TOL_DEFAULT,
+        "tail_tol": TAIL_TOL,
     }
     params = {
         "beta": beta,

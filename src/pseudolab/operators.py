@@ -32,7 +32,7 @@ from .errors import (
     InapplicableConditionError,
     SingularityError,
 )
-from .numkernel import as_square_matrix, smallest_singular_value
+from .numkernel import as_square_matrix
 
 # construction-time sanity checks sample the weight rule at these indices
 VALIDATION_KS = (1, 2, 3, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
@@ -169,13 +169,19 @@ class SymbolSpec:
 
 
 class DenseOperator:
-    """A concrete operator on C^n given by its square matrix."""
+    """A concrete operator on C^n given by its square matrix.
+
+    diagonal holds the main diagonal when every off-diagonal entry is
+    exactly zero, and is None otherwise.
+    """
 
     def __init__(self, matrix):
         m = np.array(as_square_matrix(matrix), copy=True)
         m.setflags(write=False)
         self.matrix = m
         self.dim = m.shape[0]
+        d = np.diagonal(m)
+        self.diagonal = d if np.count_nonzero(m) == np.count_nonzero(d) else None
 
     def __repr__(self):
         return f"DenseOperator(dim={self.dim})"
@@ -384,25 +390,16 @@ def scale_operator(model, s: complex):
 
 
 def _min_singular_distance(model, z: complex) -> float:
-    """sigma_min(T - z), with block families probed over their first 64 blocks."""
-    if isinstance(model, DenseOperator):
-        shifted = model.matrix - z * np.eye(model.dim)
-        return smallest_singular_value(shifted)
+    """sigma_min(T - z) = 1 / ||(T - z)^-1||, with infinite families probed
+    over their first 64 blocks."""
+    from .resolvent import resolvent_norm  # resolvent imports this module
+
     if isinstance(model, ScaledOperator):
         f = complex(model.factor)
         return abs(f) * _min_singular_distance(model.inner, z / f)
-    if isinstance(model, TruncatedFamily):
-        return _min_block_distance(model.family, model.n_blocks, z)
     if isinstance(model, DiagBlockFamily):
-        return _min_block_distance(model, 64, z)
-    raise ConfigurationError(f"unknown operator model {type(model).__name__}")
-
-
-def _min_block_distance(family: DiagBlockFamily, n_blocks: int, z: complex) -> float:
-    """min of sigma_min(B_k - z) = 1 / ||(B_k - z)^-1|| over k <= n_blocks."""
-    from .resolvent import _head_max  # resolvent imports this module
-
-    return 1.0 / _head_max(family, 0, n_blocks, z, 0)
+        model = TruncatedFamily(model, 64)
+    return 1.0 / resolvent_norm(model, z).value
 
 
 def _verify_anchor(labelled_models, anchor: complex):

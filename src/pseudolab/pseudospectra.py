@@ -25,8 +25,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .operators import DenseOperator, DiagBlockFamily, ScaledOperator, TruncatedFamily
-from .resolvent import MAX_BLOCKS_DEFAULT, TAIL_TOL_DEFAULT, resolvent_power_norms
+from .operators import DenseOperator, DiagBlockFamily, ScaledOperator
+from .resolvent import MAX_BLOCKS_DEFAULT, diagonal_power_norms, resolvent_power_norms
 
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
@@ -167,57 +167,36 @@ class AssumptionCheck:
     hy: float
 
 
-def _diagonal_of(model):
-    # exact structural test, not a tolerance check
-    if isinstance(model, DenseOperator):
-        m = model.matrix
-        if np.count_nonzero(m - np.diag(np.diagonal(m))) == 0:
-            return np.diagonal(m)
-    return None
-
-
-def _field_values(model, zs, n, tail_tol, max_blocks):
-    diag = _diagonal_of(model)
-    if diag is not None:
-        # normal matrix: every power norm collapses to inverse distance
-        dists = np.abs(zs[:, None] - diag[None, :]).min(axis=1)
-        with np.errstate(divide="ignore"):
-            return np.divide(1.0, dists)
+def _field_values(model, zs, n, max_blocks):
     if isinstance(model, ScaledOperator):
         s = complex(model.factor)
-        inner = _field_values(model.inner, zs / s, n, tail_tol, max_blocks)
-        return inner / abs(s)
+        return _field_values(model.inner, zs / s, n, max_blocks) / abs(s)
+    if isinstance(model, DenseOperator) and model.diagonal is not None:
+        return diagonal_power_norms(model.diagonal, zs)
     if max_blocks is None and isinstance(model, DiagBlockFamily):
         max_blocks = FIELD_MAX_BLOCKS[model.block_dim]
     if max_blocks is None:
         max_blocks = MAX_BLOCKS_DEFAULT
-    cells = resolvent_power_norms(
-        model, zs, n, tail_tol=tail_tol, max_blocks=max_blocks
-    )
+    cells = resolvent_power_norms(model, zs, n, max_blocks=max_blocks)
     return np.array([cell.value for cell in cells])
 
 
 def compute_norm_field(
-    model,
-    region: GridRegion,
-    n: int = 0,
-    *,
-    tail_tol: float = TAIL_TOL_DEFAULT,
-    max_blocks: int | None = None,
+    model, region: GridRegion, n: int = 0, *, max_blocks: int | None = None
 ) -> NormField:
     """Sample the resolvent power norm of model at every lattice point.
 
     Each cell is resolvent_power_norm(model, z, n) at its lattice point,
-    bit for bit at the same tail_tol and block budget; all cells go to
-    resolvent in one call, so block families scan every point's blocks in
-    shared stacks.  Diagonal matrices, also under scaling, take the
-    distance to the nearest eigenvalue instead.  max_blocks bounds the tail
-    scan for infinite families; the per-shape defaults keep full-window
-    sweeps affordable while the reported values remain certified lower
-    bounds.
+    bit for bit at the same block budget; all cells go to resolvent in one
+    call, so block families scan every point's blocks in shared stacks.
+    Diagonal matrices, also under scaling, call the rule the point route
+    uses for them, diagonal_power_norms, directly, so a cell costs no
+    ResolventValue.  max_blocks bounds the tail scan for infinite
+    families; the per-shape defaults keep full-window sweeps affordable
+    while the reported values remain certified lower bounds.
     """
     zs = region.lattice().ravel()
-    vals = _field_values(model, zs, n, tail_tol, max_blocks)
+    vals = _field_values(model, zs, n, max_blocks)
     return NormField(region, n, vals.reshape(region.nx, region.ny))
 
 

@@ -3,9 +3,11 @@
 resolvent_power_norms evaluates one model at many points z;
 resolvent_power_norm is its one-point call.
 
-The dense path is exact linear algebra on one explicit inverse
-W = (T - z)^-1 per point, one LU and one multi-column solve: every dense
-norm is sigma_max(W^2^n)^(1/2^n), with n = 0 the resolvent norm
+A diagonal matrix D is normal, so every power norm of it is exact:
+||(D - z)^-2^n||^(1/2^n) = 1/min_i |z - d_i| (diagonal_power_norms).  The
+dense path for every other matrix is exact linear algebra on one explicit
+inverse W = (T - z)^-1 per point, one LU and one multi-column solve: every
+dense norm is sigma_max(W^2^n)^(1/2^n), with n = 0 the resolvent norm
 1/sigma_min(T - z).  W is squared n times with rescaling by
 _batch_square_scaled, the squaring the 4x4 block stacks use, and handed
 to largest_singular_value, which certifies the value.  The clearance
@@ -37,9 +39,9 @@ certificate closes, its value is inf, or the budget ends:
 Each point's arithmetic depends on that point alone, so a value does not
 depend on the other points of the call.  The reported value is
 max(head maximum, analytic tail limit): a certified lower bound that is
-exact whenever the certificates close the gap.  The one-sided gap that
-remains is reported in the diagnostics; strict mode raises instead of
-returning an uncertified value.  Families with tail limit 0 and dense
+exact whenever the certificates close the gap to within TAIL_TOL.  The
+one-sided gap that remains is reported in the diagnostics, with the value
+marked uncertified.  Families with tail limit 0 and non-diagonal dense
 models are evaluated point by point.
 """
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, TailCertificationError
+from .errors import DomainError, SingularityError
 from .numkernel import (
     explicit_inverse,
     jacobi_singular_values,
@@ -65,7 +67,7 @@ from .operators import (
     block_chunks,
 )
 
-TAIL_TOL_DEFAULT = 1e-9
+TAIL_TOL = 1e-9
 MAX_BLOCKS_DEFAULT = 10**6
 SPECTRUM_CLEARANCE = 1e-10
 # the most 4x4 matrices one stack of the block engine holds, for one point
@@ -85,8 +87,8 @@ class ResolventValue:
     divergent sup on the block path).  tail_gap is the achieved one-sided
     distance between the reported value and the certified upper bound for
     the infinite tail (0 when the certificates closed exactly); certified
-    says whether that gap is within the requested tolerance.  k_cutoff is
-    the number of blocks examined exactly.
+    says whether that gap is within TAIL_TOL.  k_cutoff is the number of
+    blocks examined exactly.
     """
 
     value: float
@@ -124,6 +126,13 @@ class PowerDiffBound:
 
 
 # ---------------------------------------------------------------- dense path
+
+
+def diagonal_power_norms(diagonal: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """1/min_i |z - d_i| at each z of zs: every power norm of diag(d), exactly."""
+    dists = np.abs(zs[:, None] - diagonal[None, :]).min(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, dists)
 
 
 def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
@@ -363,11 +372,6 @@ def _head_maxima(family, lo: int, hi: int, zs: np.ndarray, n: int) -> np.ndarray
     return best
 
 
-def _head_max(family, lo: int, hi: int, z: complex, n: int) -> float:
-    """_head_maxima at the single point z."""
-    return float(_head_maxima(family, lo, hi, np.array([complex(z)]), n)[0])
-
-
 def _two_shape(family, z: complex, n: int):
     """(tail limit, tail_ub(a)) for 2x2 blocks."""
     m = 1 << n
@@ -385,16 +389,14 @@ def _two_shape(family, z: complex, n: int):
     return tail_limit, tail_ub
 
 
-def _family_values(
-    family, zs: np.ndarray, n: int, tail_tol: float, max_blocks: int, strict: bool
-) -> list:
+def _family_values(family, zs: np.ndarray, n: int, max_blocks: int) -> list:
     """Certified sup of the block values of an infinite 2x2 or 4x4 family at each point.
 
     All points walk the block_chunks schedule together.  A point's head
     maximum is exact; after each chunk its gap is
     max(0, tail_ub(next weight) - reported), and the point leaves the scan
-    once the gap is within tail_tol or its value is inf.  Points still open
-    when the budget ends are uncertified (strict mode raises instead).
+    once the gap is within TAIL_TOL or its value is inf.  Points still open
+    when the budget ends are uncertified.
     """
     m = 1 << n
     mode = "block_exact_with_tail"
@@ -428,20 +430,11 @@ def _family_values(
             if ub is not None:
                 gap = max(0.0, ub - value)
                 best_gap[i] = min(best_gap[i], gap)
-                if gap <= tail_tol:
+                if gap <= TAIL_TOL:
                     out[i] = ResolventValue(value, mode, gap, True, k_cutoff=k_done)
                     continue
             still.append(i)
         active = still
-    if strict and active:
-        dim = family.block_dim
-        gap = best_gap[active[0]]
-        raise TailCertificationError(
-            f"{dim}x{dim} tail not pinned within {tail_tol:g} after {k_done} "
-            f"blocks (achieved gap {gap:g})",
-            achieved_gap=gap,
-            blocks_scanned=k_done,
-        )
     for i in active:
         out[i] = ResolventValue(
             float(reported[i]), mode, best_gap[i], False, k_cutoff=k_done
@@ -480,7 +473,7 @@ def _inverse_family_divergence(family, z: complex):
 
 
 def _inverse_family_value(
-    family, z: complex, n: int, tail_tol: float, max_blocks: int, strict: bool
+    family, z: complex, n: int, max_blocks: int
 ) -> ResolventValue:
     m = 1 << n
     q = 1.0 - z * z  # alpha * (1/alpha) = 1 for every block
@@ -494,13 +487,7 @@ def _inverse_family_value(
             )
         # tail limit misdeclared (possible for tabulated symbols): report
         # the scanned head as an uncertified lower bound
-        head = _head_max(family, 0, max_blocks, z, 0)
-        if strict:
-            raise TailCertificationError(
-                "tail limit 0 could not be certified divergent",
-                achieved_gap=math.inf,
-                blocks_scanned=max_blocks,
-            )
+        head = float(_head_maxima(family, 0, max_blocks, np.array([z]), 0)[0])
         return ResolventValue(
             head, "block_exact_with_tail", math.inf, False, k_cutoff=max_blocks
         )
@@ -640,49 +627,30 @@ def _four_shape(family, z: complex, n: int):
 
 
 def resolvent_norm(
-    model,
-    z: complex,
-    *,
-    tail_tol: float = TAIL_TOL_DEFAULT,
-    max_blocks: int = MAX_BLOCKS_DEFAULT,
-    strict: bool = False,
+    model, z: complex, *, max_blocks: int = MAX_BLOCKS_DEFAULT
 ) -> ResolventValue:
     """||(T - z)^-1|| as a ResolventValue; inf encodes z in the spectrum."""
-    return resolvent_power_norm(
-        model, z, 0, tail_tol=tail_tol, max_blocks=max_blocks, strict=strict
-    )
+    return resolvent_power_norm(model, z, 0, max_blocks=max_blocks)
 
 
 def resolvent_power_norm(
-    model,
-    z: complex,
-    n: int,
-    *,
-    tail_tol: float = TAIL_TOL_DEFAULT,
-    max_blocks: int = MAX_BLOCKS_DEFAULT,
-    strict: bool = False,
+    model, z: complex, n: int, *, max_blocks: int = MAX_BLOCKS_DEFAULT
 ) -> ResolventValue:
     """||(T - z)^-2^n|| ^ (1/2^n); n = 0 is the plain resolvent norm."""
-    return resolvent_power_norms(
-        model, [z], n, tail_tol=tail_tol, max_blocks=max_blocks, strict=strict
-    )[0]
+    return resolvent_power_norms(model, [z], n, max_blocks=max_blocks)[0]
 
 
 def resolvent_power_norms(
-    model,
-    zs,
-    n: int,
-    *,
-    tail_tol: float = TAIL_TOL_DEFAULT,
-    max_blocks: int = MAX_BLOCKS_DEFAULT,
-    strict: bool = False,
+    model, zs, n: int, *, max_blocks: int = MAX_BLOCKS_DEFAULT
 ) -> list:
     """resolvent_power_norm at every point of zs, as a list of ResolventValues.
 
+    This is the one place that decides how a model is evaluated at z.
     Block families and their truncations scan all points in one block
-    engine pass; each value is the one a single-point call gives.  Dense
-    models and families with tail limit 0 are evaluated point by point.
-    strict raises on the first point whose tail stays open.
+    engine pass; each value is the one a single-point call gives.
+    Diagonal matrices take diagonal_power_norms; other dense matrices and
+    families with tail limit 0 are evaluated point by point.  max_blocks
+    bounds the tail scan of infinite families.
     """
     if n < 0:
         raise DomainError("power index n must be nonnegative")
@@ -690,19 +658,15 @@ def resolvent_power_norms(
     if isinstance(model, ScaledOperator):
         factor = complex(model.factor)
         s = abs(factor)
-        inner = resolvent_power_norms(
-            model.inner,
-            zs / factor,
-            n,
-            tail_tol=tail_tol,
-            max_blocks=max_blocks,
-            strict=strict,
-        )
+        inner = resolvent_power_norms(model.inner, zs / factor, n, max_blocks=max_blocks)
         return [
             replace(rv, value=rv.value / s, mode="scaled", tail_gap=rv.tail_gap / s)
             for rv in inner
         ]
     if isinstance(model, DenseOperator):
+        if model.diagonal is not None:
+            values = diagonal_power_norms(model.diagonal, zs)
+            return [ResolventValue(v, "dense_exact") for v in values.tolist()]
         return [
             ResolventValue(_dense_power_norm(model.matrix, z, n), "dense_exact")
             for z in zs.tolist()
@@ -717,10 +681,9 @@ def resolvent_power_norms(
     if isinstance(model, DiagBlockFamily):
         if model.tail_C == 0.0 and (n == 0 or model.symbol.kind == "inverse"):
             return [
-                _inverse_family_value(model, z, n, tail_tol, max_blocks, strict)
-                for z in zs.tolist()
+                _inverse_family_value(model, z, n, max_blocks) for z in zs.tolist()
             ]
-        return _family_values(model, zs, n, tail_tol, max_blocks, strict)
+        return _family_values(model, zs, n, max_blocks)
     raise DomainError(f"unknown operator model {type(model).__name__}")
 
 
@@ -753,8 +716,8 @@ def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
         # a singular block anywhere in the reference makes the anchor
         # invalid; blocks 1..k cancel, blocks k+1..n_ref are the defect
         cut = min(k, n_ref)
-        shared = _head_max(family, 0, cut, lam, 0)
-        rest = _head_max(family, cut, max(k, n_ref), lam, 0)
+        shared = float(_head_maxima(family, 0, cut, np.array([lam]), 0)[0])
+        rest = float(_head_maxima(family, cut, max(k, n_ref), np.array([lam]), 0)[0])
         if max(shared, rest) > 1.0 / SPECTRUM_CLEARANCE:
             raise SingularityError(
                 f"{lam} is numerically on the spectrum of the reference truncation",

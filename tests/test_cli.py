@@ -150,6 +150,22 @@ class TestExitCodeMatrix:
         err = capsys.readouterr().err
         assert "non-finite entry" in err and str(p) in err
 
+    @pytest.mark.parametrize("command", ["hausdorff", "field"])
+    def test_oversized_csv_field_is_two(self, tmp_path, capsys, command):
+        # a field over the csv module's size limit fails inside csv.reader
+        big = "1" * (csv.field_size_limit() + 1)
+        p = tmp_path / "big.csv"
+        if command == "hausdorff":
+            p.write_text(f"re,im,member\n0,0,1\n0,1,{big}\n")
+            argv = ["hausdorff", "--a", str(p), "--b", str(p)]
+        else:
+            p.write_text(f"1,0,{big},0\n0,0,1,0\n")
+            argv = ["field", "--model", str(p),
+                    "--region", "0,1,0,1", "--nx", "2", "--ny", "2"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "field larger than field limit" in err
+
     def test_odd_column_matrix_file(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1,0,2\n")

@@ -1,0 +1,86 @@
+"""No module of the package reaches into a sibling's private names: every
+name one module takes from another is public, so a module's underscore
+helpers can change without breaking its neighbours."""
+import ast
+import pathlib
+
+import pytest
+
+import pseudolab
+
+PACKAGE = pathlib.Path(pseudolab.__file__).parent
+NAME = PACKAGE.name
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_imports(tree: ast.AST):
+    """(sibling module, name) for each private name taken from a sibling.
+
+    Covers relative and absolute from-imports at any depth (function-local
+    ones included) and attribute access on an imported sibling module.
+    """
+    modules = {}  # local name or dotted path -> sibling module name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package = node.level == 1 and node.module is None
+                module = node.module or ""
+            elif node.module == NAME or (node.module or "").startswith(NAME + "."):
+                package = node.module == NAME
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            for a in node.names:
+                if package:
+                    modules[a.asname or a.name] = a.name
+                    if _private(a.name):
+                        yield (".", a.name)
+                elif _private(a.name):
+                    yield (module, a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith(NAME + "."):
+                    sibling = a.name.partition(".")[2]
+                    modules[a.asname or a.name] = sibling
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            sibling = modules.get(ast.unparse(node.value))
+            if sibling is not None:
+                yield (sibling, node.attr)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    used = sorted(set(_private_imports(ast.parse(path.read_text()))))
+    assert not used, f"{path.name} takes private names from siblings: {used}"
+
+
+def test_the_check_sees_every_import_form():
+    src = (
+        "from __future__ import annotations\n"
+        "from numpy import _globals\n"
+        "from .resolvent import _head_max, resolvent_norm\n"
+        "from pseudolab.operators import _verify_anchor as check\n"
+        "from . import numkernel as nk, setgeom, _hidden\n"
+        "from pseudolab import experiments\n"
+        "import pseudolab.cli\n"
+        "import pseudolab.errors as errs\n"
+        "def f():\n"
+        "    from .pseudospectra import _format, __doc__\n"
+        "    return (nk._kernel(), setgeom._x, pseudolab.cli._normalize,\n"
+        "            errs._y, experiments._z, nk.__name__, np._w)\n"
+    )
+    assert set(_private_imports(ast.parse(src))) == {
+        ("resolvent", "_head_max"),
+        ("operators", "_verify_anchor"),
+        (".", "_hidden"),
+        ("pseudospectra", "_format"),
+        ("numkernel", "_kernel"),
+        ("setgeom", "_x"),
+        ("cli", "_normalize"),
+        ("errors", "_y"),
+        ("experiments", "_z"),
+    }

@@ -110,6 +110,18 @@ class TestDiagBlockFamily:
         assert DiagBlockFamily(symbol=symbol).block_dim == 2
 
 
+class TestDenseOperator:
+    def test_diagonal_is_detected_exactly(self):
+        m = np.diag([2.0, 0.0, 1j]).astype(complex)
+        assert np.array_equal(DenseOperator(m).diagonal, [2.0, 0.0, 1j])
+        m[0, 2] = -0.0  # a signed zero is still zero
+        assert np.array_equal(DenseOperator(m).diagonal, [2.0, 0.0, 1j])
+        m[0, 2] = 1e-300
+        assert DenseOperator(m).diagonal is None
+        assert DenseOperator(np.zeros((2, 2))).diagonal.tolist() == [0.0, 0.0]
+        assert assemble_truncation(shargorodsky_family(), 2).diagonal is None
+
+
 class TestAssembleTruncation:
     def test_shargorodsky_first_block(self):
         t = assemble_truncation(shargorodsky_family(), 1)
@@ -262,6 +274,17 @@ class TestSequences:
                 gnr_anchor=complex(math.sqrt(3.0)),
                 reference_truncation_N=8,
             )
+
+    def test_scaled_family_anchor_probes_the_first_blocks(self):
+        # term k=2 is shargorodsky / 2, whose block k=10 has the eigenvalue
+        # sqrt(12) / 2 = sqrt(3): the 64-block probe of the scaled family finds it
+        with pytest.raises(SingularityError, match="term k=2") as err:
+            ScalingSequence(
+                shargorodsky_family(),
+                lambda k: 1.0 - 1.0 / k,
+                gnr_anchor=complex(math.sqrt(3.0)),
+            )
+        assert err.value.which == "term k=2"
 
     def test_explicit_anchor_on_limit_rejected(self):
         base = DenseOperator(np.diag([2.0, 6.0]))

@@ -28,7 +28,6 @@ from pseudolab import (
     ScalingSequence,
     SingularityError,
     SymbolSpec,
-    TailCertificationError,
     TruncationSequence,
     assemble_truncation,
     boundedness_probe,
@@ -49,7 +48,11 @@ from pseudolab.numkernel import (
     sv2x2_batch,
 )
 from pseudolab.operators import TruncatedFamily
-from pseudolab.resolvent import _batch_square_scaled, _four_resolvent_batch
+from pseudolab.resolvent import (
+    _batch_square_scaled,
+    _dense_power_norm,
+    _four_resolvent_batch,
+)
 
 SHARG = build_named_example("shargorodsky").model
 EMPTY = build_named_example("empty_resolvent").model
@@ -81,6 +84,13 @@ class TestDensePath:
     def test_spectrum_point_is_infinite(self):
         assert math.isinf(resolvent_norm(DIAG26, 2.0).value)
 
+    def test_diagonal_point_values_are_exact(self):
+        # a diagonal matrix is normal: every power norm is 1/dist(z, spectrum)
+        for n in (0, 1, 2):
+            assert resolvent_power_norm(DIAG26, 3.0 + 0.0j, n).value == 1.0
+        shrink = build_named_example("diag_pair").sequences["shrink"]
+        assert boundedness_probe(shrink, 4.0, [2, 4, 8, 16]).sup_norm == 0.5
+
     def test_truncation_200_at_zero(self):
         dense = assemble_truncation(SHARG, 200)
         got = resolvent_norm(dense, 0.0)
@@ -109,21 +119,24 @@ class TestDensePath:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_powers_of_a_huge_inverse_stay_finite(self, n):
         # W = diag(1e160, 1): W^2 overflows unless it is scaled first
-        model = DenseOperator(np.diag([1e-160, 1.0]).astype(complex))
-        assert resolvent_power_norm(model, 0.0, n).value == 1e160
+        matrix = np.diag([1e-160, 1.0]).astype(complex)
+        assert _dense_power_norm(matrix, 0.0, n) == 1e160
+        assert resolvent_power_norm(DenseOperator(matrix), 0.0, n).value == 1e160
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [9, 10, 11])
     def test_high_powers_take_the_root_without_overflow(self, n):
         # from 2^n = 1024 on, sigma 2^r alone could overflow
-        model = DenseOperator(np.diag([1e-160, 1.0]).astype(complex))
-        assert resolvent_power_norm(model, 0.0, n).value == pytest.approx(1e160, rel=1e-15)
+        matrix = np.diag([1e-160, 1.0]).astype(complex)
+        assert _dense_power_norm(matrix, 0.0, n) == pytest.approx(1e160, rel=1e-15)
+        assert resolvent_power_norm(DenseOperator(matrix), 0.0, n).value == 1e160
 
     @pytest.mark.filterwarnings("error")
     def test_power_scaling_loses_no_ulps(self):
         # powers of two scale exactly, so the root of sigma 2^E is exact here
-        model = DenseOperator(np.diag([1e-100, 1.0]).astype(complex))
-        assert resolvent_power_norm(model, 0.0, 1).value == 1e100
+        matrix = np.diag([1e-100, 1.0]).astype(complex)
+        assert _dense_power_norm(matrix, 0.0, 1) == 1e100
+        assert resolvent_power_norm(DenseOperator(matrix), 0.0, 1).value == 1e100
 
     def test_one_factorization_per_shifted_matrix(self, monkeypatch):
         calls = []
@@ -547,16 +560,11 @@ class TestFourByFourHeads:
 
 
 class TestTailCertification:
-    def test_strict_mode_raises_when_gap_stays_open(self):
-        with pytest.raises(TailCertificationError) as err:
-            resolvent_power_norm(REMARK, 0.5, 1, max_blocks=128, strict=True)
-        assert err.value.achieved_gap > 0.0
-        assert err.value.blocks_scanned == 128
-
     def test_uncertified_result_reports_gap(self):
         got = resolvent_power_norm(REMARK, 0.5, 1, max_blocks=128)
         assert not got.certified
         assert got.tail_gap > 0.0
+        assert got.k_cutoff == 128
         assert got.value >= 1.0  # tail limit is exactly 1
 
     def test_decay_family_certifies_exactly(self):
@@ -637,7 +645,9 @@ class TestCertifiedValuesAreSound:
             assert deep <= (rv.value + rv.tail_gap) * (1.0 + SOUND_SLACK)
 
 
-# shargorodsky and remark_n1 have a block eigenvalue at z = 2 (block k = 2)
+# shargorodsky and remark_n1 have a block eigenvalue at z = 2 (block k = 2);
+# the diagonal has eigenvalues at z = 0 and z = 2, and its scaled copy at 0
+DIAGONAL = DenseOperator(np.diag([0.0, 2.0, 1.0 + 1.0j, -0.5 + 0.25j, 0.3 - 1.7j]))
 ENGINE_MODELS = {
     "shargorodsky": SHARG,
     "empty_resolvent": EMPTY,
@@ -646,6 +656,8 @@ ENGINE_MODELS = {
     "remark_n1": REMARK,
     "truncated": TruncatedFamily(SHARG, 700),
     "scaled": scale_operator(REMARK, 1.0 - 0.5j),
+    "diagonal": DIAGONAL,
+    "scaled_diagonal": scale_operator(DIAGONAL, 1.0 - 0.5j),
 }
 
 
@@ -664,6 +676,10 @@ class TestFieldEngine:
     @example("remark_n1", 1, (-2, -2), 1.0, 400)
     @example("shargorodsky", 1, (-4, -4), 1.0, 3000)
     @example("remark_n1", 0, (-2, -2), 0.25, 3000)
+    @example("diagonal", 0, (-2, -2), 0.5, 64)
+    @example("diagonal", 2, (-2, -2), 1.0, 64)
+    @example("scaled_diagonal", 0, (-4, -4), 0.25, 64)
+    @example("scaled_diagonal", 2, (-2, -2), 1.0, 64)
     def test_field_cells_equal_point_values(self, name, n, corner, step, budget):
         # every window holds z = 0; step 1 with corner >= -2 also holds z = 2
         model = ENGINE_MODELS[name]
