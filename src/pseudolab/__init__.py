@@ -63,6 +63,7 @@ from .resolvent import (
     BoundednessProbe,
     PowerDiffBound,
     ResolventValue,
+    ResolventValues,
     boundedness_probe,
     expansion_residual,
     gnr_defect,
@@ -115,6 +116,7 @@ __all__ = [
     "BoundednessProbe",
     "PowerDiffBound",
     "ResolventValue",
+    "ResolventValues",
     "boundedness_probe",
     "expansion_residual",
     "gnr_defect",

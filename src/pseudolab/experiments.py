@@ -27,7 +27,6 @@ from .operators import (
     AlphaRule,
     SymbolSpec,
     TruncatedFamily,
-    assemble_truncation,
     build_named_example,
     scale_operator,
 )
@@ -380,8 +379,6 @@ def in_constant_region(z: complex) -> bool:
     r = abs(z)
     if r < 0.5:
         return True
-    if r == 0.0:
-        return False
     c2 = math.cos(2.0 * math.atan2(z.imag, z.real))
     return c2 < 0.0 and r >= 1.0 / abs(c2)
 
@@ -575,8 +572,7 @@ def empty_resolvent_probe(family: DiagBlockFamily, lam: complex, Ns) -> StudyRep
     ok = True
     lam2 = lam * lam
     for N in Ns:
-        dense = assemble_truncation(family, N)
-        value = resolvent_norm(dense, lam).value
+        value = resolvent_norm(TruncatedFamily(family, N), lam).value
         series.append((float(N), value))
         alpha = family.alpha.value(N)
         gap = abs(alpha * family.symbol.value(alpha) - lam2)

@@ -103,15 +103,15 @@ class SymbolSpec:
 
     The tail limit C = lim f(alpha_k) is fixed by the kind: 1 for
     one_plus_inv and one_minus_inv_sqrt, 0 for inverse, infinity for
-    power_beta, c for constant.  Tabulated symbols interpolate linearly
-    and declare their tail explicitly (default: last table value).
+    power_beta, c for constant.  Tabulated symbols interpolate linearly and
+    extrapolate their last value, so their tail limit is the last table
+    value, reached at the last abscissa.
     """
 
     kind: str
     beta: float | None = None
     c: float | None = None
     table: tuple | None = None
-    declared_tail: float | None = None
 
     def __post_init__(self):
         if self.kind not in SYMBOL_KINDS:
@@ -144,8 +144,6 @@ class SymbolSpec:
             return math.inf
         if self.kind == "constant":
             return float(self.c)
-        if self.declared_tail is not None:
-            return float(self.declared_tail)
         return float(self.table[-1][1])
 
     def values(self, x) -> np.ndarray:

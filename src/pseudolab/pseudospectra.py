@@ -25,8 +25,8 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .operators import DenseOperator, DiagBlockFamily, ScaledOperator
-from .resolvent import MAX_BLOCKS_DEFAULT, diagonal_power_norms, resolvent_power_norms
+from .operators import DiagBlockFamily, ScaledOperator
+from .resolvent import MAX_BLOCKS_DEFAULT, resolvent_power_norms
 
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
@@ -167,36 +167,29 @@ class AssumptionCheck:
     hy: float
 
 
-def _field_values(model, zs, n, max_blocks):
-    if isinstance(model, ScaledOperator):
-        s = complex(model.factor)
-        return _field_values(model.inner, zs / s, n, max_blocks) / abs(s)
-    if isinstance(model, DenseOperator) and model.diagonal is not None:
-        return diagonal_power_norms(model.diagonal, zs)
-    if max_blocks is None and isinstance(model, DiagBlockFamily):
-        max_blocks = FIELD_MAX_BLOCKS[model.block_dim]
-    if max_blocks is None:
-        max_blocks = MAX_BLOCKS_DEFAULT
-    cells = resolvent_power_norms(model, zs, n, max_blocks=max_blocks)
-    return np.array([cell.value for cell in cells])
-
-
 def compute_norm_field(
     model, region: GridRegion, n: int = 0, *, max_blocks: int | None = None
 ) -> NormField:
     """Sample the resolvent power norm of model at every lattice point.
 
-    Each cell is resolvent_power_norm(model, z, n) at its lattice point,
-    bit for bit at the same block budget; all cells go to resolvent in one
-    call, so block families scan every point's blocks in shared stacks.
-    Diagonal matrices, also under scaling, call the rule the point route
-    uses for them, diagonal_power_norms, directly, so a cell costs no
-    ResolventValue.  max_blocks bounds the tail scan for infinite
-    families; the per-shape defaults keep full-window sweeps affordable
+    All cells go to resolvent_power_norms in one call, so each cell is
+    resolvent_power_norm(model, z, n) at its lattice point, bit for bit at
+    the same block budget, and block families scan every point's blocks in
+    shared stacks.  max_blocks bounds the tail scan for infinite families;
+    by default a block family, also under scaling, takes the per-shape
+    FIELD_MAX_BLOCKS budget, which keeps full-window sweeps affordable
     while the reported values remain certified lower bounds.
     """
+    if max_blocks is None:
+        inner = model
+        while isinstance(inner, ScaledOperator):
+            inner = inner.inner
+        if isinstance(inner, DiagBlockFamily):
+            max_blocks = FIELD_MAX_BLOCKS[inner.block_dim]
+        else:
+            max_blocks = MAX_BLOCKS_DEFAULT
     zs = region.lattice().ravel()
-    vals = _field_values(model, zs, n, max_blocks)
+    vals = resolvent_power_norms(model, zs, n, max_blocks=max_blocks).value
     return NormField(region, n, vals.reshape(region.nx, region.ny))
 
 

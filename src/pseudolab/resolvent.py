@@ -1,7 +1,7 @@
 """Resolvent norms and resolvent-power norms for all operator models.
 
-resolvent_power_norms evaluates one model at many points z;
-resolvent_power_norm is its one-point call.
+resolvent_power_norms evaluates one model at many points z and returns
+one columnar ResolventValues; resolvent_power_norm is its one-point call.
 
 A diagonal matrix D is normal, so every power norm of it is exact:
 ||(D - z)^-2^n||^(1/2^n) = 1/min_i |z - d_i| (diagonal_power_norms).  The
@@ -41,7 +41,9 @@ depend on the other points of the call.  The reported value is
 max(head maximum, analytic tail limit): a certified lower bound that is
 exact whenever the certificates close the gap to within TAIL_TOL.  The
 one-sided gap that remains is reported in the diagnostics, with the value
-marked uncertified.  Families with tail limit 0 and non-diagonal dense
+marked uncertified.  A tabulated symbol is constant beyond its last
+abscissa and is certified there as the constant kind.  The inverse symbol
+f(x) = 1/x takes closed forms instead of a scan, and non-diagonal dense
 models are evaluated point by point.
 """
 from __future__ import annotations
@@ -102,6 +104,41 @@ class ResolventValue:
             raise DomainError(f"unknown resolvent mode {self.mode!r}")
         if not self.value > 0.0:
             raise DomainError(f"resolvent value must be positive, got {self.value}")
+
+
+@dataclass(frozen=True)
+class ResolventValues:
+    """The ResolventValues of one call at many points, as columns.
+
+    value, tail_gap, certified and k_cutoff are arrays with one entry per
+    point, and mode is shared by every point.  Indexing or iterating gives
+    the per-point ResolventValue.
+    """
+
+    value: np.ndarray
+    mode: str
+    tail_gap: np.ndarray
+    certified: np.ndarray
+    k_cutoff: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> ResolventValue:
+        return ResolventValue(
+            float(self.value[i]), self.mode, float(self.tail_gap[i]),
+            bool(self.certified[i]), int(self.k_cutoff[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _exact_values(value: np.ndarray, mode: str, k_cutoff: int) -> ResolventValues:
+    """Certified values with no tail gap, every point at the same cutoff."""
+    count = len(value)
+    gaps, flags = np.zeros(count), np.ones(count, dtype=bool)
+    return ResolventValues(value, mode, gaps, flags, np.full(count, k_cutoff))
 
 
 @dataclass(frozen=True)
@@ -210,8 +247,6 @@ def _tail_inf_f(symbol, a: float) -> float:
         return symbol.value(a)
     if kind == "constant":
         return float(symbol.c)
-    if kind == "inverse":
-        return 0.0
     # tabulated: piecewise linear with constant extrapolation, so the inf
     # is attained at a, at a breakpoint past a, or at the last table value
     candidates = [symbol.value(a), float(symbol.table[-1][1])]
@@ -224,8 +259,6 @@ def _tail_inf_p(symbol, a: float) -> float:
     kind = symbol.kind
     if kind in ("one_plus_inv", "one_minus_inv_sqrt", "power_beta", "constant"):
         return a * symbol.value(a)  # x f(x) nondecreasing for these kinds
-    if kind == "inverse":
-        return 1.0
     best = a * symbol.value(a)
     xs = [float(x) for x, _ in symbol.table]
     fs = [float(v) for _, v in symbol.table]
@@ -262,8 +295,9 @@ def _tail_stays_below_limit(family, a: float, z: complex) -> bool:
         g = 2.0 * a * (1.0 - u) + (1.0 - u) ** 2 + v * v - 2.0 * r2
         g -= 2.0 / a + 1.0 / (a * a)
         return g > 0.0
-    if kind == "constant":
-        c = float(family.symbol.c)
+    # a tabulated symbol is its last value beyond its last abscissa
+    if kind == "constant" or (kind == "tabulated" and a >= family.symbol.table[-1][0]):
+        c = family.tail_C
         if u > 0.0:
             return False
         g = -2.0 * u * a / c + (u * u + v * v) / (c * c) - 2.0 * r2
@@ -275,11 +309,10 @@ def _envelope_sup(family, a: float, z: complex) -> float | None:
     """Upper bound for sup over blocks with weight >= a of the n=0 value.
 
     Uses ||(B - z)^-1|| <= (r + x) / (x f(x) - r^2), which is monotone on
-    the tail for the analytic symbol kinds, so its sup is max(value at the
-    cutoff, limit 1/C).
+    the tail for the analytic symbol kinds and for a tabulated symbol where
+    it is constant, so its sup is max(value at the cutoff, limit 1/C).
     """
-    kind = family.symbol.kind
-    if kind in ("inverse", "tabulated"):
+    if family.symbol.kind == "tabulated" and a < family.symbol.table[-1][0]:
         return None
     r = abs(z)
     f_a = family.symbol.value(a)
@@ -287,9 +320,7 @@ def _envelope_sup(family, a: float, z: complex) -> float | None:
     if not (p_a > r * r and a >= f_a):
         return None
     h_a = (r + a) / (p_a - r * r)
-    c = family.tail_C
-    limit = 1.0 / c if math.isfinite(c) and c > 0.0 else 0.0
-    return max(h_a, limit)
+    return max(h_a, 1.0 / family.tail_C)
 
 
 def _power_tail_bound(family, a: float, z: complex, m: int) -> float | None:
@@ -375,138 +406,98 @@ def _head_maxima(family, lo: int, hi: int, zs: np.ndarray, n: int) -> np.ndarray
 def _two_shape(family, z: complex, n: int):
     """(tail limit, tail_ub(a)) for 2x2 blocks."""
     m = 1 << n
-    c = family.tail_C
-    has_limit = math.isfinite(c) and c > 0.0
-    tail_limit = 1.0 / c if (n == 0 and has_limit) else 0.0
+    tail_limit = 1.0 / family.tail_C if n == 0 else 0.0  # 0 for C = inf
 
     def tail_ub(a: float) -> float | None:
         if n > 0:
             return _power_tail_bound(family, a, z, m)
-        if has_limit and _tail_stays_below_limit(family, a, z):
+        if _tail_stays_below_limit(family, a, z):
             return tail_limit
         return _envelope_sup(family, a, z)
 
     return tail_limit, tail_ub
 
 
-def _family_values(family, zs: np.ndarray, n: int, max_blocks: int) -> list:
+def _family_values(family, zs: np.ndarray, n: int, max_blocks: int) -> ResolventValues:
     """Certified sup of the block values of an infinite 2x2 or 4x4 family at each point.
 
     All points walk the block_chunks schedule together.  A point's head
     maximum is exact; after each chunk its gap is
-    max(0, tail_ub(next weight) - reported), and the point leaves the scan
+    max(0, tail_ub(next weight) - value), and the point leaves the scan
     once the gap is within TAIL_TOL or its value is inf.  Points still open
-    when the budget ends are uncertified.
+    when the budget ends are uncertified and keep their smallest gap.
     """
-    m = 1 << n
-    mode = "block_exact_with_tail"
     shape = _two_shape if family.block_dim == 2 else _four_shape
-    out = [None] * len(zs)
-    tails = [None] * len(zs)
+    value = np.zeros(len(zs))
+    tail_gap = np.full(len(zs), math.inf)
+    certified = np.zeros(len(zs), dtype=bool)
+    k_cutoff = np.zeros(len(zs), dtype=np.int64)
+    tails = {}
     for i, z in enumerate(zs.tolist()):
-        if family.block_dim == 4 and z == 0 and m in (1, 2):
+        if family.block_dim == 4 and z == 0 and n in (0, 1):
             # closed forms: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| = 1/beta_k^2 < 1
             # for every block, while the tail limit is exactly 1
-            out[i] = ResolventValue(1.0, mode, 0.0, True, k_cutoff=0)
+            value[i], tail_gap[i], certified[i] = 1.0, 0.0, True
         else:
-            tails[i] = shape(family, z, n)
-    active = [i for i in range(len(zs)) if out[i] is None]
-    reported = np.array([t[0] if t else 0.0 for t in tails])
-    best_gap = [math.inf] * len(zs)
-    k_done = 0
+            value[i], tails[i] = shape(family, z, n)
+    active = list(tails)
     for ks in block_chunks(0, max_blocks):
         if not active:
             break
         k_done = int(ks[-1])
-        reported[active] = _chunk_maxima(family, ks, zs[active], n, reported[active])
+        value[active] = _chunk_maxima(family, ks, zs[active], n, value[active])
+        k_cutoff[active] = k_done
         a = float(family.alpha_values(np.array([k_done + 1]))[0])
         still = []
         for i in active:
-            value = float(reported[i])
-            if math.isinf(value):
-                out[i] = ResolventValue(math.inf, mode, 0.0, True, k_cutoff=k_done)
+            v = float(value[i])
+            if math.isinf(v):
+                tail_gap[i], certified[i] = 0.0, True
                 continue
-            ub = tails[i][1](a)
+            ub = tails[i](a)
             if ub is not None:
-                gap = max(0.0, ub - value)
-                best_gap[i] = min(best_gap[i], gap)
-                if gap <= TAIL_TOL:
-                    out[i] = ResolventValue(value, mode, gap, True, k_cutoff=k_done)
-                    continue
-            still.append(i)
+                gap = max(0.0, ub - v)
+                tail_gap[i] = min(tail_gap[i], gap)
+                certified[i] = gap <= TAIL_TOL
+            if not certified[i]:
+                still.append(i)
         active = still
-    for i in active:
-        out[i] = ResolventValue(
-            float(reported[i]), mode, best_gap[i], False, k_cutoff=k_done
-        )
-    return out
+    return ResolventValues(value, "block_exact_with_tail", tail_gap, certified, k_cutoff)
 
 
-def _inverse_family_divergence(family, z: complex):
-    """Certify sup_k ||(B_k - z)^-1|| = inf for tail limit 0 families.
+def _inverse_power_value(z: complex, m: int) -> float:
+    """sup_k ||(B_k - z)^-m||^(1/m) of the inverse-symbol family, m >= 2.
 
-    The trial vector (z v / alpha, v) gives the residual quantity
-    w_k = |alpha f - z^2| / sqrt(alpha^2 + |z|^2), an upper bound for
-    sigma_min(B_k - z).  Divergence is certified once w falls below 1e-12
-    or w * alpha stabilises (so w vanishes like 1/alpha).
+    (B - z)^-m = A' I + D' B with scalars from w+- = 1/(1-z), -1/(1+z); the
+    off-diagonal carries D' alpha_k, unbounded unless D' vanishes (m even,
+    z = 0 or the exceptional symmetric points).
     """
-    r2 = abs(z) ** 2
-    prev_t = None
-    stable = 0
-    k = 1
-    while k <= 1 << 45:
-        a = float(family.alpha_values(np.array([k]))[0])
-        p = a * float(family.symbol_values(np.array([a]))[0])
-        w = abs(p - z * z) / math.sqrt(a * a + r2)
-        if w < 1e-12:
-            return True, k
-        t = w * a
-        if prev_t is not None and prev_t > 0.0 and abs(t / prev_t - 1.0) < 0.05:
-            stable += 1
-            if stable >= 3:
-                return True, k
-        else:
-            stable = 0
-        prev_t = t
-        k *= 2
-    return False, k
-
-
-def _inverse_family_value(
-    family, z: complex, n: int, max_blocks: int
-) -> ResolventValue:
-    m = 1 << n
-    q = 1.0 - z * z  # alpha * (1/alpha) = 1 for every block
-    if family.symbol.kind == "inverse" and q == 0:
-        return ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
-    if m == 1:
-        certified, k = _inverse_family_divergence(family, z)
-        if certified:
-            return ResolventValue(
-                math.inf, "block_exact_with_tail", 0.0, True, k_cutoff=k
-            )
-        # tail limit misdeclared (possible for tabulated symbols): report
-        # the scanned head as an uncertified lower bound
-        head = float(_head_maxima(family, 0, max_blocks, np.array([z]), 0)[0])
-        return ResolventValue(
-            head, "block_exact_with_tail", math.inf, False, k_cutoff=max_blocks
-        )
-    # powers of the inverse-symbol family: (B - z)^-m = [A' I + D' B] with
-    # scalars from w+- = 1/(1-z), -1/(1+z); the off-diagonal carries
-    # D' alpha_k, unbounded unless D' vanishes (m even, z = 0)
+    if 1.0 - z * z == 0:  # alpha * (1/alpha) = 1 for every block
+        return math.inf
     if z == 0:
-        return ResolventValue(1.0, "block_exact_with_tail", 0.0, True, 0)
+        return 1.0
     wp = 1.0 / (1.0 - z)
     wm = -1.0 / (1.0 + z)
     scale = max(abs(wp), abs(wm))
     up = (wp / scale) ** m
     um = (wm / scale) ** m
-    if up == um:  # exceptional symmetric points: every block is A' I
-        a_mag = abs(0.5 * (up + um)) * scale**m
-        return ResolventValue(
-            a_mag ** (1.0 / m), "block_exact_with_tail", 0.0, True, 0
-        )
-    return ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
+    if up == um:  # every block is A' I
+        return (abs(0.5 * (up + um)) * scale**m) ** (1.0 / m)
+    return math.inf
+
+
+def _inverse_family_values(zs: np.ndarray, n: int) -> ResolventValues:
+    """The inverse symbol f(x) = 1/x in closed form, with no scan.
+
+    alpha f = 1 for every block, so (B - z)^-1 = (B + z) / (1 - z^2) and
+    ||(B_k - z)^-1|| >= alpha_k / |1 - z^2| grows without bound: every
+    n = 0 value is inf.  Powers take _inverse_power_value.
+    """
+    if n == 0:
+        value = np.full(len(zs), math.inf)
+    else:
+        value = np.array([_inverse_power_value(z, 1 << n) for z in zs.tolist()])
+    return _exact_values(value, "block_exact_with_tail", 0)
 
 
 # --------------------------------------------------------------- 4x4 blocks
@@ -642,15 +633,17 @@ def resolvent_power_norm(
 
 def resolvent_power_norms(
     model, zs, n: int, *, max_blocks: int = MAX_BLOCKS_DEFAULT
-) -> list:
-    """resolvent_power_norm at every point of zs, as a list of ResolventValues.
+) -> ResolventValues:
+    """resolvent_power_norm at every point of zs, as one ResolventValues.
 
-    This is the one place that decides how a model is evaluated at z.
-    Block families and their truncations scan all points in one block
-    engine pass; each value is the one a single-point call gives.
-    Diagonal matrices take diagonal_power_norms; other dense matrices and
-    families with tail limit 0 are evaluated point by point.  max_blocks
-    bounds the tail scan of infinite families.
+    This is the one place that decides how a model is evaluated at z, for
+    fields and points alike.  Block families and their truncations scan
+    all points in one block engine pass; each value is the one a
+    single-point call gives.  Diagonal matrices take diagonal_power_norms,
+    the inverse-symbol family its closed forms, scaled models the identity
+    ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|, and other dense matrices are
+    evaluated point by point.  max_blocks bounds the tail scan of infinite
+    families.
     """
     if n < 0:
         raise DomainError("power index n must be nonnegative")
@@ -659,30 +652,22 @@ def resolvent_power_norms(
         factor = complex(model.factor)
         s = abs(factor)
         inner = resolvent_power_norms(model.inner, zs / factor, n, max_blocks=max_blocks)
-        return [
-            replace(rv, value=rv.value / s, mode="scaled", tail_gap=rv.tail_gap / s)
-            for rv in inner
-        ]
+        return replace(
+            inner, value=inner.value / s, mode="scaled", tail_gap=inner.tail_gap / s
+        )
     if isinstance(model, DenseOperator):
         if model.diagonal is not None:
             values = diagonal_power_norms(model.diagonal, zs)
-            return [ResolventValue(v, "dense_exact") for v in values.tolist()]
-        return [
-            ResolventValue(_dense_power_norm(model.matrix, z, n), "dense_exact")
-            for z in zs.tolist()
-        ]
+        else:
+            values = np.array([_dense_power_norm(model.matrix, z, n) for z in zs.tolist()])
+        return _exact_values(values, "dense_exact", 0)
     if isinstance(model, TruncatedFamily):
         total = model.n_blocks
         values = _head_maxima(model.family, 0, total, zs, n)
-        return [
-            ResolventValue(v, "dense_exact", 0.0, True, k_cutoff=total)
-            for v in values.tolist()
-        ]
+        return _exact_values(values, "dense_exact", total)
     if isinstance(model, DiagBlockFamily):
-        if model.tail_C == 0.0 and (n == 0 or model.symbol.kind == "inverse"):
-            return [
-                _inverse_family_value(model, z, n, max_blocks) for z in zs.tolist()
-            ]
+        if model.symbol.kind == "inverse":
+            return _inverse_family_values(zs, n)
         return _family_values(model, zs, n, max_blocks)
     raise DomainError(f"unknown operator model {type(model).__name__}")
 

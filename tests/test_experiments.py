@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import resolvent_power_norm_oracle
 from pseudolab import (
     ConfigurationError,
     DenseOperator,
     DomainError,
     MaskSet,
     ResolventValue,
+    assemble_truncation,
     build_named_example,
     compute_norm_field,
     hausdorff_distance,
@@ -229,6 +231,7 @@ class TestGlobalMinScan:
 
 class TestConstantRegionScan:
     def test_membership_predicate(self):
+        assert in_constant_region(0.0)
         assert in_constant_region(0.49j)
         assert not in_constant_region(0.5)
         assert in_constant_region(2.0 * np.exp(1j * PHI))
@@ -312,6 +315,17 @@ class TestEmptyResolventProbe:
         assert values[25.0] >= math.sqrt(26.0**2 + 4.0) / 5.0 - 1e-9
         assert values[100.0] >= math.sqrt(101.0**2 + 4.0) / 5.0 - 1e-9
         assert 3.5 <= values[100.0] / values[25.0] <= 4.3
+
+    def test_series_are_the_truncation_norms_to_a_few_ulp(self):
+        # the block route; LU and power iteration on the dense 50-dim
+        # truncation gave 5.230544628256796 at N = 25, 2.6e-12 off
+        family = build_named_example("empty_resolvent").model
+        for lam in (2j, 3.0 + 3.0j):
+            rep = empty_resolvent_probe(family, lam, [25, 100])
+            for N, value in rep.series:
+                matrix = assemble_truncation(family, int(N)).matrix
+                want = resolvent_power_norm_oracle(matrix, lam, 0)
+                assert value == pytest.approx(want, rel=4 * np.finfo(float).eps)
 
     def test_degenerate_lambda_skips_the_bound(self):
         family = build_named_example("empty_resolvent").model

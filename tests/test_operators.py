@@ -325,13 +325,6 @@ class TestNamedExamples:
         with pytest.raises(ConfigurationError):
             build_named_example("nonconstant", {"alpha_rule": "log_grid"})
 
-    def test_tabulated_tail_mismatch_rejected(self):
-        sym = SymbolSpec(
-            "tabulated", table=((1.0, 1.0), (10.0, 1.0)), declared_tail=5.0
-        )
-        with pytest.raises(ConfigurationError):
-            DiagBlockFamily(symbol=sym)
-
 
 class TestConfigDocument:
     def test_round_trip(self):

@@ -571,6 +571,30 @@ class TestTailCertification:
         got = resolvent_norm(DECAY, 1.0 + 0.5j)
         assert got.certified and got.tail_gap == 0.0
 
+    def test_tabulated_tail_certifies_beyond_the_last_abscissa(self):
+        # f is the constant 1 beyond x = 1e3, so the constant-kind criteria
+        # close the tail at the first chunk end past that weight
+        family = DiagBlockFamily(TWO_SYMBOLS[-1])
+        for z in (0.3j, 0.2, 1.0 + 1.0j, -2.5 + 0.5j):
+            got = resolvent_norm(family, z)
+            assert got.certified and got.tail_gap == 0.0
+            assert got.k_cutoff == 1344
+            ks = _beyond(got.k_cutoff, 2 * 10**6, 2000)
+            alphas = family.alpha_values(ks)
+            blocks = np.zeros((len(ks), 2, 2), dtype=complex)
+            blocks[:, 0, 1] = family.symbol_values(alphas)
+            blocks[:, 1, 0] = alphas
+            deep = two_block_power_norms_oracle(blocks, z, 0).max()
+            assert deep <= got.value * (1.0 + SOUND_SLACK)
+
+    def test_inverse_family_takes_its_closed_form(self):
+        # ||(B_k - z)^-1|| >= alpha_k / |1 - z^2| is unbounded at every z; a
+        # doubling walk once reported k_cutoff 33554432 at z = 1e6, beyond
+        # the 10^6-block budget
+        for z in (0.0, 0.5, 1.0, 2.0 + 1.0j, 1e-8, 1e6):
+            got = resolvent_norm(EMPTY, z)
+            assert got == ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
+
 
 def _checked_cells(model, z: complex, step: float, n: int, budget: int):
     """ResolventValues of the 2x2 lattice cornered at z, one point at a time,
@@ -688,10 +712,13 @@ class TestFieldEngine:
         field = compute_norm_field(model, region, n, max_blocks=budget)
         zs = region.lattice().ravel()
         batch = resolvent.resolvent_power_norms(model, zs, n, max_blocks=budget)
+        # a truncation examines all its blocks, whatever the tail budget
+        limit = model.n_blocks if isinstance(model, TruncatedFamily) else budget
         for z, cell, rv in zip(zs, field.values.ravel(), batch):
             one = resolvent_power_norm(model, z, n, max_blocks=budget)
             assert rv == one
             assert cell == one.value
+            assert one.k_cutoff <= limit
 
     def test_window_closes_in_several_chunks(self):
         # inf cells, cells closed in the first chunk and cells open at the
