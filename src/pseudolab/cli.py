@@ -221,6 +221,11 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_decay(args) -> int:
+    for flag, r in (("--r-min", args.r_min), ("--r-max", args.r_max)):
+        if not (r > 0.0 and math.isfinite(r)):
+            raise ConfigurationError(f"{flag} must be positive and finite, got {r}")
+    if args.samples < 3:
+        raise ConfigurationError(f"--samples must be at least 3, got {args.samples}")
     rs = np.geomspace(args.r_min, args.r_max, args.samples).tolist()
     report = decay_study(args.beta, args.phi, rs, args.grid == "dense")
     return _emit_report(report, args.out)

@@ -37,7 +37,7 @@ from .pseudospectra import (
     dilate_one_cell,
     level_set,
 )
-from .resolvent import TAIL_TOL, gnr_defect, resolvent_norm
+from .resolvent import TAIL_TOL, gnr_defect, resolvent_norm, resolvent_power_norms
 from .setgeom import MaskSet, hausdorff_distance
 
 PASS = "pass"
@@ -398,6 +398,8 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
     probes = [complex(p) for p in probes]
     if not probes:
         raise ConfigurationError("needs at least one probe")
+    inside = [z for z in probes if in_constant_region(z)]
+    results = iter(resolvent_power_norms(model, inside, 0))
     series = []
     notes = []
     ok = True
@@ -406,7 +408,7 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
         if not in_constant_region(z):
             notes.append(f"probe {idx} at {z} outside the region: skipped")
             continue
-        rv = resolvent_norm(model, z)
+        rv = next(results)
         value = rv.value
         series.append((float(idx), value))
         evaluated += 1
@@ -502,14 +504,13 @@ def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyRepor
         kmax = int(math.ceil(max(rs) ** target_exp * 4.0)) + 4
         alphas = rule.values(np.arange(1, kmax + 1))
 
-    series = []
+    zs = [r * complex(math.cos(phi), math.sin(phi)) for r in rs]
+    values = resolvent_power_norms(family, zs, 0, max_blocks=40000).value.tolist()
+    series = list(zip(rs, values))
     mu_grid = []
     mu_cont = []
     notes = [STUDY_PROXY_NOTE]
     for r in rs:
-        z = r * complex(math.cos(phi), math.sin(phi))
-        value = resolvent_norm(family, z, max_blocks=40000).value
-        series.append((r, value))
         g = _g_factory(beta, r, phi)
         gv = np.array([g(a) for a in alphas])
         m = int(np.argmax(gv))

@@ -37,14 +37,18 @@ certificate closes, its value is inf, or the budget ends:
   stacked Jacobi call evaluates the rest.
 
 Each point's arithmetic depends on that point alone, so a value does not
-depend on the other points of the call.  The reported value is
-max(head maximum, analytic tail limit): a certified lower bound that is
-exact whenever the certificates close the gap to within TAIL_TOL.  The
-one-sided gap that remains is reported in the diagnostics, with the value
-marked uncertified.  A tabulated symbol is constant beyond its last
-abscissa and is certified there as the constant kind.  The inverse symbol
-f(x) = 1/x takes closed forms instead of a scan, and non-diagonal dense
-models are evaluated point by point.
+depend on the other points of the call.  The certificates are array
+functions of the points, NaN where none applies.  numpy's complex
+products and powers may round a point differently by its place in the
+batch, so powers of z are taken in real arithmetic (_cmul), |z| by
+hypot, and the 4x4 tail limit's |z|^2 as Python's abs(z) ** 2, once per
+call.  The reported value is max(head maximum, analytic tail limit): a
+certified lower bound that is exact whenever the certificates close the
+gap to within TAIL_TOL.  The one-sided gap that remains is reported in
+the diagnostics, with the value marked uncertified.  A tabulated symbol
+is constant beyond its last abscissa and is certified there as the
+constant kind.  The inverse symbol f(x) = 1/x takes closed forms instead
+of a scan, and non-diagonal dense models are evaluated point by point.
 """
 from __future__ import annotations
 
@@ -186,16 +190,23 @@ def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
 # --------------------------------------------------- 2x2 block head values
 
 
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, in real arithmetic rounded as Python's complex product."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, m: int) -> np.ndarray:
     """(points, blocks) values ||(B_k - z)^-m||^(1/m); inf marks a singular block.
 
-    The z-dependent scalars are taken per point in Python complex
-    arithmetic, so every value is the one a single-point call computes.
+    z^2 is _cmul's, so each value depends on its point alone.
     """
     alphas = family.alpha_values(ks)
     fs = family.symbol_values(alphas)
     z = zs[:, None]
-    zsq = np.array([w * w for w in zs.tolist()])[:, None]
+    zsq = _cmul(z, z)
     if m == 1:
         # 1/sigma_min(B - z) = sigma_max / |det| with det = z^2 - alpha f, in
         # real arithmetic.  sigma_max^2 = (F + sqrt(F^2 - 4 |det|^2)) / 2 with
@@ -278,64 +289,58 @@ def _tail_inf_p(symbol, a: float) -> float:
     return best
 
 
-def _tail_stays_below_limit(family, a: float, z: complex) -> bool:
-    """True if every block with weight >= a has value < 1/C (exact algebra).
+def _tail_stays_below_limit(family, a: float, zs: np.ndarray) -> np.ndarray:
+    """At each z, whether every block with weight >= a has value < 1/C (exact algebra).
 
     Valid for the kinds whose blocks approach the limit from below; the
     criterion is monotone in the weight, so checking it at the cutoff
     covers the whole tail.
     """
     kind = family.symbol.kind
-    zsq = z * z
+    zsq = _cmul(zs, zs)
     u, v = zsq.real, zsq.imag
-    r2 = abs(z) ** 2
+    r2 = np.hypot(zs.real, zs.imag) ** 2
     if kind == "one_plus_inv":
-        if u > 1.0:
-            return False
         g = 2.0 * a * (1.0 - u) + (1.0 - u) ** 2 + v * v - 2.0 * r2
         g -= 2.0 / a + 1.0 / (a * a)
-        return g > 0.0
+        return (u <= 1.0) & (g > 0.0)
     # a tabulated symbol is its last value beyond its last abscissa
     if kind == "constant" or (kind == "tabulated" and a >= family.symbol.table[-1][0]):
         c = family.tail_C
-        if u > 0.0:
-            return False
         g = -2.0 * u * a / c + (u * u + v * v) / (c * c) - 2.0 * r2
-        return g > 0.0 and 2.0 * r2 + c * c + a * a > 2.0 * c * c
-    return False
+        return (u <= 0.0) & (g > 0.0) & (2.0 * r2 + c * c + a * a > 2.0 * c * c)
+    return np.zeros(len(zs), dtype=bool)
 
 
-def _envelope_sup(family, a: float, z: complex) -> float | None:
-    """Upper bound for sup over blocks with weight >= a of the n=0 value.
+def _envelope_sup(family, a: float, zs: np.ndarray) -> np.ndarray:
+    """At each z, an upper bound for sup over blocks with weight >= a of the n=0 value.
 
     Uses ||(B - z)^-1|| <= (r + x) / (x f(x) - r^2), which is monotone on
     the tail for the analytic symbol kinds and for a tabulated symbol where
     it is constant, so its sup is max(value at the cutoff, limit 1/C).
     """
     if family.symbol.kind == "tabulated" and a < family.symbol.table[-1][0]:
-        return None
-    r = abs(z)
+        return np.full(len(zs), math.nan)
+    r = np.hypot(zs.real, zs.imag)
     f_a = family.symbol.value(a)
     p_a = a * f_a
-    if not (p_a > r * r and a >= f_a):
-        return None
-    h_a = (r + a) / (p_a - r * r)
-    return max(h_a, 1.0 / family.tail_C)
+    room = np.where((p_a > r * r) & (a >= f_a), p_a - r * r, math.nan)
+    return np.maximum((r + a) / room, 1.0 / family.tail_C)
 
 
-def _power_tail_bound(family, a: float, z: complex, m: int) -> float | None:
-    """Upper bound for sup over the tail of the m-th power block value, m >= 2.
+def _power_tail_bound(family, a: float, zs: np.ndarray) -> np.ndarray:
+    """At each z, an upper bound for sup over the tail of the m-th power block value, m >= 2.
 
     ||(B - z)^-m||^(1/m) <= ||[(B + z)/q]^2||^(1/2) and the squared norm is
     bounded by (r^2 + p (1 + 2r/f_lb)) / (p - r^2)^2, decreasing in p.
     """
-    r = abs(z)
+    r = np.hypot(zs.real, zs.imag)
     f_lb = _tail_inf_f(family.symbol, a)
     p_lb = _tail_inf_p(family.symbol, a)
-    if not (f_lb > 0.0 and p_lb > r * r):
-        return None
-    g = (r * r + p_lb * (1.0 + 2.0 * r / f_lb)) / (p_lb - r * r) ** 2
-    return math.sqrt(g)
+    if not f_lb > 0.0:
+        return np.full(len(zs), math.nan)
+    room = np.where(p_lb > r * r, p_lb - r * r, math.nan)
+    return np.sqrt((r * r + p_lb * (1.0 + 2.0 * r / f_lb)) / room**2)
 
 
 # -------------------------------------------------------- block-scan engine
@@ -356,7 +361,8 @@ def _group_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
     mats, exps = _batch_square_scaled(mats, n)
     # value < floor  <=>  sigma_max(mats) < floor^m / 2^exps; a zero
     # floor gives bound 0, which drops nothing
-    lead = [m * math.log(f) if f > 0.0 else -math.inf for f in floors.tolist()]
+    with np.errstate(divide="ignore"):
+        lead = m * np.log(floors)
     keep = ~norm_below(mats, np.exp(np.repeat(lead, len(ks)) - exps * math.log(2.0)))
     vals = np.zeros(len(mats))
     if keep.any():
@@ -403,65 +409,61 @@ def _head_maxima(family, lo: int, hi: int, zs: np.ndarray, n: int) -> np.ndarray
     return best
 
 
-def _two_shape(family, z: complex, n: int):
-    """(tail limit, tail_ub(a)) for 2x2 blocks."""
-    m = 1 << n
-    tail_limit = 1.0 / family.tail_C if n == 0 else 0.0  # 0 for C = inf
+def _tail_bound(family, a: float, zs: np.ndarray, n: int, limit0: np.ndarray) -> np.ndarray:
+    """At each z, an upper bound for every block value beyond weight a; NaN where none applies.
 
-    def tail_ub(a: float) -> float | None:
+    limit0 is the n = 0 tail limit at each z.
+    """
+    if family.block_dim == 2:
         if n > 0:
-            return _power_tail_bound(family, a, z, m)
-        if _tail_stays_below_limit(family, a, z):
-            return tail_limit
-        return _envelope_sup(family, a, z)
-
-    return tail_limit, tail_ub
+            return _power_tail_bound(family, a, zs)
+        below = _tail_stays_below_limit(family, a, zs)
+        return np.where(below, limit0, _envelope_sup(family, a, zs))
+    xi = _four_tail_deviation(family, a, zs)
+    if n == 0:
+        return limit0 + xi
+    eta = xi * (xi + 2.0 * limit0)
+    return np.sqrt(1.0 + eta) if n == 1 else (2.0 * eta + eta * eta) ** 0.25
 
 
 def _family_values(family, zs: np.ndarray, n: int, max_blocks: int) -> ResolventValues:
     """Certified sup of the block values of an infinite 2x2 or 4x4 family at each point.
 
-    All points walk the block_chunks schedule together.  A point's head
-    maximum is exact; after each chunk its gap is
-    max(0, tail_ub(next weight) - value), and the point leaves the scan
-    once the gap is within TAIL_TOL or its value is inf.  Points still open
-    when the budget ends are uncertified and keep their smallest gap.
+    All points walk the block_chunks schedule together, and each chunk
+    updates the active points with array operations.  A point's value
+    starts at the tail limit and its head maximum is exact; after each
+    chunk its gap is max(0, _tail_bound(next weight) - value), and the
+    point leaves the scan once the gap is within TAIL_TOL or its value is
+    inf.  Points still open when the budget ends are uncertified and keep
+    their smallest gap.
     """
-    shape = _two_shape if family.block_dim == 2 else _four_shape
-    value = np.zeros(len(zs))
+    four = family.block_dim == 4
+    limit0 = _four_limit_norm(zs) if four else np.full(len(zs), 1.0 / family.tail_C)
+    # the tail limit; the 4x4 limit L has ||L^2|| = 1 and L^4 = 0
+    value = limit0.copy() if n == 0 else np.full(len(zs), 1.0 if four and n == 1 else 0.0)
     tail_gap = np.full(len(zs), math.inf)
     certified = np.zeros(len(zs), dtype=bool)
     k_cutoff = np.zeros(len(zs), dtype=np.int64)
-    tails = {}
-    for i, z in enumerate(zs.tolist()):
-        if family.block_dim == 4 and z == 0 and n in (0, 1):
-            # closed forms: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| = 1/beta_k^2 < 1
-            # for every block, while the tail limit is exactly 1
-            value[i], tail_gap[i], certified[i] = 1.0, 0.0, True
-        else:
-            value[i], tails[i] = shape(family, z, n)
-    active = list(tails)
+    if four and n in (0, 1):
+        # closed forms at z = 0: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| =
+        # 1/beta_k^2 < 1 for every block, while the tail limit is exactly 1
+        closed = zs == 0
+        value[closed], tail_gap[closed], certified[closed] = 1.0, 0.0, True
+    active = np.flatnonzero(~certified)
     for ks in block_chunks(0, max_blocks):
-        if not active:
+        if not len(active):
             break
         k_done = int(ks[-1])
         value[active] = _chunk_maxima(family, ks, zs[active], n, value[active])
         k_cutoff[active] = k_done
         a = float(family.alpha_values(np.array([k_done + 1]))[0])
-        still = []
-        for i in active:
-            v = float(value[i])
-            if math.isinf(v):
-                tail_gap[i], certified[i] = 0.0, True
-                continue
-            ub = tails[i](a)
-            if ub is not None:
-                gap = max(0.0, ub - v)
-                tail_gap[i] = min(tail_gap[i], gap)
-                certified[i] = gap <= TAIL_TOL
-            if not certified[i]:
-                still.append(i)
-        active = still
+        v = value[active]
+        ub = _tail_bound(family, a, zs[active], n, limit0[active])
+        # an inf value is exact; a NaN gap (no certificate) keeps the old gap
+        gap = np.where(np.isinf(v), 0.0, np.maximum(ub - v, 0.0))
+        tail_gap[active] = np.fmin(tail_gap[active], gap)
+        certified[active] = gap <= TAIL_TOL
+        active = active[~certified[active]]
     return ResolventValues(value, "block_exact_with_tail", tail_gap, certified, k_cutoff)
 
 
@@ -511,8 +513,8 @@ def _four_resolvent_batch(family, ks: np.ndarray, zs: np.ndarray):
     alphas = family.alpha_values(ks)
     betas = family.symbol_values(alphas)
     p = alphas * betas
-    powers = np.array([(z, z * z, z**3, z**4) for z in zs.tolist()]).reshape(-1, 4)
-    z1, z2, z3, z4 = (powers[:, i, None] for i in range(4))
+    z1, z2 = zs[:, None], _cmul(zs, zs)[:, None]
+    z3, z4 = _cmul(z1, z2), _cmul(z2, z2)
     q = p * p - z4
     sing = q == 0
     qs = np.where(sing, 1.0, q)
@@ -579,39 +581,24 @@ def _scaled_root(sigma, exps, m: int):
         return np.where(np.isinf(exps), math.inf, head * np.exp2(q))
 
 
-def _four_limit_norm(z: complex) -> float:
-    """Norm of the limiting resolvent (nilpotent part plus z times its square)."""
-    t = 2.0 + abs(z) ** 2
-    return math.sqrt((t + math.sqrt(t * t - 4.0)) / 2.0)
+def _four_limit_norm(zs: np.ndarray) -> np.ndarray:
+    """At each z, the norm of the limiting resolvent (nilpotent part plus z times its square).
+
+    |z|^2 is Python's abs(z) ** 2 (libm pow), which numpy does not reproduce.
+    """
+    t = 2.0 + np.array([abs(z) ** 2 for z in zs.tolist()])
+    return np.sqrt((t + np.sqrt(t * t - 4.0)) / 2.0)
 
 
-def _four_tail_deviation(family, a: float, z: complex) -> float | None:
-    """Bound on ||(B - z)^-1 - limit|| for every block with weight >= a."""
-    r = abs(z)
-    if a * a <= r**4:
-        return None
+def _four_tail_deviation(family, a: float, zs: np.ndarray) -> np.ndarray:
+    """At each z, a bound on ||(B - z)^-1 - limit|| for every block with weight >= a."""
+    r = np.hypot(zs.real, zs.imag)
+    r2 = r * r
+    r4 = r2 * r2
     bmax = family.symbol.value(family.alpha.value(1))
-    c2 = 2.0 * bmax + 2.0 * r + 2.0 * bmax * bmax + 2.0 * r * bmax + r * r
-    c1 = 2.0 * r**4 + r**5 + r + 4.0 * r**3 + r * r * bmax
-    return (c1 + c2 * a) / (a * a - r**4)
-
-
-def _four_shape(family, z: complex, n: int):
-    """(tail limit, tail_ub(a)) for 4x4 blocks."""
-    m = 1 << n
-    limit0 = _four_limit_norm(z)
-    tail_limit = limit0 if m == 1 else (1.0 if m == 2 else 0.0)
-
-    def tail_ub(a: float) -> float | None:
-        xi = _four_tail_deviation(family, a, z)
-        if xi is None:
-            return None
-        if m == 1:
-            return limit0 + xi
-        eta = xi * (xi + 2.0 * limit0)
-        return math.sqrt(1.0 + eta) if m == 2 else (2.0 * eta + eta * eta) ** 0.25
-
-    return tail_limit, tail_ub
+    c2 = 2.0 * bmax + 2.0 * r + 2.0 * bmax * bmax + 2.0 * r * bmax + r2
+    c1 = 2.0 * r4 + r4 * r + r + 4.0 * r2 * r + r2 * bmax
+    return (c1 + c2 * a) / np.where(a * a > r4, a * a - r4, math.nan)
 
 
 # ------------------------------------------------------------- public API
@@ -648,6 +635,9 @@ def resolvent_power_norms(
     if n < 0:
         raise DomainError("power index n must be nonnegative")
     zs = np.asarray(zs, dtype=np.complex128).ravel()
+    if not np.isfinite(zs).all():
+        bad = complex(zs[~np.isfinite(zs)][0])
+        raise DomainError(f"evaluation points must be finite, got {bad}")
     if isinstance(model, ScaledOperator):
         factor = complex(model.factor)
         s = abs(factor)

@@ -29,13 +29,12 @@ def smallest_sv_oracle(a) -> float:
 
 
 def resolvent_norm_oracle(a, z: complex) -> float:
-    """||(A - z)^-1|| for a dense matrix, via the SVD oracle; inf if singular."""
-    m = np.asarray(a, dtype=np.complex128)
-    shifted = m - z * np.eye(m.shape[0])
-    smin = smallest_sv_oracle(shifted)
-    if smin == 0.0:
-        return float("inf")
-    return 1.0 / smin
+    """||(A - z)^-1|| for a dense matrix; inf if singular.
+
+    sigma_max of the explicit inverse: sigma_min of A - z from the Gram
+    matrix would square its condition number.
+    """
+    return resolvent_power_norm_oracle(a, z, 0)
 
 
 def resolvent_power_norm_oracle(a, z: complex, n: int) -> float:

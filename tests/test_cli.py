@@ -185,6 +185,26 @@ class TestExitCodeMatrix:
         assert run(["converge", "--model", "shargorodsky", "--sequence", "shrink",
                     "--region", "1,7,-1.5,1.5", "--h", "0.5", "--ks", "2,4"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--r-min", "0"],
+            ["--r-min", "-1"],
+            ["--r-min", "nan"],
+            ["--r-max", "inf"],
+            ["--samples", "-3"],
+            ["--samples", "2"],
+        ],
+    )
+    def test_bad_decay_radii_or_samples_are_two(self, capsys, flags):
+        assert run(["decay", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0] in err
+
+    def test_non_finite_point_is_two(self, capsys):
+        assert run(["verify", "empty-resolvent", "--lam", "nan,0"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_numerical_failure_is_three(self, tmp_path, capsys, monkeypatch):
         def stall(a):
             raise ConvergenceError("power iteration stalled at shape (2, 2)")

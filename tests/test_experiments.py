@@ -12,7 +12,7 @@ from pseudolab import (
     DenseOperator,
     DomainError,
     MaskSet,
-    ResolventValue,
+    ResolventValues,
     assemble_truncation,
     build_named_example,
     compute_norm_field,
@@ -271,11 +271,37 @@ class TestConstantRegionScan:
 
     def test_uncertified_value_fails_closed(self, monkeypatch):
         # an uncertified lower bound that equals M proves nothing about M
-        fake = ResolventValue(1.0, "block_exact_with_tail", 0.25, False, 64)
-        monkeypatch.setattr(experiments, "resolvent_norm", lambda model, z: fake)
+        fake = ResolventValues(
+            np.array([1.0]), "block_exact_with_tail", np.array([0.25]),
+            np.array([False]), np.array([64]),
+        )
+        monkeypatch.setattr(experiments, "resolvent_power_norms", lambda model, zs, n: fake)
         rep = constant_region_scan(SHARG, [0.2], 1.0, 1e-9)
         assert rep.verdict == "fail"
         assert any("uncertified (tail gap 0.25)" in s for s in rep.notes)
+
+
+class TestStudiesCallTheEngineOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        engine = experiments.resolvent_power_norms
+
+        def counted(model, zs, n, **kwargs):
+            seen.append(len(zs))
+            return engine(model, zs, n, **kwargs)
+
+        monkeypatch.setattr(experiments, "resolvent_power_norms", counted)
+        return seen
+
+    def test_decay_study(self, calls):
+        decay_study(0.5, PHI, list(np.geomspace(10.0, 100.0, 7)), False)
+        assert calls == [7]
+
+    def test_constant_region_scan(self, calls):
+        # the probe at 2 lies outside the region and is not evaluated
+        constant_region_scan(SHARG, [0.2, 2.0, 0.3j, -0.25 + 0.1j], 1.0, 1e-9)
+        assert calls == [3]
 
 
 class TestDecayStudy:

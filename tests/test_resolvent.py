@@ -330,6 +330,19 @@ class TestPowerNorms:
         with pytest.raises(DomainError):
             resolvent_power_norm(DIAG26, 3.0, -1)
 
+    @pytest.mark.parametrize(
+        "model",
+        [SHARG, REMARK, EMPTY, DIAG26, DenseOperator([[1.0, 1.0], [0.0, 2.0]]),
+         TruncatedFamily(SHARG, 8), scale_operator(REMARK, 2.0)],
+        ids=["two", "four", "inverse", "diagonal", "dense", "truncated", "scaled"],
+    )
+    @pytest.mark.parametrize(
+        "bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)]
+    )
+    def test_non_finite_point_rejected(self, model, bad):
+        with pytest.raises(DomainError, match="finite"):
+            resolvent.resolvent_power_norms(model, [0.3, bad, 0.5j], 0)
+
 
 def _clustered(rng, dims, delta):
     # Q diag(s) Q^H with the two smallest and the two largest of s at
@@ -594,6 +607,37 @@ class TestTailCertification:
         for z in (0.0, 0.5, 1.0, 2.0 + 1.0j, 1e-8, 1e6):
             got = resolvent_norm(EMPTY, z)
             assert got == ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
+
+
+class TestCertificatesAreArrayFunctions:
+    """A tail certificate runs once per chunk, whatever the number of points."""
+
+    @pytest.mark.parametrize(
+        "model, n, certificate",
+        [
+            (REMARK, 0, "_four_tail_deviation"),
+            (SHARG, 0, "_tail_stays_below_limit"),
+            (SHARG, 1, "_power_tail_bound"),
+        ],
+    )
+    def test_call_count_does_not_grow_with_the_points(self, monkeypatch, model, n, certificate):
+        calls = []
+        kernel = getattr(resolvent, certificate)
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(resolvent, certificate, counted)
+        zs = GridRegion(0.1, 0.9, 0.1, 0.9, 9, 9).lattice().ravel()
+        counts = []
+        for points in (zs[:1], zs):
+            calls.clear()
+            batch = resolvent.resolvent_power_norms(model, points, n, max_blocks=1024)
+            # every point stays open to the same chunk, so both walk one schedule
+            assert len(set(batch.k_cutoff.tolist())) == 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1] >= 1
 
 
 def _checked_cells(model, z: complex, step: float, n: int, budget: int):
