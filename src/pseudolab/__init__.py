@@ -2,7 +2,7 @@
 
 The package is organised bottom-up:
 
-* ``numkernel``      dense complex LU, singular-value iteration, 2x2 closed forms
+* ``numkernel``      stacked complex LU, direct largest singular values, 2x2 closed forms
 * ``operators``      operator descriptions: dense, scaled, diagonal block families,
                      truncations, operator sequences, the named example catalogue
 * ``resolvent``      resolvent and resolvent-power norms with certified tail

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success (and verdict pass for studies), 1 study verdict
-fail, 2 configuration or usage error, 3 numerical failure (an iterative
-kernel did not converge).
+fail, 2 configuration, usage or domain error.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from .experiments import (
     empty_resolvent_probe,
     global_min_scan,
 )
-from .numkernel import ConvergenceError, SingularMatrixError
+from .numkernel import SingularMatrixError
 from .operators import (
     NAMED_EXAMPLES,
     DenseOperator,
@@ -426,9 +425,6 @@ def parse_and_dispatch(argv) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def main() -> None:

@@ -2,8 +2,8 @@
 
 The CLI maps ConfigurationError, DomainError, InapplicableConditionError,
 SingularityError, numkernel.SingularMatrixError, OSError and csv.Error to
-exit code 2 and numkernel.ConvergenceError to exit code 3; everything else
-that escapes is a genuine failure.
+exit code 2; everything else that escapes is a genuine failure.  No
+numerical kernel can fail to converge, so no exit code stands for that.
 """
 
 

@@ -1,59 +1,60 @@
 """Dense complex linear-algebra kernels.
 
-Everything downstream reduces to four operations on square complex
+Everything downstream reduces to four operations on stacks of complex
 matrices:
 
-* ``explicit_inverse``        A^-1 by one LU with partial pivoting and one
-                              multi-column solve (``solve_factored``)
-* ``largest_singular_value``  power iteration on A*A
-* ``smallest_singular_value`` 1 / largest_singular_value of the explicit inverse
-* ``sv2x2``                   closed-form singular values of a 2x2 block
+* ``explicit_inverses``        A^-1 of each matrix by one LU with partial
+                               pivoting (``lu_factor``) and one
+                               multi-column solve (``lu_solve``)
+* ``largest_singular_values``  sigma_max of each matrix, direct: the Gram
+                               matrix, Householder tridiagonalization and
+                               Sturm bisection
+* ``smallest_singular_value``  1 / sigma_max of the explicit inverse
+* ``sv2x2_batch``              closed-form singular values of 2x2 blocks
 
 plus ``jacobi_singular_values``, all singular values of one matrix or of
 a stack of them by one-sided Jacobi in round-robin order, and
-``norm_below``, the LDL* positivity test of bound^2 I - M*M over a stack.
+``norm_below``, the LDL* positivity test of bound^2 I - M*M over a stack;
+the block engine calls these two on stacks of 4x4 blocks.
 
-Every iterative estimate is one ``power_iteration`` on C*C for an explicit
-matrix C: deterministic from the all-ones start vector, converged on the
-relative change of the Rayleigh quotient, stopped by one stall rule
-(``_stalled``: the best step of the last 24 fails to halve the best
-before them) or by ITERATION_CAP, and accepted only when ``norm_below``
-certifies it to CERTIFY_SLACK.  An estimate that fails falls back to
-Jacobi on the explicit matrix, which converges quadratically and is
-accurate to roundoff, when its smaller side is at most JACOBI_DIM_LIMIT,
-and raises ConvergenceError otherwise.  The block engine calls the same
-Jacobi and positivity kernels on stacks of 4x4 blocks.
+sigma_max involves no iteration that has to converge.  A matrix is scaled
+by an exact power of two, its Gram matrix is reduced to a real symmetric
+tridiagonal T with the same eigenvalues (Golub & Van Loan, Matrix
+Computations, 4th ed., 8.3), and lambda_max(T) is enclosed by Sturm-count
+bisection until the enclosure is two adjacent doubles (8.4).  Both steps
+do a fixed amount of work per matrix.  ``largest_singular_value`` is a
+stack of one and takes rectangular input.
+
+Every step treats each matrix of a stack alike: matrix products run
+slice by slice and elementwise operations along the rows of one matrix,
+so a matrix's results do not depend on the rest of its stack, bit for
+bit.
 No LAPACK-style library call appears on any of these paths; numpy is used
-for array storage and vectorised arithmetic only.
+for array storage, vectorised arithmetic and matrix products only.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 PIVOT_FLOOR = 1e-300
-RAYLEIGH_TOL = 1e-12
-# a converged sigma is accepted once sigma_max^2 < (1 + CERTIFY_SLACK) sigma^2
-CERTIFY_SLACK = 1e-10
-ITERATION_CAP = 500
-JACOBI_DIM_LIMIT = 512
 JACOBI_SWEEP_CAP = 60
+# columns a blocked LU or tridiagonalization reduces before it updates the
+# trailing matrix with one matrix product
+PANEL = 32
+# Sturm counts per matrix in one bisection pass; a pass shrinks the
+# enclosure of lambda_max by the factor SHIFTS + 1
+SHIFTS = 255
 
 
 class SingularMatrixError(ArithmeticError):
-    """Factorisation hit a pivot with magnitude <= 1e-300.
+    """solve_factored met a pivot with |re| + |im| <= PIVOT_FLOOR.
 
-    Callers that compute resolvent norms map this to a norm of +inf; it is
-    a signal, not a failure.
+    The stacked kernels report singular matrices in a mask instead, which
+    the resolvent maps to a norm of +inf.
     """
-
-
-class ConvergenceError(ArithmeticError):
-    """Iteration stalled or was not certified, and the matrix is too large
-    for the Jacobi fallback."""
 
 
 class DimensionError(ValueError):
@@ -83,44 +84,70 @@ def as_square_matrix(a) -> np.ndarray:
     return m
 
 
-def lu_factor(a: np.ndarray):
-    """Partial-pivot LU: returns (packed, perm) with A[perm] = L U.
+def _cabs1(x: np.ndarray) -> np.ndarray:
+    """|re| + |im|, the pivot measure of LAPACK's izamax."""
+    return np.abs(x.real) + np.abs(x.imag)
 
-    ``packed`` holds U on and above the diagonal and the unit-lower L
-    strictly below it; row k of L U is row ``perm[k]`` of A.  Raises
-    SingularMatrixError if any pivot magnitude <= 1e-300.
+
+def lu_factor(a: np.ndarray):
+    """Partial-pivot LU of a matrix (n, n) or of each matrix of a stack (b, n, n).
+
+    Returns (packed, perm) with A[perm] = L U per matrix: ``packed`` holds U
+    on and above the diagonal and the unit-lower L strictly below it, and
+    row k of L U is row ``perm[k]`` of A.  Pivots are chosen by |re| + |im|.
+    A pivot whose measure is at most PIVOT_FLOOR stays on the diagonal of U
+    and eliminates nothing (its multipliers are 0), so no entry grows;
+    ``solve_factored`` and ``explicit_inverses`` treat such a matrix as
+    singular.  Blocked as in LAPACK's zgetrf: PANEL columns are eliminated
+    within themselves, then the rows of U to their right are solved for and
+    the trailing matrix takes their update in one product.
     """
     lu = np.array(a, dtype=np.complex128, order="C")
-    n = lu.shape[0]
-    perm = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            perm[[k, p]] = perm[[p, k]]
-        pivot = lu[k, k]
-        if abs(pivot) <= PIVOT_FLOOR:
-            raise SingularMatrixError(f"pivot {abs(pivot):.3e} at step {k}")
-        if k + 1 < n:
-            lu[k + 1 :, k] /= pivot
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm
+    stack = lu.reshape((-1,) + lu.shape[-2:])
+    count, n = stack.shape[:2]
+    perm = np.tile(np.arange(n), (count, 1))
+    mats = np.arange(count)
+    for start in range(0, n, PANEL):
+        end = min(start + PANEL, n)
+        for k in range(start, end):
+            p = k + np.argmax(_cabs1(stack[:, k:, k]), axis=1)
+            row = stack[mats, p]
+            stack[mats, p] = stack[:, k]
+            stack[:, k] = row
+            taken = perm[mats, p]
+            perm[mats, p] = perm[:, k]
+            perm[:, k] = taken
+            pivot = row[:, k]
+            live = _cabs1(pivot) > PIVOT_FLOOR
+            mult = stack[:, k + 1 :, k]
+            mult /= np.where(live, pivot, 1.0)[:, None]
+            mult *= live[:, None]
+            stack[:, k + 1 :, k + 1 : end] -= mult[:, :, None] * row[:, None, k + 1 : end]
+        if end < n:
+            for k in range(start + 1, end):
+                stack[:, k, end:] -= (stack[:, k, None, start:k] @ stack[:, start:k, end:])[:, 0]
+            stack[:, end:, end:] -= stack[:, end:, start:end] @ stack[:, start:end, end:]
+    return lu, perm.reshape(lu.shape[:-1])
 
 
 def lu_solve(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b given lu_factor output.  b may be a vector or matrix."""
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=np.complex128)[perm]
-    squeeze = x.ndim == 1
+    """Solve A x = b given lu_factor output, for one matrix or a stack.
+
+    b holds one vector (n,) or matrix (n, k) per factored matrix.
+    """
+    rhs = np.asarray(b, dtype=np.complex128)
+    squeeze = rhs.ndim < lu.ndim
     if squeeze:
-        x = x[:, None]
+        rhs = rhs[..., None]
+    x = np.take_along_axis(rhs, perm[..., None], axis=-2)
+    n = lu.shape[-1]
     for k in range(1, n):  # L y = b[perm], unit diagonal
-        x[k] -= lu[k, :k] @ x[:k]
+        x[..., k, :] -= (lu[..., k, None, :k] @ x[..., :k, :])[..., 0, :]
     for k in range(n - 1, -1, -1):  # U x = y
         if k + 1 < n:
-            x[k] -= lu[k, k + 1 :] @ x[k + 1 :]
-        x[k] /= lu[k, k]
-    return x[:, 0] if squeeze else x
+            x[..., k, :] -= (lu[..., k, None, k + 1 :] @ x[..., k + 1 :, :])[..., 0, :]
+        x[..., k, :] /= lu[..., k, k, None]
+    return x[..., 0] if squeeze else x
 
 
 def lu_solve_adjoint(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,8 +176,29 @@ def solve_factored(a, b) -> np.ndarray:
     rhs = np.asarray(b, dtype=np.complex128)
     if rhs.shape[0] != m.shape[0]:
         raise DimensionError(f"rhs rows {rhs.shape[0]} != matrix dim {m.shape[0]}")
-    lu, piv = lu_factor(m)
-    return lu_solve(lu, piv, rhs)
+    lu, perm = lu_factor(m)
+    tiny = _cabs1(np.diagonal(lu)) <= PIVOT_FLOOR
+    if tiny.any():
+        k = int(np.argmax(tiny))
+        raise SingularMatrixError(f"pivot {abs(lu[k, k]):.3e} at step {k}")
+    return lu_solve(lu, perm, rhs)
+
+
+def explicit_inverses(mats: np.ndarray):
+    """A^-1 of each matrix of a stack (b, n, n): one LU and one multi-column solve.
+
+    Returns (inverses, invertible).  A matrix is not invertible when its
+    factorisation meets a pivot of measure at most PIVOT_FLOOR or an entry
+    of its inverse overflows; its inverse is then all zeros.
+    """
+    n = mats.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lu, perm = lu_factor(mats)
+        w = lu_solve(lu, perm, np.broadcast_to(np.eye(n, dtype=np.complex128), mats.shape))
+    ok = (_cabs1(np.diagonal(lu, axis1=1, axis2=2)) > PIVOT_FLOOR).all(axis=1)
+    ok &= np.isfinite(w.view(np.float64)).all(axis=(1, 2))
+    w[~ok] = 0.0
+    return w, ok
 
 
 @lru_cache(maxsize=None)
@@ -223,19 +271,6 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("bkl,bkl->bk", r, r)
 
 
-def _stalled(history: list, tol: float) -> bool:
-    # Bail out only on sustained lack of progress: the best increment of the
-    # last 24 steps failed to halve the best of the steps before them.  A
-    # windowed rate estimate is too jumpy here; decay-rate crossovers in
-    # clustered spectra produce short plateaus that look flat locally.
-    if len(history) < 48:
-        return False
-    recent = min(history[-24:])
-    if recent <= tol:
-        return False
-    return recent > 0.5 * min(history[:-24])
-
-
 def norm_below(mats: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """Per matrix M of a stack (b, m, n), whether sigma_max(M) < bound.
 
@@ -256,114 +291,173 @@ def norm_below(mats: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return ok
 
 
-def power_iteration(c: np.ndarray) -> float | None:
-    """sigma_max(C) by power iteration on C*C, or None when it fails.
+def largest_singular_values(mats: np.ndarray) -> np.ndarray:
+    """sigma_max of each matrix of a stack (b, m, n) of finite complex entries.
 
-    C x is ``c @ x`` and C* y is ``conj(conj(y) @ c)``, so no adjoint copy
-    of c is made.  The iterate starts at the normalised all-ones vector.
-    Converged when the Rayleigh quotient ||C x||^2 of the unit iterate
-    changes by at most RAYLEIGH_TOL relative; the estimate sigma is then
-    returned only if ``norm_below`` proves sigma_max(C)^2 <
-    (1 + CERTIFY_SLACK) sigma^2, tested on C scaled by its largest entry
-    modulus.  A zero or non-finite product, ``_stalled``, ITERATION_CAP
-    steps or a refused certificate end it with None.  The iteration runs on
-    C / 2^e with 2^e the power of two above that modulus, an exact scaling
-    that keeps the norms in range.
+    Each matrix is multiplied by the power of two 2^-e that brings its
+    largest |re| or |im| into [1/2, 1), exactly; its Gram matrix C on the
+    smaller side is reduced to tridiagonal form (``_tridiagonal``) and
+    lambda_max(C) enclosed by bisection (``_top_eigenvalue``), so sigma_max =
+    sqrt(lambda_max) 2^e.  lambda_max >= 1/4 after the scaling; forming
+    the Gram matrix and reducing it move lambda_max by at most O(k u)
+    relative, and by a few ulps in practice.  A zero matrix gives 0.
     """
-    top = float(np.max(np.abs(c)))
-    _, e = math.frexp(top)
-    c = _times_pow2(c, -e)
-    top = math.ldexp(top, -e)
-    x = np.ones(c.shape[1], dtype=np.complex128) / math.sqrt(c.shape[1])
-    prev = None
-    increments: list = []
-    for _ in range(ITERATION_CAP):
-        v = c @ x
-        sigma = float(np.linalg.norm(v))
-        if not 0.0 < sigma < math.inf:
-            return None
-        x = ((v / sigma).conj() @ c).conj()
-        size = float(np.linalg.norm(x))
-        if not 0.0 < size < math.inf:
-            return None
-        x /= size
-        if prev is not None:
-            inc = abs((prev / sigma) ** 2 - 1.0)
-            if inc <= RAYLEIGH_TOL:
-                bound = np.array([sigma / top * math.sqrt(1.0 + CERTIFY_SLACK)])
-                if norm_below((c / top)[None], bound)[0]:
-                    return _times_pow2(sigma, e)
-                return None
-            increments.append(inc)
-            if _stalled(increments, RAYLEIGH_TOL):
-                return None
-        prev = sigma
-    return None
+    w = np.asarray(mats, dtype=np.complex128)
+    if w.shape[1] < w.shape[2]:
+        w = np.swapaxes(w, 1, 2)
+    parts = np.ascontiguousarray(w).view(np.float64)
+    top = np.abs(parts).max(axis=(1, 2))
+    zero = top == 0.0
+    e = np.frexp(np.where(zero, 1.0, top))[1]
+    w = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
+    lam = _top_eigenvalue(*_tridiagonal(np.conj(np.swapaxes(w, 1, 2)) @ w))
+    return np.where(zero, 0.0, np.ldexp(np.sqrt(lam), e))
 
 
-def _times_pow2(a, e: int):
-    """a * 2^e, exact while the results stay normal; inf where they overflow.
+def _householder(x: np.ndarray):
+    """(v, tau, ||x||) per row x of a stack (b, L), with (I - tau v v*) x = beta e_1.
 
-    Two factors of about 2^(e/2) keep each factor finite for any exponent
-    of a finite double.
+    beta = -phase(x_0) ||x||, v = x - beta e_1 and tau = 2 / ||v||^2 =
+    1 / (||x|| (||x|| + |x_0|)), so v_0 = phase(x_0) (|x_0| + ||x||) does
+    not cancel.  tau = 0 (H = I) where x is already a multiple of e_1.
     """
-    half = e // 2
-    return a * math.ldexp(1.0, half) * math.ldexp(1.0, e - half)
+    flat = x.view(np.float64)
+    norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+    lead = x[:, 0]
+    mag = np.hypot(lead.real, lead.imag)
+    nonzero = mag > 0.0
+    grow = (mag + norm) / np.where(nonzero, mag, 1.0)
+    v = x.copy()
+    v[:, 0] = np.where(nonzero, lead * grow, norm)
+    turn = norm > mag
+    tau = np.where(turn, 1.0, 0.0) / np.where(turn, norm * (norm + mag), 1.0)
+    return v, tau, norm
 
 
-def _jacobi_fallback(m: np.ndarray) -> float:
-    """sigma_max(m) by Jacobi on m / 2^e, scaled back by 2^e."""
-    if min(m.shape) <= JACOBI_DIM_LIMIT:
-        _, e = math.frexp(float(np.max(np.abs(m))))
-        sigma = float(jacobi_singular_values(_times_pow2(m, -e))[0])
-        return _times_pow2(sigma, e)
-    raise ConvergenceError(f"power iteration stalled at shape {m.shape}")
+def _tridiagonal(a: np.ndarray):
+    """(diagonal, off-diagonal) of a real symmetric tridiagonal matrix with
+    the eigenvalues of each Hermitian matrix of a stack (b, k, k), which it
+    overwrites.
 
-
-def explicit_inverse(a) -> np.ndarray | None:
-    """A^-1 of a square matrix by one LU and one multi-column solve.
-
-    None when the factorisation detects singularity or an entry of the
-    inverse overflows.
+    Householder reduction, blocked as in LAPACK's zhetrd: the reflectors
+    H_j = I - tau v v* of up to PANEL columns are kept as the update
+    A - V W* - W V*, column j of the updated matrix is formed from them,
+    and the trailing matrix takes the whole update in one product.
+    Reflector j leaves beta_j = -phase ||x|| below the diagonal of column j;
+    the diagonal unitary similarity that removes the phases leaves ||x||,
+    so the off-diagonal is nonnegative.
     """
-    m = as_square_matrix(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            w = solve_factored(m, np.eye(m.shape[0], dtype=np.complex128))
-        except SingularMatrixError:
-            return None
-    return w if np.all(np.isfinite(w.view(np.float64))) else None
+    count, k = a.shape[:2]
+    diag = np.empty((count, k))
+    off = np.empty((count, k - 1))
+    diag[:, -1] = a[:, -1, -1].real
+    for start in range(0, k - 1, PANEL):
+        width = min(PANEL, k - 1 - start)
+        # rows start.. of the reflectors and of W = tau A v - (tau/2)(v* tau A v) v
+        vs = np.zeros((count, k - start, width), dtype=np.complex128)
+        ws = np.zeros_like(vs)
+        for i in range(width):
+            j = start + i
+            done_v, done_w = vs[:, i:, :i], ws[:, i:, :i]
+            col = a[:, j:, j] - (
+                done_v @ ws[:, i, :i, None].conj() + done_w @ vs[:, i, :i, None].conj()
+            )[..., 0]
+            diag[:, j] = col[:, 0].real
+            v, tau, off[:, j] = _householder(np.ascontiguousarray(col[:, 1:]))
+            if j == k - 2:
+                last = done_v[:, -1, None] @ done_w[:, -1, :, None].conj()
+                diag[:, -1] = (a[:, -1, -1] - 2.0 * last[:, 0, 0]).real
+                break
+            vs[:, i + 1 :, i] = v
+            prev_v, prev_w = vs[:, i + 1 :, :i], ws[:, i + 1 :, :i]
+            col_v = v[:, :, None]
+            p = (
+                a[:, j + 1 :, j + 1 :] @ col_v
+                - prev_v @ (np.conj(np.swapaxes(prev_w, 1, 2)) @ col_v)
+                - prev_w @ (np.conj(np.swapaxes(prev_v, 1, 2)) @ col_v)
+            )[..., 0] * tau[:, None]
+            half = (v.conj()[:, None, :] @ p[:, :, None])[:, 0, 0].real * (0.5 * tau)
+            ws[:, i + 1 :, i] = p - half[:, None] * v
+        else:
+            rest = start + width
+            left = np.concatenate([vs[:, width:], ws[:, width:]], axis=2)
+            right = np.concatenate([ws[:, width:], vs[:, width:]], axis=2)
+            a[:, rest:, rest:] -= left @ np.conj(np.swapaxes(right, 1, 2))
+    return diag, off
+
+
+def _top_eigenvalue(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """lambda_max of each real symmetric tridiagonal matrix of a stack.
+
+    diag is (b, k) and off (b, k - 1), nonnegative.  The enclosure [lo, hi]
+    starts at max(diag) (a Rayleigh quotient) and the Gershgorin bound, and
+    each pass counts the eigenvalues below SHIFTS evenly spaced points
+    inside it, all matrices and points at once (multisection), until no
+    double lies strictly between lo and hi.  Returns lo.
+    """
+    k = diag.shape[1]
+    squares = np.maximum(off * off, np.finfo(float).tiny)
+    lo = diag.max(axis=1)
+    reach = np.zeros((len(diag), k + 1))
+    reach[:, 1:-1] = off
+    hi = (diag + reach[:, :-1] + reach[:, 1:]).max(axis=1)
+    hi += 4.0 * np.finfo(float).eps * np.abs(hi)
+    steps = np.arange(1, SHIFTS + 1) / (SHIFTS + 1)
+    active = np.flatnonzero(np.nextafter(lo, np.inf) < hi)
+    while len(active):
+        below, above = lo[active], hi[active]
+        shifts = below[:, None] + (above - below)[:, None] * steps
+        # lambda_max >= shift exactly where fewer than k eigenvalues lie below it
+        passed = (_count_below(diag[active], squares[active], shifts) < k).sum(axis=1)
+        rows = np.arange(len(active))
+        lo[active] = np.where(passed > 0, shifts[rows, passed - 1], below)
+        upper = shifts[rows, np.minimum(passed, SHIFTS - 1)]
+        hi[active] = np.where(passed < SHIFTS, upper, above)
+        active = active[np.nextafter(lo[active], np.inf) < hi[active]]
+    return lo
+
+
+def _count_below(diag: np.ndarray, squares: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Per matrix and shift x, the number of eigenvalues below x (Sturm count).
+
+    It is the number of negative pivots q_i = d_i - x - e_{i-1}^2 / q_{i-1}
+    of the LDL^T factorization of T - x I.  squares holds e^2 floored at the
+    smallest normal double, far below roundoff, so no pivot is 0/0: a zero
+    pivot makes the next one infinite with the right sign, and signbit
+    counts -0 as negative.
+    """
+    diag, squares = diag.T[:, :, None], squares.T[:, :, None]
+    negative = np.empty((len(diag),) + shifts.shape, dtype=bool)
+    q = diag[0] - shifts
+    ratio = np.empty_like(q)
+    np.signbit(q, out=negative[0])
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(1, len(diag)):
+            np.divide(squares[i - 1], q, out=ratio)
+            np.subtract(diag[i], shifts, out=q)
+            q -= ratio
+            np.signbit(q, out=negative[i])
+    return negative.sum(axis=0)
 
 
 def smallest_singular_value(a) -> float:
     """Smallest singular value of a square complex matrix.
 
-    1 / largest_singular_value(W) for the explicit inverse W = A^-1.
-    Returns exactly 0.0 when A is singular or W overflows.
+    1 / sigma_max(W) for the explicit inverse W = A^-1; exactly 0.0 when A
+    is singular or W overflows.
     """
-    m = as_square_matrix(a)
-    if m.shape[0] == 1:
-        return abs(complex(m[0, 0]))
-    w = explicit_inverse(m)
-    return 0.0 if w is None else 1.0 / largest_singular_value(w)
+    w, ok = explicit_inverses(as_square_matrix(a)[None])
+    return 1.0 / float(largest_singular_values(w)[0]) if ok[0] else 0.0
 
 
 def largest_singular_value(a) -> float:
-    """Largest singular value (spectral norm); accepts any 2-d complex array.
-
-    ``power_iteration`` with C = A.
-    """
+    """Largest singular value (spectral norm) of any nonempty 2-d complex array."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.size == 0:
         raise DimensionError(f"expected a nonempty 2-d array, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(np.float64))):
         raise DimensionError("matrix entries must be finite")
-    if not m.any():
-        return 0.0
-    sigma = power_iteration(m)
-    if sigma is None:
-        return _jacobi_fallback(m)
-    return sigma
+    return float(largest_singular_values(m[None])[0])
 
 
 def sv2x2(m) -> SingularExtremes:

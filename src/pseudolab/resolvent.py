@@ -6,13 +6,15 @@ one columnar ResolventValues; resolvent_power_norm is its one-point call.
 A diagonal matrix D is normal, so every power norm of it is exact:
 ||(D - z)^-2^n||^(1/2^n) = 1/min_i |z - d_i| (diagonal_power_norms).  The
 dense path for every other matrix is exact linear algebra on one explicit
-inverse W = (T - z)^-1 per point, one LU and one multi-column solve: every
-dense norm is sigma_max(W^2^n)^(1/2^n), with n = 0 the resolvent norm
-1/sigma_min(T - z).  W is squared n times with rescaling by
-_batch_square_scaled, the squaring the 4x4 block stacks use, and handed
-to largest_singular_value, which certifies the value.  The clearance
-checks of gnr_defect, expansion_residual and power_diff_bound_check read
-sigma_min(T - z) = 1/sigma_max(W) off the inverse they go on to use.
+inverse W = (T - z)^-1 per point: every dense norm is
+sigma_max(W^2^n)^(1/2^n), with n = 0 the resolvent norm 1/sigma_min(T - z).
+The points go in stacks (_dense_power_norms): one stacked LU and
+multi-column solve gives W, which _batch_square_scaled squares n times with
+exact rescaling, the squaring the 4x4 block stacks use, and
+largest_singular_values takes sigma_max directly, with no iteration.  The
+clearance checks of gnr_defect, expansion_residual and
+power_diff_bound_check read sigma_min(T - z) = 1/sigma_max(W) off the
+inverse they go on to use.
 
 Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
 engine that takes all points at once.  The points walk the
@@ -48,7 +50,8 @@ gap to within TAIL_TOL.  The one-sided gap that remains is reported in
 the diagnostics, with the value marked uncertified.  A tabulated symbol
 is constant beyond its last abscissa and is certified there as the
 constant kind.  The inverse symbol f(x) = 1/x takes closed forms instead
-of a scan, and non-diagonal dense models are evaluated point by point.
+of a scan.  A block point must lie within BLOCK_Z_LIMIT, where the
+certificates' powers of |z| stay finite.
 """
 from __future__ import annotations
 
@@ -59,9 +62,11 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .numkernel import (
-    explicit_inverse,
+    SHIFTS,
+    explicit_inverses,
     jacobi_singular_values,
     largest_singular_value,
+    largest_singular_values,
     norm_below,
     sv2x2_batch,
 )
@@ -80,6 +85,16 @@ SPECTRUM_CLEARANCE = 1e-10
 # or many; a 2x2 stack holds 16 * STACK_CAP values, one per entry of those
 # matrices
 STACK_CAP = 1 << 10
+# a dense stack of points holds at most DENSE_CAP / (dim * max(dim, SHIFTS))
+# matrices: a point takes dim^2 entries per matrix and dim * SHIFTS Sturm
+# pivots per bisection pass
+DENSE_CAP = 1 << 18
+
+# the largest |z| a block family is evaluated at, by block dimension: the
+# 2x2 certificates form |z|^4 and the 4x4 deviation bound |z|^5, and these
+# limits keep both at most 1e300; past them a point came back as a
+# certified inf or as nan
+BLOCK_Z_LIMIT = {2: 1e75, 4: 1e60}
 
 MODES = ("dense_exact", "block_exact_with_tail", "scaled")
 
@@ -176,15 +191,29 @@ def diagonal_power_norms(diagonal: np.ndarray, zs: np.ndarray) -> np.ndarray:
         return np.divide(1.0, dists)
 
 
-def _dense_power_norm(matrix: np.ndarray, z: complex, n: int) -> float:
-    """||(T - z)^-2^n|| ^ (1/2^n) = sigma_max(W^2^n) ^ (1/2^n), W = (T - z)^-1."""
-    w = explicit_inverse(matrix - z * np.eye(matrix.shape[0]))
-    if w is None:
-        return math.inf
-    mats, exps = _batch_square_scaled(w[None], n)
-    if math.isinf(exps[0]):
-        return math.inf
-    return float(_scaled_root(largest_singular_value(mats[0]), exps[0], 1 << n))
+def _shifted(matrix: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The stack of T - z over zs."""
+    stack = np.repeat(matrix[None], len(zs), axis=0)
+    diag = np.arange(matrix.shape[0])
+    stack[:, diag, diag] -= zs[:, None]
+    return stack
+
+
+def _dense_power_norms(matrix: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
+    """sigma_max(W^2^n) ^ (1/2^n) with W = (T - z)^-1 at each z, in stacks of points.
+
+    This is ||(T - z)^-2^n|| ^ (1/2^n); inf where W is singular or
+    overflows.
+    """
+    dim = matrix.shape[0]
+    rows = max(1, DENSE_CAP // (dim * max(dim, SHIFTS)))
+    out = np.empty(len(zs))
+    for i in range(0, len(zs), rows):
+        w, ok = explicit_inverses(_shifted(matrix, zs[i : i + rows]))
+        mats, exps = _batch_square_scaled(w, n)
+        sigma = _scaled_root(largest_singular_values(mats), exps, 1 << n)
+        out[i : i + rows] = np.where(ok, sigma, math.inf)
+    return out
 
 
 # --------------------------------------------------- 2x2 block head values
@@ -628,9 +657,11 @@ def resolvent_power_norms(
     all points in one block engine pass; each value is the one a
     single-point call gives.  Diagonal matrices take diagonal_power_norms,
     the inverse-symbol family its closed forms, scaled models the identity
-    ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|, and other dense matrices are
-    evaluated point by point.  max_blocks bounds the tail scan of infinite
-    families.
+    ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|, and other dense matrices go
+    through _dense_power_norms in stacks of points, again each value the
+    single-point one.  max_blocks bounds the tail scan of infinite
+    families.  A non-finite point, or a block point beyond BLOCK_Z_LIMIT,
+    raises DomainError.
     """
     if n < 0:
         raise DomainError("power index n must be nonnegative")
@@ -649,17 +680,30 @@ def resolvent_power_norms(
         if model.diagonal is not None:
             values = diagonal_power_norms(model.diagonal, zs)
         else:
-            values = np.array([_dense_power_norm(model.matrix, z, n) for z in zs.tolist()])
+            values = _dense_power_norms(model.matrix, zs, n)
         return _exact_values(values, "dense_exact", 0)
     if isinstance(model, TruncatedFamily):
+        _check_block_range(model.family, zs)
         total = model.n_blocks
         values = _head_maxima(model.family, 0, total, zs, n)
         return _exact_values(values, "dense_exact", total)
     if isinstance(model, DiagBlockFamily):
+        _check_block_range(model, zs)
         if model.symbol.kind == "inverse":
             return _inverse_family_values(zs, n)
         return _family_values(model, zs, n, max_blocks)
     raise DomainError(f"unknown operator model {type(model).__name__}")
+
+
+def _check_block_range(family, zs: np.ndarray) -> None:
+    """Raise DomainError for a point beyond BLOCK_Z_LIMIT of the family's block shape."""
+    limit = BLOCK_Z_LIMIT[family.block_dim]
+    far = np.hypot(zs.real, zs.imag) > limit
+    if far.any():
+        raise DomainError(
+            f"evaluation point {complex(zs[far][0])} is beyond the range of the "
+            f"{family.block_dim}x{family.block_dim} block arithmetic, |z| <= {limit:g}"
+        )
 
 
 def _dense_matrix_of(model) -> np.ndarray:
@@ -688,6 +732,7 @@ def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
         n_ref = seq.reference_truncation_N
         if k < 1:
             raise DomainError("sequence index must be >= 1")
+        _check_block_range(family, np.array([lam]))
         # a singular block anywhere in the reference makes the anchor
         # invalid; blocks 1..k cancel, blocks k+1..n_ref are the defect
         cut = min(k, n_ref)
@@ -749,14 +794,14 @@ def _inverse_of(matrix: np.ndarray, z: complex, label: str):
     Raises SingularityError unless the clearance 1 / sigma_max(W) =
     sigma_min(matrix - z) exceeds SPECTRUM_CLEARANCE.
     """
-    w = explicit_inverse(matrix - z * np.eye(matrix.shape[0]))
-    sigma = math.inf if w is None else largest_singular_value(w)
+    w, ok = explicit_inverses(_shifted(matrix, np.array([z])))
+    sigma = float(largest_singular_values(w)[0]) if ok[0] else math.inf
     if not 1.0 / sigma > SPECTRUM_CLEARANCE:
         raise SingularityError(
             f"{z} is numerically on the spectrum of {label} (clearance {1.0 / sigma:.3e})",
             which=label,
         )
-    return w, sigma
+    return w[0], sigma
 
 
 def _mat_power(a: np.ndarray, m: int) -> np.ndarray:

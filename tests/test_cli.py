@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
+from oracles import resolvent_norm_oracle
 import pseudolab
-from pseudolab import MaskSet, cli, hausdorff_distance, read_mask_csv, resolvent
+from pseudolab import MaskSet, cli, hausdorff_distance, read_mask_csv
 from pseudolab.cli import parse_and_dispatch
-from pseudolab.numkernel import ConvergenceError
 
 
 def run(argv):
@@ -205,16 +205,24 @@ class TestExitCodeMatrix:
         assert run(["verify", "empty-resolvent", "--lam", "nan,0"]) == 2
         assert "finite" in capsys.readouterr().err
 
-    def test_numerical_failure_is_three(self, tmp_path, capsys, monkeypatch):
-        def stall(a):
-            raise ConvergenceError("power iteration stalled at shape (2, 2)")
-
-        monkeypatch.setattr(resolvent, "largest_singular_value", stall)
-        p = tmp_path / "jordan.csv"  # not diagonal, so the dense kernel runs
+    def test_non_normal_dense_field_is_exact(self, tmp_path, capsys):
+        # a Jordan block: not diagonal, so every cell takes the dense kernel,
+        # which has no iteration that could fail
+        p = tmp_path / "jordan.csv"
         p.write_text("1,0,1,0\n0,0,1,0\n")
         assert run(["field", "--model", str(p),
-                    "--region", "0,0.1,0,0.1", "--nx", "2", "--ny", "2"]) == 3
-        assert capsys.readouterr().err.startswith("error: power iteration stalled")
+                    "--region", "0,0.1,0,0.1", "--nx", "2", "--ny", "2"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        jordan = [[1.0, 1.0], [0.0, 1.0]]
+        assert len(rows) == 4
+        for re, im, value in rows:
+            want = resolvent_norm_oracle(jordan, complex(float(re), float(im)))
+            assert float(value) == pytest.approx(want, rel=1e-14)
+
+    def test_point_beyond_the_block_range_is_two(self, capsys):
+        assert run(["field", "--model", "remark_n1", "--region", "1e70,2e70,0,1e70",
+                    "--nx", "2", "--ny", "2"]) == 2
+        assert "block arithmetic" in capsys.readouterr().err
 
 
 class TestStudies:

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudolab import numkernel
 from pseudolab.numkernel import (
     DimensionError,
     SingularExtremes,
     SingularMatrixError,
+    explicit_inverses,
     jacobi_singular_values,
     largest_singular_value,
+    largest_singular_values,
     lu_factor,
     lu_solve,
     lu_solve_adjoint,
@@ -136,12 +137,16 @@ class TestSmallestSingularValue:
         a = np.diag([1e-160, 2.0, 3.0]).astype(complex)
         assert smallest_singular_value(a) == pytest.approx(1e-160, rel=1e-12, abs=0.0)
 
-    def test_fallback_keeps_tiny_values(self, monkeypatch):
-        # the Jacobi fallback runs on the inverse, whose top value is 1e160;
-        # on A itself the column of size 1e-160 has a subnormal squared norm
-        monkeypatch.setattr(numkernel, "power_iteration", lambda c: None)
+    def test_stacked_kernel_keeps_tiny_values(self):
+        # the inverse has top value 1e160, whose square overflows: the Gram
+        # matrix is formed after an exact scaling by a power of two
         a = np.diag([1e-160, 2.0, 3.0]).astype(complex)
-        assert smallest_singular_value(a) == pytest.approx(1e-160, rel=1e-12, abs=0.0)
+        w, ok = explicit_inverses(np.stack([a, np.eye(3), a]))
+        assert ok.all()
+        sigma = largest_singular_values(w)
+        assert sigma[0] == sigma[2] == pytest.approx(1e160, rel=1e-15, abs=0.0)
+        assert sigma[1] == pytest.approx(1.0, rel=1e-15)
+        assert largest_singular_values(a[None])[0] == pytest.approx(3.0, rel=1e-15)
 
 
 class TestLargestSingularValue:

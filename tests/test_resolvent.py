@@ -50,7 +50,7 @@ from pseudolab.numkernel import (
 from pseudolab.operators import TruncatedFamily
 from pseudolab.resolvent import (
     _batch_square_scaled,
-    _dense_power_norm,
+    _dense_power_norms,
     _four_resolvent_batch,
 )
 
@@ -120,7 +120,7 @@ class TestDensePath:
     def test_powers_of_a_huge_inverse_stay_finite(self, n):
         # W = diag(1e160, 1): W^2 overflows unless it is scaled first
         matrix = np.diag([1e-160, 1.0]).astype(complex)
-        assert _dense_power_norm(matrix, 0.0, n) == 1e160
+        assert _dense_power_norms(matrix, np.array([0j]), n)[0] == 1e160
         assert resolvent_power_norm(DenseOperator(matrix), 0.0, n).value == 1e160
 
     @pytest.mark.filterwarnings("error")
@@ -128,15 +128,32 @@ class TestDensePath:
     def test_high_powers_take_the_root_without_overflow(self, n):
         # from 2^n = 1024 on, sigma 2^r alone could overflow
         matrix = np.diag([1e-160, 1.0]).astype(complex)
-        assert _dense_power_norm(matrix, 0.0, n) == pytest.approx(1e160, rel=1e-15)
+        assert _dense_power_norms(matrix, np.array([0j]), n)[0] == pytest.approx(1e160, rel=1e-15)
         assert resolvent_power_norm(DenseOperator(matrix), 0.0, n).value == 1e160
 
     @pytest.mark.filterwarnings("error")
     def test_power_scaling_loses_no_ulps(self):
         # powers of two scale exactly, so the root of sigma 2^E is exact here
         matrix = np.diag([1e-100, 1.0]).astype(complex)
-        assert _dense_power_norm(matrix, 0.0, 1) == 1e100
+        assert _dense_power_norms(matrix, np.array([0j]), 1)[0] == 1e100
         assert resolvent_power_norm(DenseOperator(matrix), 0.0, 1).value == 1e100
+
+    @pytest.mark.parametrize(
+        "z, want", [(2j, 5.23054462827016), (3 + 3j, 1.4796514418603828)]
+    )
+    def test_empty_resolvent_truncation_to_the_last_ulps(self, z, want):
+        # a 50-digit reference; the power iteration was 2.6e-12 off at 2i
+        got = resolvent_norm(assemble_truncation(EMPTY, 25), z).value
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_600_dim_truncation_point(self):
+        # clustered top singular values: the power iteration stalled here and
+        # the 600-dim Jacobi fallback was refused
+        matrix = assemble_truncation(SHARG, 300).matrix
+        z = 0.05 + 0.05j
+        got = resolvent_power_norm(DenseOperator(matrix), z, 0).value
+        smin = np.linalg.svd(matrix - z * np.eye(600), compute_uv=False)[-1]
+        assert got == pytest.approx(1.0 / smin, rel=1e-12, abs=0.0)
 
     def test_one_factorization_per_shifted_matrix(self, monkeypatch):
         calls = []
@@ -225,6 +242,26 @@ class TestBlockFamilies:
             assert fam.value == pytest.approx(
                 max(dense.value, 1.0), rel=1e-8
             )
+
+    @pytest.mark.filterwarnings("error")
+    def test_points_beyond_the_block_range_are_rejected(self):
+        # past the range z^4 and r^5 overflow: remark_n1 at 1e100 (0.6 + 0.8i)
+        # reported a certified inf at n = 1 (the value is 1) and a nan at n = 0
+        for model, far in ((REMARK, 1e100 * (0.6 + 0.8j)), (SHARG, 1e155 * (0.6 + 0.8j)),
+                           (TruncatedFamily(REMARK, 40), 2e60j),
+                           (scale_operator(SHARG, 1e-3), 1e73)):
+            for n in (0, 1):
+                with pytest.raises(DomainError, match="block arithmetic"):
+                    resolvent_power_norm(model, far, n, max_blocks=256)
+        seq = TruncationSequence(REMARK, gnr_anchor=1j, reference_truncation_N=64)
+        with pytest.raises(DomainError, match="block arithmetic"):
+            gnr_defect(seq, 10, anchor=1e100j)
+        for model in (REMARK, SHARG, NONCONST, TruncatedFamily(REMARK, 40)):
+            dim = getattr(model, "family", model).block_dim
+            for r in (1e20, 1e50, resolvent.BLOCK_Z_LIMIT[dim]):
+                for n in (0, 1, 2):
+                    got = resolvent_power_norm(model, r * (0.6 + 0.8j), n, max_blocks=256)
+                    assert math.isfinite(got.value) or not got.certified
 
     def test_nonconstant_family_exceeds_limit(self):
         got = resolvent_norm(NONCONST, 0.0)
@@ -353,14 +390,14 @@ def _clustered(rng, dims, delta):
     return (q * s) @ q.conj().T
 
 
-class TestDensePowerIteration:
-    """The one power iteration behind every dense estimate, against LAPACK."""
+class TestDenseSigmaMax:
+    """The one direct sigma_max behind every dense value, against LAPACK."""
 
     def test_clustered_top_values_are_certified(self):
         # Q diag(1, 1 + 1e-6, 1.5, 2, 2.5, 3) Q^H at z = 0: the top singular
-        # values of A^-2^n differ by a few 1e-6, too little for the iteration,
-        # and an uncertified Rayleigh quotient from inside the cluster is up
-        # to 1e-6 off
+        # values of A^-2^n differ by a few 1e-6, which stalled a power
+        # iteration; a Rayleigh quotient from inside the cluster is up to
+        # 1e-6 off
         d = np.array([1.0, 1.0 + 1e-6, 1.5, 2.0, 2.5, 3.0])
         for seed in range(40):
             rng = np.random.default_rng(seed)
@@ -401,7 +438,7 @@ class TestDensePowerIteration:
         else:
             # a normal matrix at z = 0: the clusters stay clusters
             a, z = _clustered(rng, max(dims, 4), delta), 0.0
-            tol += delta  # within a cluster the iteration may settle anywhere
+            tol += delta
         assert largest_singular_value(a) == pytest.approx(
             spectral_norm_oracle(a), rel=tol
         )
@@ -774,6 +811,37 @@ class TestFieldEngine:
         assert not all(rv.certified for rv in batch)
         for z, rv in zip(zs, batch):
             assert rv == resolvent_power_norm(REMARK, z, 1, max_blocks=3000)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("kind", ["full", "banded"])
+    def test_dense_field_cells_equal_point_values(self, kind, n):
+        rng = np.random.default_rng(47)
+        if kind == "full":
+            matrix = random_complex_matrix(rng, 32)
+        else:
+            matrix = np.diag(random_complex_matrix(rng, 32)[0] * 0.3)
+            matrix += np.diag(2.0 + rng.standard_normal(31) * 0.2, 1)
+            matrix += np.diag(rng.standard_normal(30) * 0.5, 2)
+        model = DenseOperator(matrix)
+        region = GridRegion(-1.2, 1.2, -1.2, 1.2, 7, 7)
+        # the 49 cells fill more than one dense stack
+        assert region.nx * region.ny > resolvent.DENSE_CAP // (32 * numkernel.SHIFTS)
+        field = compute_norm_field(model, region, n)
+        for z, cell in zip(region.lattice().ravel(), field.values.ravel()):
+            assert cell == resolvent_power_norm(model, z, n).value
+
+    def test_dense_eigenvalue_hit_leaves_its_stack_unchanged(self):
+        # z = 2 is an eigenvalue of the triangular matrix, so its LU meets an
+        # exact zero pivot; the other points of the stack keep their values
+        rng = np.random.default_rng(53)
+        spectrum = [1.0, 2.0, 0.5j, -1.0, 3.0, 1.0 + 1.0j]
+        model = DenseOperator(np.triu(random_complex_matrix(rng, 6), 1) + np.diag(spectrum))
+        zs = np.array([0.3, 2.0, 0.7j, 2.0 + 1e-3])
+        for n in (0, 1):
+            values = resolvent.resolvent_power_norms(model, zs, n).value
+            assert math.isinf(values[1]) and np.isfinite(values[[0, 2, 3]]).all()
+            for z, value in zip(zs, values):
+                assert value == resolvent_power_norm(model, z, n).value
 
     def test_stacks_respect_the_cap(self, monkeypatch):
         four, two = [], []
