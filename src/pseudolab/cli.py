@@ -31,7 +31,6 @@ from .experiments import (
     empty_resolvent_probe,
     global_min_scan,
 )
-from .numkernel import SingularMatrixError
 from .operators import (
     NAMED_EXAMPLES,
     DenseOperator,
@@ -419,7 +418,6 @@ def parse_and_dispatch(argv) -> int:
         DomainError,
         InapplicableConditionError,
         SingularityError,
-        SingularMatrixError,
         OSError,
         csv.Error,
     ) as exc:

@@ -1,9 +1,11 @@
 """Shared exception types.
 
 The CLI maps ConfigurationError, DomainError, InapplicableConditionError,
-SingularityError, numkernel.SingularMatrixError, OSError and csv.Error to
-exit code 2; everything else that escapes is a genuine failure.  No
-numerical kernel can fail to converge, so no exit code stands for that.
+SingularityError, OSError and csv.Error to exit code 2; everything else
+that escapes is a genuine failure.  No numerical kernel can fail to
+converge, so no exit code stands for that.  numkernel.SingularMatrixError
+comes only from numkernel.solve_factored, which the package itself never
+calls.
 """
 
 

@@ -36,7 +36,6 @@ from .numkernel import as_square_matrix
 
 # construction-time sanity checks sample the weight rule at these indices
 VALIDATION_KS = (1, 2, 3, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
-ANCHOR_CLEARANCE = 1e-10
 # block scans walk k = 1, 2, ... in chunks growing from HEAD_CHUNK to CHUNK_CAP
 HEAD_CHUNK = 64
 CHUNK_GROWTH = 4
@@ -387,23 +386,18 @@ def scale_operator(model, s: complex):
     return ScaledOperator(model, f)
 
 
-def _min_singular_distance(model, z: complex) -> float:
-    """sigma_min(T - z) = 1 / ||(T - z)^-1||, with infinite families probed
-    over their first 64 blocks."""
-    from .resolvent import resolvent_norm  # resolvent imports this module
-
-    if isinstance(model, ScaledOperator):
-        f = complex(model.factor)
-        return abs(f) * _min_singular_distance(model.inner, z / f)
-    if isinstance(model, DiagBlockFamily):
-        model = TruncatedFamily(model, 64)
-    return 1.0 / resolvent_norm(model, z).value
-
-
 def _verify_anchor(labelled_models, anchor: complex):
+    """Raise SingularityError unless anchor clears the spectrum of every model.
+
+    The clearance is 1 / ||(T - anchor)^-1|| as resolvent_norm reports it,
+    an infinite family's with the tail scan cut at HEAD_CHUNK blocks.
+    """
+    # resolvent imports this module
+    from .resolvent import SPECTRUM_CLEARANCE, resolvent_norm
+
     for label, model in labelled_models:
-        d = _min_singular_distance(model, anchor)
-        if not d > ANCHOR_CLEARANCE:
+        d = 1.0 / resolvent_norm(model, anchor, max_blocks=HEAD_CHUNK).value
+        if not d > SPECTRUM_CLEARANCE:
             raise SingularityError(
                 f"anchor {anchor} sits numerically on the spectrum of {label} "
                 f"(clearance {d:.3e})",

@@ -31,8 +31,8 @@ from .resolvent import MAX_BLOCKS_DEFAULT, resolvent_power_norms
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
 # Tail-scan budgets for infinite families during field sweeps.  A 4x4
-# block costs a Cholesky screen and, if it may set the maximum, a Jacobi
-# evaluation; reported values stay certified lower bounds either way.
+# block costs an LDL* positivity screen and, if it may set the maximum, a
+# Jacobi evaluation; reported values stay certified lower bounds either way.
 FIELD_MAX_BLOCKS = {2: 20000, 4: 256}
 
 DEFAULT_GRID_POINTS = 101

@@ -33,7 +33,7 @@ certificate closes, its value is inf, or the budget ends:
   for powers, Schur-style bounds on the squared block resolvent give a
   decreasing tail majorant;
 * the 4x4 shape carries an explicit deviation bound from its limiting
-  nilpotent resolvent.  Its head values are exact: a Cholesky positivity
+  nilpotent resolvent.  Its head values are exact: an LDL* positivity
   test of floor^2 I - M*M drops the blocks M whose norm cannot reach the
   value the point's scan must beat at the start of the chunk, and one
   stacked Jacobi call evaluates the rest.
@@ -49,9 +49,9 @@ certified lower bound that is exact whenever the certificates close the
 gap to within TAIL_TOL.  The one-sided gap that remains is reported in
 the diagnostics, with the value marked uncertified.  A tabulated symbol
 is constant beyond its last abscissa and is certified there as the
-constant kind.  The inverse symbol f(x) = 1/x takes closed forms instead
-of a scan.  A block point must lie within BLOCK_Z_LIMIT, where the
-certificates' powers of |z| stay finite.
+constant kind.  The inverse symbol f(x) = 1/x takes an exact rule of z
+instead of a scan (_inverse_family_values).  A block point must lie
+within BLOCK_Z_LIMIT, where the certificates' powers of |z| stay finite.
 """
 from __future__ import annotations
 
@@ -279,19 +279,14 @@ def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, m: int) -> np.ndar
 
 
 def _tail_inf_f(symbol, a: float) -> float:
-    """inf of f over [a, infinity)."""
-    kind = symbol.kind
-    if kind == "one_plus_inv":
-        return 1.0
-    if kind in ("one_minus_inv_sqrt", "power_beta"):
-        return symbol.value(a)
-    if kind == "constant":
-        return float(symbol.c)
-    # tabulated: piecewise linear with constant extrapolation, so the inf
-    # is attained at a, at a breakpoint past a, or at the last table value
-    candidates = [symbol.value(a), float(symbol.table[-1][1])]
-    candidates += [float(v) for x, v in symbol.table if x >= a]
-    return min(candidates)
+    """inf of f over [a, infinity).
+
+    Every analytic kind is monotone with limit tail_limit, and a tabulated
+    symbol is piecewise linear and extrapolates its last value, so the inf
+    is f(a), the limit, or a table value at a breakpoint past a.
+    """
+    breakpoints = [float(v) for x, v in symbol.table or () if x >= a]
+    return min([symbol.value(a), symbol.tail_limit] + breakpoints)
 
 
 def _tail_inf_p(symbol, a: float) -> float:
@@ -496,38 +491,20 @@ def _family_values(family, zs: np.ndarray, n: int, max_blocks: int) -> Resolvent
     return ResolventValues(value, "block_exact_with_tail", tail_gap, certified, k_cutoff)
 
 
-def _inverse_power_value(z: complex, m: int) -> float:
-    """sup_k ||(B_k - z)^-m||^(1/m) of the inverse-symbol family, m >= 2.
-
-    (B - z)^-m = A' I + D' B with scalars from w+- = 1/(1-z), -1/(1+z); the
-    off-diagonal carries D' alpha_k, unbounded unless D' vanishes (m even,
-    z = 0 or the exceptional symmetric points).
-    """
-    if 1.0 - z * z == 0:  # alpha * (1/alpha) = 1 for every block
-        return math.inf
-    if z == 0:
-        return 1.0
-    wp = 1.0 / (1.0 - z)
-    wm = -1.0 / (1.0 + z)
-    scale = max(abs(wp), abs(wm))
-    up = (wp / scale) ** m
-    um = (wm / scale) ** m
-    if up == um:  # every block is A' I
-        return (abs(0.5 * (up + um)) * scale**m) ** (1.0 / m)
-    return math.inf
-
-
 def _inverse_family_values(zs: np.ndarray, n: int) -> ResolventValues:
-    """The inverse symbol f(x) = 1/x in closed form, with no scan.
+    """The inverse symbol f(x) = 1/x by an exact rule of z, with no scan.
 
-    alpha f = 1 for every block, so (B - z)^-1 = (B + z) / (1 - z^2) and
-    ||(B_k - z)^-1|| >= alpha_k / |1 - z^2| grows without bound: every
-    n = 0 value is inf.  Powers take _inverse_power_value.
+    alpha f = 1, so B^2 = I and (B - z)^-m = A' I + D' B with A', D' =
+    (w+^m +- w-^m)/2, w+ = 1/(1 - z) and w- = -1/(1 + z).  The off-diagonal
+    carries D' alpha_k, unbounded unless D' = 0, that is unless
+    ((z - 1)/(z + 1))^m = 1: z = i cot(pi j/m).  For m = 2^n the only
+    doubles of that form are 0 (n >= 1) and +-i (n >= 2), where the sup is
+    |A'|^(1/m) = |w+| = 1/|1 - z|; every other value is inf.
     """
-    if n == 0:
-        value = np.full(len(zs), math.inf)
-    else:
-        value = np.array([_inverse_power_value(z, 1 << n) for z in zs.tolist()])
+    x, y = zs.real, zs.imag
+    exact = (x == 0) & (((y == 0) & (n >= 1)) | ((np.abs(y) == 1) & (n >= 2)))
+    value = np.full(len(zs), math.inf)
+    value[exact] = 1.0 / np.hypot(1.0 - x[exact], y[exact])
     return _exact_values(value, "block_exact_with_tail", 0)
 
 
@@ -653,15 +630,15 @@ def resolvent_power_norms(
     """resolvent_power_norm at every point of zs, as one ResolventValues.
 
     This is the one place that decides how a model is evaluated at z, for
-    fields and points alike.  Block families and their truncations scan
-    all points in one block engine pass; each value is the one a
-    single-point call gives.  Diagonal matrices take diagonal_power_norms,
-    the inverse-symbol family its closed forms, scaled models the identity
-    ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|, and other dense matrices go
-    through _dense_power_norms in stacks of points, again each value the
-    single-point one.  max_blocks bounds the tail scan of infinite
-    families.  A non-finite point, or a block point beyond BLOCK_Z_LIMIT,
-    raises DomainError.
+    fields, points and anchor checks alike.  Block families and their
+    truncations scan all points in one block engine pass; each value is
+    the one a single-point call gives.  Diagonal matrices take
+    diagonal_power_norms, the inverse-symbol family its exact rule of z,
+    scaled models the identity ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|,
+    and other dense matrices go through _dense_power_norms in stacks of
+    points, again each value the single-point one.  max_blocks bounds the
+    tail scan of infinite families.  A non-finite point, or a block point
+    beyond BLOCK_Z_LIMIT, raises DomainError.
     """
     if n < 0:
         raise DomainError("power index n must be nonnegative")

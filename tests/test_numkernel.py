@@ -118,8 +118,9 @@ class TestSmallestSingularValue:
         assert smallest_singular_value(np.array([[3 + 4j]])) == pytest.approx(5.0)
 
     def test_clustered_extremes(self):
-        # two smallest singular values 1 and 1 + 1e-9: inverse iteration has
-        # almost no gap to work with and must still land on the oracle value
+        # two smallest singular values 1 and 1 + 1e-9: the Gram matrix of A^-1
+        # has a near-double top eigenvalue, with no gap below it to exploit,
+        # and the value must still land on the oracle's
         d = np.array([1.0, 1.0 + 1e-9, 2.0, 3.0])
         rng = np.random.default_rng(31)
         q = np.linalg.qr(random_complex_matrix(rng, 4))[0]
@@ -132,8 +133,8 @@ class TestSmallestSingularValue:
         assert smallest_singular_value(a) == pytest.approx(1e-8, rel=1e-9)
 
     def test_value_near_underflow(self):
-        # the inverse has norm 1e160, whose square overflows unless the
-        # iteration is scaled; unscaled, Jacobi on A gave 9.99994433575849e-161
+        # the inverse has norm 1e160, whose Gram matrix overflows unless the
+        # inverse is scaled first
         a = np.diag([1e-160, 2.0, 3.0]).astype(complex)
         assert smallest_singular_value(a) == pytest.approx(1e-160, rel=1e-12, abs=0.0)
 

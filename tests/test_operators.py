@@ -286,6 +286,18 @@ class TestSequences:
             )
         assert err.value.which == "term k=2"
 
+    def test_scaled_inverse_symbol_family_has_no_anchor(self):
+        # the resolvent set of the inverse-symbol family is empty: its first
+        # 64 blocks clear 1j, but the family itself has resolvent norm inf
+        with pytest.raises(SingularityError, match="term k=2") as err:
+            ScalingSequence(
+                build_named_example("empty_resolvent").model,
+                lambda k: 1.0 - 1.0 / k,
+                gnr_anchor=1j,
+            )
+        assert err.value.which == "term k=2"
+        assert "clearance 0.000e+00" in str(err.value)
+
     def test_explicit_anchor_on_limit_rejected(self):
         base = DenseOperator(np.diag([2.0, 6.0]))
         with pytest.raises(SingularityError):

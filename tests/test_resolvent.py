@@ -142,13 +142,15 @@ class TestDensePath:
         "z, want", [(2j, 5.23054462827016), (3 + 3j, 1.4796514418603828)]
     )
     def test_empty_resolvent_truncation_to_the_last_ulps(self, z, want):
-        # a 50-digit reference; the power iteration was 2.6e-12 off at 2i
+        # a 50-digit reference; block k of the inverse has norm about
+        # alpha_k / |1 - z^2|, so the top singular values are about 4 % apart
         got = resolvent_norm(assemble_truncation(EMPTY, 25), z).value
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_600_dim_truncation_point(self):
-        # clustered top singular values: the power iteration stalled here and
-        # the 600-dim Jacobi fallback was refused
+        # 600 dimensions, and the top singular values of the inverse cluster:
+        # the blocks approach one limit, so their inverse norms agree to
+        # many digits
         matrix = assemble_truncation(SHARG, 300).matrix
         z = 0.05 + 0.05j
         got = resolvent_power_norm(DenseOperator(matrix), z, 0).value
@@ -644,6 +646,46 @@ class TestTailCertification:
         for z in (0.0, 0.5, 1.0, 2.0 + 1.0j, 1e-8, 1e6):
             got = resolvent_norm(EMPTY, z)
             assert got == ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
+
+
+class TestInverseSymbolPowers:
+    """B^2 = I, so (B - z)^-m is bounded over the blocks only where
+    ((z - 1)/(z + 1))^m = 1; for m = 2^n that is z = 0 (n >= 1) and z = +-i
+    (n >= 2), and the value there is 1/|1 - z|."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "z",
+        [1e16, 1e17, -1e17, 1e17 * (1 + 1j), 1e40, 1e74, 1e-17, 1e-30j, 5e-324,
+         0.5j, 2j, 1 + 1j, 1e17j, 1.0, -1.0],
+    )
+    def test_points_off_the_rule_are_infinite(self, z, n):
+        # far out and close to 0, w+- = 1/(1 - z), -1/(1 + z) agree in
+        # magnitude to the last ulp, so rounded powers of them look equal
+        # while D' != 0
+        got = resolvent_power_norm(EMPTY, z, n)
+        assert got == ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
+
+    @pytest.mark.parametrize(
+        "z, n, want",
+        [(0, 0, math.inf), (0, 1, 1.0), (0, 3, 1.0), (0, 6, 1.0),
+         (1j, 0, math.inf), (1j, 1, math.inf), (-1j, 1, math.inf),
+         (1j, 2, 0.7071067811865475), (-1j, 2, 0.7071067811865475),
+         (1j, 3, 0.7071067811865475), (-1j, 6, 0.7071067811865475)],
+    )
+    def test_exceptional_points(self, z, n, want):
+        got = resolvent_power_norm(EMPTY, z, n)
+        assert got == ResolventValue(want, "block_exact_with_tail", 0.0, True, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_field_through_the_exceptional_points(self, n):
+        region = GridRegion(-1.0, 1.0, -1.0, 1.0, nx=3, ny=3)
+        field = compute_norm_field(EMPTY, region, n)
+        for i in range(3):
+            for j in range(3):
+                z = region.point(i, j)
+                assert field.values[i, j] == resolvent_power_norm(EMPTY, z, n).value
+        assert np.isfinite(field.values).sum() == (1 if n == 1 else 3)
 
 
 class TestCertificatesAreArrayFunctions:
