@@ -94,8 +94,8 @@ class StudyReport:
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def write_series_csv(self, fp) -> None:
         w = csv.writer(fp, lineterminator="\n")
@@ -436,37 +436,27 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
     )
 
 
-def _g_factory(beta: float, r: float, phi: float):
+def _decay_gain(beta: float, r: float, phi: float, mu: np.ndarray) -> np.ndarray:
+    """g(mu) = mu^2 / (r^4 - 2 q r^2 cos(2 phi) + q^2) with q = mu^(1+beta), at each weight."""
     c2 = math.cos(2.0 * phi)
     r2 = r * r
-    r4 = r2 * r2
-
-    def g(mu: float) -> float:
-        q = mu ** (1.0 + beta)
-        return mu * mu / (r4 - 2.0 * q * r2 * c2 + q * q)
-
-    return g
+    q = mu ** (1.0 + beta)
+    return mu * mu / (r2 * r2 - 2.0 * q * r2 * c2 + q * q)
 
 
-def _golden_max(g, lo: float, hi: float) -> float:
-    # classic golden-section reduction; g must be unimodal on [lo, hi]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(200):
-        if b - a <= 1e-10 * max(1.0, abs(b)):
-            break
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - inv_phi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + inv_phi * (b - a)
-            gd = g(d)
-    return 0.5 * (a + b)
+def _decay_maximizer(beta: float, r: float, phi: float) -> float:
+    """The maximizer of g over mu > 0, in closed form.
+
+    d log g / d mu = 0 reads beta q^2 + b r^2 q - r^4 = 0 with
+    b = (1 - beta) cos(2 phi); g vanishes at 0 and infinity, so its one
+    positive root q* gives the maximizer mu* = q*^(1/(1+beta)).  Each form
+    of q* avoids the cancellation of the other.
+    """
+    b = (1.0 - beta) * math.cos(2.0 * phi)
+    root = math.sqrt(b * b + 4.0 * beta)
+    r2 = r * r
+    q = 2.0 * r2 / (b + root) if b > 0.0 else r2 * (root - b) / (2.0 * beta)
+    return q ** (1.0 / (1.0 + beta))
 
 
 def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyReport:
@@ -511,15 +501,14 @@ def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyRepor
     mu_cont = []
     notes = [STUDY_PROXY_NOTE]
     for r in rs:
-        g = _g_factory(beta, r, phi)
-        gv = np.array([g(a) for a in alphas])
+        gv = _decay_gain(beta, r, phi, alphas)
         m = int(np.argmax(gv))
         if m == 0 or m == len(alphas) - 1 or gv[m] < max(gv[0], gv[-1]):
             raise InapplicableConditionError(
                 f"maximizer scan not unimodal inside the weight grid at r={r}"
             )
         mu_grid.append(float(alphas[m]))
-        mu_cont.append(_golden_max(g, float(alphas[0]), float(alphas[-1])))
+        mu_cont.append(_decay_maximizer(beta, r, phi))
         rel = abs(mu_cont[-1] - mu_grid[-1]) / mu_cont[-1]
         if rel > 0.01:
             notes.append(

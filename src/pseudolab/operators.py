@@ -389,14 +389,15 @@ def scale_operator(model, s: complex):
 def _verify_anchor(labelled_models, anchor: complex):
     """Raise SingularityError unless anchor clears the spectrum of every model.
 
-    The clearance is 1 / ||(T - anchor)^-1|| as resolvent_norm reports it,
-    an infinite family's with the tail scan cut at HEAD_CHUNK blocks.
+    The clearance is 1 / ||(T - anchor)^-1|| as resolvent_power_norm
+    reports it, an infinite family's with the tail scan cut at HEAD_CHUNK
+    blocks.
     """
     # resolvent imports this module
-    from .resolvent import SPECTRUM_CLEARANCE, resolvent_norm
+    from .resolvent import SPECTRUM_CLEARANCE, resolvent_power_norm
 
     for label, model in labelled_models:
-        d = 1.0 / resolvent_norm(model, anchor, max_blocks=HEAD_CHUNK).value
+        d = 1.0 / resolvent_power_norm(model, anchor, 0, max_blocks=HEAD_CHUNK).value
         if not d > SPECTRUM_CLEARANCE:
             raise SingularityError(
                 f"anchor {anchor} sits numerically on the spectrum of {label} "

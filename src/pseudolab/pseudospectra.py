@@ -167,27 +167,24 @@ class AssumptionCheck:
     hy: float
 
 
-def compute_norm_field(
-    model, region: GridRegion, n: int = 0, *, max_blocks: int | None = None
-) -> NormField:
+def compute_norm_field(model, region: GridRegion, n: int = 0) -> NormField:
     """Sample the resolvent power norm of model at every lattice point.
 
     All cells go to resolvent_power_norms in one call, so each cell is
     resolvent_power_norm(model, z, n) at its lattice point, bit for bit at
     the same block budget, and block families scan every point's blocks in
-    shared stacks.  max_blocks bounds the tail scan for infinite families;
-    by default a block family, also under scaling, takes the per-shape
-    FIELD_MAX_BLOCKS budget, which keeps full-window sweeps affordable
-    while the reported values remain certified lower bounds.
+    shared stacks.  A block family, also under scaling, takes the
+    per-shape FIELD_MAX_BLOCKS tail budget, which keeps full-window sweeps
+    affordable while the reported values remain certified lower bounds;
+    every other model takes the engine's default.
     """
-    if max_blocks is None:
-        inner = model
-        while isinstance(inner, ScaledOperator):
-            inner = inner.inner
-        if isinstance(inner, DiagBlockFamily):
-            max_blocks = FIELD_MAX_BLOCKS[inner.block_dim]
-        else:
-            max_blocks = MAX_BLOCKS_DEFAULT
+    inner = model
+    while isinstance(inner, ScaledOperator):
+        inner = inner.inner
+    if isinstance(inner, DiagBlockFamily):
+        max_blocks = FIELD_MAX_BLOCKS[inner.block_dim]
+    else:
+        max_blocks = MAX_BLOCKS_DEFAULT
     zs = region.lattice().ravel()
     vals = resolvent_power_norms(model, zs, n, max_blocks=max_blocks).value
     return NormField(region, n, vals.reshape(region.nx, region.ny))
@@ -370,21 +367,21 @@ def _region_from_rows(rows: np.ndarray) -> GridRegion:
     return region
 
 
-def read_field_csv(fp, n: int = 0) -> NormField:
+def read_field_csv(fp) -> NormField:
     """Rebuild a NormField from `re,im,value` rows.
 
-    The power index is not stored in the CSV; pass n when it matters.
+    The power index is not stored in the CSV; the field is labelled n = 0.
     """
     rows = _read_rows(fp, ["re", "im", "value"])
     region = _region_from_rows(rows)
-    return NormField(region, n, rows[:, 2].reshape(region.nx, region.ny))
+    return NormField(region, 0, rows[:, 2].reshape(region.nx, region.ny))
 
 
-def read_mask_csv(fp, epsilon: float = 1.0, n: int = 0, strictness: str = "closed_Sigma") -> LevelSetMask:
+def read_mask_csv(fp) -> LevelSetMask:
     """Rebuild a LevelSetMask from `re,im,member` rows.
 
-    epsilon, n and strictness are not stored in the CSV; the defaults
-    only label the returned object.
+    epsilon, n and strictness are not stored in the CSV; the mask is
+    labelled epsilon = 1, n = 0 and closed_Sigma.
     """
     rows = _read_rows(fp, ["re", "im", "member"])
     region = _region_from_rows(rows)
@@ -394,4 +391,4 @@ def read_mask_csv(fp, epsilon: float = 1.0, n: int = 0, strictness: str = "close
         v = float(flags[np.argmax(bad)])
         raise ConfigurationError(f"member flag must be 0 or 1, got {v}")
     mask = (flags == 1.0).reshape(region.nx, region.ny)
-    return LevelSetMask(region, epsilon, n, strictness, mask)
+    return LevelSetMask(region, 1.0, 0, "closed_Sigma", mask)

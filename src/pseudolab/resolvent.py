@@ -2,6 +2,7 @@
 
 resolvent_power_norms evaluates one model at many points z and returns
 one columnar ResolventValues; resolvent_power_norm is its one-point call.
+These two alone take max_blocks, the tail-scan budget of infinite families.
 
 A diagonal matrix D is normal, so every power norm of it is exact:
 ||(D - z)^-2^n||^(1/2^n) = 1/min_i |z - d_i| (diagonal_power_norms).  The
@@ -12,9 +13,10 @@ The points go in stacks (_dense_power_norms): one stacked LU and
 multi-column solve gives W, which _batch_square_scaled squares n times with
 exact rescaling, the squaring the 4x4 block stacks use, and
 largest_singular_values takes sigma_max directly, with no iteration.  The
-clearance checks of gnr_defect, expansion_residual and
+clearance checks of the dense gnr_defect, expansion_residual and
 power_diff_bound_check read sigma_min(T - z) = 1/sigma_max(W) off the
-inverse they go on to use.
+inverse they go on to use.  gnr_defect evaluates at the sequence's own
+anchor, which its constructor checked.
 
 Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
 engine that takes all points at once.  The points walk the
@@ -42,9 +44,8 @@ Each point's arithmetic depends on that point alone, so a value does not
 depend on the other points of the call.  The certificates are array
 functions of the points, NaN where none applies.  numpy's complex
 products and powers may round a point differently by its place in the
-batch, so powers of z are taken in real arithmetic (_cmul), |z| by
-hypot, and the 4x4 tail limit's |z|^2 as Python's abs(z) ** 2, once per
-call.  The reported value is max(head maximum, analytic tail limit): a
+batch, so powers of z are taken in real arithmetic (_cmul) and |z| by
+hypot.  The reported value is max(head maximum, analytic tail limit): a
 certified lower bound that is exact whenever the certificates close the
 gap to within TAIL_TOL.  The one-sided gap that remains is reported in
 the diagnostics, with the value marked uncertified.  A tabulated symbol
@@ -96,8 +97,6 @@ DENSE_CAP = 1 << 18
 # certified inf or as nan
 BLOCK_Z_LIMIT = {2: 1e75, 4: 1e60}
 
-MODES = ("dense_exact", "block_exact_with_tail", "scaled")
-
 
 @dataclass(frozen=True)
 class ResolventValue:
@@ -113,14 +112,11 @@ class ResolventValue:
     """
 
     value: float
-    mode: str
     tail_gap: float = 0.0
     certified: bool = True
     k_cutoff: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise DomainError(f"unknown resolvent mode {self.mode!r}")
         if not self.value > 0.0:
             raise DomainError(f"resolvent value must be positive, got {self.value}")
 
@@ -130,12 +126,10 @@ class ResolventValues:
     """The ResolventValues of one call at many points, as columns.
 
     value, tail_gap, certified and k_cutoff are arrays with one entry per
-    point, and mode is shared by every point.  Indexing or iterating gives
-    the per-point ResolventValue.
+    point.  Indexing or iterating gives the per-point ResolventValue.
     """
 
     value: np.ndarray
-    mode: str
     tail_gap: np.ndarray
     certified: np.ndarray
     k_cutoff: np.ndarray
@@ -145,7 +139,7 @@ class ResolventValues:
 
     def __getitem__(self, i: int) -> ResolventValue:
         return ResolventValue(
-            float(self.value[i]), self.mode, float(self.tail_gap[i]),
+            float(self.value[i]), float(self.tail_gap[i]),
             bool(self.certified[i]), int(self.k_cutoff[i]),
         )
 
@@ -153,11 +147,11 @@ class ResolventValues:
         return map(self.__getitem__, range(len(self)))
 
 
-def _exact_values(value: np.ndarray, mode: str, k_cutoff: int) -> ResolventValues:
+def _exact_values(value: np.ndarray, k_cutoff: int) -> ResolventValues:
     """Certified values with no tail gap, every point at the same cutoff."""
     count = len(value)
     gaps, flags = np.zeros(count), np.ones(count, dtype=bool)
-    return ResolventValues(value, mode, gaps, flags, np.full(count, k_cutoff))
+    return ResolventValues(value, gaps, flags, np.full(count, k_cutoff))
 
 
 @dataclass(frozen=True)
@@ -488,7 +482,7 @@ def _family_values(family, zs: np.ndarray, n: int, max_blocks: int) -> Resolvent
         tail_gap[active] = np.fmin(tail_gap[active], gap)
         certified[active] = gap <= TAIL_TOL
         active = active[~certified[active]]
-    return ResolventValues(value, "block_exact_with_tail", tail_gap, certified, k_cutoff)
+    return ResolventValues(value, tail_gap, certified, k_cutoff)
 
 
 def _inverse_family_values(zs: np.ndarray, n: int) -> ResolventValues:
@@ -505,7 +499,7 @@ def _inverse_family_values(zs: np.ndarray, n: int) -> ResolventValues:
     exact = (x == 0) & (((y == 0) & (n >= 1)) | ((np.abs(y) == 1) & (n >= 2)))
     value = np.full(len(zs), math.inf)
     value[exact] = 1.0 / np.hypot(1.0 - x[exact], y[exact])
-    return _exact_values(value, "block_exact_with_tail", 0)
+    return _exact_values(value, 0)
 
 
 # --------------------------------------------------------------- 4x4 blocks
@@ -588,11 +582,8 @@ def _scaled_root(sigma, exps, m: int):
 
 
 def _four_limit_norm(zs: np.ndarray) -> np.ndarray:
-    """At each z, the norm of the limiting resolvent (nilpotent part plus z times its square).
-
-    |z|^2 is Python's abs(z) ** 2 (libm pow), which numpy does not reproduce.
-    """
-    t = 2.0 + np.array([abs(z) ** 2 for z in zs.tolist()])
+    """At each z, the norm of the limiting resolvent (nilpotent part plus z times its square)."""
+    t = 2.0 + np.hypot(zs.real, zs.imag) ** 2
     return np.sqrt((t + np.sqrt(t * t - 4.0)) / 2.0)
 
 
@@ -610,11 +601,9 @@ def _four_tail_deviation(family, a: float, zs: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------- public API
 
 
-def resolvent_norm(
-    model, z: complex, *, max_blocks: int = MAX_BLOCKS_DEFAULT
-) -> ResolventValue:
+def resolvent_norm(model, z: complex) -> ResolventValue:
     """||(T - z)^-1|| as a ResolventValue; inf encodes z in the spectrum."""
-    return resolvent_power_norm(model, z, 0, max_blocks=max_blocks)
+    return resolvent_power_norm(model, z, 0)
 
 
 def resolvent_power_norm(
@@ -650,20 +639,18 @@ def resolvent_power_norms(
         factor = complex(model.factor)
         s = abs(factor)
         inner = resolvent_power_norms(model.inner, zs / factor, n, max_blocks=max_blocks)
-        return replace(
-            inner, value=inner.value / s, mode="scaled", tail_gap=inner.tail_gap / s
-        )
+        return replace(inner, value=inner.value / s, tail_gap=inner.tail_gap / s)
     if isinstance(model, DenseOperator):
         if model.diagonal is not None:
             values = diagonal_power_norms(model.diagonal, zs)
         else:
             values = _dense_power_norms(model.matrix, zs, n)
-        return _exact_values(values, "dense_exact", 0)
+        return _exact_values(values, 0)
     if isinstance(model, TruncatedFamily):
         _check_block_range(model.family, zs)
         total = model.n_blocks
         values = _head_maxima(model.family, 0, total, zs, n)
-        return _exact_values(values, "dense_exact", total)
+        return _exact_values(values, total)
     if isinstance(model, DiagBlockFamily):
         _check_block_range(model, zs)
         if model.symbol.kind == "inverse":
@@ -695,30 +682,32 @@ def _dense_matrix_of(model) -> np.ndarray:
     )
 
 
-def gnr_defect(seq, k: int, anchor: complex | None = None) -> float:
+def gnr_defect(seq, k: int) -> float:
     """||R_k(anchor) P_k - R_ref(anchor) P|| for the k-th sequence term.
 
-    Truncation sequences share their leading blocks with the reference, so
-    the padded difference is block diagonal with the shared part cancelled
-    exactly; the value reduces to the largest tail-block resolvent norm.
-    Other sequences are compared densely in their common space.
+    The anchor is seq.gnr_anchor, which the sequence checked against the
+    spectrum of its reference or limit when it was built.  Truncation
+    sequences share their leading blocks with the reference, so the padded
+    difference is block diagonal with the shared part cancelled exactly;
+    the value reduces to the largest resolvent norm of the blocks between
+    k and the reference size.  Blocks past the reference (k > N) belong to
+    term k alone and are checked here.  Other sequences are compared
+    densely in their common space.
     """
-    lam = complex(seq.gnr_anchor if anchor is None else anchor)
+    lam = complex(seq.gnr_anchor)
     if seq.kind == "truncation":
-        family = seq.family
         n_ref = seq.reference_truncation_N
         if k < 1:
             raise DomainError("sequence index must be >= 1")
-        _check_block_range(family, np.array([lam]))
-        # a singular block anywhere in the reference makes the anchor
-        # invalid; blocks 1..k cancel, blocks k+1..n_ref are the defect
-        cut = min(k, n_ref)
-        shared = float(_head_maxima(family, 0, cut, np.array([lam]), 0)[0])
-        rest = float(_head_maxima(family, cut, max(k, n_ref), np.array([lam]), 0)[0])
-        if max(shared, rest) > 1.0 / SPECTRUM_CLEARANCE:
+        # blocks 1..min(k, N) cancel; the rest is the defect for k < N and
+        # the blocks term k adds to the reference for k > N
+        lo, hi = sorted((k, n_ref))
+        rest = float(_head_maxima(seq.family, lo, hi, np.array([lam]), 0)[0])
+        if k > n_ref and rest > 1.0 / SPECTRUM_CLEARANCE:
+            label = f"term k={k}"
             raise SingularityError(
-                f"{lam} is numerically on the spectrum of the reference truncation",
-                which=f"truncation N={n_ref}",
+                f"{lam} is numerically on the spectrum of {label} (clearance {1.0 / rest:.3e})",
+                which=label,
             )
         return 0.0 if k >= n_ref else rest
     w_term, _ = _inverse_of(_dense_matrix_of(seq.term(k)), lam, f"term k={k}")

@@ -272,7 +272,7 @@ class TestConstantRegionScan:
     def test_uncertified_value_fails_closed(self, monkeypatch):
         # an uncertified lower bound that equals M proves nothing about M
         fake = ResolventValues(
-            np.array([1.0]), "block_exact_with_tail", np.array([0.25]),
+            np.array([1.0]), np.array([0.25]),
             np.array([False]), np.array([64]),
         )
         monkeypatch.setattr(experiments, "resolvent_power_norms", lambda model, zs, n: fake)
@@ -330,6 +330,19 @@ class TestDecayStudy:
     def test_beta_range_enforced(self):
         with pytest.raises(ConfigurationError):
             decay_study(1.5, PHI, self.RS, True)
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("phi", [0.3, math.pi / 4, PHI, 1.5, 2.8])
+    def test_closed_form_maximizer(self, beta, phi):
+        # cos(2 phi) > 0, = 0 and < 0 take both forms of the root
+        for r in (10.0, 31.6, 100.0):
+            mu = experiments._decay_maximizer(beta, r, phi)
+            trio = np.array([mu * (1 - 1e-4), mu, mu * (1 + 1e-4)])
+            near = experiments._decay_gain(beta, r, phi, trio)
+            assert near[1] > near[0] and near[1] > near[2]
+            grid = np.geomspace(mu / 4.0, mu * 4.0, 200001)
+            best = grid[np.argmax(experiments._decay_gain(beta, r, phi, grid))]
+            assert best == pytest.approx(mu, rel=2e-5)
 
 
 class TestEmptyResolventProbe:

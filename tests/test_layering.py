@@ -1,7 +1,10 @@
 """No module of the package reaches into a sibling's private names: every
 name one module takes from another is public, so a module's underscore
-helpers can change without breaking its neighbours."""
+helpers can change without breaking its neighbours.  The block budget
+max_blocks is a keyword of the engine entries alone."""
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -84,3 +87,28 @@ def test_the_check_sees_every_import_form():
         ("errors", "_y"),
         ("experiments", "_z"),
     }
+
+
+def _public_callables():
+    """(module.qualname, callable) for every public function and method the
+    package defines, constructors included."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"{NAME}.{path.stem}")
+        for name, obj in vars(module).items():
+            if _private(name) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{path.stem}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member) and (attr == "__init__" or not _private(attr)):
+                        yield f"{path.stem}.{name}.{attr}", member
+
+
+def test_only_the_engine_entries_take_max_blocks():
+    takers = {
+        name
+        for name, fn in _public_callables()
+        if "max_blocks" in inspect.signature(fn).parameters
+    }
+    assert takers == {"resolvent.resolvent_power_norm", "resolvent.resolvent_power_norms"}

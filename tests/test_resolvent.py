@@ -63,22 +63,17 @@ DIAG26 = DenseOperator(np.diag([2.0, 6.0]))
 
 
 class TestResolventValue:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(DomainError):
-            ResolventValue(1.0, "approximate")
-
     def test_rejects_nonpositive_value(self):
         with pytest.raises(DomainError):
-            ResolventValue(0.0, "dense_exact")
+            ResolventValue(0.0)
 
     def test_infinite_value_allowed(self):
-        assert math.isinf(ResolventValue(math.inf, "dense_exact").value)
+        assert math.isinf(ResolventValue(math.inf).value)
 
 
 class TestDensePath:
     def test_diag_pair_at_three(self):
         got = resolvent_norm(DIAG26, 3.0)
-        assert got.mode == "dense_exact"
         assert abs(got.value - 1.0) <= 1e-12
 
     def test_spectrum_point_is_infinite(self):
@@ -98,7 +93,6 @@ class TestDensePath:
 
     def test_blockwise_truncation_agrees(self):
         got = resolvent_norm(TruncatedFamily(SHARG, 200), 0.0)
-        assert got.mode == "dense_exact"
         assert abs(got.value - 201.0 / 202.0) <= 1e-12
 
     def test_overflowing_inverse(self):
@@ -197,7 +191,6 @@ class TestDensePath:
 class TestScaledPath:
     def test_half_scaled_family_at_zero(self):
         got = resolvent_norm(scale_operator(SHARG, 0.5), 0.0)
-        assert got.mode == "scaled"
         assert abs(got.value - 2.0) <= 1e-9
 
     def test_doubled_dense_block(self):
@@ -222,7 +215,6 @@ class TestScaledPath:
 class TestBlockFamilies:
     def test_shargorodsky_constant_at_origin(self):
         got = resolvent_norm(SHARG, 0.0)
-        assert got.mode == "block_exact_with_tail"
         assert got.value == 1.0
         assert got.certified and got.tail_gap == 0.0
 
@@ -255,9 +247,8 @@ class TestBlockFamilies:
             for n in (0, 1):
                 with pytest.raises(DomainError, match="block arithmetic"):
                     resolvent_power_norm(model, far, n, max_blocks=256)
-        seq = TruncationSequence(REMARK, gnr_anchor=1j, reference_truncation_N=64)
         with pytest.raises(DomainError, match="block arithmetic"):
-            gnr_defect(seq, 10, anchor=1e100j)
+            TruncationSequence(REMARK, gnr_anchor=1e100j, reference_truncation_N=64)
         for model in (REMARK, SHARG, NONCONST, TruncatedFamily(REMARK, 40)):
             dim = getattr(model, "family", model).block_dim
             for r in (1e20, 1e50, resolvent.BLOCK_Z_LIMIT[dim]):
@@ -645,7 +636,7 @@ class TestTailCertification:
         # the 10^6-block budget
         for z in (0.0, 0.5, 1.0, 2.0 + 1.0j, 1e-8, 1e6):
             got = resolvent_norm(EMPTY, z)
-            assert got == ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
+            assert got == ResolventValue(math.inf, 0.0, True, 0)
 
 
 class TestInverseSymbolPowers:
@@ -664,7 +655,7 @@ class TestInverseSymbolPowers:
         # magnitude to the last ulp, so rounded powers of them look equal
         # while D' != 0
         got = resolvent_power_norm(EMPTY, z, n)
-        assert got == ResolventValue(math.inf, "block_exact_with_tail", 0.0, True, 0)
+        assert got == ResolventValue(math.inf, 0.0, True, 0)
 
     @pytest.mark.parametrize(
         "z, n, want",
@@ -675,7 +666,7 @@ class TestInverseSymbolPowers:
     )
     def test_exceptional_points(self, z, n, want):
         got = resolvent_power_norm(EMPTY, z, n)
-        assert got == ResolventValue(want, "block_exact_with_tail", 0.0, True, 0)
+        assert got == ResolventValue(want, 0.0, True, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_field_through_the_exceptional_points(self, n):
@@ -721,13 +712,14 @@ class TestCertificatesAreArrayFunctions:
 
 def _checked_cells(model, z: complex, step: float, n: int, budget: int):
     """ResolventValues of the 2x2 lattice cornered at z, one point at a time,
-    after checking that compute_norm_field reports each value bit for bit."""
-    region = GridRegion(z.real, z.real + step, z.imag, z.imag + step, 2, 2)
-    field = compute_norm_field(model, region, n, max_blocks=budget)
+    after checking that one engine call over the lattice reports each bit for
+    bit."""
+    zs = GridRegion(z.real, z.real + step, z.imag, z.imag + step, 2, 2).lattice().ravel()
+    batch = resolvent.resolvent_power_norms(model, zs, n, max_blocks=budget)
     cells = []
-    for (i, j), zc in np.ndenumerate(region.lattice()):
+    for zc, cell in zip(zs, batch):
         rv = resolvent_power_norm(model, zc, n, max_blocks=budget)
-        assert field.values[i, j] == rv.value
+        assert cell == rv
         cells.append((complex(zc), rv))
     return cells
 
@@ -809,7 +801,8 @@ ENGINE_MODELS = {
 
 
 class TestFieldEngine:
-    """compute_norm_field is the per-point route, bit for bit, in shared stacks."""
+    """One engine call over a lattice is the per-point route, bit for bit, in
+    shared stacks, and compute_norm_field is that call at the field budget."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -831,17 +824,29 @@ class TestFieldEngine:
         # every window holds z = 0; step 1 with corner >= -2 also holds z = 2
         model = ENGINE_MODELS[name]
         re0, im0 = corner[0] * step, corner[1] * step
-        region = GridRegion(re0, re0 + 4 * step, im0, im0 + 4 * step, 5, 5)
-        field = compute_norm_field(model, region, n, max_blocks=budget)
-        zs = region.lattice().ravel()
+        zs = GridRegion(re0, re0 + 4 * step, im0, im0 + 4 * step, 5, 5).lattice().ravel()
         batch = resolvent.resolvent_power_norms(model, zs, n, max_blocks=budget)
         # a truncation examines all its blocks, whatever the tail budget
         limit = model.n_blocks if isinstance(model, TruncatedFamily) else budget
-        for z, cell, rv in zip(zs, field.values.ravel(), batch):
+        for z, rv in zip(zs, batch):
             one = resolvent_power_norm(model, z, n, max_blocks=budget)
             assert rv == one
-            assert cell == one.value
             assert one.k_cutoff <= limit
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize(
+        "model, budget",
+        [(SHARG, 20000), (REMARK, 256), (scale_operator(REMARK, 1.0 - 0.5j), 256),
+         (TruncatedFamily(SHARG, 700), None), (DIAGONAL, None)],
+    )
+    def test_field_takes_the_per_shape_budget(self, model, budget, n):
+        # block families, also scaled, take FIELD_MAX_BLOCKS; other models
+        # the engine's default
+        region = GridRegion(-1.0, 1.0, -1.0, 1.0, 5, 5)
+        field = compute_norm_field(model, region, n)
+        kwargs = {} if budget is None else {"max_blocks": budget}
+        batch = resolvent.resolvent_power_norms(model, region.lattice().ravel(), n, **kwargs)
+        assert field.values.ravel().tolist() == batch.value.tolist()
 
     def test_window_closes_in_several_chunks(self):
         # inf cells, cells closed in the first chunk and cells open at the
@@ -900,10 +905,10 @@ class TestFieldEngine:
         record("jacobi_singular_values", four, 16)
         record("norm_below", four, 16)
         record("sv2x2_batch", two, 1)
-        region = GridRegion(-1.0, 1.0, -1.0, 1.0, 11, 11)
-        compute_norm_field(REMARK, region, 0, max_blocks=4096)
+        zs = GridRegion(-1.0, 1.0, -1.0, 1.0, 11, 11).lattice().ravel()
+        resolvent.resolvent_power_norms(REMARK, zs, 0, max_blocks=4096)
         resolvent_power_norm(REMARK, 0.4, 1, max_blocks=20000)
-        compute_norm_field(SHARG, region, 1, max_blocks=20000)
+        resolvent.resolvent_power_norms(SHARG, zs, 1, max_blocks=20000)
         resolvent_power_norm(TruncatedFamily(SHARG, 10**5), 0.3 + 3j, 1)
         assert max(four) == resolvent.STACK_CAP
         assert max(two) == 16 * resolvent.STACK_CAP
@@ -949,18 +954,26 @@ class TestGnrDefect:
         seq = TruncationSequence(DECAY, gnr_anchor=1j, reference_truncation_N=16)
         assert gnr_defect(seq, 16) == 0.0
 
-    def test_anchor_on_spectrum_raises(self):
-        # 2.0 = sqrt(alpha f) of block 2: a defect block at k = 1, a shared one at k = 4
-        seq = TruncationSequence(SHARG, gnr_anchor=1j, reference_truncation_N=64)
-        for k in (1, 4):
-            with pytest.raises(SingularityError):
-                gnr_defect(seq, k, anchor=2.0)
+    def test_anchor_on_spectrum_is_rejected_at_construction(self):
+        # 2.0 = sqrt(alpha f) of block 2, inside the reference truncation
+        with pytest.raises(SingularityError) as err:
+            TruncationSequence(SHARG, gnr_anchor=2.0, reference_truncation_N=64)
+        assert err.value.which == "truncation N=64"
 
     def test_scaling_anchor_on_spectrum_names_operator(self):
-        ex = build_named_example("diag_pair")
+        base = build_named_example("diag_pair").model
         with pytest.raises(SingularityError) as err:
-            gnr_defect(ex.sequences["scale"], 3, anchor=6.0)
-        assert err.value.which
+            ScalingSequence(base, lambda k: 1.0 - 1.0 / k, gnr_anchor=6.0)
+        assert err.value.which == "limit"
+
+    def test_anchor_on_a_block_past_the_reference_names_the_term(self):
+        # block k has the eigenvalue sqrt(k + 2): sqrt(8) clears the four
+        # reference blocks but sits on block 6 of term k = 8
+        seq = TruncationSequence(SHARG, gnr_anchor=math.sqrt(8.0), reference_truncation_N=4)
+        assert gnr_defect(seq, 5) == 0.0
+        with pytest.raises(SingularityError, match="term k=8") as err:
+            gnr_defect(seq, 8)
+        assert err.value.which == "term k=8"
 
     def test_explicit_sequence_defect(self):
         terms = tuple(
@@ -1056,5 +1069,4 @@ class TestSequencesWithFamilies:
     def test_scaled_family_sequence_values(self):
         seq = ScalingSequence(base=SHARG, factors=lambda k: 1.0 - 1.0 / k)
         got = resolvent_norm(seq.term(2), 0.0)
-        assert got.mode == "scaled"
         assert got.value == pytest.approx(2.0, rel=1e-9)
