@@ -21,10 +21,8 @@ from .errors import (
 )
 from .numkernel import (
     SingularExtremes,
-    SingularMatrixError,
     largest_singular_value,
     smallest_singular_value,
-    solve_factored,
     sv2x2,
 )
 from .operators import (
@@ -39,10 +37,8 @@ from .operators import (
     TruncatedFamily,
     TruncationSequence,
     assemble_truncation,
-    block_eigenvalues,
     build_named_example,
     check_constant_norm_condition,
-    example_from_config,
     scale_operator,
 )
 from .pseudospectra import (
@@ -60,11 +56,9 @@ from .pseudospectra import (
     write_mask_csv,
 )
 from .resolvent import (
-    BoundednessProbe,
     PowerDiffBound,
     ResolventValue,
     ResolventValues,
-    boundedness_probe,
     expansion_residual,
     gnr_defect,
     power_diff_bound_check,
@@ -92,10 +86,8 @@ __all__ = [
     "InapplicableConditionError",
     "SingularityError",
     "SingularExtremes",
-    "SingularMatrixError",
     "largest_singular_value",
     "smallest_singular_value",
-    "solve_factored",
     "sv2x2",
     "AlphaRule",
     "DenseOperator",
@@ -108,16 +100,12 @@ __all__ = [
     "TruncatedFamily",
     "TruncationSequence",
     "assemble_truncation",
-    "block_eigenvalues",
     "build_named_example",
     "check_constant_norm_condition",
-    "example_from_config",
     "scale_operator",
-    "BoundednessProbe",
     "PowerDiffBound",
     "ResolventValue",
     "ResolventValues",
-    "boundedness_probe",
     "expansion_residual",
     "gnr_defect",
     "power_diff_bound_check",

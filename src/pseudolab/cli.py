@@ -201,7 +201,7 @@ def _cmd_converge(args) -> int:
         model = _load_model(args.model, args.beta)
         if not isinstance(model, DiagBlockFamily):
             raise ConfigurationError("truncation sequences need a block-family model")
-        seq = TruncationSequence(model, gnr_anchor=anchor, reference_truncation_N=args.limit_blocks)
+        seq = TruncationSequence(model, gnr_anchor=anchor)
     else:
         if args.model not in NAMED_EXAMPLES:
             raise ConfigurationError(f"sequence {args.sequence!r} needs a named example model")
@@ -326,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--ks", default="4,8,16,32", help="comma-separated sequence indices")
     p.add_argument("--anchor", default="0,1", help="re,im resolvent point for the defect gate")
-    p.add_argument("--limit-blocks", type=int, default=256, help="blocks in the reference truncation")
     p.add_argument("--defect-threshold", type=float, default=0.25)
     _add_out_flag(p)
     p.set_defaults(func=_cmd_converge)

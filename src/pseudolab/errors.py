@@ -3,14 +3,12 @@
 The CLI maps ConfigurationError, DomainError, InapplicableConditionError,
 SingularityError, OSError and csv.Error to exit code 2; everything else
 that escapes is a genuine failure.  No numerical kernel can fail to
-converge, so no exit code stands for that.  numkernel.SingularMatrixError
-comes only from numkernel.solve_factored, which the package itself never
-calls.
+converge, so no exit code stands for that.
 """
 
 
 class ConfigurationError(ValueError):
-    """Bad catalogue name, malformed config document, bad CLI arguments."""
+    """Bad catalogue name or parameters, bad CLI arguments."""
 
 
 class DomainError(ValueError):

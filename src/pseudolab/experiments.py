@@ -127,13 +127,15 @@ def convergence_study(
     *,
     defect_threshold: float = DEFECT_THRESHOLD_DEFAULT,
 ) -> StudyReport:
-    """Distance of truncated level sets to the limit level set over k.
+    """Distance of the terms' level sets to the limit level set over k.
 
-    Preconditions probed before any distances are measured: the limit
-    field must pass the discrete closure check at this resolution, and
-    the sequence defect at the largest k must sit below the configured
-    threshold.  Either failure produces a fail verdict naming the
-    violated assumption; distances are then not computed.
+    The limit is seq.limit_model(): for a truncation sequence the infinite
+    family itself, evaluated with certified tails.  Preconditions probed
+    before any distances are measured: the limit field must pass the
+    discrete closure check at this resolution, and the sequence defect at
+    the largest k (a certified upper bound for truncations) must sit below
+    the configured threshold.  Either failure produces a fail verdict
+    naming the violated assumption; distances are then not computed.
     """
     ks = [int(k) for k in ks]
     if not ks:

@@ -49,14 +49,6 @@ PANEL = 32
 SHIFTS = 255
 
 
-class SingularMatrixError(ArithmeticError):
-    """solve_factored met a pivot with |re| + |im| <= PIVOT_FLOOR.
-
-    The stacked kernels report singular matrices in a mask instead, which
-    the resolvent maps to a norm of +inf.
-    """
-
-
 class DimensionError(ValueError):
     """Input is not a finite square complex matrix of the expected shape."""
 
@@ -97,10 +89,10 @@ def lu_factor(a: np.ndarray):
     row k of L U is row ``perm[k]`` of A.  Pivots are chosen by |re| + |im|.
     A pivot whose measure is at most PIVOT_FLOOR stays on the diagonal of U
     and eliminates nothing (its multipliers are 0), so no entry grows;
-    ``solve_factored`` and ``explicit_inverses`` treat such a matrix as
-    singular.  Blocked as in LAPACK's zgetrf: PANEL columns are eliminated
-    within themselves, then the rows of U to their right are solved for and
-    the trailing matrix takes their update in one product.
+    ``explicit_inverses`` treats such a matrix as singular.  Blocked as in
+    LAPACK's zgetrf: PANEL columns are eliminated within themselves, then
+    the rows of U to their right are solved for and the trailing matrix
+    takes their update in one product.
     """
     lu = np.array(a, dtype=np.complex128, order="C")
     stack = lu.reshape((-1,) + lu.shape[-2:])
@@ -168,20 +160,6 @@ def lu_solve_adjoint(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndar
     out = np.empty_like(x)
     out[perm] = x
     return out[:, 0] if squeeze else out
-
-
-def solve_factored(a, b) -> np.ndarray:
-    """Solve A X = B for square A; raises SingularMatrixError on tiny pivots."""
-    m = as_square_matrix(a)
-    rhs = np.asarray(b, dtype=np.complex128)
-    if rhs.shape[0] != m.shape[0]:
-        raise DimensionError(f"rhs rows {rhs.shape[0]} != matrix dim {m.shape[0]}")
-    lu, perm = lu_factor(m)
-    tiny = _cabs1(np.diagonal(lu)) <= PIVOT_FLOOR
-    if tiny.any():
-        k = int(np.argmax(tiny))
-        raise SingularMatrixError(f"pivot {abs(lu[k, k]):.3e} at step {k}")
-    return lu_solve(lu, perm, rhs)
 
 
 def explicit_inverses(mats: np.ndarray):

@@ -12,7 +12,7 @@ Three kinds of model flow through the rest of the package:
                        identity ||(sT - z)^-1|| = |s|^-1 ||(T - z/s)^-1||
 
 plus three sequence kinds (truncation, scaling, explicit) used by the
-convergence studies, and a catalogue of named example configurations.
+convergence studies, and a catalogue of named examples.
 
 All models are immutable after construction and every operation here is
 pure, so concurrent reads are safe.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -335,21 +334,6 @@ class TruncatedFamily:
         return assemble_truncation(self.family, self.n_blocks)
 
 
-def block_eigenvalues(family: DiagBlockFamily, k: int) -> list:
-    """Eigenvalues of the k-th block in closed form.
-
-    B^2 = alpha f I for 2x2 blocks and B^4 = (alpha f)^2 I for 4x4 blocks,
-    so the eigenvalues are +-sqrt(alpha_k f(alpha_k)), and for 4x4 blocks
-    also +-i sqrt(alpha_k f(alpha_k)).
-    """
-    a = family.alpha.value(k)
-    root = math.sqrt(a * family.symbol.value(a))
-    roots = [complex(root), complex(-root)]
-    if family.block_dim == 4:
-        roots += [complex(0.0, root), complex(0.0, -root)]
-    return roots
-
-
 def check_constant_norm_condition(
     family: DiagBlockFamily, m: float, k_max: int
 ) -> bool:
@@ -408,34 +392,24 @@ def _verify_anchor(labelled_models, anchor: complex):
 
 @dataclass(frozen=True)
 class TruncationSequence:
-    """T_k = k-block truncation of a family; the limit is proxied by a
-    reference truncation of reference_truncation_N blocks."""
+    """T_k = k-block truncation of a family; the limit is the family itself."""
 
     family: DiagBlockFamily
     gnr_anchor: complex = 1j
-    reference_truncation_N: int = 256
 
     kind = "truncation"
 
     def __post_init__(self):
-        if self.reference_truncation_N < 1:
-            raise ConfigurationError("reference truncation needs at least one block")
-        # the reference covers every shorter truncation: removing blocks
-        # can only increase the minimal singular value
-        _verify_anchor(
-            [(f"truncation N={self.reference_truncation_N}", self.limit_model())],
-            self.gnr_anchor,
-        )
+        # every truncation's spectrum lies in the family's, and removing
+        # blocks can only increase the minimal singular value, so the
+        # family's clearance covers every term
+        _verify_anchor([("limit", self.family)], self.gnr_anchor)
 
     def term(self, k: int) -> TruncatedFamily:
         return TruncatedFamily(self.family, k)
 
-    @cached_property
-    def _limit(self) -> TruncatedFamily:
-        return TruncatedFamily(self.family, self.reference_truncation_N)
-
-    def limit_model(self) -> TruncatedFamily:
-        return self._limit
+    def limit_model(self) -> DiagBlockFamily:
+        return self.family
 
 
 @dataclass(frozen=True)
@@ -606,21 +580,3 @@ def build_named_example(name: str, params: Mapping | None = None) -> NamedExampl
     raise ConfigurationError(
         f"unknown example {name!r}; valid names: {', '.join(sorted(NAMED_EXAMPLES))}"
     )
-
-
-CONFIG_KEYS = {"name", "alpha_rule", "beta", "lambda1", "lambda2", "epsilon"}
-
-
-def example_from_config(doc: Mapping) -> NamedExample:
-    """Build a named example from a JSON-style configuration mapping."""
-    if not isinstance(doc, Mapping):
-        raise ConfigurationError("configuration document must be a mapping")
-    unknown = set(doc) - CONFIG_KEYS
-    if unknown:
-        raise ConfigurationError(
-            f"unknown configuration keys {sorted(unknown)} (allowed: {sorted(CONFIG_KEYS)})"
-        )
-    if "name" not in doc:
-        raise ConfigurationError("configuration document needs a 'name' key")
-    params = {k: v for k, v in doc.items() if k != "name"}
-    return build_named_example(str(doc["name"]), params)

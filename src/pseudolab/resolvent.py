@@ -16,17 +16,19 @@ largest_singular_values takes sigma_max directly, with no iteration.  The
 clearance checks of the dense gnr_defect, expansion_residual and
 power_diff_bound_check read sigma_min(T - z) = 1/sigma_max(W) off the
 inverse they go on to use.  gnr_defect evaluates at the sequence's own
-anchor, which its constructor checked.
+anchor, which its constructor checked; a truncation sequence's defect is
+the engine's scan of its family past block k.
 
 Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
 engine that takes all points at once.  The points walk the
 operators.block_chunks schedule together; each chunk is evaluated for the
 points still active as (points x blocks) stacks of at most STACK_CAP 4x4
 matrices (16 * STACK_CAP 2x2 values), each reduced to per-point maxima at
-once.  Finite ranges (truncations, GNR defects) take the exact maximum.
-Infinite families scan a head until a closed-form certificate for the tail
-beyond it closes the gap; a point leaves the active set once its
-certificate closes, its value is inf, or the budget ends:
+once.  Truncations take the exact maximum over their blocks.  Infinite
+families, or their blocks past a start index, scan a head until a
+closed-form certificate for the tail beyond it closes the gap; a point
+leaves the active set once its certificate closes, its value is inf, or
+the budget ends:
 
 * 2x2 shapes: for n = 0 with finite positive tail limit C, a per-kind
   algebraic criterion shows every block beyond the scan point stays
@@ -152,20 +154,6 @@ def _exact_values(value: np.ndarray, k_cutoff: int) -> ResolventValues:
     count = len(value)
     gaps, flags = np.zeros(count), np.ones(count, dtype=bool)
     return ResolventValues(value, gaps, flags, np.full(count, k_cutoff))
-
-
-@dataclass(frozen=True)
-class BoundednessProbe:
-    """Sampled resolvent-power norms of a sequence at one point."""
-
-    z: complex
-    k_range: tuple
-    sup_norm: float
-    in_region: bool
-
-    def __post_init__(self):
-        if self.in_region and not math.isfinite(self.sup_norm):
-            raise DomainError("in_region requires a finite sup")
 
 
 @dataclass(frozen=True)
@@ -412,14 +400,14 @@ def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
     return best
 
 
-def _head_maxima(family, lo: int, hi: int, zs: np.ndarray, n: int) -> np.ndarray:
-    """Exact max of the block values over lo < k <= hi at each point.
+def _head_maxima(family, n_blocks: int, zs: np.ndarray, n: int) -> np.ndarray:
+    """Exact max of the block values over k <= n_blocks at each point.
 
     inf marks a singular block; such a point leaves the scan.
     """
     best = np.zeros(len(zs))
     active = np.arange(len(zs))
-    for ks in block_chunks(lo, hi):
+    for ks in block_chunks(0, n_blocks):
         best[active] = _chunk_maxima(family, ks, zs[active], n, best[active])
         active = active[np.isfinite(best[active])]
         if not len(active):
@@ -444,9 +432,14 @@ def _tail_bound(family, a: float, zs: np.ndarray, n: int, limit0: np.ndarray) ->
     return np.sqrt(1.0 + eta) if n == 1 else (2.0 * eta + eta * eta) ** 0.25
 
 
-def _family_values(family, zs: np.ndarray, n: int, max_blocks: int) -> ResolventValues:
-    """Certified sup of the block values of an infinite 2x2 or 4x4 family at each point.
+def _family_values(
+    family, zs: np.ndarray, n: int, max_blocks: int, start: int = 0
+) -> ResolventValues:
+    """Certified sup over the blocks k > start of an infinite 2x2 or 4x4 family at each point.
 
+    The scan covers at most max_blocks blocks past start, and k_cutoff is
+    the absolute index of the last block examined.  The tail-limit seed and
+    the 4x4 closed forms at z = 0 hold for the sup over any tail of blocks.
     All points walk the block_chunks schedule together, and each chunk
     updates the active points with array operations.  A point's value
     starts at the tail limit and its head maximum is exact; after each
@@ -468,7 +461,7 @@ def _family_values(family, zs: np.ndarray, n: int, max_blocks: int) -> Resolvent
         closed = zs == 0
         value[closed], tail_gap[closed], certified[closed] = 1.0, 0.0, True
     active = np.flatnonzero(~certified)
-    for ks in block_chunks(0, max_blocks):
+    for ks in block_chunks(start, start + max_blocks):
         if not len(active):
             break
         k_done = int(ks[-1])
@@ -649,7 +642,7 @@ def resolvent_power_norms(
     if isinstance(model, TruncatedFamily):
         _check_block_range(model.family, zs)
         total = model.n_blocks
-        values = _head_maxima(model.family, 0, total, zs, n)
+        values = _head_maxima(model.family, total, zs, n)
         return _exact_values(values, total)
     if isinstance(model, DiagBlockFamily):
         _check_block_range(model, zs)
@@ -683,33 +676,24 @@ def _dense_matrix_of(model) -> np.ndarray:
 
 
 def gnr_defect(seq, k: int) -> float:
-    """||R_k(anchor) P_k - R_ref(anchor) P|| for the k-th sequence term.
+    """||R_k(anchor) P_k - R(anchor)|| for the k-th sequence term.
 
     The anchor is seq.gnr_anchor, which the sequence checked against the
-    spectrum of its reference or limit when it was built.  Truncation
-    sequences share their leading blocks with the reference, so the padded
-    difference is block diagonal with the shared part cancelled exactly;
-    the value reduces to the largest resolvent norm of the blocks between
-    k and the reference size.  Blocks past the reference (k > N) belong to
-    term k alone and are checked here.  Other sequences are compared
-    densely in their common space.
+    spectrum of its limit when it was built.  A truncation shares its
+    blocks 1..k with its family, so the padded difference is block diagonal
+    with those blocks cancelled exactly, and the defect is
+    sup_{j>k} ||(B_j - anchor)^-1||: one engine scan of the family from
+    block k.  It is reported as value + tail_gap, a certified upper bound
+    (+inf where no certificate applies), so a defect gate never passes on
+    an uncertified lower bound.  Other sequences are compared densely in
+    their common space.
     """
     lam = complex(seq.gnr_anchor)
     if seq.kind == "truncation":
-        n_ref = seq.reference_truncation_N
         if k < 1:
             raise DomainError("sequence index must be >= 1")
-        # blocks 1..min(k, N) cancel; the rest is the defect for k < N and
-        # the blocks term k adds to the reference for k > N
-        lo, hi = sorted((k, n_ref))
-        rest = float(_head_maxima(seq.family, lo, hi, np.array([lam]), 0)[0])
-        if k > n_ref and rest > 1.0 / SPECTRUM_CLEARANCE:
-            label = f"term k={k}"
-            raise SingularityError(
-                f"{lam} is numerically on the spectrum of {label} (clearance {1.0 / rest:.3e})",
-                which=label,
-            )
-        return 0.0 if k >= n_ref else rest
+        tail = _family_values(seq.family, np.array([lam]), 0, MAX_BLOCKS_DEFAULT, start=k)
+        return float(tail.value[0] + tail.tail_gap[0])
     w_term, _ = _inverse_of(_dense_matrix_of(seq.term(k)), lam, f"term k={k}")
     w_ref, _ = _inverse_of(_dense_matrix_of(seq.limit_model()), lam, "limit")
     dim = max(len(w_term), len(w_ref))
@@ -717,41 +701,6 @@ def gnr_defect(seq, k: int) -> float:
     diff[: len(w_term), : len(w_term)] = w_term
     diff[: len(w_ref), : len(w_ref)] -= w_ref
     return largest_singular_value(diff)
-
-
-def _raw_power(value: float, m: int) -> float:
-    if math.isinf(value):
-        return math.inf
-    try:
-        return value**m
-    except OverflowError:
-        return math.inf
-
-
-def boundedness_probe(seq, z: complex, ks, n: int = 0) -> BoundednessProbe:
-    """Sample ||(T_k - z)^-2^n|| over ks and judge uniform boundedness.
-
-    in_region uses a documented stagnation heuristic: all values finite
-    and the later half of the samples at most 10x the earlier half.
-    """
-    ks = [int(k) for k in ks]
-    if not ks:
-        raise DomainError("boundedness probe needs at least one index")
-    m = 1 << n
-    values = [
-        _raw_power(resolvent_power_norm(seq.term(k), z, n).value, m) for k in ks
-    ]
-    sup = max(values)
-    if not all(math.isfinite(v) for v in values):
-        in_region = False
-    elif len(values) == 1:
-        in_region = True
-    else:
-        half = len(values) // 2
-        in_region = max(values[half:]) <= 10.0 * max(values[:half])
-    return BoundednessProbe(
-        z=complex(z), k_range=tuple(ks), sup_norm=sup, in_region=in_region
-    )
 
 
 def _inverse_of(matrix: np.ndarray, z: complex, label: str):

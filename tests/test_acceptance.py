@@ -100,9 +100,7 @@ def test_criterion_04_scaled_families_overfill_the_window():
 
 
 def test_criterion_05_truncations_converge_and_power_index_collapses():
-    seq = TruncationSequence(
-        build_named_example("decay").model, gnr_anchor=1j, reference_truncation_N=256
-    )
+    seq = TruncationSequence(build_named_example("decay").model, gnr_anchor=1j)
     K = region_with_step(0.0, 3.0, 0.1, 1.5, 0.02)
     rep = convergence_study(seq, 1.0, K, [4, 8, 16, 32])
     h = rep.budget["h"]

@@ -181,6 +181,17 @@ class TestExitCodeMatrix:
         assert run(["converge", "--model", diag_matrix_file,
                     "--region", "1,7,-1.5,1.5", "--h", "0.5", "--ks", "2,4"]) == 2
 
+    def test_reference_truncation_flag_is_gone(self, capsys):
+        # a truncation sequence's limit is its family, with no block count
+        assert run(["converge", "--model", "decay", "--limit-blocks", "64",
+                    "--region", "0,3,0.1,1.5", "--h", "0.1", "--ks", "2,4"]) == 2
+        assert "--limit-blocks" in capsys.readouterr().err
+
+    def test_inverse_symbol_truncations_have_no_anchor(self, capsys):
+        assert run(["converge", "--model", "empty_resolvent",
+                    "--region", "0,3,0.1,1.5", "--h", "0.1", "--ks", "2,4"]) == 2
+        assert "spectrum of limit" in capsys.readouterr().err
+
     def test_unknown_sequence_name(self, capsys):
         assert run(["converge", "--model", "shargorodsky", "--sequence", "shrink",
                     "--region", "1,7,-1.5,1.5", "--h", "0.5", "--ks", "2,4"]) == 2

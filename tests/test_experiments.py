@@ -68,15 +68,21 @@ class TestStudyReport:
 
 class TestConvergenceStudy:
     def test_decay_truncations_pass(self):
-        seq = TruncationSequence(
-            build_named_example("decay").model,
-            gnr_anchor=1j,
-            reference_truncation_N=256,
-        )
+        seq = TruncationSequence(build_named_example("decay").model, gnr_anchor=1j)
         K = region_with_step(0.0, 3.0, 0.1, 1.5, 0.05)
         rep = convergence_study(seq, 1.0, K, [4, 8, 16, 32])
         assert rep.passed
         assert rep.series[-1][1] <= 3.0 * rep.budget["h"]
+
+    def test_shargorodsky_truncations_fail_the_closure_assumption(self):
+        # the family's resolvent norm is constant on a disc around 0, so its
+        # level set at 1 is not the closure of the open one
+        seq = TruncationSequence(build_named_example("shargorodsky").model, gnr_anchor=1j)
+        K = region_with_step(-2.0, 2.0, -2.0, 2.0, 0.05)
+        rep = convergence_study(seq, 1.0, K, [4, 8, 16, 32])
+        assert not rep.passed
+        assert rep.series == ()
+        assert any("closure assumption" in s for s in rep.notes)
 
     def test_diag_shrink_distances_track_the_moving_ball(self):
         K = region_with_step(1.0, 7.0, -1.5, 1.5, 0.05)

@@ -1,7 +1,8 @@
 """No module of the package reaches into a sibling's private names: every
 name one module takes from another is public, so a module's underscore
 helpers can change without breaking its neighbours.  The block budget
-max_blocks is a keyword of the engine entries alone."""
+max_blocks is a keyword of the engine entries alone, and every name the
+package exports is reached from a program path."""
 import ast
 import importlib
 import inspect
@@ -112,3 +113,34 @@ def test_only_the_engine_entries_take_max_blocks():
         if "max_blocks" in inspect.signature(fn).parameters
     }
     assert takers == {"resolvent.resolvent_power_norm", "resolvent.resolvent_power_norms"}
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+# exported names no program path reaches yet, each with its reason
+UNREACHED_EXPORTS = {
+    "read_field_csv": "the reader the field-CSV writer tests compare against",
+    "check_constant_norm_condition": (
+        "the paper's sufficient condition for a constant norm near 0, "
+        "meant to be reported by constant_region_scan"
+    ),
+}
+
+
+def _program_files():
+    """The package's modules (not __init__), the benchmark and the acceptance gate."""
+    yield from (p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py")
+    yield from sorted((REPO / "perfbench").glob("*.py"))
+    yield REPO / "tests" / "test_acceptance.py"
+
+
+def test_every_export_is_reached_from_a_program_path():
+    used = set()
+    for path in _program_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unreached = set(pseudolab.__all__) - used
+    assert unreached == set(UNREACHED_EXPORTS)

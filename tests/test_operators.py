@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,10 +20,8 @@ from pseudolab.operators import (
     SymbolSpec,
     TruncationSequence,
     assemble_truncation,
-    block_eigenvalues,
     build_named_example,
     check_constant_norm_condition,
-    example_from_config,
     scale_operator,
 )
 
@@ -160,41 +159,12 @@ class TestAssembleTruncation:
 
 
 class TestBlockEigenvalues:
-    def test_sqrt_symbol(self):
-        family = build_named_example("decay", {"beta": 0.5}).model
-        # k=3 has weight 4, f = 2, eigenvalues +-sqrt(8)
-        got = sorted(block_eigenvalues(family, 3), key=lambda z: z.real)
-        assert got[1].real == pytest.approx(2.8284271247461903, rel=1e-14)
-        assert got[0].real == pytest.approx(-2.8284271247461903, rel=1e-14)
-
-    def test_first_shargorodsky_block(self):
-        got = sorted(block_eigenvalues(shargorodsky_family(), 1), key=lambda z: z.real)
-        assert got[1] == pytest.approx(math.sqrt(3.0))
-
-    def test_unit_constant_block(self):
-        family = DiagBlockFamily(
-            symbol=SymbolSpec("constant", c=1.0), alpha=AlphaRule("index")
-        )
-        got = sorted(block_eigenvalues(family, 1), key=lambda z: z.real)
-        assert got == [pytest.approx(-1.0), pytest.approx(1.0)]
-
-    @pytest.mark.parametrize("k", [1, 3, 50, 10**6])
-    def test_four_by_four_matches_dense_roots(self, k):
-        # the roots of (alpha f)^2 - z^4, one to one with LAPACK's eigenvalues
-        family = build_named_example("remark_n1").model
-        got = np.array(block_eigenvalues(family, k))
-        want = eigenvalues_oracle(family.block(k))
-        dist = np.abs(got[:, None] - want[None, :])
-        nearest = np.argmin(dist, axis=1)
-        assert sorted(nearest) == [0, 1, 2, 3]
-        assert np.all(dist.min(axis=1) <= 2e-15 * np.abs(got))
-
     def test_truncation_spectrum_is_union_of_blocks(self):
         family = shargorodsky_family()
         n = 6
         want = []
         for k in range(1, n + 1):
-            want.extend(block_eigenvalues(family, k))
+            want.extend(eigenvalues_oracle(family.block(k)))
         got = eigenvalues_oracle(assemble_truncation(family, n).matrix)
         got = np.sort_complex(np.asarray(got))
         want = np.sort_complex(np.asarray(want))
@@ -262,18 +232,17 @@ class TestSequences:
             ex.sequences["shrink"].term(65)
 
     def test_truncation_sequence_terms_and_limit(self):
-        seq = TruncationSequence(shargorodsky_family(), reference_truncation_N=32)
+        family = shargorodsky_family()
+        seq = TruncationSequence(family)
         assert seq.term(3).dim == 6
-        assert seq.limit_model().dim == 64
+        assert seq.term(3).family is family
+        assert seq.limit_model() is family
+        assert [f.name for f in dataclasses.fields(seq)] == ["family", "gnr_anchor"]
 
     def test_anchor_on_spectrum_rejected(self):
         # sqrt(3) is an eigenvalue of the first block
         with pytest.raises(SingularityError):
-            TruncationSequence(
-                shargorodsky_family(),
-                gnr_anchor=complex(math.sqrt(3.0)),
-                reference_truncation_N=8,
-            )
+            TruncationSequence(shargorodsky_family(), gnr_anchor=complex(math.sqrt(3.0)))
 
     def test_scaled_family_anchor_probes_the_first_blocks(self):
         # term k=2 is shargorodsky / 2, whose block k=10 has the eigenvalue
@@ -336,24 +305,3 @@ class TestNamedExamples:
         # 1 - 1/sqrt(x) vanishes at x = 1, the first log-grid weight
         with pytest.raises(ConfigurationError):
             build_named_example("nonconstant", {"alpha_rule": "log_grid"})
-
-
-class TestConfigDocument:
-    def test_round_trip(self):
-        ex = example_from_config(
-            {"name": "decay", "beta": 0.5, "alpha_rule": "log_grid"}
-        )
-        assert ex.model.alpha.kind == "log_grid"
-        assert ex.params["beta"] == 0.5
-
-    def test_diag_pair_doc(self):
-        ex = example_from_config({"name": "diag_pair", "lambda1": 1.0, "lambda2": 3.0})
-        assert np.allclose(np.diag(ex.model.matrix), [1.0, 3.0])
-
-    def test_missing_name(self):
-        with pytest.raises(ConfigurationError):
-            example_from_config({"beta": 0.5})
-
-    def test_unknown_key(self):
-        with pytest.raises(ConfigurationError):
-            example_from_config({"name": "decay", "gamma": 1.0})

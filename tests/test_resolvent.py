@@ -30,7 +30,6 @@ from pseudolab import (
     SymbolSpec,
     TruncationSequence,
     assemble_truncation,
-    boundedness_probe,
     build_named_example,
     compute_norm_field,
     expansion_residual,
@@ -83,8 +82,6 @@ class TestDensePath:
         # a diagonal matrix is normal: every power norm is 1/dist(z, spectrum)
         for n in (0, 1, 2):
             assert resolvent_power_norm(DIAG26, 3.0 + 0.0j, n).value == 1.0
-        shrink = build_named_example("diag_pair").sequences["shrink"]
-        assert boundedness_probe(shrink, 4.0, [2, 4, 8, 16]).sup_norm == 0.5
 
     def test_truncation_200_at_zero(self):
         dense = assemble_truncation(SHARG, 200)
@@ -248,7 +245,7 @@ class TestBlockFamilies:
                 with pytest.raises(DomainError, match="block arithmetic"):
                     resolvent_power_norm(model, far, n, max_blocks=256)
         with pytest.raises(DomainError, match="block arithmetic"):
-            TruncationSequence(REMARK, gnr_anchor=1e100j, reference_truncation_N=64)
+            TruncationSequence(REMARK, gnr_anchor=1e100j)
         for model in (REMARK, SHARG, NONCONST, TruncatedFamily(REMARK, 40)):
             dim = getattr(model, "family", model).block_dim
             for r in (1e20, 1e50, resolvent.BLOCK_Z_LIMIT[dim]):
@@ -471,9 +468,14 @@ class TestBlockScanChunks:
         assert got.value == pytest.approx(want, rel=1e-9)
 
     def test_remark_defect_spans_two_chunks(self):
-        seq = TruncationSequence(REMARK, gnr_anchor=1j, reference_truncation_N=100)
-        want = block_family_power_norm_oracle(REMARK, range(11, 101), 1j)
-        assert gnr_defect(seq, 10) == pytest.approx(want, rel=1e-10)
+        # the scan from block 10 crosses chunk boundaries; the 4x4 tail
+        # certificate leaves a gap of about 1.4e-5 at the default budget, and
+        # the defect is the upper bound value + gap
+        seq = TruncationSequence(REMARK, gnr_anchor=1j)
+        head = block_family_power_norm_oracle(REMARK, range(11, 4097), 1j)
+        want = max(head, (1.0 + math.sqrt(5.0)) / 2.0)  # the tail limit at i
+        got = gnr_defect(seq, 10)
+        assert want <= got <= want + 2e-5
 
 
 # every symbol kind, and each alpha rule taken to weights of about 10^7
@@ -928,14 +930,24 @@ class TestGnrDefect:
         assert got == pytest.approx(lit, abs=1e-12)
 
     def test_decay_truncation_defects_shrink(self):
-        seq = TruncationSequence(DECAY, gnr_anchor=1j, reference_truncation_N=256)
+        seq = TruncationSequence(DECAY, gnr_anchor=1j)
         defects = [gnr_defect(seq, k) for k in (4, 8, 16, 32)]
         for lo, hi in zip(defects[1:], defects[:-1]):
             assert lo <= hi
         assert defects[-1] < defects[0] / 2.0
 
+    @pytest.mark.parametrize("k", [4, 32])
+    def test_decay_defect_is_the_largest_later_block(self, k):
+        # sup over j > k of ||(B_j - i)^-1||: the decay blocks fall towards 0
+        seq = TruncationSequence(DECAY, gnr_anchor=1j)
+        want = block_family_power_norm_oracle(DECAY, range(k + 1, 4097), 1j)
+        assert gnr_defect(seq, k) == pytest.approx(want, rel=1e-12)
+
     def test_truncation_fast_path_equals_padded_difference(self):
-        seq = TruncationSequence(DECAY, gnr_anchor=1j, reference_truncation_N=16)
+        # Kato's first resolvent identity blockwise: against a 16-block
+        # truncation the padded difference keeps blocks 5..16, and the
+        # largest of the decay blocks past 4 is block 5
+        seq = TruncationSequence(DECAY, gnr_anchor=1j)
         got = gnr_defect(seq, 4)
         t_k = assemble_truncation(DECAY, 4).matrix
         t_ref = assemble_truncation(DECAY, 16).matrix
@@ -946,19 +958,30 @@ class TestGnrDefect:
         assert got == pytest.approx(np.linalg.norm(padded - r_ref, 2), rel=1e-12)
 
     def test_shargorodsky_defect_never_decays(self):
-        seq = TruncationSequence(SHARG, gnr_anchor=1j, reference_truncation_N=256)
-        for k in (1, 4, 16, 64):
-            assert gnr_defect(seq, k) > 0.3
+        # every block value stays below 1/C = 1 and tends to it: the sup
+        # over any tail is exactly 1, certified
+        seq = TruncationSequence(SHARG, gnr_anchor=1j)
+        for k in (1, 4, 16, 64, 255):
+            assert gnr_defect(seq, k) == 1.0
 
-    def test_defect_beyond_reference_is_zero(self):
-        seq = TruncationSequence(DECAY, gnr_anchor=1j, reference_truncation_N=16)
-        assert gnr_defect(seq, 16) == 0.0
+    def test_defect_stays_positive_past_any_block(self):
+        # the limit is the family, so no term index makes the defect vanish
+        seq = TruncationSequence(DECAY, gnr_anchor=1j)
+        defects = [gnr_defect(seq, k) for k in (16, 256, 4096)]
+        assert all(d > 0.0 for d in defects)
+        assert defects[0] > defects[1] > defects[2]
 
     def test_anchor_on_spectrum_is_rejected_at_construction(self):
-        # 2.0 = sqrt(alpha f) of block 2, inside the reference truncation
+        # 2.0 = sqrt(alpha f) of block 2, an eigenvalue of the family
         with pytest.raises(SingularityError) as err:
-            TruncationSequence(SHARG, gnr_anchor=2.0, reference_truncation_N=64)
-        assert err.value.which == "truncation N=64"
+            TruncationSequence(SHARG, gnr_anchor=2.0)
+        assert err.value.which == "limit"
+
+    def test_inverse_symbol_family_has_no_anchor(self):
+        # the inverse-symbol family has an empty resolvent set
+        with pytest.raises(SingularityError) as err:
+            TruncationSequence(EMPTY, gnr_anchor=2j)
+        assert err.value.which == "limit"
 
     def test_scaling_anchor_on_spectrum_names_operator(self):
         base = build_named_example("diag_pair").model
@@ -966,14 +989,18 @@ class TestGnrDefect:
             ScalingSequence(base, lambda k: 1.0 - 1.0 / k, gnr_anchor=6.0)
         assert err.value.which == "limit"
 
-    def test_anchor_on_a_block_past_the_reference_names_the_term(self):
-        # block k has the eigenvalue sqrt(k + 2): sqrt(8) clears the four
-        # reference blocks but sits on block 6 of term k = 8
-        seq = TruncationSequence(SHARG, gnr_anchor=math.sqrt(8.0), reference_truncation_N=4)
-        assert gnr_defect(seq, 5) == 0.0
-        with pytest.raises(SingularityError, match="term k=8") as err:
-            gnr_defect(seq, 8)
-        assert err.value.which == "term k=8"
+    def test_anchor_on_an_early_block_is_rejected_at_construction(self):
+        # block k has the eigenvalue sqrt(k + 2): sqrt(8) sits on block 6,
+        # inside the 64 blocks the construction check scans
+        with pytest.raises(SingularityError) as err:
+            TruncationSequence(SHARG, gnr_anchor=math.sqrt(8.0))
+        assert err.value.which == "limit"
+
+    def test_anchor_on_a_block_past_the_check_has_an_unbounded_defect(self):
+        # sqrt(102) sits on block 100, past the 64-block construction check;
+        # the defect scan from block 8 reaches it
+        seq = TruncationSequence(SHARG, gnr_anchor=math.sqrt(102.0))
+        assert gnr_defect(seq, 8) > 1.0 / resolvent.SPECTRUM_CLEARANCE
 
     def test_explicit_sequence_defect(self):
         terms = tuple(
@@ -986,32 +1013,6 @@ class TestGnrDefect:
         d2 = gnr_defect(seq, 2)
         d8 = gnr_defect(seq, 8)
         assert d8 < d2
-
-
-class TestBoundednessProbe:
-    def test_resolvent_set_point_is_inside(self):
-        ex = build_named_example("diag_pair")
-        probe = boundedness_probe(ex.sequences["shrink"], 4.0, [2, 4, 8, 16, 32])
-        assert probe.in_region
-        assert probe.sup_norm == pytest.approx(0.5, rel=1e-9)
-
-    def test_fixed_eigenvalue_is_outside(self):
-        ex = build_named_example("diag_pair")
-        probe = boundedness_probe(ex.sequences["shrink"], 6.0, [2, 4, 8])
-        assert not probe.in_region
-
-    def test_empty_resolvent_growth_is_outside(self):
-        seq = TruncationSequence(EMPTY, gnr_anchor=2j, reference_truncation_N=512)
-        ks = [2, 4, 8, 16, 32, 64, 128, 256, 512]
-        probe = boundedness_probe(seq, 2j, ks)
-        assert not probe.in_region
-        n_last = ks[-1]
-        assert probe.sup_norm >= math.sqrt((n_last + 1) ** 2 + 4) / 5.0 - 1e-9
-
-    def test_empty_index_list_rejected(self):
-        ex = build_named_example("diag_pair")
-        with pytest.raises(DomainError):
-            boundedness_probe(ex.sequences["shrink"], 4.0, [])
 
 
 class TestExpansionResidual:
