@@ -158,7 +158,48 @@ class TestAssembleTruncation:
             assemble_truncation(shargorodsky_family(), 0)
 
 
+def closed_form_block_eigenvalues(family, k):
+    # B^2 = alpha f I for 2x2 blocks and B^4 = (alpha f)^2 I for 4x4 blocks
+    a = family.alpha.value(k)
+    root = math.sqrt(a * family.symbol.value(a))
+    roots = [complex(root), complex(-root)]
+    if family.block_dim == 4:
+        roots += [complex(0.0, root), complex(0.0, -root)]
+    return np.array(roots)
+
+
 class TestBlockEigenvalues:
+    def test_sqrt_symbol(self):
+        family = build_named_example("decay", {"beta": 0.5}).model
+        # k=3 has weight 4, f = 2, eigenvalues +-sqrt(8)
+        got = np.sort_complex(eigenvalues_oracle(family.block(3)))
+        assert got[1].real == pytest.approx(2.8284271247461903, rel=1e-14)
+        assert got[0].real == pytest.approx(-2.8284271247461903, rel=1e-14)
+        assert np.all(np.abs(got.imag) <= 1e-14)
+
+    def test_first_shargorodsky_block(self):
+        got = np.sort_complex(eigenvalues_oracle(shargorodsky_family().block(1)))
+        assert got[1] == pytest.approx(math.sqrt(3.0))
+        assert got[0] == pytest.approx(-math.sqrt(3.0))
+
+    def test_unit_constant_block(self):
+        family = DiagBlockFamily(
+            symbol=SymbolSpec("constant", c=1.0), alpha=AlphaRule("index")
+        )
+        got = np.sort_complex(eigenvalues_oracle(family.block(1)))
+        assert list(got) == [pytest.approx(-1.0), pytest.approx(1.0)]
+
+    @pytest.mark.parametrize("k", [1, 3, 50, 10**6])
+    def test_four_by_four_matches_dense_roots(self, k):
+        # the roots of (alpha f)^2 - z^4, one to one with LAPACK's eigenvalues
+        family = build_named_example("remark_n1").model
+        want = closed_form_block_eigenvalues(family, k)
+        got = np.asarray(eigenvalues_oracle(family.block(k)))
+        dist = np.abs(want[:, None] - got[None, :])
+        nearest = np.argmin(dist, axis=1)
+        assert sorted(nearest) == [0, 1, 2, 3]
+        assert np.all(dist.min(axis=1) <= 2e-15 * np.abs(want))
+
     def test_truncation_spectrum_is_union_of_blocks(self):
         family = shargorodsky_family()
         n = 6
