@@ -336,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", type=float, default=10.0)
     p.add_argument("--r-max", type=float, default=100.0)
     p.add_argument("--samples", type=int, default=7)
-    p.add_argument("--grid", choices=("dense", "sparse"), default="dense", help="index-rule density")
+    p.add_argument("--grid", choices=("dense", "sparse"), default="dense", help="weight rule: dense is the log grid, sparse alpha_k = k + 1")
     _add_out_flag(p)
     p.set_defaults(func=_cmd_decay)
 

@@ -13,7 +13,6 @@ randomness.  Running one twice gives bit-for-bit identical reports.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -22,9 +21,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, InapplicableConditionError
 from .operators import (
+    LOG_GRID_COUNT,
+    AlphaRule,
     DenseOperator,
     DiagBlockFamily,
-    AlphaRule,
     SymbolSpec,
     TruncatedFamily,
     build_named_example,
@@ -96,12 +96,6 @@ class StudyReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def write_series_csv(self, fp) -> None:
-        w = csv.writer(fp, lineterminator="\n")
-        w.writerow(["x", "value"])
-        for x, v in self.series:
-            w.writerow([repr(x), "inf" if math.isinf(v) else repr(v)])
 
 
 def _grid_step(region: GridRegion) -> float:
@@ -491,7 +485,7 @@ def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyRepor
     target_slope = -2.0 * beta / (1.0 + beta)
     target_exp = 2.0 / (1.0 + beta)
     if rule.kind == "log_grid":
-        alphas = rule.values(np.arange(1, rule.count + 1))
+        alphas = rule.values(np.arange(1, LOG_GRID_COUNT + 1))
     else:
         kmax = int(math.ceil(max(rs) ** target_exp * 4.0)) + 4
         alphas = rule.values(np.arange(1, kmax + 1))

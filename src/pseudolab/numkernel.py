@@ -1,6 +1,6 @@
 """Dense complex linear-algebra kernels.
 
-Everything downstream reduces to four operations on stacks of complex
+Everything downstream reduces to three operations on stacks of complex
 matrices:
 
 * ``explicit_inverses``        A^-1 of each matrix by one LU with partial
@@ -9,13 +9,14 @@ matrices:
 * ``largest_singular_values``  sigma_max of each matrix, direct: the Gram
                                matrix, Householder tridiagonalization and
                                Sturm bisection
-* ``smallest_singular_value``  1 / sigma_max of the explicit inverse
 * ``sv2x2_batch``              closed-form singular values of 2x2 blocks
 
 plus ``jacobi_singular_values``, all singular values of one matrix or of
 a stack of them by one-sided Jacobi in round-robin order, and
 ``norm_below``, the LDL* positivity test of bound^2 I - M*M over a stack;
 the block engine calls these two on stacks of 4x4 blocks.
+``smallest_singular_value``, 1 / sigma_max of the explicit inverse of one
+matrix, is the public one-matrix helper; no package path calls it.
 
 sigma_max involves no iteration that has to converge.  A matrix is scaled
 by an exact power of two, its Gram matrix is reduced to a real symmetric

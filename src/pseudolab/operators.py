@@ -4,8 +4,9 @@ Three kinds of model flow through the rest of the package:
 
 * ``DenseOperator``    a concrete square complex matrix
 * ``DiagBlockFamily``  an infinite block-diagonal operator built from a
-                       diagonal weight rule k -> alpha_k and a scalar symbol
-                       function f; the k-th invariant subspace carries the
+                       weight rule k -> alpha_k (alpha_k = k + 1, or a log
+                       grid) and a symbol f (1 + 1/x, 1 - 1/sqrt(x), 1/x or
+                       x^beta); the k-th invariant subspace carries the
                        2x2 block [[0, f(alpha_k)], [alpha_k, 0]] (or a 4x4
                        variant with weights alpha_k and f(alpha_k))
 * ``ScaledOperator``   s * inner, evaluated downstream through the exact
@@ -40,43 +41,31 @@ HEAD_CHUNK = 64
 CHUNK_GROWTH = 4
 CHUNK_CAP = 1 << 18
 
-ALPHA_KINDS = ("successor", "index", "log_grid")
-SYMBOL_KINDS = (
-    "one_plus_inv",
-    "one_minus_inv_sqrt",
-    "inverse",
-    "power_beta",
-    "constant",
-    "tabulated",
-)
+ALPHA_KINDS = ("successor", "log_grid")
+SYMBOL_KINDS = ("one_plus_inv", "one_minus_inv_sqrt", "inverse", "power_beta")
+# the log_grid rule: LOG_GRID_COUNT log-spaced weights on [1, LOG_GRID_HI]
+LOG_GRID_HI = 1e5
+LOG_GRID_COUNT = 2048
 
 
 @dataclass(frozen=True)
 class AlphaRule:
     """Growth rule k -> alpha_k for the diagonal weights of a block family.
 
-    ``successor`` gives alpha_k = k + 1 (the default), ``index`` gives
-    alpha_k = k.  ``log_grid`` places ``count`` log-spaced points on
-    [lo, hi] and continues linearly beyond them with the final grid step,
-    which keeps the rule monotone and unbounded while a window of it
-    approximates a continuum of weights.
+    ``successor`` gives alpha_k = k + 1 (the default).  ``log_grid`` places
+    LOG_GRID_COUNT log-spaced points on [1, LOG_GRID_HI] and continues
+    linearly beyond them with the final grid step, which keeps the rule
+    monotone and unbounded while a window of it approximates a continuum
+    of weights.
     """
 
     kind: str = "successor"
-    lo: float = 1.0
-    hi: float = 1e5
-    count: int = 2048
 
     def __post_init__(self):
         if self.kind not in ALPHA_KINDS:
             raise ConfigurationError(
                 f"unknown alpha rule {self.kind!r}; expected one of {ALPHA_KINDS}"
             )
-        if self.kind == "log_grid":
-            if not (0.0 < self.lo < self.hi):
-                raise ConfigurationError("log_grid needs 0 < lo < hi")
-            if self.count < 2000:
-                raise ConfigurationError("log_grid needs at least 2000 points")
 
     def values(self, ks) -> np.ndarray:
         k = np.asarray(ks, dtype=np.float64)
@@ -84,12 +73,11 @@ class AlphaRule:
             raise DomainError("weight indices start at 1")
         if self.kind == "successor":
             return k + 1.0
-        if self.kind == "index":
-            return k.copy()
-        ratio = (self.hi / self.lo) ** (1.0 / (self.count - 1))
-        inside = self.lo * ratio ** np.minimum(k - 1.0, float(self.count - 1))
-        step = self.hi * (1.0 - 1.0 / ratio)
-        return np.where(k <= self.count, inside, self.hi + (k - self.count) * step)
+        count = LOG_GRID_COUNT
+        ratio = LOG_GRID_HI ** (1.0 / (count - 1))
+        inside = ratio ** np.minimum(k - 1.0, float(count - 1))
+        step = LOG_GRID_HI * (1.0 - 1.0 / ratio)
+        return np.where(k <= count, inside, LOG_GRID_HI + (k - count) * step)
 
     def value(self, k: int) -> float:
         return float(self.values(np.array([k]))[0])
@@ -101,15 +89,11 @@ class SymbolSpec:
 
     The tail limit C = lim f(alpha_k) is fixed by the kind: 1 for
     one_plus_inv and one_minus_inv_sqrt, 0 for inverse, infinity for
-    power_beta, c for constant.  Tabulated symbols interpolate linearly and
-    extrapolate their last value, so their tail limit is the last table
-    value, reached at the last abscissa.
+    power_beta.
     """
 
     kind: str
     beta: float | None = None
-    c: float | None = None
-    table: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in SYMBOL_KINDS:
@@ -119,18 +103,6 @@ class SymbolSpec:
         if self.kind == "power_beta":
             if self.beta is None or not (0.0 < self.beta < 1.0):
                 raise ConfigurationError("power_beta needs beta in (0, 1)")
-        if self.kind == "constant":
-            if self.c is None or not (self.c > 0.0):
-                raise ConfigurationError("constant symbol needs c > 0")
-        if self.kind == "tabulated":
-            if not self.table or len(self.table) < 2:
-                raise ConfigurationError("tabulated symbol needs at least 2 points")
-            xs = [float(x) for x, _ in self.table]
-            fs = [float(v) for _, v in self.table]
-            if sorted(xs) != xs or len(set(xs)) != len(xs):
-                raise ConfigurationError("table abscissae must be strictly increasing")
-            if min(fs) <= 0.0:
-                raise ConfigurationError("table values must be positive")
 
     @property
     def tail_limit(self) -> float:
@@ -138,11 +110,7 @@ class SymbolSpec:
             return 1.0
         if self.kind == "inverse":
             return 0.0
-        if self.kind == "power_beta":
-            return math.inf
-        if self.kind == "constant":
-            return float(self.c)
-        return float(self.table[-1][1])
+        return math.inf
 
     def values(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=np.float64)
@@ -152,13 +120,7 @@ class SymbolSpec:
             return 1.0 - 1.0 / np.sqrt(a)
         if self.kind == "inverse":
             return 1.0 / a
-        if self.kind == "power_beta":
-            return a**self.beta
-        if self.kind == "constant":
-            return np.full_like(a, float(self.c))
-        xs = np.array([p[0] for p in self.table], dtype=np.float64)
-        fs = np.array([p[1] for p in self.table], dtype=np.float64)
-        return np.interp(a, xs, fs)
+        return a**self.beta
 
     def value(self, x: float) -> float:
         return float(self.values(np.array([x]))[0])
@@ -249,18 +211,8 @@ class DiagBlockFamily:
                 )
 
     @property
-    def tail_C(self) -> float:
-        return self.symbol.tail_limit
-
-    @property
     def block_dim(self) -> int:
         return 2 if self.block_shape == "two_by_two" else 4
-
-    def alpha_values(self, ks) -> np.ndarray:
-        return self.alpha.values(ks)
-
-    def symbol_values(self, alphas) -> np.ndarray:
-        return self.symbol.values(alphas)
 
     def block(self, k: int) -> np.ndarray:
         a = self.alpha.value(k)
@@ -294,8 +246,8 @@ def assemble_truncation(family: DiagBlockFamily, n_blocks: int) -> DenseOperator
     if n_blocks < 1:
         raise DomainError("truncation needs at least one block")
     ks = np.arange(1, n_blocks + 1)
-    alphas = family.alpha_values(ks)
-    fs = family.symbol_values(alphas)
+    alphas = family.alpha.values(ks)
+    fs = family.symbol.values(alphas)
     s = family.block_dim
     m = np.zeros((s * n_blocks, s * n_blocks), dtype=np.complex128)
     idx = np.arange(n_blocks)
@@ -343,7 +295,7 @@ def check_constant_norm_condition(
     norm is constant (equal to 1/C) on a neighbourhood of the origin.
     Only meaningful for finite positive tail limits C.
     """
-    c = family.tail_C
+    c = family.symbol.tail_limit
     if not (0.0 < c < math.inf):
         raise InapplicableConditionError(
             f"constant-norm condition needs a finite positive tail limit, got {c}"
@@ -353,8 +305,8 @@ def check_constant_norm_condition(
     if k_max < 1:
         raise DomainError("k_max must be at least 1")
     for ks in block_chunks(0, k_max):
-        alphas = family.alpha_values(ks)
-        fs = family.symbol_values(alphas)
+        alphas = family.alpha.values(ks)
+        fs = family.symbol.values(alphas)
         if np.any(fs * fs < c * c - m / alphas):
             return False
     return True
@@ -471,11 +423,10 @@ class NamedExample:
     name: str
     model: object
     sequences: Mapping[str, object]
-    params: Mapping[str, object]
 
 
 NAMED_EXAMPLES = {
-    "diag_pair": "normal 2x2 diag(lambda1, lambda2) with shrink/grow/scale sequences",
+    "diag_pair": "normal 2x2 diag(2, 6) with shrink/grow/scale sequences",
     "shargorodsky": "2x2 block family, f(x) = 1 + 1/x: constant resolvent norm near 0",
     "empty_resolvent": "2x2 block family, f(x) = 1/x: truncation norms diverge everywhere",
     "nonconstant": "2x2 block family, f(x) = 1 - 1/sqrt(x): norm strictly above 1",
@@ -483,100 +434,57 @@ NAMED_EXAMPLES = {
     "remark_n1": "4x4 block family whose n=1 power norm is constant near 0",
 }
 
+# the block families of the catalogue: symbol kind and block shape by name
+_BLOCK_EXAMPLES = {
+    "shargorodsky": ("one_plus_inv", "two_by_two"),
+    "empty_resolvent": ("inverse", "two_by_two"),
+    "nonconstant": ("one_minus_inv_sqrt", "two_by_two"),
+    "decay": ("power_beta", "two_by_two"),
+    "remark_n1": ("one_plus_inv", "four_by_four"),
+}
+
 EXPLICIT_SEQUENCE_KMAX = 64
 
 
-def _reject_unknown(params: Mapping, allowed: set, name: str):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"parameters {sorted(unknown)} not valid for example {name!r} "
-            f"(allowed: {sorted(allowed)})"
-        )
-
-
-def _resolve_alpha(params: Mapping) -> AlphaRule:
-    raw = params.get("alpha_rule", "successor")
-    if isinstance(raw, AlphaRule):
-        return raw
-    if isinstance(raw, str) and raw in ALPHA_KINDS:
-        return AlphaRule(kind=raw)
-    raise ConfigurationError(
-        f"alpha_rule must be an AlphaRule or one of {ALPHA_KINDS}, got {raw!r}"
-    )
-
-
-def _diag_pair(params: Mapping) -> NamedExample:
-    _reject_unknown(params, {"lambda1", "lambda2", "epsilon"}, "diag_pair")
-    lam1 = float(params.get("lambda1", 2.0))
-    lam2 = float(params.get("lambda2", 6.0))
-    eps = float(params.get("epsilon", 1.0))
-    if not lam1 < lam2:
-        raise ConfigurationError("diag_pair needs lambda1 < lambda2")
-    if eps <= 0.0:
-        raise ConfigurationError("diag_pair needs epsilon > 0")
-    base = DenseOperator(np.diag([lam1, lam2]).astype(np.complex128))
+def _diag_pair() -> NamedExample:
+    base = DenseOperator(np.diag([2.0, 6.0]).astype(np.complex128))
 
     def dense_pair(first: float) -> DenseOperator:
-        return DenseOperator(np.diag([first, lam2]).astype(np.complex128))
+        return DenseOperator(np.diag([first, 6.0]).astype(np.complex128))
 
-    shrink = tuple(
-        dense_pair((1.0 - 1.0 / k) * lam1) for k in range(1, EXPLICIT_SEQUENCE_KMAX + 1)
-    )
-    grow = tuple(
-        dense_pair((1.0 + 1.0 / k) * lam1) for k in range(1, EXPLICIT_SEQUENCE_KMAX + 1)
-    )
+    ks = range(1, EXPLICIT_SEQUENCE_KMAX + 1)
+    shrink = tuple(dense_pair((1.0 - 1.0 / k) * 2.0) for k in ks)
+    grow = tuple(dense_pair((1.0 + 1.0 / k) * 2.0) for k in ks)
     sequences = {
         "shrink": ExplicitSequence(shrink, base),
         "grow": ExplicitSequence(grow, base),
         "scale": ScalingSequence(base, lambda k: 1.0 - 1.0 / k),
     }
-    return NamedExample(
-        "diag_pair",
-        base,
-        sequences,
-        {"lambda1": lam1, "lambda2": lam2, "epsilon": eps},
-    )
-
-
-def _family_example(name: str, symbol: SymbolSpec, params: Mapping, shape: str):
-    alpha = _resolve_alpha(params)
-    family = DiagBlockFamily(symbol=symbol, alpha=alpha, block_shape=shape)
-    recorded = {"alpha_rule": alpha.kind}
-    if symbol.kind == "power_beta":
-        recorded["beta"] = symbol.beta
-    return NamedExample(name, family, {}, recorded)
+    return NamedExample("diag_pair", base, sequences)
 
 
 def build_named_example(name: str, params: Mapping | None = None) -> NamedExample:
     """Construct a catalogue example by identifier.
 
     Unknown names raise a ConfigurationError listing the valid
-    identifiers; parameters are validated per example.
+    identifiers.  The one parameter is decay's exponent beta (default
+    0.5); any other raises a ConfigurationError.
     """
-    params = dict(params or {})
+    if name not in NAMED_EXAMPLES:
+        raise ConfigurationError(
+            f"unknown example {name!r}; valid names: {', '.join(sorted(NAMED_EXAMPLES))}"
+        )
+    params = params or {}
+    allowed = {"beta"} if name == "decay" else set()
+    unknown = set(params) - allowed
+    if unknown:
+        raise ConfigurationError(
+            f"parameters {sorted(unknown)} not valid for example {name!r} "
+            f"(allowed: {sorted(allowed)})"
+        )
     if name == "diag_pair":
-        return _diag_pair(params)
-    if name == "shargorodsky":
-        _reject_unknown(params, {"alpha_rule"}, name)
-        return _family_example(name, SymbolSpec("one_plus_inv"), params, "two_by_two")
-    if name == "empty_resolvent":
-        _reject_unknown(params, {"alpha_rule"}, name)
-        return _family_example(name, SymbolSpec("inverse"), params, "two_by_two")
-    if name == "nonconstant":
-        _reject_unknown(params, {"alpha_rule"}, name)
-        return _family_example(
-            name, SymbolSpec("one_minus_inv_sqrt"), params, "two_by_two"
-        )
-    if name == "decay":
-        _reject_unknown(params, {"alpha_rule", "beta"}, name)
-        beta = float(params.get("beta", 0.5))
-        return _family_example(
-            name, SymbolSpec("power_beta", beta=beta), params, "two_by_two"
-        )
-    if name == "remark_n1":
-        _reject_unknown(params, {"alpha_rule"}, name)
-        return _family_example(name, SymbolSpec("one_plus_inv"), params, "four_by_four")
-    raise ConfigurationError(
-        f"unknown example {name!r}; valid names: {', '.join(sorted(NAMED_EXAMPLES))}"
-    )
+        return _diag_pair()
+    kind, shape = _BLOCK_EXAMPLES[name]
+    beta = float(params.get("beta", 0.5)) if kind == "power_beta" else None
+    family = DiagBlockFamily(SymbolSpec(kind, beta), block_shape=shape)
+    return NamedExample(name, family, {})

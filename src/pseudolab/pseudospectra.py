@@ -157,14 +157,11 @@ class LevelSetMask:
 
 @dataclass(frozen=True)
 class AssumptionCheck:
-    """Resolution-stamped verdict of the discrete closure comparison."""
+    """Verdict of the discrete closure comparison and its first witness cell."""
 
     holds_at_resolution: bool
     witness: tuple | None
     witness_z: complex | None
-    epsilon: float
-    hx: float
-    hy: float
 
 
 def compute_norm_field(model, region: GridRegion, n: int = 0) -> NormField:
@@ -234,16 +231,14 @@ def assumption_i_check(field: NormField, epsilon: float) -> AssumptionCheck:
     """
     open_mask = level_set(field, epsilon, "open_sigma").mask
     closed_mask = level_set(field, epsilon, "closed_Sigma").mask
-    hx, hy = field.region.hx, field.region.hy
     if not closed_mask.any():
-        return AssumptionCheck(False, None, None, epsilon, hx, hy)
+        return AssumptionCheck(False, None, None)
     stray = closed_mask & ~dilate_one_cell(open_mask)
     if stray.any():
         i, j = np.argwhere(stray)[0]  # row-major: first differing cell
-        return AssumptionCheck(
-            False, (int(i), int(j)), field.region.point(int(i), int(j)), epsilon, hx, hy
-        )
-    return AssumptionCheck(True, None, None, epsilon, hx, hy)
+        witness = (int(i), int(j))
+        return AssumptionCheck(False, witness, field.region.point(*witness))
+    return AssumptionCheck(True, None, None)
 
 
 def _format(v: float) -> str:

@@ -30,12 +30,13 @@ closed-form certificate for the tail beyond it closes the gap; a point
 leaves the active set once its certificate closes, its value is inf, or
 the budget ends:
 
-* 2x2 shapes: for n = 0 with finite positive tail limit C, a per-kind
-  algebraic criterion shows every block beyond the scan point stays
-  strictly below 1/C (so the tail supremum is exactly 1/C), and a
-  monotone envelope (r + x) / (x f(x) - r^2) bounds the tail otherwise;
-  for powers, Schur-style bounds on the squared block resolvent give a
-  decreasing tail majorant;
+* 2x2 shapes: the symbols 1 + 1/x, 1 - 1/sqrt(x) and x^beta are
+  monotone with x f(x) nondecreasing.  For n = 0, an algebraic criterion
+  shows every block of 1 + 1/x beyond the scan point stays strictly below
+  1/C = 1 (so the tail supremum is exactly 1), and a monotone envelope
+  (r + x) / (x f(x) - r^2) bounds the tail otherwise; for powers,
+  Schur-style bounds on the squared block resolvent give a decreasing
+  tail majorant;
 * the 4x4 shape carries an explicit deviation bound from its limiting
   nilpotent resolvent.  Its head values are exact: an LDL* positivity
   test of floor^2 I - M*M drops the blocks M whose norm cannot reach the
@@ -50,11 +51,10 @@ batch, so powers of z are taken in real arithmetic (_cmul) and |z| by
 hypot.  The reported value is max(head maximum, analytic tail limit): a
 certified lower bound that is exact whenever the certificates close the
 gap to within TAIL_TOL.  The one-sided gap that remains is reported in
-the diagnostics, with the value marked uncertified.  A tabulated symbol
-is constant beyond its last abscissa and is certified there as the
-constant kind.  The inverse symbol f(x) = 1/x takes an exact rule of z
-instead of a scan (_inverse_family_values).  A block point must lie
-within BLOCK_Z_LIMIT, where the certificates' powers of |z| stay finite.
+the diagnostics, with the value marked uncertified.  The inverse symbol
+f(x) = 1/x takes an exact rule of z instead of a scan
+(_inverse_family_values).  A block point must lie within BLOCK_Z_LIMIT,
+where the certificates' powers of |z| stay finite.
 """
 from __future__ import annotations
 
@@ -214,8 +214,8 @@ def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, m: int) -> np.ndar
 
     z^2 is _cmul's, so each value depends on its point alone.
     """
-    alphas = family.alpha_values(ks)
-    fs = family.symbol_values(alphas)
+    alphas = family.alpha.values(ks)
+    fs = family.symbol.values(alphas)
     z = zs[:, None]
     zsq = _cmul(z, z)
     if m == 1:
@@ -260,78 +260,35 @@ def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, m: int) -> np.ndar
 # ------------------------------------------------------- tail certificates
 
 
-def _tail_inf_f(symbol, a: float) -> float:
-    """inf of f over [a, infinity).
-
-    Every analytic kind is monotone with limit tail_limit, and a tabulated
-    symbol is piecewise linear and extrapolates its last value, so the inf
-    is f(a), the limit, or a table value at a breakpoint past a.
-    """
-    breakpoints = [float(v) for x, v in symbol.table or () if x >= a]
-    return min([symbol.value(a), symbol.tail_limit] + breakpoints)
-
-
-def _tail_inf_p(symbol, a: float) -> float:
-    """inf of x * f(x) over [a, infinity)."""
-    kind = symbol.kind
-    if kind in ("one_plus_inv", "one_minus_inv_sqrt", "power_beta", "constant"):
-        return a * symbol.value(a)  # x f(x) nondecreasing for these kinds
-    best = a * symbol.value(a)
-    xs = [float(x) for x, _ in symbol.table]
-    fs = [float(v) for _, v in symbol.table]
-    for i in range(len(xs) - 1):
-        x0, x1 = max(xs[i], a), xs[i + 1]
-        if x0 >= x1:
-            continue
-        slope = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
-        c0 = fs[i] - slope * xs[i]
-        for x in (x0, x1):
-            best = min(best, x * (c0 + slope * x))
-        if slope > 0.0:
-            vertex = -c0 / (2.0 * slope)
-            if x0 < vertex < x1:
-                best = min(best, vertex * (c0 + slope * vertex))
-    best = min(best, a * fs[-1] if a > xs[-1] else xs[-1] * fs[-1])
-    return best
-
-
 def _tail_stays_below_limit(family, a: float, zs: np.ndarray) -> np.ndarray:
     """At each z, whether every block with weight >= a has value < 1/C (exact algebra).
 
-    Valid for the kinds whose blocks approach the limit from below; the
+    Only one_plus_inv has blocks that approach the limit from below; the
     criterion is monotone in the weight, so checking it at the cutoff
     covers the whole tail.
     """
-    kind = family.symbol.kind
+    if family.symbol.kind != "one_plus_inv":
+        return np.zeros(len(zs), dtype=bool)
     zsq = _cmul(zs, zs)
     u, v = zsq.real, zsq.imag
     r2 = np.hypot(zs.real, zs.imag) ** 2
-    if kind == "one_plus_inv":
-        g = 2.0 * a * (1.0 - u) + (1.0 - u) ** 2 + v * v - 2.0 * r2
-        g -= 2.0 / a + 1.0 / (a * a)
-        return (u <= 1.0) & (g > 0.0)
-    # a tabulated symbol is its last value beyond its last abscissa
-    if kind == "constant" or (kind == "tabulated" and a >= family.symbol.table[-1][0]):
-        c = family.tail_C
-        g = -2.0 * u * a / c + (u * u + v * v) / (c * c) - 2.0 * r2
-        return (u <= 0.0) & (g > 0.0) & (2.0 * r2 + c * c + a * a > 2.0 * c * c)
-    return np.zeros(len(zs), dtype=bool)
+    g = 2.0 * a * (1.0 - u) + (1.0 - u) ** 2 + v * v - 2.0 * r2
+    g -= 2.0 / a + 1.0 / (a * a)
+    return (u <= 1.0) & (g > 0.0)
 
 
 def _envelope_sup(family, a: float, zs: np.ndarray) -> np.ndarray:
     """At each z, an upper bound for sup over blocks with weight >= a of the n=0 value.
 
     Uses ||(B - z)^-1|| <= (r + x) / (x f(x) - r^2), which is monotone on
-    the tail for the analytic symbol kinds and for a tabulated symbol where
-    it is constant, so its sup is max(value at the cutoff, limit 1/C).
+    the tail for every symbol kind the scan takes, so its sup is max(value
+    at the cutoff, limit 1/C).
     """
-    if family.symbol.kind == "tabulated" and a < family.symbol.table[-1][0]:
-        return np.full(len(zs), math.nan)
     r = np.hypot(zs.real, zs.imag)
     f_a = family.symbol.value(a)
     p_a = a * f_a
     room = np.where((p_a > r * r) & (a >= f_a), p_a - r * r, math.nan)
-    return np.maximum((r + a) / room, 1.0 / family.tail_C)
+    return np.maximum((r + a) / room, 1.0 / family.symbol.tail_limit)
 
 
 def _power_tail_bound(family, a: float, zs: np.ndarray) -> np.ndarray:
@@ -339,10 +296,14 @@ def _power_tail_bound(family, a: float, zs: np.ndarray) -> np.ndarray:
 
     ||(B - z)^-m||^(1/m) <= ||[(B + z)/q]^2||^(1/2) and the squared norm is
     bounded by (r^2 + p (1 + 2r/f_lb)) / (p - r^2)^2, decreasing in p.
+    Every symbol kind is monotone with limit tail_limit and has x f(x)
+    nondecreasing, so on the tail f >= f_lb = min(f(a), tail_limit) and
+    x f(x) >= p_lb = a f(a).
     """
     r = np.hypot(zs.real, zs.imag)
-    f_lb = _tail_inf_f(family.symbol, a)
-    p_lb = _tail_inf_p(family.symbol, a)
+    f_a = family.symbol.value(a)
+    f_lb = min(f_a, family.symbol.tail_limit)
+    p_lb = a * f_a
     if not f_lb > 0.0:
         return np.full(len(zs), math.nan)
     room = np.where(p_lb > r * r, p_lb - r * r, math.nan)
@@ -449,7 +410,7 @@ def _family_values(
     their smallest gap.
     """
     four = family.block_dim == 4
-    limit0 = _four_limit_norm(zs) if four else np.full(len(zs), 1.0 / family.tail_C)
+    limit0 = _four_limit_norm(zs) if four else np.full(len(zs), 1.0 / family.symbol.tail_limit)
     # the tail limit; the 4x4 limit L has ||L^2|| = 1 and L^4 = 0
     value = limit0.copy() if n == 0 else np.full(len(zs), 1.0 if four and n == 1 else 0.0)
     tail_gap = np.full(len(zs), math.inf)
@@ -467,7 +428,7 @@ def _family_values(
         k_done = int(ks[-1])
         value[active] = _chunk_maxima(family, ks, zs[active], n, value[active])
         k_cutoff[active] = k_done
-        a = float(family.alpha_values(np.array([k_done + 1]))[0])
+        a = float(family.alpha.values(np.array([k_done + 1]))[0])
         v = value[active]
         ub = _tail_bound(family, a, zs[active], n, limit0[active])
         # an inf value is exact; a NaN gap (no certificate) keeps the old gap
@@ -503,8 +464,8 @@ def _four_resolvent_batch(family, ks: np.ndarray, zs: np.ndarray):
 
     mats is (points * blocks, 4, 4), point-major; the mask is (points, blocks).
     """
-    alphas = family.alpha_values(ks)
-    betas = family.symbol_values(alphas)
+    alphas = family.alpha.values(ks)
+    betas = family.symbol.values(alphas)
     p = alphas * betas
     z1, z2 = zs[:, None], _cmul(zs, zs)[:, None]
     z3, z4 = _cmul(z1, z2), _cmul(z2, z2)

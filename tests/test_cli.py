@@ -192,6 +192,17 @@ class TestExitCodeMatrix:
                     "--region", "0,3,0.1,1.5", "--h", "0.1", "--ks", "2,4"]) == 2
         assert "spectrum of limit" in capsys.readouterr().err
 
+    def test_beta_is_only_for_the_decay_example(self, capsys):
+        assert run(["field", "--model", "shargorodsky", "--beta", "0.5",
+                    "--region", "0,1,0,1", "--nx", "2", "--ny", "2"]) == 2
+        assert "not valid for example" in capsys.readouterr().err
+
+    def test_decay_beta_without_growth_is_two(self, capsys):
+        # x^0.001 grows by about 1 % from the weight at k = 10 to the one at 10^6
+        assert run(["field", "--model", "decay", "--beta", "0.001",
+                    "--region", "0,1,0,1", "--nx", "2", "--ny", "2"]) == 2
+        assert "shows no growth" in capsys.readouterr().err
+
     def test_unknown_sequence_name(self, capsys):
         assert run(["converge", "--model", "shargorodsky", "--sequence", "shrink",
                     "--region", "1,7,-1.5,1.5", "--h", "0.5", "--ks", "2,4"]) == 2

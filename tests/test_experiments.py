@@ -1,5 +1,4 @@
 """Study drivers: verdicts, preconditions, report serialization."""
-import io
 import json
 import math
 
@@ -56,14 +55,6 @@ class TestStudyReport:
         rep = StudyReport("s", {}, ((1.0, math.inf),), "pass", {})
         doc = json.loads(rep.to_json())
         assert doc["series"][0][1] == "inf"
-
-    def test_series_csv(self):
-        rep = StudyReport("s", {}, ((1.0, 2.5), (2.0, math.inf)), "pass", {})
-        buf = io.StringIO()
-        rep.write_series_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "x,value"
-        assert lines[2] == "2.0,inf"
 
 
 class TestConvergenceStudy:

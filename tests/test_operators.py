@@ -10,7 +10,11 @@ from pseudolab.errors import (
     InapplicableConditionError,
     SingularityError,
 )
+from pseudolab.experiments import decay_study
 from pseudolab.operators import (
+    ALPHA_KINDS,
+    NAMED_EXAMPLES,
+    SYMBOL_KINDS,
     AlphaRule,
     DiagBlockFamily,
     DenseOperator,
@@ -38,9 +42,6 @@ class TestAlphaRule:
         assert rule.value(1) == 2.0
         assert np.array_equal(rule.values([1, 2, 10]), [2.0, 3.0, 11.0])
 
-    def test_index(self):
-        assert AlphaRule("index").value(5) == 5.0
-
     def test_log_grid_window_and_continuation(self):
         rule = AlphaRule("log_grid")
         assert rule.value(1) == pytest.approx(1.0)
@@ -54,10 +55,6 @@ class TestAlphaRule:
     def test_log_grid_large_k_finite(self):
         v = AlphaRule("log_grid").value(10**6)
         assert math.isfinite(v) and v > 1e3
-
-    def test_rejects_small_grid(self):
-        with pytest.raises(ConfigurationError):
-            AlphaRule("log_grid", count=100)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -74,7 +71,6 @@ class TestSymbolSpec:
         assert SymbolSpec("one_minus_inv_sqrt").tail_limit == 1.0
         assert SymbolSpec("inverse").tail_limit == 0.0
         assert SymbolSpec("power_beta", beta=0.5).tail_limit == math.inf
-        assert SymbolSpec("constant", c=2.5).tail_limit == 2.5
 
     def test_values(self):
         assert SymbolSpec("one_plus_inv").value(4.0) == 1.25
@@ -82,25 +78,16 @@ class TestSymbolSpec:
         assert SymbolSpec("inverse").value(4.0) == 0.25
         assert SymbolSpec("power_beta", beta=0.5).value(4.0) == 2.0
 
-    def test_tabulated(self):
-        sym = SymbolSpec("tabulated", table=((1.0, 2.0), (3.0, 4.0)))
-        assert sym.value(2.0) == pytest.approx(3.0)
-        assert sym.tail_limit == 4.0
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SymbolSpec("power_beta", beta=1.5)
-        with pytest.raises(ConfigurationError):
-            SymbolSpec("constant", c=0.0)
-        with pytest.raises(ConfigurationError):
-            SymbolSpec("tabulated", table=((1.0, 1.0),))
         with pytest.raises(ConfigurationError):
             SymbolSpec("rational")
 
 
 class TestDiagBlockFamily:
     @pytest.mark.parametrize(
-        "symbol", [SymbolSpec("constant", c=2.0), SymbolSpec("one_minus_inv_sqrt")]
+        "symbol", [SymbolSpec("power_beta", beta=0.5), SymbolSpec("one_minus_inv_sqrt")]
     )
     def test_four_by_four_needs_one_plus_inv(self, symbol):
         # the 4x4 tail certificates assume the limit of 1 + 1/x
@@ -126,16 +113,13 @@ class TestAssembleTruncation:
         t = assemble_truncation(shargorodsky_family(), 1)
         assert np.array_equal(t.matrix, np.array([[0.0, 1.5], [2.0, 0.0]]))
 
-    def test_constant_symbol_two_blocks(self):
-        family = DiagBlockFamily(
-            symbol=SymbolSpec("constant", c=1.0), alpha=AlphaRule("index")
-        )
-        t = assemble_truncation(family, 2)
+    def test_shargorodsky_two_blocks(self):
+        t = assemble_truncation(shargorodsky_family(), 2)
         want = np.zeros((4, 4), dtype=complex)
-        want[0, 1] = 1.0
-        want[1, 0] = 1.0
-        want[2, 3] = 1.0
-        want[3, 2] = 2.0
+        want[0, 1] = 1.5
+        want[1, 0] = 2.0
+        want[2, 3] = 1.0 + 1.0 / 3.0
+        want[3, 2] = 3.0
         assert np.array_equal(t.matrix, want)
 
     def test_four_by_four_first_block(self):
@@ -182,12 +166,12 @@ class TestBlockEigenvalues:
         assert got[1] == pytest.approx(math.sqrt(3.0))
         assert got[0] == pytest.approx(-math.sqrt(3.0))
 
-    def test_unit_constant_block(self):
-        family = DiagBlockFamily(
-            symbol=SymbolSpec("constant", c=1.0), alpha=AlphaRule("index")
-        )
-        got = np.sort_complex(eigenvalues_oracle(family.block(1)))
-        assert list(got) == [pytest.approx(-1.0), pytest.approx(1.0)]
+    def test_inverse_symbol_blocks_are_unit(self):
+        # alpha f(alpha) = 1 for f(x) = 1/x, so every block has eigenvalues +-1
+        family = build_named_example("empty_resolvent").model
+        for k in (1, 7, 10**6):
+            got = np.sort_complex(eigenvalues_oracle(family.block(k)))
+            assert list(got) == [pytest.approx(-1.0), pytest.approx(1.0)]
 
     @pytest.mark.parametrize("k", [1, 3, 50, 10**6])
     def test_four_by_four_matches_dense_roots(self, k):
@@ -220,11 +204,12 @@ class TestConstantNormCondition:
         family = build_named_example("nonconstant").model
         assert not check_constant_norm_condition(family, 1.0, 10_000)
 
-    def test_constant_symbol_trivially_holds(self):
-        family = DiagBlockFamily(
-            symbol=SymbolSpec("constant", c=1.0), alpha=AlphaRule("index")
-        )
-        assert check_constant_norm_condition(family, 0.0, 100)
+    def test_margin_only_postpones_the_nonconstant_violation(self):
+        # (1 - 1/sqrt(a))^2 >= 1 - m/a exactly while 2 sqrt(a) - 1 <= m; for
+        # m = 100 that ends at a = 2551, the weight of k = 2550
+        family = build_named_example("nonconstant").model
+        assert check_constant_norm_condition(family, 100.0, 2549)
+        assert not check_constant_norm_condition(family, 100.0, 2550)
 
     def test_inapplicable_tails(self):
         with pytest.raises(InapplicableConditionError):
@@ -316,10 +301,13 @@ class TestSequences:
 
 class TestNamedExamples:
     def test_catalogue_models(self):
-        assert build_named_example("shargorodsky").model.tail_C == 1.0
-        assert build_named_example("empty_resolvent").model.tail_C == 0.0
-        assert build_named_example("nonconstant").model.tail_C == 1.0
-        assert build_named_example("decay", {"beta": 0.5}).model.tail_C == math.inf
+        def tail(name, params=None):
+            return build_named_example(name, params).model.symbol.tail_limit
+
+        assert tail("shargorodsky") == 1.0
+        assert tail("empty_resolvent") == 0.0
+        assert tail("nonconstant") == 1.0
+        assert tail("decay", {"beta": 0.5}) == math.inf
         assert build_named_example("remark_n1").model.block_dim == 4
 
     def test_unknown_name_lists_catalogue(self):
@@ -334,15 +322,34 @@ class TestNamedExamples:
         with pytest.raises(ConfigurationError):
             build_named_example("decay", {"beta": 1.5})
         with pytest.raises(ConfigurationError):
-            build_named_example("diag_pair", {"lambda1": 6.0, "lambda2": 2.0})
+            build_named_example("diag_pair", {"beta": 0.5})
+        for name, key in (("diag_pair", "lambda1"), ("decay", "alpha_rule")):
+            with pytest.raises(ConfigurationError, match="not valid for example"):
+                build_named_example(name, {key: 1.0})
 
     def test_tail_consistency_at_deep_sample(self):
         for name in ("shargorodsky", "empty_resolvent", "nonconstant"):
             family = build_named_example(name).model
             alpha = family.alpha.value(10**6)
-            assert abs(family.symbol.value(alpha) - family.tail_C) < 1e-2
+            assert abs(family.symbol.value(alpha) - family.symbol.tail_limit) < 1e-2
 
     def test_symbol_must_stay_positive(self):
         # 1 - 1/sqrt(x) vanishes at x = 1, the first log-grid weight
-        with pytest.raises(ConfigurationError):
-            build_named_example("nonconstant", {"alpha_rule": "log_grid"})
+        with pytest.raises(ConfigurationError, match="positive"):
+            DiagBlockFamily(SymbolSpec("one_minus_inv_sqrt"), AlphaRule("log_grid"))
+
+    def test_catalogue_builds_every_symbol_kind(self):
+        # a symbol kind no example builds would keep certificate branches
+        # that no program path runs
+        kinds = {
+            example.model.symbol.kind
+            for example in map(build_named_example, NAMED_EXAMPLES)
+            if isinstance(example.model, DiagBlockFamily)
+        }
+        assert kinds == set(SYMBOL_KINDS)
+
+    def test_programs_build_every_weight_rule(self):
+        # the catalogue takes the default rule and the dense decay study
+        # the log grid
+        report = decay_study(0.5, 1.2, [10.0, 30.0, 100.0], dense_spectrum=True)
+        assert {AlphaRule().kind, report.budget["alpha_rule"]} == set(ALPHA_KINDS)

@@ -260,14 +260,12 @@ class TestBlockFamilies:
         assert got.value == pytest.approx(1.0 / (1.0 - 2**-0.5), rel=1e-10)
         assert got.value > 1.0
 
-    def test_constant_symbol_family(self):
-        fam = DiagBlockFamily(SymbolSpec(kind="constant", c=2.0))
-        got = resolvent_norm(fam, 0.0)
-        assert got.certified
-        assert got.value == pytest.approx(0.5, abs=1e-12)
-        probe = resolvent_norm(fam, 0.3j)
-        assert probe.certified
-        assert probe.value == pytest.approx(0.5, abs=1e-9)
+    def test_decay_family_at_origin(self):
+        # (B_k)^-1 has singular values 1/alpha_k and 1/f(alpha_k) = alpha_k^-0.5,
+        # largest at the first block, alpha_1 = 2
+        got = resolvent_norm(DECAY, 0.0)
+        assert got.certified and got.tail_gap == 0.0
+        assert got.value == pytest.approx(2**-0.5, rel=1e-14)
 
     def test_empty_resolvent_family_everywhere_infinite(self):
         for z in (2j, 0.0, 0.3 + 0.1j, -1.7):
@@ -484,13 +482,10 @@ TWO_SYMBOLS = (
     SymbolSpec("one_minus_inv_sqrt"),
     SymbolSpec("inverse"),
     SymbolSpec("power_beta", beta=0.5),
-    SymbolSpec("constant", c=2.0),
-    SymbolSpec("tabulated", table=((1.0, 2.0), (10.0, 0.5), (1e3, 1.0))),
 )
 TWO_ALPHAS = (
     (AlphaRule("successor"), 10**7 - 1),
-    (AlphaRule("index"), 10**7),
-    (AlphaRule("log_grid", lo=1.0, hi=1e7, count=2048), 2048),
+    (AlphaRule("log_grid"), 19_700),  # linear past k = 2048, weight 1.00001e7 here
 )
 
 
@@ -517,7 +512,7 @@ class TestTwoByTwoValues:
         re=st.floats(-3.0, 3.0),
         im=st.floats(-3.0, 3.0),
     )
-    # B_1 - z = [[-z, 1], [1, -z]]: the clamped F^2 - 4D radicand gave
+    # the log grid's B_1 - z = [[-z, 1], [1, -z]]: the clamped F^2 - 4D radicand gave
     # sigma_max 1.0000000074505806 at z = 1e-8 and exactly 1.0 at z = 1e-10
     @example(SymbolSpec("inverse"), TWO_ALPHAS[1], 1e-8, 0.0)
     @example(SymbolSpec("inverse"), TWO_ALPHAS[1], 1e-10, 0.0)
@@ -616,18 +611,14 @@ class TestTailCertification:
         got = resolvent_norm(DECAY, 1.0 + 0.5j)
         assert got.certified and got.tail_gap == 0.0
 
-    def test_tabulated_tail_certifies_beyond_the_last_abscissa(self):
-        # f is the constant 1 beyond x = 1e3, so the constant-kind criteria
-        # close the tail at the first chunk end past that weight
-        family = DiagBlockFamily(TWO_SYMBOLS[-1])
+    def test_nonconstant_tail_holds_beyond_the_cutoff(self):
         for z in (0.3j, 0.2, 1.0 + 1.0j, -2.5 + 0.5j):
-            got = resolvent_norm(family, z)
+            got = resolvent_norm(NONCONST, z)
             assert got.certified and got.tail_gap == 0.0
-            assert got.k_cutoff == 1344
             ks = _beyond(got.k_cutoff, 2 * 10**6, 2000)
-            alphas = family.alpha_values(ks)
+            alphas = NONCONST.alpha.values(ks)
             blocks = np.zeros((len(ks), 2, 2), dtype=complex)
-            blocks[:, 0, 1] = family.symbol_values(alphas)
+            blocks[:, 0, 1] = NONCONST.symbol.values(alphas)
             blocks[:, 1, 0] = alphas
             deep = two_block_power_norms_oracle(blocks, z, 0).max()
             assert deep <= got.value * (1.0 + SOUND_SLACK)
@@ -759,9 +750,9 @@ class TestCertifiedValuesAreSound:
             if not (rv.certified and math.isfinite(rv.value)):
                 continue
             ks = _beyond(rv.k_cutoff, k_max, 2000)
-            alphas = family.alpha_values(ks)
+            alphas = family.alpha.values(ks)
             blocks = np.zeros((len(ks), 2, 2), dtype=complex)
-            blocks[:, 0, 1] = family.symbol_values(alphas)
+            blocks[:, 0, 1] = family.symbol.values(alphas)
             blocks[:, 1, 0] = alphas
             deep = two_block_power_norms_oracle(blocks, z, n).max()
             assert deep <= (rv.value + rv.tail_gap) * (1.0 + SOUND_SLACK)
