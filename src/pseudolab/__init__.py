@@ -29,10 +29,9 @@ from .operators import (
     AlphaRule,
     DenseOperator,
     DiagBlockFamily,
-    ExplicitSequence,
     NamedExample,
+    OperatorSequence,
     ScaledOperator,
-    ScalingSequence,
     SymbolSpec,
     TruncatedFamily,
     TruncationSequence,
@@ -92,10 +91,9 @@ __all__ = [
     "AlphaRule",
     "DenseOperator",
     "DiagBlockFamily",
-    "ExplicitSequence",
     "NamedExample",
+    "OperatorSequence",
     "ScaledOperator",
-    "ScalingSequence",
     "SymbolSpec",
     "TruncatedFamily",
     "TruncationSequence",

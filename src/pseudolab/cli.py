@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import math
 import os
@@ -211,7 +212,7 @@ def _cmd_converge(args) -> int:
                 f"example {args.model!r} has no sequence {args.sequence!r};"
                 f" available: {', '.join(sorted(example.sequences)) or 'none'}"
             )
-        seq = example.sequences[args.sequence]
+        seq = dataclasses.replace(example.sequences[args.sequence], gnr_anchor=anchor)
     report = convergence_study(
         seq, args.epsilon, region, ks, n=args.n, defect_threshold=args.defect_threshold
     )
@@ -325,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--ks", default="4,8,16,32", help="comma-separated sequence indices")
-    p.add_argument("--anchor", default="0,1", help="re,im resolvent point for the defect gate")
+    p.add_argument("--anchor", default="0,1", help="re,im resolvent point for the defect gate of any sequence; it must clear the spectra of the limit and of the term the gate evaluates")
     p.add_argument("--defect-threshold", type=float, default=0.25)
     _add_out_flag(p)
     p.set_defaults(func=_cmd_converge)

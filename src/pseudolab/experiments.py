@@ -129,11 +129,17 @@ def convergence_study(
     discrete closure check at this resolution, and the sequence defect at
     the largest k (a certified upper bound for truncations) must sit below
     the configured threshold.  Either failure produces a fail verdict
-    naming the violated assumption; distances are then not computed.
+    naming the violated assumption; distances are then not computed.  An
+    index below 1 or a defect_threshold that is not > 0 is a
+    ConfigurationError.
     """
     ks = [int(k) for k in ks]
     if not ks:
         raise ConfigurationError("convergence study needs at least one index")
+    if min(ks) < 1:
+        raise ConfigurationError(f"sequence indices start at 1, got {min(ks)}")
+    if not defect_threshold > 0.0:
+        raise ConfigurationError(f"defect threshold must be > 0, got {defect_threshold}")
     h = _grid_step(region)
     budget = {
         "h": h,

@@ -90,8 +90,8 @@ def region_with_step(re_min, re_max, im_min, im_max, h) -> GridRegion:
     The extents must be integer multiples of h (within roundoff); the
     step is not silently adjusted.
     """
-    if h <= 0:
-        raise ConfigurationError("step must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ConfigurationError("step must be positive and finite")
     counts = []
     for lo, hi in ((re_min, re_max), (im_min, im_max)):
         steps = (hi - lo) / h

@@ -16,8 +16,9 @@ largest_singular_values takes sigma_max directly, with no iteration.  The
 clearance checks of the dense gnr_defect, expansion_residual and
 power_diff_bound_check read sigma_min(T - z) = 1/sigma_max(W) off the
 inverse they go on to use.  gnr_defect evaluates at the sequence's own
-anchor, which its constructor checked; a truncation sequence's defect is
-the engine's scan of its family past block k.
+anchor, which its constructor checked against the limit; a dense defect
+checks it against the term it evaluates, and a truncation sequence's
+defect is the engine's scan of its family past block k.
 
 Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
 engine that takes all points at once.  The points walk the
@@ -78,6 +79,7 @@ from .operators import (
     DiagBlockFamily,
     ScaledOperator,
     TruncatedFamily,
+    TruncationSequence,
     block_chunks,
 )
 
@@ -627,8 +629,6 @@ def _check_block_range(family, zs: np.ndarray) -> None:
 def _dense_matrix_of(model) -> np.ndarray:
     if isinstance(model, DenseOperator):
         return model.matrix
-    if isinstance(model, TruncatedFamily):
-        return model.dense().matrix
     if isinstance(model, ScaledOperator):
         return complex(model.factor) * _dense_matrix_of(model.inner)
     raise DomainError(
@@ -647,10 +647,11 @@ def gnr_defect(seq, k: int) -> float:
     block k.  It is reported as value + tail_gap, a certified upper bound
     (+inf where no certificate applies), so a defect gate never passes on
     an uncertified lower bound.  Other sequences are compared densely in
-    their common space.
+    their common space, and an anchor on the spectrum of term k raises
+    SingularityError naming it.
     """
     lam = complex(seq.gnr_anchor)
-    if seq.kind == "truncation":
+    if isinstance(seq, TruncationSequence):
         if k < 1:
             raise DomainError("sequence index must be >= 1")
         tail = _family_values(seq.family, np.array([lam]), 0, MAX_BLOCKS_DEFAULT, start=k)

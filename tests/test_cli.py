@@ -17,6 +17,18 @@ def run(argv):
     return parse_and_dispatch(argv)
 
 
+def run_module(argv):
+    """python -m pseudolab.cli argv in a child process, output captured."""
+    # the child imports the same package as this interpreter, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudolab.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pseudolab.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 @pytest.fixture()
 def diag_matrix_file(tmp_path):
     p = tmp_path / "mat.csv"
@@ -203,6 +215,19 @@ class TestExitCodeMatrix:
                     "--region", "0,1,0,1", "--nx", "2", "--ny", "2"]) == 2
         assert "shows no growth" in capsys.readouterr().err
 
+    def test_anchor_on_the_limit_spectrum_is_two(self, capsys):
+        # 2 is an eigenvalue of diag_pair, the limit of every sequence of it
+        assert run(["converge", "--model", "diag_pair", "--sequence", "shrink",
+                    "--anchor", "2,0", "--region", "1,7,-1.5,1.5", "--h", "0.1"]) == 2
+        assert "spectrum of limit" in capsys.readouterr().err
+
+    def test_anchor_on_the_evaluated_term_is_two(self, capsys):
+        # 1.5 clears the limit diag(2, 6) but is an eigenvalue of shrink's term 4
+        assert run(["converge", "--model", "diag_pair", "--sequence", "shrink",
+                    "--anchor", "1.5,0", "--ks", "4",
+                    "--region", "1,7,-1.5,1.5", "--h", "0.1"]) == 2
+        assert "spectrum of term k=4" in capsys.readouterr().err
+
     def test_unknown_sequence_name(self, capsys):
         assert run(["converge", "--model", "shargorodsky", "--sequence", "shrink",
                     "--region", "1,7,-1.5,1.5", "--h", "0.5", "--ks", "2,4"]) == 2
@@ -245,6 +270,28 @@ class TestExitCodeMatrix:
         assert run(["field", "--model", "remark_n1", "--region", "1e70,2e70,0,1e70",
                     "--nx", "2", "--ny", "2"]) == 2
         assert "block arithmetic" in capsys.readouterr().err
+
+
+DIAG_CONVERGE = ["converge", "--model", "diag_pair", "--region", "1,7,-1.5,1.5", "--h", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "--model", "shargorodsky", "--region", "-1,1,-1,1", "--h", "nan"],
+        [*DIAG_CONVERGE, "--sequence", "scale", "--ks", "0"],
+        [*DIAG_CONVERGE, "--sequence", "shrink", "--defect-threshold", "nan"],
+        [*DIAG_CONVERGE, "--sequence", "grow", "--anchor", "6,0"],
+        [*DIAG_CONVERGE, "--sequence", "grow", "--anchor", "2.5,0", "--ks", "4"],
+    ],
+    ids=["step-nan", "index-zero", "threshold-nan", "anchor-on-limit", "anchor-on-term"],
+)
+def test_malformed_numeric_input_is_one_error_line(argv):
+    proc = run_module(argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestStudies:
@@ -315,14 +362,6 @@ class TestRoundTrip:
 
 
 def test_module_entry_point_runs():
-    # the child imports the same package as this interpreter, installed or not
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudolab.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pseudolab.cli",
-         "verify", "empty-resolvent", "--sizes", "5,20"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_module(["verify", "empty-resolvent", "--sizes", "5,20"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"

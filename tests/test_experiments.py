@@ -105,6 +105,20 @@ class TestConvergenceStudy:
         assert any("defect" in s for s in rep.notes)
         assert rep.series == ()
 
+    @pytest.mark.parametrize("ks", [[0], [2, 0, 4], [-1]])
+    def test_indices_start_at_one(self, ks):
+        K = region_with_step(1.0, 7.0, -1.5, 1.5, 0.5)
+        with pytest.raises(ConfigurationError, match="start at 1"):
+            convergence_study(DIAG_EX.sequences["scale"], 1.0, K, ks)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.25, math.nan])
+    def test_defect_threshold_must_be_positive(self, threshold):
+        K = region_with_step(1.0, 7.0, -1.5, 1.5, 0.5)
+        with pytest.raises(ConfigurationError, match="defect threshold"):
+            convergence_study(
+                DIAG_EX.sequences["shrink"], 1.0, K, [2, 4], defect_threshold=threshold
+            )
+
     def test_reports_reproduce_bit_for_bit(self):
         K = region_with_step(1.0, 7.0, -1.5, 1.5, 0.1)
         a = convergence_study(DIAG_EX.sequences["shrink"], 1.0, K, [2, 4])

@@ -18,9 +18,8 @@ from pseudolab.operators import (
     AlphaRule,
     DiagBlockFamily,
     DenseOperator,
-    ExplicitSequence,
+    OperatorSequence,
     ScaledOperator,
-    ScalingSequence,
     SymbolSpec,
     TruncationSequence,
     assemble_truncation,
@@ -252,15 +251,13 @@ class TestSequences:
         with pytest.raises(DomainError):
             ex.sequences["scale"].term(1)
 
-    def test_explicit_range_checked(self):
-        ex = build_named_example("diag_pair")
-        with pytest.raises(DomainError):
-            ex.sequences["shrink"].term(65)
+    def test_terms_are_built_for_any_index(self):
+        shrink100 = build_named_example("diag_pair").sequences["shrink"].term(100)
+        assert np.array_equal(shrink100.matrix, np.diag([1.98, 6.0]))
 
     def test_truncation_sequence_terms_and_limit(self):
         family = shargorodsky_family()
         seq = TruncationSequence(family)
-        assert seq.term(3).dim == 6
         assert seq.term(3).family is family
         assert seq.limit_model() is family
         assert [f.name for f in dataclasses.fields(seq)] == ["family", "gnr_anchor"]
@@ -271,32 +268,34 @@ class TestSequences:
             TruncationSequence(shargorodsky_family(), gnr_anchor=complex(math.sqrt(3.0)))
 
     def test_scaled_family_anchor_probes_the_first_blocks(self):
-        # term k=2 is shargorodsky / 2, whose block k=10 has the eigenvalue
-        # sqrt(12) / 2 = sqrt(3): the 64-block probe of the scaled family finds it
-        with pytest.raises(SingularityError, match="term k=2") as err:
-            ScalingSequence(
-                shargorodsky_family(),
-                lambda k: 1.0 - 1.0 / k,
+        # sqrt(3) is an eigenvalue of the limit's first block: the 64-block
+        # probe of the family finds it
+        family = shargorodsky_family()
+        with pytest.raises(SingularityError, match="limit") as err:
+            OperatorSequence(
+                lambda k: scale_operator(family, 1.0 - 1.0 / k),
+                family,
                 gnr_anchor=complex(math.sqrt(3.0)),
             )
-        assert err.value.which == "term k=2"
+        assert err.value.which == "limit"
 
     def test_scaled_inverse_symbol_family_has_no_anchor(self):
         # the resolvent set of the inverse-symbol family is empty: its first
         # 64 blocks clear 1j, but the family itself has resolvent norm inf
-        with pytest.raises(SingularityError, match="term k=2") as err:
-            ScalingSequence(
-                build_named_example("empty_resolvent").model,
-                lambda k: 1.0 - 1.0 / k,
+        family = build_named_example("empty_resolvent").model
+        with pytest.raises(SingularityError, match="limit") as err:
+            OperatorSequence(
+                lambda k: scale_operator(family, 1.0 - 1.0 / k),
+                family,
                 gnr_anchor=1j,
             )
-        assert err.value.which == "term k=2"
+        assert err.value.which == "limit"
         assert "clearance 0.000e+00" in str(err.value)
 
     def test_explicit_anchor_on_limit_rejected(self):
         base = DenseOperator(np.diag([2.0, 6.0]))
         with pytest.raises(SingularityError):
-            ExplicitSequence((base,), base, gnr_anchor=2.0)
+            OperatorSequence(lambda k: base, base, gnr_anchor=2.0)
 
 
 class TestNamedExamples:

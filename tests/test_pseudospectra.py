@@ -112,6 +112,11 @@ class TestGridRegion:
         with pytest.raises(ConfigurationError):
             region_with_step(0.0, 1.0, 0.0, 1.03, 0.05)
 
+    @pytest.mark.parametrize("h", [0.0, -0.5, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, h):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            region_with_step(-1.0, 1.0, -1.0, 1.0, h)
+
 
 class TestNormFieldType:
     def test_shape_mismatch(self):

@@ -24,8 +24,8 @@ from pseudolab import (
     DiagBlockFamily,
     DomainError,
     GridRegion,
+    OperatorSequence,
     ResolventValue,
-    ScalingSequence,
     SingularityError,
     SymbolSpec,
     TruncationSequence,
@@ -913,7 +913,7 @@ class TestGnrDefect:
         seq = ex.sequences["scale"]
         got = gnr_defect(seq, 10)
         t = np.diag([2.0, 6.0]).astype(complex)
-        s = complex(seq.factors(10))
+        s = 1.0 - 1.0 / 10
         eye = np.eye(2)
         lit = np.linalg.norm(
             np.linalg.inv(s * t - 1j * eye) - np.linalg.inv(t - 1j * eye), 2
@@ -977,7 +977,9 @@ class TestGnrDefect:
     def test_scaling_anchor_on_spectrum_names_operator(self):
         base = build_named_example("diag_pair").model
         with pytest.raises(SingularityError) as err:
-            ScalingSequence(base, lambda k: 1.0 - 1.0 / k, gnr_anchor=6.0)
+            OperatorSequence(
+                lambda k: scale_operator(base, 1.0 - 1.0 / k), base, gnr_anchor=6.0
+            )
         assert err.value.which == "limit"
 
     def test_anchor_on_an_early_block_is_rejected_at_construction(self):
@@ -998,9 +1000,7 @@ class TestGnrDefect:
             DenseOperator(np.diag([2.0 + 1.0 / k, 6.0])) for k in range(1, 9)
         )
         seq_limit = DenseOperator(np.diag([2.0, 6.0]))
-        from pseudolab import ExplicitSequence
-
-        seq = ExplicitSequence(terms=terms, limit=seq_limit, gnr_anchor=1j)
+        seq = OperatorSequence(term=lambda k: terms[k - 1], limit=seq_limit, gnr_anchor=1j)
         d2 = gnr_defect(seq, 2)
         d8 = gnr_defect(seq, 8)
         assert d8 < d2
@@ -1059,6 +1059,8 @@ class TestPowerDiffBound:
 
 class TestSequencesWithFamilies:
     def test_scaled_family_sequence_values(self):
-        seq = ScalingSequence(base=SHARG, factors=lambda k: 1.0 - 1.0 / k)
+        seq = OperatorSequence(
+            term=lambda k: scale_operator(SHARG, 1.0 - 1.0 / k), limit=SHARG
+        )
         got = resolvent_norm(seq.term(2), 0.0)
         assert got.value == pytest.approx(2.0, rel=1e-9)
