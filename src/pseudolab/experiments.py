@@ -129,11 +129,12 @@ def convergence_study(
     discrete closure check at this resolution, and the sequence defect at
     the largest k (a certified upper bound for truncations) must sit below
     the configured threshold.  Either failure produces a fail verdict
-    naming the violated assumption; distances are then not computed.  An
-    index below 1 or a defect_threshold that is not > 0 is a
-    ConfigurationError.
+    naming the violated assumption; distances are then not computed.  The
+    indices are taken in increasing order, so the report does not depend
+    on the order they are given in.  An index below 1 or a defect_threshold
+    that is not > 0 is a ConfigurationError.
     """
-    ks = [int(k) for k in ks]
+    ks = sorted(int(k) for k in ks)
     if not ks:
         raise ConfigurationError("convergence study needs at least one index")
     if min(ks) < 1:

@@ -33,6 +33,9 @@ STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 # Tail-scan budgets for infinite families during field sweeps.  A 4x4
 # block costs an LDL* positivity screen and, if it may set the maximum, a
 # Jacobi evaluation; reported values stay certified lower bounds either way.
+# At n = 0 and 1 the 4x4 sign certificate closes remark_n1 cells with |z|
+# up to about 2 after the first 64 blocks, so the 4x4 budget binds only
+# farther out and at n >= 2.
 FIELD_MAX_BLOCKS = {2: 20000, 4: 256}
 
 DEFAULT_GRID_POINTS = 101

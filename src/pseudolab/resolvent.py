@@ -38,11 +38,15 @@ the budget ends:
   (r + x) / (x f(x) - r^2) bounds the tail otherwise; for powers,
   Schur-style bounds on the squared block resolvent give a decreasing
   tail majorant;
-* the 4x4 shape carries an explicit deviation bound from its limiting
-  nilpotent resolvent.  Its head values are exact: an LDL* positivity
-  test of floor^2 I - M*M drops the blocks M whose norm cannot reach the
-  value the point's scan must beat at the start of the chunk, and one
-  stacked Jacobi call evaluates the rest.
+* the 4x4 shape: for n = 0 and 1, a sign certificate from the expansion
+  of the block resolvent in 1/alpha around its nilpotent limit proves
+  that every block beyond the scan point stays strictly below the tail
+  limit (_four_stays_below_limit); where it does not hold, and for
+  n >= 2, an explicit deviation bound from the limit bounds the tail.
+  Its head values are exact: an LDL* positivity test of floor^2 I - M*M
+  drops the blocks M whose norm cannot reach the value the point's scan
+  must beat at the start of the chunk, and one stacked Jacobi call
+  evaluates the rest.
 
 Each point's arithmetic depends on that point alone, so a value does not
 depend on the other points of the call.  The certificates are array
@@ -389,10 +393,12 @@ def _tail_bound(family, a: float, zs: np.ndarray, n: int, limit0: np.ndarray) ->
         below = _tail_stays_below_limit(family, a, zs)
         return np.where(below, limit0, _envelope_sup(family, a, zs))
     xi = _four_tail_deviation(family, a, zs)
-    if n == 0:
-        return limit0 + xi
     eta = xi * (xi + 2.0 * limit0)
-    return np.sqrt(1.0 + eta) if n == 1 else (2.0 * eta + eta * eta) ** 0.25
+    if n >= 2:
+        return (2.0 * eta + eta * eta) ** 0.25
+    # the tail limit is limit0 at n = 0 and ||L^2|| = 1 at n = 1
+    limit, deviation = (limit0, limit0 + xi) if n == 0 else (1.0, np.sqrt(1.0 + eta))
+    return np.where(_four_stays_below_limit(family, a, zs, n), limit, deviation)
 
 
 def _family_values(
@@ -541,6 +547,129 @@ def _four_limit_norm(zs: np.ndarray) -> np.ndarray:
     """At each z, the norm of the limiting resolvent (nilpotent part plus z times its square)."""
     t = 2.0 + np.hypot(zs.real, zs.imag) ** 2
     return np.sqrt((t + np.sqrt(t * t - 4.0)) / 2.0)
+
+
+def _poly_product(p: np.ndarray, q: np.ndarray, matrix: bool) -> np.ndarray:
+    """Coefficients in u of the product of two polynomials with coefficient stacks p, q.
+
+    matrix multiplies the (points, 4, 4) coefficients as matrices;
+    otherwise they are multiplied elementwise with broadcasting, by _cmul.
+    """
+    shape = np.broadcast_shapes(p.shape[1:], q.shape[1:])
+    out = np.zeros((len(p) + len(q) - 1,) + shape, dtype=np.complex128)
+    for i in range(len(p)):
+        for j in range(len(q)):
+            out[i + j] += p[i] @ q[j] if matrix else _cmul(p[i], q[j])
+    return out
+
+
+def _fro(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (points, 4, 4) stack, upper bounds for its spectral norms."""
+    return np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(1, 2)))
+
+
+def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int) -> np.ndarray:
+    """At each z, whether every block with weight >= a has value < the tail limit (n = 0, 1).
+
+    family is a 4x4 family, so its symbol is 1 + 1/x.  With u = 1/alpha,
+    B^4 = (alpha f)^2 gives (B - z)^-1 = P(u) / Q(u), where
+    P(u) = u^2 (B^3 + z B^2 + z^2 B + z^3) is a matrix polynomial of degree
+    4 built from uB = E_alpha + (u + u^2) E_f, and Q(u) = (1 + u)^2 - z^4 u^2.
+    X = (B - z)^-m, m = 2^n, is then P^m / Q^m, whose Taylor coefficients
+    X0, X1, X2 are exact polynomial algebra (Q(0) = 1); X0 is the limit
+    L^m, with L the nilpotent limit of the blocks.  On 0 < u <= U = 1/a,
+    |Q| >= (1 + u)^2 - |z|^4 u^2, which is increasing or concave in u, so
+    |Q| >= q = min(1, (1 + U)^2 - |z|^4 U^2).  Hence X = S + u^3 T with
+    S = X0 + u X1 + u^2 X2 and ||T|| <= t, the sum of ||rem_k|| U^(k-3) / q^m
+    over the coefficients of rem = P^m - S Q^m.
+    So X*X = H0 + u H1 + u^2 H2 + D with H_j = sum_i X_i* X_(j-i) and
+    ||D|| <= K u^3, K = ||H3|| + U ||H4|| + 2 ||S|| t + U^3 t^2.
+
+    H0 = X0* X0 has top eigenvalue c^2, the squared tail limit, with
+    eigenvector v, and next eigenvalue l2: c^2 = 1 + r (r + sqrt(r^2 + 4)) / 2,
+    r = |z|, v ~ (c, 0, 0, z / r) and l2 = 1/c^2 at n = 0; c = 1, v = e0 and
+    l2 = 0 at n = 1.  Compressing X*X onto v and its complement
+    (Kato, Perturbation Theory for Linear Operators) bounds its top
+    eigenvalue by that of [[c^2 - u A, u b], [u b, c^2 - G]] with
+    A = -v*H1 v - U |v*H2 v| - K U^2, b = ||P H1 v|| + U ||P H2 v|| + K U^2
+    (P the projection off v) and G = c^2 - l2 - (||H1|| + U ||H2||) u - K u^3,
+    so ||X|| < c^m whenever A > 0, G > 0 and A G > u b^2.  G, A and b are
+    taken at u = U, where each is at its worst for the whole tail.  The
+    norms are Frobenius norms, the good terms are shrunk and the bad ones
+    grown by a relative 1e-9 that covers the rounding, and the certificate
+    applies only where |z|^4 < a, which keeps every power of |z| finite.
+    At n = 0 it also needs |z| >= 1e-4: _four_limit_norm, the reported
+    limit, loses about 1e-16/|z| to cancellation, and from there on that
+    stays far below TAIL_TOL.
+    """
+    r = np.hypot(zs.real, zs.imag)
+    ok = r**4 < a
+    if n == 0:
+        ok &= r >= 1e-4
+    z = np.where(ok, zs, 0.0)
+    r = np.where(ok, r, 0.0)
+    u = 1.0 / a
+    m = 1 << n
+    # uB = E_alpha + (u + u^2) E_f as coefficients of u^0, u^1, u^2
+    ub = np.zeros((3, 1, 4, 4), dtype=np.complex128)
+    ub[0, 0, 2, 0] = ub[0, 0, 1, 2] = 1.0
+    ub[1:, 0, 0, 3] = ub[1:, 0, 3, 1] = 1.0
+    ub2 = _poly_product(ub, ub, True)
+    ub3 = _poly_product(ub2, ub, True)
+    z1 = z[:, None, None]
+    z2 = _cmul(z1, z1)
+    z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
+    # P = (uB)^3 / u + z (uB)^2 + z^2 u (uB) + z^3 u^2, where (uB)^3 has no
+    # u^0 or u^6 term: E_alpha^3 = E_f^3 = 0
+    p = ub3[1:6] + z1 * ub2
+    p[1:4] += z2 * ub
+    p[2] += z3 * np.eye(4)
+    q = np.stack([np.ones_like(z4), np.full_like(z4, 2.0), 1.0 - z4])
+    pm, qm = p, q
+    for _ in range(n):
+        pm, qm = _poly_product(pm, pm, True), _poly_product(qm, qm, False)
+    x0 = pm[0].copy()
+    x1 = pm[1] - _cmul(qm[1], x0)
+    x2 = pm[2] - _cmul(qm[1], x1) - _cmul(qm[2], x0)
+    s = np.stack([x0, x1, x2])
+    # rem = P^m - S Q^m takes the place of pm; its terms in u^0..u^2 vanish
+    rem = pm
+    rem[: len(s) + len(qm) - 1] -= _poly_product(s, qm, False)
+    q_low = np.minimum(1.0, (1.0 + u) ** 2 - (r * r * u) ** 2)
+    t = sum(_fro(rem[k]) * u ** (k - 3) for k in range(3, len(rem))) / q_low**m
+    s_norm = _fro(x0) + u * _fro(x1) + u * u * _fro(x2)
+
+    xh0, xh1, xh2 = (np.conj(np.swapaxes(x, 1, 2)) for x in s)
+    h1 = xh0 @ x1 + xh1 @ x0
+    h2 = xh0 @ x2 + xh1 @ x1 + xh2 @ x0
+    h3 = xh1 @ x2 + xh2 @ x1
+    big_k = _fro(h3) + u * _fro(xh2 @ x2) + 2.0 * s_norm * t + u**3 * t * t
+    v = np.zeros((len(zs), 4, 1), dtype=np.complex128)
+    if n == 0:
+        c2 = 1.0 + r * (r + np.sqrt(r * r + 4.0)) / 2.0
+        norm = np.sqrt(c2 + 1.0)
+        v[:, 0, 0] = np.sqrt(c2) / norm
+        v[:, 3, 0] = z / (np.where(ok, r, 1.0) * norm)
+        gap0 = r * np.sqrt(r * r + 4.0)  # c^2 - 1/c^2
+    else:
+        c2, gap0 = 1.0, 1.0
+        v[:, 0, 0] = 1.0
+
+    def along(h):
+        """v*hv and ||(I - vv*) hv||."""
+        hv = h @ v
+        vhv = (np.conj(np.swapaxes(v, 1, 2)) @ hv)[:, 0, 0].real
+        return vhv, _fro(hv - vhv[:, None, None] * v)
+
+    (q1, b1), (q2, b2) = along(h1), along(h2)
+    d = _fro(h1) + u * _fro(h2)
+    tol = 1e-9
+    pad = tol * (c2 + d)
+    grow = 1.0 + tol
+    big_a = -q1 - grow * (u * np.abs(q2) + big_k * u * u) - pad
+    big_g = gap0 - grow * (d * u + big_k * u**3) - pad
+    big_b = grow * (b1 + u * b2 + big_k * u * u) + pad
+    return ok & (big_a > 0.0) & (big_g > 0.0) & (big_a * big_g > grow * u * big_b**2)
 
 
 def _four_tail_deviation(family, a: float, zs: np.ndarray) -> np.ndarray:

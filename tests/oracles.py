@@ -70,6 +70,27 @@ def two_block_power_norms_oracle(blocks, z: complex, n: int = 0) -> np.ndarray:
     return np.linalg.svd(power, compute_uv=False)[:, 0] ** (1.0 / 2**n)
 
 
+def four_block_power_norms_oracle(alphas, z: complex, n: int = 0) -> np.ndarray:
+    """||(B - z)^-2^n||^(1 / 2^n) for the 4x4 block of each weight alpha, f = 1 + 1/alpha.
+
+    B is the weighted 4-cycle e0 -> e2 -> e1 -> e3 -> e0 of
+    DiagBlockFamily.block, so B^4 = (alpha f)^2 I and (B - z)^-1 is
+    (B^3 + z B^2 + z^2 B + z^3) / ((alpha f)^2 - z^4), accurate entry by entry
+    at any weight; the powers of B, of the inverse and its largest singular
+    values come from numpy's matmul and SVD.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    fs = 1.0 + 1.0 / alphas
+    b = np.zeros((len(alphas), 4, 4), dtype=np.complex128)
+    b[:, 2, 0] = b[:, 1, 2] = alphas
+    b[:, 0, 3] = b[:, 3, 1] = fs
+    b2 = b @ b
+    num = b2 @ b + z * b2 + z * z * b + z**3 * np.eye(4)
+    inv = num / ((alphas * fs) ** 2 - z**4)[:, None, None]
+    power = np.linalg.matrix_power(inv, 2**n)
+    return np.linalg.svd(power, compute_uv=False)[:, 0] ** (1.0 / 2**n)
+
+
 def eigenvalues_oracle(a) -> np.ndarray:
     return np.linalg.eigvals(np.asarray(a, dtype=np.complex128))
 

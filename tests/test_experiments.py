@@ -119,6 +119,17 @@ class TestConvergenceStudy:
                 DIAG_EX.sequences["shrink"], 1.0, K, [2, 4], defect_threshold=threshold
             )
 
+    def test_index_order_changes_nothing(self):
+        # the defect gate is taken at the largest index, and the series runs
+        # in increasing k, whatever the order of ks
+        seq = TruncationSequence(build_named_example("decay").model, gnr_anchor=1j)
+        K = region_with_step(0.0, 3.0, 0.1, 1.5, 0.1)
+        up = convergence_study(seq, 1.0, K, [2, 32])
+        down = convergence_study(seq, 1.0, K, [32, 2])
+        assert up.passed and down.passed
+        assert up.budget["defect_at_last_k"] == down.budget["defect_at_last_k"]
+        assert up.to_json() == down.to_json()
+
     def test_reports_reproduce_bit_for_bit(self):
         K = region_with_step(1.0, 7.0, -1.5, 1.5, 0.1)
         a = convergence_study(DIAG_EX.sequences["shrink"], 1.0, K, [2, 4])

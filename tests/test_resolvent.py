@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     block_family_power_norm_oracle,
+    four_block_power_norms_oracle,
     random_complex_matrix,
     resolvent_norm_oracle,
     resolvent_power_norm_oracle,
@@ -466,14 +467,14 @@ class TestBlockScanChunks:
         assert got.value == pytest.approx(want, rel=1e-9)
 
     def test_remark_defect_spans_two_chunks(self):
-        # the scan from block 10 crosses chunk boundaries; the 4x4 tail
-        # certificate leaves a gap of about 1.4e-5 at the default budget, and
-        # the defect is the upper bound value + gap
+        # the scan starts past block 10; the 4x4 sign certificate closes it
+        # after its first chunk (blocks 11-74) with no gap, so the defect
+        # value + gap is the tail limit or a larger head block
         seq = TruncationSequence(REMARK, gnr_anchor=1j)
         head = block_family_power_norm_oracle(REMARK, range(11, 4097), 1j)
         want = max(head, (1.0 + math.sqrt(5.0)) / 2.0)  # the tail limit at i
         got = gnr_defect(seq, 10)
-        assert want <= got <= want + 2e-5
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 # every symbol kind, and each alpha rule taken to weights of about 10^7
@@ -601,11 +602,21 @@ class TestFourByFourHeads:
 
 class TestTailCertification:
     def test_uncertified_result_reports_gap(self):
-        got = resolvent_power_norm(REMARK, 0.5, 1, max_blocks=128)
+        # at 2 + 2i the sign certificate does not hold at weight 130, so the
+        # deviation bound leaves a gap
+        got = resolvent_power_norm(REMARK, 2.0 + 2.0j, 1, max_blocks=128)
         assert not got.certified
         assert got.tail_gap > 0.0
         assert got.k_cutoff == 128
         assert got.value >= 1.0  # tail limit is exactly 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("z", [0.4, 0.3 + 0.2j, 1j])
+    def test_remark_points_close_after_one_chunk(self, z, n):
+        # the sign certificate holds at weight 66, past the first chunk
+        got = resolvent_power_norm(REMARK, z, n)
+        assert got.certified and got.tail_gap == 0.0
+        assert got.k_cutoff == 64
 
     def test_decay_family_certifies_exactly(self):
         got = resolvent_norm(DECAY, 1.0 + 0.5j)
@@ -630,6 +641,54 @@ class TestTailCertification:
         for z in (0.0, 0.5, 1.0, 2.0 + 1.0j, 1e-8, 1e6):
             got = resolvent_norm(EMPTY, z)
             assert got == ResolventValue(math.inf, 0.0, True, 0)
+
+
+def _disc_points(radius: float, count: int, seed: int) -> np.ndarray:
+    """count points spread uniformly over the disc |z| <= radius."""
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+    return r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+
+
+class TestFourSignCertificate:
+    """_four_stays_below_limit proves that every block past weight a stays
+    strictly below the tail limit; each claim is checked on numpy blocks."""
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("a", [17.0, 66.0, 258.0, 1026.0])
+    def test_certified_points_stay_below_the_limit(self, a, n):
+        zs = _disc_points(4.0, 120, seed=int(a) + n)
+        below = resolvent._four_stays_below_limit(REMARK, a, zs, n)
+        assert below.any()
+        # consecutive weights from a on, then log-spaced ones out to 10^7
+        alphas = np.concatenate([a + np.arange(256.0), np.geomspace(a + 256.0, 1e7, 64)])
+        for z in zs[below]:
+            top = four_block_power_norms_oracle(alphas, z, n).max()
+            assert top < _four_limit_oracle(z, n)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("z, a", [(3.0, 10.0), (5j, 100.0)])
+    def test_late_crossovers_are_rejected(self, z, a, n):
+        # a block with weight past a lies above the limit
+        alphas = a + np.arange(4000.0)
+        assert four_block_power_norms_oracle(alphas, z, n).max() > _four_limit_oracle(z, n)
+        assert not resolvent._four_stays_below_limit(REMARK, a, np.array([z], complex), n)[0]
+
+    def test_criterion_rejects_a_crossover_inside_its_range(self):
+        # |z|^4 = 16 < 17, so only the criterion itself can refuse z = 2,
+        # where blocks with weights up to 46 lie above the n = 1 limit
+        alphas = 17.0 + np.arange(64.0)
+        assert four_block_power_norms_oracle(alphas, 2.0, 1).max() > 1.0
+        assert not resolvent._four_stays_below_limit(REMARK, 17.0, np.array([2.0 + 0j]), 1)[0]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_points_near_the_block_range_are_refused_quietly(self, n):
+        limit = resolvent.BLOCK_Z_LIMIT[4]
+        zs = limit * np.array([1.0, -1j, (1.0 + 1.0j) / math.sqrt(2.0), 0.999 - 0.01j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (66.0, 1e6):
+                assert not resolvent._four_stays_below_limit(REMARK, a, zs, n).any()
 
 
 class TestInverseSymbolPowers:
@@ -679,6 +738,8 @@ class TestCertificatesAreArrayFunctions:
         "model, n, certificate",
         [
             (REMARK, 0, "_four_tail_deviation"),
+            (REMARK, 0, "_four_stays_below_limit"),
+            (REMARK, 1, "_four_stays_below_limit"),
             (SHARG, 0, "_tail_stays_below_limit"),
             (SHARG, 1, "_power_tail_bound"),
         ],
@@ -761,12 +822,16 @@ class TestCertifiedValuesAreSound:
     @given(
         alpha=st.sampled_from(TWO_ALPHAS),
         n=st.integers(0, 2),
-        re=st.floats(-1.5, 1.5),
-        im=st.floats(-1.5, 1.5),
+        re=st.floats(-2.85, 2.85),
+        im=st.floats(-2.85, 2.85),
         budget=st.sampled_from([64, 256, 1024]),
     )
     @example(TWO_ALPHAS[0], 0, -0.15, -0.15, 256)  # z = 0 takes the closed forms
+    @example(TWO_ALPHAS[0], 1, 1.35, 1.35, 64)  # |z| up to 2.12 at weight 66
+    @example(TWO_ALPHAS[1], 0, 1.9, -1.9, 256)
     def test_four_by_four(self, alpha, n, re, im, budget):
+        # the lattice cells reach |z| = 3
+        assume(abs(complex(re, im)) + 0.15 * math.sqrt(2.0) <= 3.0)
         rule, k_max = alpha
         family = DiagBlockFamily(SymbolSpec("one_plus_inv"), rule, "four_by_four")
         for z, rv in _checked_cells(family, complex(re, im), 0.15, n, budget):
@@ -843,12 +908,17 @@ class TestFieldEngine:
 
     def test_window_closes_in_several_chunks(self):
         # inf cells, cells closed in the first chunk and cells open at the
-        # end of the budget share one engine pass
-        zs = GridRegion(-2.0, 2.0, -2.0, 2.0, 9, 9).lattice().ravel()
+        # end of the budget share one engine pass; the sign certificate
+        # closes |z| < 2 after one chunk, so the window reaches |z| = 8.5,
+        # where no certificate holds within 3000 blocks
+        zs = GridRegion(-6.0, 6.0, -6.0, 6.0, 9, 9).lattice().ravel()
         batch = resolvent.resolvent_power_norms(REMARK, zs, 1, max_blocks=3000)
         assert len({rv.k_cutoff for rv in batch}) >= 4
         assert any(math.isinf(rv.value) for rv in batch)
-        assert not all(rv.certified for rv in batch)
+        assert any(
+            rv.certified and rv.k_cutoff == 64 and math.isfinite(rv.value) for rv in batch
+        )
+        assert any(not rv.certified and rv.k_cutoff == 3000 for rv in batch)
         for z, rv in zip(zs, batch):
             assert rv == resolvent_power_norm(REMARK, z, 1, max_blocks=3000)
 
