@@ -37,7 +37,6 @@ from .operators import (
     TruncationSequence,
     assemble_truncation,
     build_named_example,
-    check_constant_norm_condition,
     scale_operator,
 )
 from .pseudospectra import (
@@ -99,7 +98,6 @@ __all__ = [
     "TruncationSequence",
     "assemble_truncation",
     "build_named_example",
-    "check_constant_norm_condition",
     "scale_operator",
     "PowerDiffBound",
     "ResolventValue",

@@ -257,7 +257,7 @@ def _cmd_verify_cec(args) -> int:
 
 
 def _cmd_verify_empty(args) -> int:
-    family = _load_model(args.model, None)
+    family = build_named_example("empty_resolvent").model
     report = empty_resolvent_probe(family, _complex_pair(args.lam, "--lam"), _int_list(args.sizes, "--sizes"))
     return _emit_report(report, args.out)
 
@@ -377,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify_cec)
 
     v = vsub.add_parser("empty-resolvent", help="Weyl-bounded truncation norm growth")
-    v.add_argument("--model", default="empty_resolvent", help="inverse-symbol named example")
     v.add_argument("--lam", default="0,2", help="re,im probe point")
     v.add_argument("--sizes", default="25,100", help="comma-separated truncation sizes")
     _add_out_flag(v)

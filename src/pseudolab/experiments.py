@@ -392,8 +392,14 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
     Probes outside the region are recorded as skipped, never failed;
     the verdict covers the evaluated probes only.  The equality is only
     judged on certified values: an uncertified probe is a lower bound
-    and fails.
+    and fails.  The region is shargorodsky's, at n = 0; a 4x4 family's
+    constant-norm claim is at n = 1, so it is refused as inapplicable.
     """
+    if isinstance(model, DiagBlockFamily) and model.block_dim == 4:
+        raise InapplicableConditionError(
+            "constant-region probes the n = 0 norm on shargorodsky's disc and "
+            "wedge; a 4x4 family's constant-norm claim is at n = 1"
+        )
     if not (M > 0.0 and math.isfinite(M)):
         raise ConfigurationError("M must be positive and finite")
     if not (tol > 0.0 and math.isfinite(tol)):

@@ -18,6 +18,10 @@ truncations of a family, whose limit is the family) and
 ``OperatorSequence`` (a term rule k -> model and a limit model), and a
 catalogue of named examples.
 
+The module describes models only and scans no blocks: the block-scan
+schedule and the tail certificates live in resolvent, which a sequence's
+anchor check calls at that schedule's first chunk.
+
 All models are immutable after construction and every operation here is
 pure, so concurrent reads are safe.
 """
@@ -29,20 +33,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InapplicableConditionError,
-    SingularityError,
-)
+from .errors import ConfigurationError, DomainError, SingularityError
 from .numkernel import as_square_matrix
 
 # construction-time sanity checks sample the weight rule at these indices
 VALIDATION_KS = (1, 2, 3, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
-# block scans walk k = 1, 2, ... in chunks growing from HEAD_CHUNK to CHUNK_CAP
-HEAD_CHUNK = 64
-CHUNK_GROWTH = 4
-CHUNK_CAP = 1 << 18
 
 ALPHA_KINDS = ("successor", "log_grid")
 SYMBOL_KINDS = ("one_plus_inv", "one_minus_inv_sqrt", "inverse", "power_beta")
@@ -213,16 +208,6 @@ class DiagBlockFamily:
         return b
 
 
-def block_chunks(lo: int, hi: int):
-    """Block indices lo < k <= hi in chunks growing from HEAD_CHUNK to CHUNK_CAP."""
-    size = HEAD_CHUNK
-    while lo < hi:
-        stop = min(lo + size, hi)
-        yield np.arange(lo + 1, stop + 1)
-        lo = stop
-        size = min(size * CHUNK_GROWTH, CHUNK_CAP)
-
-
 def assemble_truncation(family: DiagBlockFamily, n_blocks: int) -> DenseOperator:
     """Dense block-diagonal matrix of the first n_blocks blocks.
 
@@ -264,32 +249,6 @@ class TruncatedFamily:
             raise DomainError("truncation needs at least one block")
 
 
-def check_constant_norm_condition(
-    family: DiagBlockFamily, m: float, k_max: int
-) -> bool:
-    """Check f(alpha_k)^2 >= C^2 - m/alpha_k for every k up to k_max.
-
-    This is the sufficient condition under which the family's resolvent
-    norm is constant (equal to 1/C) on a neighbourhood of the origin.
-    Only meaningful for finite positive tail limits C.
-    """
-    c = family.symbol.tail_limit
-    if not (0.0 < c < math.inf):
-        raise InapplicableConditionError(
-            f"constant-norm condition needs a finite positive tail limit, got {c}"
-        )
-    if m < 0:
-        raise DomainError("condition constant m must be nonnegative")
-    if k_max < 1:
-        raise DomainError("k_max must be at least 1")
-    for ks in block_chunks(0, k_max):
-        alphas = family.alpha.values(ks)
-        fs = family.symbol.values(alphas)
-        if np.any(fs * fs < c * c - m / alphas):
-            return False
-    return True
-
-
 def scale_operator(model, s: complex):
     """Wrap model with a nonzero scale factor; nested scalings flatten."""
     f = complex(s)
@@ -308,7 +267,7 @@ def _verify_anchor(limit, anchor: complex):
     blocks.
     """
     # resolvent imports this module
-    from .resolvent import SPECTRUM_CLEARANCE, resolvent_power_norm
+    from .resolvent import HEAD_CHUNK, SPECTRUM_CLEARANCE, resolvent_power_norm
 
     d = 1.0 / resolvent_power_norm(limit, anchor, 0, max_blocks=HEAD_CHUNK).value
     if not d > SPECTRUM_CLEARANCE:
@@ -362,7 +321,6 @@ class OperatorSequence:
 class NamedExample:
     """A catalogue entry: the model plus any associated sequences."""
 
-    name: str
     model: object
     sequences: Mapping[str, object]
 
@@ -396,7 +354,7 @@ def _diag_pair() -> NamedExample:
         "grow": OperatorSequence(lambda k: dense_pair((1.0 + 1.0 / k) * 2.0), base),
         "scale": OperatorSequence(lambda k: scale_operator(base, 1.0 - 1.0 / k), base),
     }
-    return NamedExample("diag_pair", base, sequences)
+    return NamedExample(base, sequences)
 
 
 def build_named_example(name: str, params: Mapping | None = None) -> NamedExample:
@@ -423,4 +381,4 @@ def build_named_example(name: str, params: Mapping | None = None) -> NamedExampl
     kind, shape = _BLOCK_EXAMPLES[name]
     beta = float(params.get("beta", 0.5)) if kind == "power_beta" else None
     family = DiagBlockFamily(SymbolSpec(kind, beta), block_shape=shape)
-    return NamedExample(name, family, {})
+    return NamedExample(family, {})

@@ -38,8 +38,6 @@ STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 # farther out and at n >= 2.
 FIELD_MAX_BLOCKS = {2: 20000, 4: 256}
 
-DEFAULT_GRID_POINTS = 101
-
 READ_SLICE = 4096  # CSV records a reader parses at a time
 
 
@@ -52,8 +50,8 @@ class GridRegion:
     re_max: float
     im_min: float
     im_max: float
-    nx: int = DEFAULT_GRID_POINTS
-    ny: int = DEFAULT_GRID_POINTS
+    nx: int
+    ny: int
 
     def __post_init__(self):
         for name in ("re_min", "re_max", "im_min", "im_max"):

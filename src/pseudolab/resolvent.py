@@ -21,15 +21,17 @@ checks it against the term it evaluates, and a truncation sequence's
 defect is the engine's scan of its family past block k.
 
 Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
-engine that takes all points at once.  The points walk the
-operators.block_chunks schedule together; each chunk is evaluated for the
-points still active as (points x blocks) stacks of at most STACK_CAP 4x4
+engine that takes all points at once.  This module alone scans blocks:
+the points walk the block_chunks schedule together, chunks growing from
+HEAD_CHUNK blocks to CHUNK_CAP, and each chunk is evaluated for the points
+still active as (points x blocks) stacks of at most STACK_CAP 4x4
 matrices (16 * STACK_CAP 2x2 values), each reduced to per-point maxima at
 once.  Truncations take the exact maximum over their blocks.  Infinite
 families, or their blocks past a start index, scan a head until a
 closed-form certificate for the tail beyond it closes the gap; a point
 leaves the active set once its certificate closes, its value is inf, or
-the budget ends:
+the budget ends.  Every point's value starts at the tail limit, which
+_tail_limit alone writes down and every certificate reads:
 
 * 2x2 shapes: the symbols 1 + 1/x, 1 - 1/sqrt(x) and x^beta are
   monotone with x f(x) nondecreasing.  For n = 0, an algebraic criterion
@@ -41,8 +43,9 @@ the budget ends:
 * the 4x4 shape: for n = 0 and 1, a sign certificate from the expansion
   of the block resolvent in 1/alpha around its nilpotent limit proves
   that every block beyond the scan point stays strictly below the tail
-  limit (_four_stays_below_limit); where it does not hold, and for
-  n >= 2, an explicit deviation bound from the limit bounds the tail.
+  limit (_four_stays_below_limit; z = 0 has closed forms instead); where
+  it does not hold, and for n >= 2, an explicit deviation bound from the
+  limit bounds the tail.
   Its head values are exact: an LDL* positivity test of floor^2 I - M*M
   drops the blocks M whose norm cannot reach the value the point's scan
   must beat at the start of the chunk, and one stacked Jacobi call
@@ -84,7 +87,6 @@ from .operators import (
     ScaledOperator,
     TruncatedFamily,
     TruncationSequence,
-    block_chunks,
 )
 
 TAIL_TOL = 1e-9
@@ -98,6 +100,11 @@ STACK_CAP = 1 << 10
 # matrices: a point takes dim^2 entries per matrix and dim * SHIFTS Sturm
 # pivots per bisection pass
 DENSE_CAP = 1 << 18
+
+# block scans walk k = 1, 2, ... in chunks growing from HEAD_CHUNK to CHUNK_CAP
+HEAD_CHUNK = 64
+CHUNK_GROWTH = 4
+CHUNK_CAP = 1 << 18
 
 # the largest |z| a block family is evaluated at, by block dimension: the
 # 2x2 certificates form |z|^4 and the 4x4 deviation bound |z|^5, and these
@@ -266,6 +273,25 @@ def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, m: int) -> np.ndar
 # ------------------------------------------------------- tail certificates
 
 
+def _tail_limit(family, zs: np.ndarray, n: int) -> np.ndarray:
+    """At each z, the tail limit lim_k ||(B_k - z)^-2^n||^(1/2^n) of an infinite family.
+
+    A 2x2 block tends to the antidiagonal [[0, C], [alpha, 0]]: the limit is
+    1/C at n = 0, and 0 for n >= 1, where the power norms decay.  The 4x4
+    resolvents tend to L, nilpotent plus z times its square, with L^4 = 0
+    and ||L^2|| = 1: the limit is c at n = 0, 1 at n = 1 and 0 for n >= 2.
+    c^2, the top eigenvalue of L*L, is (t + sqrt(t^2 - 4)) / 2 with
+    t = 2 + r^2, r = |z|, taken as 1 + r (r + sqrt(r^2 + 4)) / 2, which does
+    not cancel as r -> 0.
+    """
+    if family.block_dim == 2:
+        return np.full(len(zs), 1.0 / family.symbol.tail_limit if n == 0 else 0.0)
+    if n == 0:
+        r = np.hypot(zs.real, zs.imag)
+        return np.sqrt(1.0 + r * (r + np.sqrt(r * r + 4.0)) / 2.0)
+    return np.full(len(zs), 1.0 if n == 1 else 0.0)
+
+
 def _tail_stays_below_limit(family, a: float, zs: np.ndarray) -> np.ndarray:
     """At each z, whether every block with weight >= a has value < 1/C (exact algebra).
 
@@ -288,13 +314,13 @@ def _envelope_sup(family, a: float, zs: np.ndarray) -> np.ndarray:
 
     Uses ||(B - z)^-1|| <= (r + x) / (x f(x) - r^2), which is monotone on
     the tail for every symbol kind the scan takes, so its sup is max(value
-    at the cutoff, limit 1/C).
+    at the cutoff, tail limit).
     """
     r = np.hypot(zs.real, zs.imag)
     f_a = family.symbol.value(a)
     p_a = a * f_a
     room = np.where((p_a > r * r) & (a >= f_a), p_a - r * r, math.nan)
-    return np.maximum((r + a) / room, 1.0 / family.symbol.tail_limit)
+    return np.maximum((r + a) / room, _tail_limit(family, zs, 0))
 
 
 def _power_tail_bound(family, a: float, zs: np.ndarray) -> np.ndarray:
@@ -317,6 +343,16 @@ def _power_tail_bound(family, a: float, zs: np.ndarray) -> np.ndarray:
 
 
 # -------------------------------------------------------- block-scan engine
+
+
+def block_chunks(lo: int, hi: int):
+    """Block indices lo < k <= hi in chunks growing from HEAD_CHUNK to CHUNK_CAP."""
+    size = HEAD_CHUNK
+    while lo < hi:
+        stop = min(lo + size, hi)
+        yield np.arange(lo + 1, stop + 1)
+        lo = stop
+        size = min(size * CHUNK_GROWTH, CHUNK_CAP)
 
 
 def _group_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
@@ -382,22 +418,20 @@ def _head_maxima(family, n_blocks: int, zs: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _tail_bound(family, a: float, zs: np.ndarray, n: int, limit0: np.ndarray) -> np.ndarray:
-    """At each z, an upper bound for every block value beyond weight a; NaN where none applies.
-
-    limit0 is the n = 0 tail limit at each z.
-    """
+def _tail_bound(family, a: float, zs: np.ndarray, n: int) -> np.ndarray:
+    """At each z, an upper bound for every block value beyond weight a; NaN where none applies."""
     if family.block_dim == 2:
         if n > 0:
             return _power_tail_bound(family, a, zs)
         below = _tail_stays_below_limit(family, a, zs)
-        return np.where(below, limit0, _envelope_sup(family, a, zs))
+        return np.where(below, _tail_limit(family, zs, 0), _envelope_sup(family, a, zs))
+    limit0 = _tail_limit(family, zs, 0)
     xi = _four_tail_deviation(family, a, zs)
     eta = xi * (xi + 2.0 * limit0)
     if n >= 2:
         return (2.0 * eta + eta * eta) ** 0.25
-    # the tail limit is limit0 at n = 0 and ||L^2|| = 1 at n = 1
-    limit, deviation = (limit0, limit0 + xi) if n == 0 else (1.0, np.sqrt(1.0 + eta))
+    limit = _tail_limit(family, zs, n)
+    deviation = limit + xi if n == 0 else np.sqrt(limit * limit + eta)
     return np.where(_four_stays_below_limit(family, a, zs, n), limit, deviation)
 
 
@@ -417,18 +451,16 @@ def _family_values(
     inf.  Points still open when the budget ends are uncertified and keep
     their smallest gap.
     """
-    four = family.block_dim == 4
-    limit0 = _four_limit_norm(zs) if four else np.full(len(zs), 1.0 / family.symbol.tail_limit)
-    # the tail limit; the 4x4 limit L has ||L^2|| = 1 and L^4 = 0
-    value = limit0.copy() if n == 0 else np.full(len(zs), 1.0 if four and n == 1 else 0.0)
+    value = _tail_limit(family, zs, n)
     tail_gap = np.full(len(zs), math.inf)
     certified = np.zeros(len(zs), dtype=bool)
     k_cutoff = np.zeros(len(zs), dtype=np.int64)
-    if four and n in (0, 1):
+    if family.block_dim == 4 and n in (0, 1):
         # closed forms at z = 0: ||B^-1|| = 1/beta_k < 1 and ||B^-2|| =
-        # 1/beta_k^2 < 1 for every block, while the tail limit is exactly 1
+        # 1/beta_k^2 < 1 for every block, while the tail limit, the seed, is
+        # exactly 1
         closed = zs == 0
-        value[closed], tail_gap[closed], certified[closed] = 1.0, 0.0, True
+        tail_gap[closed], certified[closed] = 0.0, True
     active = np.flatnonzero(~certified)
     for ks in block_chunks(start, start + max_blocks):
         if not len(active):
@@ -438,7 +470,7 @@ def _family_values(
         k_cutoff[active] = k_done
         a = float(family.alpha.values(np.array([k_done + 1]))[0])
         v = value[active]
-        ub = _tail_bound(family, a, zs[active], n, limit0[active])
+        ub = _tail_bound(family, a, zs[active], n)
         # an inf value is exact; a NaN gap (no certificate) keeps the old gap
         gap = np.where(np.isinf(v), 0.0, np.maximum(ub - v, 0.0))
         tail_gap[active] = np.fmin(tail_gap[active], gap)
@@ -543,12 +575,6 @@ def _scaled_root(sigma, exps, m: int):
         return np.where(np.isinf(exps), math.inf, head * np.exp2(q))
 
 
-def _four_limit_norm(zs: np.ndarray) -> np.ndarray:
-    """At each z, the norm of the limiting resolvent (nilpotent part plus z times its square)."""
-    t = 2.0 + np.hypot(zs.real, zs.imag) ** 2
-    return np.sqrt((t + np.sqrt(t * t - 4.0)) / 2.0)
-
-
 def _poly_product(p: np.ndarray, q: np.ndarray, matrix: bool) -> np.ndarray:
     """Coefficients in u of the product of two polynomials with coefficient stacks p, q.
 
@@ -585,12 +611,11 @@ def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int) -> np.ndar
     So X*X = H0 + u H1 + u^2 H2 + D with H_j = sum_i X_i* X_(j-i) and
     ||D|| <= K u^3, K = ||H3|| + U ||H4|| + 2 ||S|| t + U^3 t^2.
 
-    H0 = X0* X0 has top eigenvalue c^2, the squared tail limit, with
-    eigenvector v, and next eigenvalue l2: c^2 = 1 + r (r + sqrt(r^2 + 4)) / 2,
-    r = |z|, v ~ (c, 0, 0, z / r) and l2 = 1/c^2 at n = 0; c = 1, v = e0 and
-    l2 = 0 at n = 1.  Compressing X*X onto v and its complement
-    (Kato, Perturbation Theory for Linear Operators) bounds its top
-    eigenvalue by that of [[c^2 - u A, u b], [u b, c^2 - G]] with
+    H0 = X0* X0 has top eigenvalue c^2, c the tail limit (_tail_limit), with
+    eigenvector v and next eigenvalue l2: v ~ (c, 0, 0, z / r), r = |z|, and
+    l2 = 1/c^2 at n = 0; v = e0 and l2 = 0 at n = 1.  Compressing X*X onto v
+    and its complement (Kato, Perturbation Theory for Linear Operators)
+    bounds its top eigenvalue by that of [[c^2 - u A, u b], [u b, c^2 - G]] with
     A = -v*H1 v - U |v*H2 v| - K U^2, b = ||P H1 v|| + U ||P H2 v|| + K U^2
     (P the projection off v) and G = c^2 - l2 - (||H1|| + U ||H2||) u - K u^3,
     so ||X|| < c^m whenever A > 0, G > 0 and A G > u b^2.  G, A and b are
@@ -598,14 +623,12 @@ def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int) -> np.ndar
     norms are Frobenius norms, the good terms are shrunk and the bad ones
     grown by a relative 1e-9 that covers the rounding, and the certificate
     applies only where |z|^4 < a, which keeps every power of |z| finite.
-    At n = 0 it also needs |z| >= 1e-4: _four_limit_norm, the reported
-    limit, loses about 1e-16/|z| to cancellation, and from there on that
-    stays far below TAIL_TOL.
+    At n = 0, z = 0 is left to the closed form, where v has no direction.
     """
     r = np.hypot(zs.real, zs.imag)
     ok = r**4 < a
     if n == 0:
-        ok &= r >= 1e-4
+        ok &= r > 0.0
     z = np.where(ok, zs, 0.0)
     r = np.where(ok, r, 0.0)
     u = 1.0 / a
@@ -645,14 +668,15 @@ def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int) -> np.ndar
     h3 = xh1 @ x2 + xh2 @ x1
     big_k = _fro(h3) + u * _fro(xh2 @ x2) + 2.0 * s_norm * t + u**3 * t * t
     v = np.zeros((len(zs), 4, 1), dtype=np.complex128)
+    c = _tail_limit(family, z, n)
+    c2 = c * c
     if n == 0:
-        c2 = 1.0 + r * (r + np.sqrt(r * r + 4.0)) / 2.0
         norm = np.sqrt(c2 + 1.0)
-        v[:, 0, 0] = np.sqrt(c2) / norm
+        v[:, 0, 0] = c / norm
         v[:, 3, 0] = z / (np.where(ok, r, 1.0) * norm)
         gap0 = r * np.sqrt(r * r + 4.0)  # c^2 - 1/c^2
     else:
-        c2, gap0 = 1.0, 1.0
+        gap0 = 1.0
         v[:, 0, 0] = 1.0
 
     def along(h):

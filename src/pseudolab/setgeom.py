@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .pseudospectra import GridRegion, LevelSetMask
 
 # entries per chunk of every distance table (brute force, the transform's
@@ -55,26 +55,6 @@ class MaskSet:
     @classmethod
     def from_level_set(cls, level: LevelSetMask) -> "MaskSet":
         return cls(level.region, level.mask)
-
-    @classmethod
-    def from_points(cls, region: GridRegion, points) -> "MaskSet":
-        """Mask with exactly the given lattice points set.
-
-        Points must sit on the region's lattice; nothing is snapped.
-        """
-        mask = np.zeros((region.nx, region.ny), dtype=bool)
-        scale = max(region.hx, region.hy)
-        for p in points:
-            z = complex(p)
-            i = round((z.real - region.re_min) / region.hx)
-            j = round((z.imag - region.im_min) / region.hy)
-            if not (0 <= i < region.nx and 0 <= j < region.ny):
-                raise ConfigurationError(f"point {z} lies outside the region")
-            on_grid = region.point(i, j)
-            if abs(z - on_grid) > 1e-9 * scale:
-                raise ConfigurationError(f"point {z} is not on the lattice")
-            mask[i, j] = True
-        return cls(region, mask)
 
     @property
     def size(self) -> int:

@@ -118,6 +118,16 @@ class TestExitCodeMatrix:
     def test_verdict_fail_is_one(self, capsys):
         assert run(["verify", "constant-region", "--model", "nonconstant"]) == 1
 
+    def test_constant_region_refuses_a_four_by_four_family(self, capsys):
+        # the region is shargorodsky's at n = 0; remark_n1's claim is at n = 1
+        assert run(["verify", "constant-region", "--model", "remark_n1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n = 1" in err
+
+    def test_empty_resolvent_takes_no_model(self, capsys):
+        assert run(["verify", "empty-resolvent", "--model", "empty_resolvent"]) == 2
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         assert run(["bogus"]) == 2
 

@@ -7,7 +7,6 @@ import pytest
 from pseudolab.errors import (
     ConfigurationError,
     DomainError,
-    InapplicableConditionError,
     SingularityError,
 )
 from pseudolab.experiments import decay_study
@@ -24,7 +23,6 @@ from pseudolab.operators import (
     TruncationSequence,
     assemble_truncation,
     build_named_example,
-    check_constant_norm_condition,
     scale_operator,
 )
 
@@ -193,32 +191,6 @@ class TestBlockEigenvalues:
         got = np.sort_complex(np.asarray(got))
         want = np.sort_complex(np.asarray(want))
         assert np.allclose(got, want, atol=1e-8)
-
-
-class TestConstantNormCondition:
-    def test_shargorodsky_holds_with_zero_margin(self):
-        assert check_constant_norm_condition(shargorodsky_family(), 0.0, 10_000)
-
-    def test_nonconstant_family_violates(self):
-        family = build_named_example("nonconstant").model
-        assert not check_constant_norm_condition(family, 1.0, 10_000)
-
-    def test_margin_only_postpones_the_nonconstant_violation(self):
-        # (1 - 1/sqrt(a))^2 >= 1 - m/a exactly while 2 sqrt(a) - 1 <= m; for
-        # m = 100 that ends at a = 2551, the weight of k = 2550
-        family = build_named_example("nonconstant").model
-        assert check_constant_norm_condition(family, 100.0, 2549)
-        assert not check_constant_norm_condition(family, 100.0, 2550)
-
-    def test_inapplicable_tails(self):
-        with pytest.raises(InapplicableConditionError):
-            check_constant_norm_condition(
-                build_named_example("empty_resolvent").model, 0.0, 10
-            )
-        with pytest.raises(InapplicableConditionError):
-            check_constant_norm_condition(
-                build_named_example("decay", {"beta": 0.5}).model, 0.0, 10
-            )
 
 
 class TestScaleOperator:

@@ -1,4 +1,5 @@
 """Resolvent and resolvent-power norms: frozen values, invariants, errors."""
+import decimal
 import math
 import warnings
 
@@ -691,6 +692,52 @@ class TestFourSignCertificate:
                 assert not resolvent._four_stays_below_limit(REMARK, a, zs, n).any()
 
 
+def _four_limit_digits(r: float) -> decimal.Decimal:
+    """The 4x4 n = 0 tail limit c at |z| = r to 50 digits.
+
+    c^2 = (t + sqrt(t^2 - 4)) / 2 with t = 2 + r^2, the form that cancels in
+    double precision.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        t = 2 + decimal.Decimal(r) ** 2
+        return ((t + (t * t - 4).sqrt()) / 2).sqrt()
+
+
+class TestFourTailLimitNearZero:
+    """The n = 0 tail limit of the 4x4 family is exact to rounding as z -> 0,
+    where t^2 - 4 cancels, and the sign certificate covers those points."""
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-7, 1e-5, 1e-3, 0.5, 1.0, 10.0])
+    def test_limit_matches_fifty_digits(self, r):
+        got = resolvent._tail_limit(REMARK, np.array([complex(r)]), 0)[0]
+        want = float(_four_limit_digits(r))
+        assert abs(got - want) <= np.spacing(want)
+
+    @pytest.mark.parametrize("z", [1e-8, 1e-7, 1e-3j])
+    def test_value_is_not_above_the_limit(self, z):
+        # the head blocks stay below the limit, so the value is the limit
+        got = resolvent_power_norm(REMARK, z, 0, max_blocks=resolvent.HEAD_CHUNK)
+        assert got.value <= float(_four_limit_digits(abs(z)))
+
+    def test_tiny_point_is_certified(self):
+        got = resolvent_power_norm(REMARK, 1e-5, 0)
+        assert got.certified and got.tail_gap == 0.0
+        assert got.k_cutoff < resolvent.MAX_BLOCKS_DEFAULT
+
+    @pytest.mark.parametrize("a", [3e4, 3e5, 3e6])
+    def test_certified_tiny_points_stay_below_the_limit(self, a):
+        rng = np.random.default_rng(int(math.log10(a)))
+        radii = np.geomspace(1e-7, 9.9e-5, 24)
+        zs = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(radii)))
+        below = resolvent._four_stays_below_limit(REMARK, a, zs, 0)
+        assert below.any()
+        alphas = np.concatenate([a + np.arange(256.0), np.geomspace(a + 256.0, 1e7, 64)])
+        for z in zs[below]:
+            top = four_block_power_norms_oracle(alphas, z, 0).max()
+            assert top < float(_four_limit_digits(abs(z)))
+
+
 class TestInverseSymbolPowers:
     """B^2 = I, so (B - z)^-m is bounded over the blocks only where
     ((z - 1)/(z + 1))^m = 1; for m = 2^n that is z = 0 (n >= 1) and z = +-i
@@ -740,6 +787,8 @@ class TestCertificatesAreArrayFunctions:
             (REMARK, 0, "_four_tail_deviation"),
             (REMARK, 0, "_four_stays_below_limit"),
             (REMARK, 1, "_four_stays_below_limit"),
+            (REMARK, 0, "_tail_limit"),
+            (SHARG, 0, "_tail_limit"),
             (SHARG, 0, "_tail_stays_below_limit"),
             (SHARG, 1, "_power_tail_bound"),
         ],
