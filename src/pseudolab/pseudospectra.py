@@ -35,7 +35,8 @@ STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 # Jacobi evaluation; reported values stay certified lower bounds either way.
 # At n = 0 and 1 the 4x4 sign certificate closes remark_n1 cells with |z|
 # up to about 2 after the first 64 blocks, so the 4x4 budget binds only
-# farther out and at n >= 2.
+# farther out and at n >= 2.  The 2x2 budget does not bind on [-4,4]^2 at
+# n = 0, where the 2x2 sign certificate closes every cell by block 5440.
 FIELD_MAX_BLOCKS = {2: 20000, 4: 256}
 
 READ_SLICE = 4096  # CSV records a reader parses at a time

@@ -34,9 +34,9 @@ the budget ends.  Every point's value starts at the tail limit, which
 _tail_limit alone writes down and every certificate reads:
 
 * 2x2 shapes: the symbols 1 + 1/x, 1 - 1/sqrt(x) and x^beta are
-  monotone with x f(x) nondecreasing.  For n = 0, an algebraic criterion
-  shows every block of 1 + 1/x beyond the scan point stays strictly below
-  1/C = 1 (so the tail supremum is exactly 1), and a monotone envelope
+  monotone with x f(x) nondecreasing.  For n = 0, exact polynomial algebra
+  shows no block of 1 + 1/x or 1 - 1/sqrt(x) beyond the scan point exceeds
+  the point's value (_two_stays_below), and a monotone envelope
   (r + x) / (x f(x) - r^2) bounds the tail otherwise; for powers,
   Schur-style bounds on the squared block resolvent give a decreasing
   tail majorant;
@@ -90,6 +90,7 @@ from .operators import (
 )
 
 TAIL_TOL = 1e-9
+SIGN_SLACK = 64 * np.finfo(np.float64).eps  # the 2x2 sign certificate's allowance
 MAX_BLOCKS_DEFAULT = 10**6
 SPECTRUM_CLEARANCE = 1e-10
 # the most 4x4 matrices one stack of the block engine holds, for one point
@@ -292,21 +293,77 @@ def _tail_limit(family, zs: np.ndarray, n: int) -> np.ndarray:
     return np.full(len(zs), 1.0 if n == 1 else 0.0)
 
 
-def _tail_stays_below_limit(family, a: float, zs: np.ndarray) -> np.ndarray:
-    """At each z, whether every block with weight >= a has value < 1/C (exact algebra).
+def _one_minus_re_square(zs: np.ndarray):
+    """1 - Re z^2 at each z and a bound on its error, small beside |z|^2.
 
-    Only one_plus_inv has blocks that approach the limit from below; the
-    criterion is monotone in the weight, so checking it at the cutoff
-    covers the whole tail.
+    Dekker's split gives x^2 = hx + lx and y^2 = hy + ly exactly, and
+    Knuth's two-sum hx - hy = s + t, so only sums of the small parts and
+    1 - s round.  The splits are exact within BLOCK_Z_LIMIT.
     """
-    if family.symbol.kind != "one_plus_inv":
+
+    def square(x):
+        c = 134217729.0 * x  # 2^27 + 1
+        top = c - (c - x)
+        rest = x - top
+        hi = x * x
+        return hi, ((top * top - hi) + 2.0 * top * rest) + rest * rest
+
+    (hx, lx), (hy, ly) = square(zs.real), square(zs.imag)
+    s = hx - hy
+    b = s - hx
+    small = ((hx - (s - b)) - (hy + b)) + (lx - ly)
+    e = (1.0 - s) - small
+    err = np.abs(1.0 - s) + np.abs(e) + np.abs(small) + np.abs(lx) + np.abs(ly)
+    return e, np.finfo(np.float64).eps * err
+
+
+def _two_stays_below(family, a: float, zs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """At each z, whether every block with weight >= a has n = 0 value <= t (exact algebra).
+
+    A block's value v solves D v^4 - F v^2 + 1 = 0, D = |z^2 - x f|^2 and
+    F = 2|z|^2 + x^2 + f^2, as its larger root; at T = t^2 >= 1 the smaller
+    one, 1/sigma_max^2 < 1 (sigma_max >= max(x, f) > 1), lies below T, so
+    v <= t exactly when D T^2 - F T + 1 >= 0 (D = 0 makes it negative).
+    Times x^2 that is a polynomial p of degree 4 in x for f = 1 + 1/x and
+    of degree 6 in y = sqrt(x) for f = 1 - 1/sqrt(x), with top coefficient
+    T (T - 1), so T >= 1 is part of the test.  p
+    is nonnegative on the tail when every Taylor coefficient at x0 = a (or
+    sqrt(a) rounded down) is, each divided by x0^(d - j) so the sums stay
+    finite, by at least SIGN_SLACK times the same sum over its terms'
+    absolute values, which also carry the error of 1 - Re z^2.  Points
+    with t = inf and the other symbols are refused.
+    """
+    kind = family.symbol.kind
+    if kind not in ("one_plus_inv", "one_minus_inv_sqrt"):
         return np.zeros(len(zs), dtype=bool)
-    zsq = _cmul(zs, zs)
-    u, v = zsq.real, zsq.imag
-    r2 = np.hypot(zs.real, zs.imag) ** 2
-    g = 2.0 * a * (1.0 - u) + (1.0 - u) ** 2 + v * v - 2.0 * r2
-    g -= 2.0 / a + 1.0 / (a * a)
-    return (u <= 1.0) & (g > 0.0)
+    ok = np.isfinite(t)
+    z = np.where(ok, zs, 0.0)
+    big_t = np.where(ok, t, 1.0) ** 2
+    tt = big_t * big_t
+    v = _cmul(z, z).imag
+    r2 = z.real * z.real + z.imag * z.imag
+
+    def coefficients(e, h, u, v, t1, s):
+        """Ascending, in e = 1 - Re z^2 = 1 - u and h = 1 - 2u; with s = 1 and
+        the inputs' magnitudes, bounds on the terms."""
+        middle = 1.0 + s * big_t * (2.0 * r2 + 1.0)
+        if kind == "one_plus_inv":
+            return [s * big_t, s * 2.0 * big_t, tt * (e * e + v * v) + middle,
+                    2.0 * tt * e, big_t * t1]
+        return [s * big_t, 2.0 * big_t, tt * r2 * r2 + middle, 2.0 * tt * u,
+                tt * h, s * 2.0 * tt, big_t * t1]
+
+    t1 = big_t - 1.0
+    e, de = _one_minus_re_square(z)
+    de /= SIGN_SLACK  # so SIGN_SLACK times a magnitude also covers it
+    p = np.stack(coefficients(e, 2.0 * e - 1.0, 1.0 - e, v, t1, -1.0), axis=1)
+    mag = np.stack(coefficients(np.abs(e) + de, np.abs(2.0 * e - 1.0) + 2.0 * de,
+                                np.abs(1.0 - e) + de, np.abs(v), np.abs(t1), 1.0), axis=1)
+    x0 = a if kind == "one_plus_inv" else np.nextafter(math.sqrt(a), 0.0)
+    k = np.arange(p.shape[1])
+    binom = np.array([[math.comb(i, j) for j in k] for i in k], dtype=np.float64)
+    shift = binom * x0 ** (k[:, None] - k[-1])
+    return ok & np.all(p @ shift >= SIGN_SLACK * (mag @ shift), axis=1)
 
 
 def _envelope_sup(family, a: float, zs: np.ndarray) -> np.ndarray:
@@ -418,13 +475,19 @@ def _head_maxima(family, n_blocks: int, zs: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _tail_bound(family, a: float, zs: np.ndarray, n: int) -> np.ndarray:
-    """At each z, an upper bound for every block value beyond weight a; NaN where none applies."""
+def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    """At each z, an upper bound for every block value beyond weight a; NaN where none applies.
+
+    A 2x2 point at n = 0 takes the least of the envelope and its value, or
+    value + TAIL_TOL rounded toward it, where the sign certificate holds.
+    """
     if family.block_dim == 2:
         if n > 0:
             return _power_tail_bound(family, a, zs)
-        below = _tail_stays_below_limit(family, a, zs)
-        return np.where(below, _tail_limit(family, zs, 0), _envelope_sup(family, a, zs))
+        slack = np.nextafter(values + TAIL_TOL, values)
+        proved = np.where(_two_stays_below(family, a, zs, slack), slack, math.nan)
+        proved = np.where(_two_stays_below(family, a, zs, values), values, proved)
+        return np.fmin(proved, _envelope_sup(family, a, zs))
     limit0 = _tail_limit(family, zs, 0)
     xi = _four_tail_deviation(family, a, zs)
     eta = xi * (xi + 2.0 * limit0)
@@ -470,7 +533,7 @@ def _family_values(
         k_cutoff[active] = k_done
         a = float(family.alpha.values(np.array([k_done + 1]))[0])
         v = value[active]
-        ub = _tail_bound(family, a, zs[active], n)
+        ub = _tail_bound(family, a, zs[active], n, v)
         # an inf value is exact; a NaN gap (no certificate) keeps the old gap
         gap = np.where(np.isinf(v), 0.0, np.maximum(ub - v, 0.0))
         tail_gap[active] = np.fmin(tail_gap[active], gap)

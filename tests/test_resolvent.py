@@ -2,6 +2,7 @@
 import decimal
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from pseudolab.numkernel import (
     sv2x2_batch,
 )
 from pseudolab.operators import TruncatedFamily
+from pseudolab.pseudospectra import FIELD_MAX_BLOCKS
 from pseudolab.resolvent import (
     _batch_square_scaled,
     _dense_power_norms,
@@ -692,6 +694,175 @@ class TestFourSignCertificate:
                 assert not resolvent._four_stays_below_limit(REMARK, a, zs, n).any()
 
 
+# the 2x2 families with a sign certificate: both symbols, both weight rules
+# (1 - 1/sqrt(x) vanishes at the log grid's first weight, so it takes the
+# successor rule only)
+TWO_SIGN_FAMILIES = (
+    SHARG,
+    DiagBlockFamily(SymbolSpec("one_plus_inv"), AlphaRule("log_grid")),
+    NONCONST,
+)
+# Re z^2 = 1.04 (blocks rise above the limit to a maximum near weight 3880)
+# and Re z^2 = 1 + 8.9e-16; 2.125 + 1.875i lies on Re z^2 = 1 exactly
+NEAR_HYPERBOLA = np.array(
+    [2.7 + 2.5j, 2.7 - 2.5j, -2.7 + 2.5j, -2.7 - 2.5j,
+     2.6 + 2.4j, 2.6 - 2.4j, -2.6 + 2.4j, -2.6 - 2.4j, 2.125 + 1.875j]
+)
+
+
+def _two_tail_blocks(family, a: float) -> np.ndarray:
+    """2x2 blocks of family's symbol at weights from a: 256 consecutive, then out to 1e7."""
+    alphas = np.concatenate([a + np.arange(256.0), np.geomspace(a + 256.0, 1e7, 64)])
+    blocks = np.zeros((len(alphas), 2, 2), dtype=complex)
+    blocks[:, 0, 1] = family.symbol.values(alphas)
+    blocks[:, 1, 0] = alphas
+    return blocks
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _poly_add(*ps: list) -> list:
+    out = [Fraction(0)] * max(map(len, ps))
+    for p in ps:
+        for i, c in enumerate(p):
+            out[i] += c
+    return out
+
+
+def _exact_shifted_coefficients(kind: str, z: complex, x0: float, t: float) -> list:
+    """Taylor coefficients at x0 of w^2 (D T^2 - F T + 1), T = fl(t^2), in exact arithmetic.
+
+    w is the weight x for 1 + 1/x and y = sqrt(x) for 1 - 1/sqrt(x); D and F
+    are |det|^2 and the squared Frobenius norm of B - z, built from x f(x)
+    and f(x) as polynomials in w.
+    """
+    re, im = Fraction(z.real), Fraction(z.imag)
+    big_t = Fraction(t * t)
+    if kind == "one_plus_inv":
+        xf, x, wf = [Fraction(1), Fraction(1)], [0, Fraction(1)], [Fraction(1), Fraction(1)]
+    else:
+        xf, x, wf = [0, Fraction(-1), Fraction(1)], [0, 0, Fraction(1)], [Fraction(-1), Fraction(1)]
+    det = _poly_add([re * re - im * im], [-c for c in xf])
+    d = _poly_add(_poly_mul(det, det), [(2 * re * im) ** 2])
+    w2 = [0, 0, Fraction(1)]
+    # w^2 F = 2 |z|^2 w^2 + w^2 x^2 + (w f)^2
+    w2f = _poly_add([c * 2 * (re * re + im * im) for c in w2],
+                    _poly_mul(w2, _poly_mul(x, x)), _poly_mul(wf, wf))
+    p = _poly_add(_poly_mul(w2, [c * big_t * big_t for c in d]), w2,
+                  [-c * big_t for c in w2f])
+    shift = Fraction(x0)
+    return [sum(math.comb(k, j) * p[k] * shift ** (k - j) for k in range(j, len(p)))
+            for j in range(len(p))]
+
+
+class TestTwoSignCertificate:
+    """_two_stays_below proves that every 2x2 block past weight a has n = 0
+    value at most t; each claim is checked on numpy blocks out to weight 1e7."""
+
+    @pytest.mark.parametrize(
+        "family", TWO_SIGN_FAMILIES, ids=["shargorodsky", "log_grid", "nonconstant"]
+    )
+    @pytest.mark.parametrize("k_done", [64, 320, 1344, 5440])
+    def test_certified_points_stay_below(self, family, k_done):
+        # a = 66, 322, 1346, 5442 on the successor rule; t is the value the
+        # scan holds after block k_done, and that value + TAIL_TOL
+        a = family.alpha.value(k_done + 1)
+        zs = np.concatenate([_disc_points(4.0, 80, seed=k_done), NEAR_HYPERBOLA])
+        head = resolvent.resolvent_power_norms(TruncatedFamily(family, k_done), zs, 0).value
+        value = np.maximum(head, 1.0)
+        blocks = _two_tail_blocks(family, a)
+        claimed = 0
+        for t in (value, value + resolvent.TAIL_TOL):
+            below = resolvent._two_stays_below(family, a, zs, t)
+            claimed += below.sum()
+            for z, bound in zip(zs[below], t[below]):
+                top = two_block_power_norms_oracle(blocks, z, 0).max()
+                assert top <= bound * (1.0 + SOUND_SLACK)
+        assert claimed > 0
+
+    @pytest.mark.parametrize("a", [66.0, 322.0, 1346.0])
+    def test_late_maxima_are_refused(self, a):
+        # at +-2.7 +- 2.5i the blocks peak near weight 3880, past a
+        zs = NEAR_HYPERBOLA[:4]
+        head = resolvent.resolvent_power_norms(TruncatedFamily(SHARG, int(a) - 2), zs, 0).value
+        assert not resolvent._two_stays_below(SHARG, a, zs, head).any()
+        for z, t in zip(zs, head):
+            assert two_block_power_norms_oracle(_two_tail_blocks(SHARG, a), z, 0).max() > t
+
+    def test_hyperbola_points_close_at_their_own_value(self):
+        # the maximum 1.0000051556306346 is in the head by block 5440; Re z^2
+        # = 1 exactly keeps every block below 1, and Re z^2 = 1 + 8.9e-16
+        # needs the limit + TAIL_TOL
+        peak = np.full(4, 1.0000051556306346)
+        assert resolvent._two_stays_below(SHARG, 5442.0, NEAR_HYPERBOLA[:4], peak).all()
+        ones = np.ones(5)
+        assert list(resolvent._two_stays_below(SHARG, 66.0, NEAR_HYPERBOLA[4:], ones)) == [
+            False, False, False, False, True
+        ]
+        slack = ones + resolvent.TAIL_TOL
+        assert resolvent._two_stays_below(SHARG, 66.0, NEAR_HYPERBOLA[4:], slack).all()
+
+    @pytest.mark.parametrize("family", [SHARG, NONCONST], ids=["shargorodsky", "nonconstant"])
+    def test_accepted_shifts_are_nonnegative_exactly(self, family):
+        # the claim rests on every Taylor coefficient at x0 being nonnegative
+        # in exact arithmetic.  At the polynomial's largest root the constant
+        # one is zero to rounding, and a relative 1e-11 past it, small
+        kind = family.symbol.kind
+        zs = _disc_points(4.0, 150, seed=5)
+        ts = 1.0 + np.random.default_rng(5).uniform(1e-6, 0.05, len(zs))
+        if kind == "one_plus_inv":
+            ts[::3] = 1.0  # the limit itself
+        accepted = 0
+        for z, t in zip(zs, ts):
+            plain = [float(c) for c in _exact_shifted_coefficients(kind, complex(z), 0.0, t)]
+            roots = np.roots(plain[::-1])
+            top = roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real.max(initial=0.0)
+            for rel in (0.0, 1e-15, 1e-13, 1e-11):
+                x0 = top * (1.0 + rel)
+                a = x0 if kind == "one_plus_inv" else x0 * x0
+                if not (a > 2.0 and resolvent._two_stays_below(
+                        family, a, np.array([z]), np.array([t]))[0]):
+                    continue
+                accepted += 1
+                x0 = a if kind == "one_plus_inv" else np.nextafter(math.sqrt(a), 0.0)
+                assert min(_exact_shifted_coefficients(kind, complex(z), x0, t)) >= 0
+        assert accepted > 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_points_on_the_spectrum_stay_out_of_the_algebra(self):
+        # z = 2 is the eigenvalue of block 2; it shares its chunks with finite points
+        zs = np.array([2.0, 0.5, 2.7 + 2.5j, 1j, 2.6 - 2.4j])
+        batch = resolvent.resolvent_power_norms(SHARG, zs, 0)
+        assert math.isinf(batch.value[0]) and batch.certified.all()
+        for z, rv in zip(zs, batch):
+            assert rv == resolvent_norm(SHARG, z)
+        t = np.array([math.inf, 1.0, 1.0, 1.0, 1.0])
+        assert not resolvent._two_stays_below(SHARG, 66.0, zs, t)[0]
+
+    def test_shargorodsky_window_certifies_every_cell(self):
+        # at the field budget 110 of these 6561 cells stayed open with the
+        # envelope alone
+        zs = GridRegion(-4.0, 4.0, -4.0, 4.0, 81, 81).lattice().ravel()
+        batch = resolvent.resolvent_power_norms(SHARG, zs, 0, max_blocks=FIELD_MAX_BLOCKS[2])
+        assert batch.certified.all()
+
+    @pytest.mark.parametrize(
+        "model, z, value, k_cutoff",
+        [(NONCONST, 50 + 50j, 1.0020386189953652, 349504),
+         (SHARG, 2.7 + 2.5j, 1.0000051556306346, 5440)],
+    )
+    def test_slow_points_close(self, model, z, value, k_cutoff):
+        # both scanned all 10^6 blocks and ended uncertified with the envelope
+        got = resolvent_norm(model, z)
+        assert got == ResolventValue(value, 0.0, True, k_cutoff)
+
+
 def _four_limit_digits(r: float) -> decimal.Decimal:
     """The 4x4 n = 0 tail limit c at |z| = r to 50 digits.
 
@@ -789,7 +960,8 @@ class TestCertificatesAreArrayFunctions:
             (REMARK, 1, "_four_stays_below_limit"),
             (REMARK, 0, "_tail_limit"),
             (SHARG, 0, "_tail_limit"),
-            (SHARG, 0, "_tail_stays_below_limit"),
+            (SHARG, 0, "_two_stays_below"),
+            (NONCONST, 0, "_two_stays_below"),
             (SHARG, 1, "_power_tail_bound"),
         ],
     )
