@@ -504,7 +504,7 @@ def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyRepor
         alphas = rule.values(np.arange(1, kmax + 1))
 
     zs = [r * complex(math.cos(phi), math.sin(phi)) for r in rs]
-    values = resolvent_power_norms(family, zs, 0, max_blocks=40000).value.tolist()
+    values = resolvent_power_norms(family, zs, 0).value.tolist()
     series = list(zip(rs, values))
     mu_grid = []
     mu_cont = []

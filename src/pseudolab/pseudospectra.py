@@ -25,19 +25,9 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .operators import DiagBlockFamily, ScaledOperator
-from .resolvent import MAX_BLOCKS_DEFAULT, resolvent_power_norms
+from .resolvent import resolvent_power_norms
 
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
-
-# Tail-scan budgets for infinite families during field sweeps.  A 4x4
-# block costs an LDL* positivity screen and, if it may set the maximum, a
-# Jacobi evaluation; reported values stay certified lower bounds either way.
-# At n = 0 and 1 the 4x4 sign certificate closes remark_n1 cells with |z|
-# up to about 2 after the first 64 blocks, so the 4x4 budget binds only
-# farther out and at n >= 2.  The 2x2 budget does not bind on [-4,4]^2 at
-# n = 0, where the 2x2 sign certificate closes every cell by block 5440.
-FIELD_MAX_BLOCKS = {2: 20000, 4: 256}
 
 READ_SLICE = 4096  # CSV records a reader parses at a time
 
@@ -169,23 +159,13 @@ class AssumptionCheck:
 def compute_norm_field(model, region: GridRegion, n: int = 0) -> NormField:
     """Sample the resolvent power norm of model at every lattice point.
 
-    All cells go to resolvent_power_norms in one call, so each cell is
-    resolvent_power_norm(model, z, n) at its lattice point, bit for bit at
-    the same block budget, and block families scan every point's blocks in
-    shared stacks.  A block family, also under scaling, takes the
-    per-shape FIELD_MAX_BLOCKS tail budget, which keeps full-window sweeps
-    affordable while the reported values remain certified lower bounds;
-    every other model takes the engine's default.
+    All cells go to resolvent_power_norms in one call at the engine's
+    default block budget, so each cell is resolvent_power_norm(model, z, n)
+    at its lattice point, bit for bit, and block families scan every
+    point's blocks in shared stacks.
     """
-    inner = model
-    while isinstance(inner, ScaledOperator):
-        inner = inner.inner
-    if isinstance(inner, DiagBlockFamily):
-        max_blocks = FIELD_MAX_BLOCKS[inner.block_dim]
-    else:
-        max_blocks = MAX_BLOCKS_DEFAULT
     zs = region.lattice().ravel()
-    vals = resolvent_power_norms(model, zs, n, max_blocks=max_blocks).value
+    vals = resolvent_power_norms(model, zs, n).value
     return NormField(region, n, vals.reshape(region.nx, region.ny))
 
 

@@ -40,12 +40,12 @@ _tail_limit alone writes down and every certificate reads:
   (r + x) / (x f(x) - r^2) bounds the tail otherwise; for powers,
   Schur-style bounds on the squared block resolvent give a decreasing
   tail majorant;
-* the 4x4 shape: for n = 0 and 1, a sign certificate from the expansion
-  of the block resolvent in 1/alpha around its nilpotent limit proves
-  that every block beyond the scan point stays strictly below the tail
-  limit (_four_stays_below_limit; z = 0 has closed forms instead); where
-  it does not hold, and for n >= 2, an explicit deviation bound from the
-  limit bounds the tail.
+* the 4x4 shape: one expansion of the block resolvent power in 1/alpha
+  around its nilpotent limit, formed once per chunk (_four_expansion),
+  proves for n = 0 and 1 that every block beyond the scan point stays
+  strictly below the tail limit (_four_stays_below_limit; z = 0 has closed
+  forms instead); where that fails, and for n >= 2, a majorant read off it,
+  increasing in 1/alpha, bounds the tail.
   Its head values are exact: an LDL* positivity test of floor^2 I - M*M
   drops the blocks M whose norm cannot reach the value the point's scan
   must beat at the start of the chunk, and one stacked Jacobi call
@@ -107,11 +107,11 @@ HEAD_CHUNK = 64
 CHUNK_GROWTH = 4
 CHUNK_CAP = 1 << 18
 
-# the largest |z| a block family is evaluated at, by block dimension: the
-# 2x2 certificates form |z|^4 and the 4x4 deviation bound |z|^5, and these
-# limits keep both at most 1e300; past them a point came back as a
-# certified inf or as nan
-BLOCK_Z_LIMIT = {2: 1e75, 4: 1e60}
+# the largest |z| a block family is evaluated at: the 2x2 certificates and
+# the 4x4 blocks form |z|^4, and this limit keeps it at most 1e300; past it
+# a point came back as a certified inf or as nan
+BLOCK_Z_LIMIT = 1e75
+FOUR_ROUNDING = 1e-9  # the relative growth of the 4x4 bounds that covers their rounding
 
 
 @dataclass(frozen=True)
@@ -480,6 +480,9 @@ def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray) ->
 
     A 2x2 point at n = 0 takes the least of the envelope and its value, or
     value + TAIL_TOL rounded toward it, where the sign certificate holds.
+    A 4x4 point takes the tail limit c where the sign certificate holds,
+    else the majorant (c^m + U ||X1|| + U^2 ||X2|| + U^3 t)^(1/m) of the
+    expansion: ||X0|| = c^m, and each term increases with u.
     """
     if family.block_dim == 2:
         if n > 0:
@@ -488,14 +491,14 @@ def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray) ->
         proved = np.where(_two_stays_below(family, a, zs, slack), slack, math.nan)
         proved = np.where(_two_stays_below(family, a, zs, values), values, proved)
         return np.fmin(proved, _envelope_sup(family, a, zs))
-    limit0 = _tail_limit(family, zs, 0)
-    xi = _four_tail_deviation(family, a, zs)
-    eta = xi * (xi + 2.0 * limit0)
-    if n >= 2:
-        return (2.0 * eta + eta * eta) ** 0.25
     limit = _tail_limit(family, zs, n)
-    deviation = limit + xi if n == 0 else np.sqrt(limit * limit + eta)
-    return np.where(_four_stays_below_limit(family, a, zs, n), limit, deviation)
+    ok, s, t = expansion = _four_expansion(a, zs, n)
+    u, m = 1.0 / a, 1 << n
+    with np.errstate(over="ignore"):
+        total = limit**m + u * _fro(s[1]) + u * u * _fro(s[2]) + u**3 * t
+        majorant = np.where(ok, ((1.0 + FOUR_ROUNDING) * total) ** (1.0 / m), math.nan)
+    below = n < 2 and _four_stays_below_limit(family, a, zs, n, expansion)
+    return np.where(below, limit, majorant)
 
 
 def _family_values(
@@ -653,27 +656,82 @@ def _poly_product(p: np.ndarray, q: np.ndarray, matrix: bool) -> np.ndarray:
 
 
 def _fro(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (points, 4, 4) stack, upper bounds for its spectral norms."""
+    """Frobenius norms of a (points, d, d) stack, upper bounds for its spectral norms."""
     return np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(1, 2)))
 
 
-def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int) -> np.ndarray:
+def _truncated_square(c: np.ndarray, rho, u: float):
+    """F^2 as (A^2 to degree 4, rho') for ||F - A|| <= u^5 rho, A of degree 4 with coefficients c.
+
+    rho' = sum ||C_k|| U^(k-5) over A^2's terms past u^4, + 2 ||A||_U rho + U^5 rho^2.
+    """
+    sq = _poly_product(c, c, c.shape[-1] > 1)
+    size = sum(_fro(ck) * u**k for k, ck in enumerate(c))
+    dropped = sum(_fro(sq[k]) * u ** (k - 5) for k in range(5, len(sq)))
+    return sq[:5], dropped + 2.0 * size * rho + u**5 * rho * rho
+
+
+def _four_expansion(a: float, zs: np.ndarray, n: int):
+    """At each z, X = (B - z)^-m, m = 2^n, over the 4x4 blocks with weight >= a, in u = 1/alpha.
+
+    The symbol is 1 + 1/x, so B^4 = (alpha f)^2 gives (B - z)^-1 =
+    P(u) / Q(u), where P(u) = u^2 (B^3 + z B^2 + z^2 B + z^3) is a matrix
+    polynomial of degree 4 built from uB = E_alpha + (u + u^2) E_f, and
+    Q(u) = (1 + u)^2 - z^4 u^2.  n squarings form X = P^m / Q^m, keeping P^m
+    and Q^m to degree 4 and the rest in u^5 rho_P and u^5 rho_Q
+    (_truncated_square).  X's Taylor coefficients X0, X1, X2 are exact
+    polynomial algebra (Q(0) = 1); X0 = L^m, L the nilpotent limit of the
+    blocks.  On 0 < u <= U = 1/a, |Q| >= (1 + u)^2 - |z|^4 u^2, increasing
+    or concave in u, so |Q| >= q = min(1, (1 + U)^2 - |z|^4 U^2).  Hence
+    X = S + u^3 T, S = X0 + u X1 + u^2 X2, with ||T|| <= t: the sum of
+    ||rem_k|| U^(k-3) over rem = P^m - S Q^m as kept, plus
+    U^2 (rho_P + ||S|| rho_Q), over q^m.
+
+    Returns (ok, S, t), S the stack X0, X1, X2.  ok marks the points where
+    q > 0, that is |z|^2 < a + 1, and t is finite; S and t are 0 elsewhere.
+    """
+    r = np.hypot(zs.real, zs.imag)
+    u = 1.0 / a
+    q_low = np.minimum(1.0, (1.0 + u) ** 2 - (r * r * u) ** 2)
+    ok = q_low > 0.0
+    z1 = np.where(ok, zs, 0.0)[:, None, None]
+    # uB = E_alpha + (u + u^2) E_f as coefficients of u^0, u^1, u^2
+    ub = np.zeros((3, 1, 4, 4), dtype=np.complex128)
+    ub[0, 0, 2, 0] = ub[0, 0, 1, 2] = 1.0
+    ub[1:, 0, 0, 3] = ub[1:, 0, 3, 1] = 1.0
+    ub2 = _poly_product(ub, ub, True)
+    ub3 = _poly_product(ub2, ub, True)
+    z2 = _cmul(z1, z1)
+    z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
+    # P = (uB)^3 / u + z (uB)^2 + z^2 u (uB) + z^3 u^2, where (uB)^3 has no
+    # u^0 or u^6 term: E_alpha^3 = E_f^3 = 0
+    p = ub3[1:6] + z1 * ub2
+    p[1:4] += z2 * ub
+    p[2] += z3 * np.eye(4)
+    q = np.stack([np.ones_like(z4), np.full_like(z4, 2.0), 1.0 - z4])
+    rho_p = rho_q = 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(n):
+            p, rho_p = _truncated_square(p, rho_p, u)
+            q, rho_q = _truncated_square(q, rho_q, u)
+        x1 = p[1] - _cmul(q[1], p[0])
+        s = np.stack([p[0], x1, p[2] - _cmul(q[1], x1) - _cmul(q[2], p[0])])
+        rem = _poly_product(s, q, False)  # negated; its terms to u^2 vanish
+        rem[: len(p)] -= p
+        s_norm = _fro(s[0]) + u * _fro(s[1]) + u * u * _fro(s[2])
+        t = sum(_fro(rem[k]) * u ** (k - 3) for k in range(3, len(rem)))
+        t = (t + u * u * (rho_p + s_norm * rho_q)) / q_low ** (1 << n)
+    ok &= np.isfinite(t)
+    return ok, np.where(ok[:, None, None], s, 0.0), np.where(ok, t, 0.0)
+
+
+def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int, expansion) -> np.ndarray:
     """At each z, whether every block with weight >= a has value < the tail limit (n = 0, 1).
 
-    family is a 4x4 family, so its symbol is 1 + 1/x.  With u = 1/alpha,
-    B^4 = (alpha f)^2 gives (B - z)^-1 = P(u) / Q(u), where
-    P(u) = u^2 (B^3 + z B^2 + z^2 B + z^3) is a matrix polynomial of degree
-    4 built from uB = E_alpha + (u + u^2) E_f, and Q(u) = (1 + u)^2 - z^4 u^2.
-    X = (B - z)^-m, m = 2^n, is then P^m / Q^m, whose Taylor coefficients
-    X0, X1, X2 are exact polynomial algebra (Q(0) = 1); X0 is the limit
-    L^m, with L the nilpotent limit of the blocks.  On 0 < u <= U = 1/a,
-    |Q| >= (1 + u)^2 - |z|^4 u^2, which is increasing or concave in u, so
-    |Q| >= q = min(1, (1 + U)^2 - |z|^4 U^2).  Hence X = S + u^3 T with
-    S = X0 + u X1 + u^2 X2 and ||T|| <= t, the sum of ||rem_k|| U^(k-3) / q^m
-    over the coefficients of rem = P^m - S Q^m.
-    So X*X = H0 + u H1 + u^2 H2 + D with H_j = sum_i X_i* X_(j-i) and
-    ||D|| <= K u^3, K = ||H3|| + U ||H4|| + 2 ||S|| t + U^3 t^2.
-
+    expansion is _four_expansion(a, zs, n): X = S + u^3 T with S = X0 +
+    u X1 + u^2 X2 and ||T|| <= t.  So X*X = H0 + u H1 + u^2 H2 + D with
+    H_j = sum_i X_i* X_(j-i) and ||D|| <= K u^3, K = ||H3|| + U ||H4|| +
+    2 ||S|| t + U^3 t^2.
     H0 = X0* X0 has top eigenvalue c^2, c the tail limit (_tail_limit), with
     eigenvector v and next eigenvalue l2: v ~ (c, 0, 0, z / r), r = |z|, and
     l2 = 1/c^2 at n = 0; v = e0 and l2 = 0 at n = 1.  Compressing X*X onto v
@@ -684,48 +742,24 @@ def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int) -> np.ndar
     so ||X|| < c^m whenever A > 0, G > 0 and A G > u b^2.  G, A and b are
     taken at u = U, where each is at its worst for the whole tail.  The
     norms are Frobenius norms, the good terms are shrunk and the bad ones
-    grown by a relative 1e-9 that covers the rounding, and the certificate
-    applies only where |z|^4 < a, which keeps every power of |z| finite.
-    At n = 0, z = 0 is left to the closed form, where v has no direction.
+    grown by FOUR_ROUNDING relative, which covers the rounding, and the
+    certificate applies only where |z|^4 < a, which keeps every power of
+    |z| finite.  At n = 0, z = 0 is left to the closed form, where v has no
+    direction.
     """
+    in_range, s, t = expansion
     r = np.hypot(zs.real, zs.imag)
-    ok = r**4 < a
+    ok = in_range & (r**4 < a)
     if n == 0:
         ok &= r > 0.0
     z = np.where(ok, zs, 0.0)
     r = np.where(ok, r, 0.0)
+    x0, x1, x2 = np.where(ok[:, None, None], s, 0.0)
+    t = np.where(ok, t, 0.0)
     u = 1.0 / a
-    m = 1 << n
-    # uB = E_alpha + (u + u^2) E_f as coefficients of u^0, u^1, u^2
-    ub = np.zeros((3, 1, 4, 4), dtype=np.complex128)
-    ub[0, 0, 2, 0] = ub[0, 0, 1, 2] = 1.0
-    ub[1:, 0, 0, 3] = ub[1:, 0, 3, 1] = 1.0
-    ub2 = _poly_product(ub, ub, True)
-    ub3 = _poly_product(ub2, ub, True)
-    z1 = z[:, None, None]
-    z2 = _cmul(z1, z1)
-    z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
-    # P = (uB)^3 / u + z (uB)^2 + z^2 u (uB) + z^3 u^2, where (uB)^3 has no
-    # u^0 or u^6 term: E_alpha^3 = E_f^3 = 0
-    p = ub3[1:6] + z1 * ub2
-    p[1:4] += z2 * ub
-    p[2] += z3 * np.eye(4)
-    q = np.stack([np.ones_like(z4), np.full_like(z4, 2.0), 1.0 - z4])
-    pm, qm = p, q
-    for _ in range(n):
-        pm, qm = _poly_product(pm, pm, True), _poly_product(qm, qm, False)
-    x0 = pm[0].copy()
-    x1 = pm[1] - _cmul(qm[1], x0)
-    x2 = pm[2] - _cmul(qm[1], x1) - _cmul(qm[2], x0)
-    s = np.stack([x0, x1, x2])
-    # rem = P^m - S Q^m takes the place of pm; its terms in u^0..u^2 vanish
-    rem = pm
-    rem[: len(s) + len(qm) - 1] -= _poly_product(s, qm, False)
-    q_low = np.minimum(1.0, (1.0 + u) ** 2 - (r * r * u) ** 2)
-    t = sum(_fro(rem[k]) * u ** (k - 3) for k in range(3, len(rem))) / q_low**m
     s_norm = _fro(x0) + u * _fro(x1) + u * u * _fro(x2)
 
-    xh0, xh1, xh2 = (np.conj(np.swapaxes(x, 1, 2)) for x in s)
+    xh0, xh1, xh2 = (np.conj(np.swapaxes(x, 1, 2)) for x in (x0, x1, x2))
     h1 = xh0 @ x1 + xh1 @ x0
     h2 = xh0 @ x2 + xh1 @ x1 + xh2 @ x0
     h3 = xh1 @ x2 + xh2 @ x1
@@ -750,24 +784,12 @@ def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int) -> np.ndar
 
     (q1, b1), (q2, b2) = along(h1), along(h2)
     d = _fro(h1) + u * _fro(h2)
-    tol = 1e-9
-    pad = tol * (c2 + d)
-    grow = 1.0 + tol
+    pad = FOUR_ROUNDING * (c2 + d)
+    grow = 1.0 + FOUR_ROUNDING
     big_a = -q1 - grow * (u * np.abs(q2) + big_k * u * u) - pad
     big_g = gap0 - grow * (d * u + big_k * u**3) - pad
     big_b = grow * (b1 + u * b2 + big_k * u * u) + pad
     return ok & (big_a > 0.0) & (big_g > 0.0) & (big_a * big_g > grow * u * big_b**2)
-
-
-def _four_tail_deviation(family, a: float, zs: np.ndarray) -> np.ndarray:
-    """At each z, a bound on ||(B - z)^-1 - limit|| for every block with weight >= a."""
-    r = np.hypot(zs.real, zs.imag)
-    r2 = r * r
-    r4 = r2 * r2
-    bmax = family.symbol.value(family.alpha.value(1))
-    c2 = 2.0 * bmax + 2.0 * r + 2.0 * bmax * bmax + 2.0 * r * bmax + r2
-    c1 = 2.0 * r4 + r4 * r + r + 4.0 * r2 * r + r2 * bmax
-    return (c1 + c2 * a) / np.where(a * a > r4, a * a - r4, math.nan)
 
 
 # ------------------------------------------------------------- public API
@@ -818,28 +840,21 @@ def resolvent_power_norms(
         else:
             values = _dense_power_norms(model.matrix, zs, n)
         return _exact_values(values, 0)
+    far = np.hypot(zs.real, zs.imag) > BLOCK_Z_LIMIT
+    if isinstance(model, (TruncatedFamily, DiagBlockFamily)) and far.any():
+        raise DomainError(
+            f"evaluation point {complex(zs[far][0])} is beyond the range of the "
+            f"block arithmetic, |z| <= {BLOCK_Z_LIMIT:g}"
+        )
     if isinstance(model, TruncatedFamily):
-        _check_block_range(model.family, zs)
         total = model.n_blocks
         values = _head_maxima(model.family, total, zs, n)
         return _exact_values(values, total)
     if isinstance(model, DiagBlockFamily):
-        _check_block_range(model, zs)
         if model.symbol.kind == "inverse":
             return _inverse_family_values(zs, n)
         return _family_values(model, zs, n, max_blocks)
     raise DomainError(f"unknown operator model {type(model).__name__}")
-
-
-def _check_block_range(family, zs: np.ndarray) -> None:
-    """Raise DomainError for a point beyond BLOCK_Z_LIMIT of the family's block shape."""
-    limit = BLOCK_Z_LIMIT[family.block_dim]
-    far = np.hypot(zs.real, zs.imag) > limit
-    if far.any():
-        raise DomainError(
-            f"evaluation point {complex(zs[far][0])} is beyond the range of the "
-            f"{family.block_dim}x{family.block_dim} block arithmetic, |z| <= {limit:g}"
-        )
 
 
 def _dense_matrix_of(model) -> np.ndarray:

@@ -277,7 +277,7 @@ class TestExitCodeMatrix:
             assert float(value) == pytest.approx(want, rel=1e-14)
 
     def test_point_beyond_the_block_range_is_two(self, capsys):
-        assert run(["field", "--model", "remark_n1", "--region", "1e70,2e70,0,1e70",
+        assert run(["field", "--model", "remark_n1", "--region", "1e76,2e76,0,1e76",
                     "--nx", "2", "--ny", "2"]) == 2
         assert "block arithmetic" in capsys.readouterr().err
 

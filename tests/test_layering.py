@@ -108,6 +108,15 @@ def _public_callables():
                         yield f"{path.stem}.{name}.{attr}", member
 
 
+def _max_blocks_passers(tree: ast.AST, scope: str = "<module>"):
+    """The innermost function or class around each call that passes max_blocks."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and any(k.arg == "max_blocks" for k in node.keywords):
+            yield scope
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _max_blocks_passers(node, node.name if named else scope)
+
+
 def test_only_the_engine_entries_take_max_blocks():
     takers = {
         name
@@ -115,6 +124,20 @@ def test_only_the_engine_entries_take_max_blocks():
         if "max_blocks" in inspect.signature(fn).parameters
     }
     assert takers == {"resolvent.resolvent_power_norm", "resolvent.resolvent_power_norms"}
+    # every other caller takes the engine's default; the anchor check scans
+    # one chunk
+    passers = {
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _max_blocks_passers(ast.parse(path.read_text()))
+    }
+    assert passers == {
+        "resolvent.resolvent_power_norm",
+        "resolvent.resolvent_power_norms",
+        "operators._verify_anchor",
+    }
+    src = "f(max_blocks=1)\ndef g():\n    def h():\n        f(x, max_blocks=2)\n"
+    assert set(_max_blocks_passers(ast.parse(src))) == {"<module>", "h"}
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]

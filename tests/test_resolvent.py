@@ -50,7 +50,6 @@ from pseudolab.numkernel import (
     sv2x2_batch,
 )
 from pseudolab.operators import TruncatedFamily
-from pseudolab.pseudospectra import FIELD_MAX_BLOCKS
 from pseudolab.resolvent import (
     _batch_square_scaled,
     _dense_power_norms,
@@ -240,10 +239,10 @@ class TestBlockFamilies:
 
     @pytest.mark.filterwarnings("error")
     def test_points_beyond_the_block_range_are_rejected(self):
-        # past the range z^4 and r^5 overflow: remark_n1 at 1e100 (0.6 + 0.8i)
+        # past the range z^4 overflows: remark_n1 at 1e100 (0.6 + 0.8i)
         # reported a certified inf at n = 1 (the value is 1) and a nan at n = 0
         for model, far in ((REMARK, 1e100 * (0.6 + 0.8j)), (SHARG, 1e155 * (0.6 + 0.8j)),
-                           (TruncatedFamily(REMARK, 40), 2e60j),
+                           (TruncatedFamily(REMARK, 40), 2e75j),
                            (scale_operator(SHARG, 1e-3), 1e73)):
             for n in (0, 1):
                 with pytest.raises(DomainError, match="block arithmetic"):
@@ -251,9 +250,8 @@ class TestBlockFamilies:
         with pytest.raises(DomainError, match="block arithmetic"):
             TruncationSequence(REMARK, gnr_anchor=1e100j)
         for model in (REMARK, SHARG, NONCONST, TruncatedFamily(REMARK, 40)):
-            dim = getattr(model, "family", model).block_dim
-            for r in (1e20, 1e50, resolvent.BLOCK_Z_LIMIT[dim]):
-                for n in (0, 1, 2):
+            for r in (1e20, 1e50, resolvent.BLOCK_Z_LIMIT):
+                for n in (0, 1, 2, 3):
                     got = resolvent_power_norm(model, r * (0.6 + 0.8j), n, max_blocks=256)
                     assert math.isfinite(got.value) or not got.certified
 
@@ -606,7 +604,7 @@ class TestFourByFourHeads:
 class TestTailCertification:
     def test_uncertified_result_reports_gap(self):
         # at 2 + 2i the sign certificate does not hold at weight 130, so the
-        # deviation bound leaves a gap
+        # majorant leaves a gap
         got = resolvent_power_norm(REMARK, 2.0 + 2.0j, 1, max_blocks=128)
         assert not got.certified
         assert got.tail_gap > 0.0
@@ -653,6 +651,17 @@ def _disc_points(radius: float, count: int, seed: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
 
 
+def _four_below(a: float, zs: np.ndarray, n: int) -> np.ndarray:
+    """The 4x4 sign certificate on its own expansion."""
+    expansion = resolvent._four_expansion(a, zs, n)
+    return resolvent._four_stays_below_limit(REMARK, a, zs, n, expansion)
+
+
+def _four_tail_weights(a: float) -> np.ndarray:
+    """Consecutive weights from a on, then log-spaced ones out to 10^7."""
+    return np.concatenate([a + np.arange(256.0), np.geomspace(a + 256.0, 1e7, 64)])
+
+
 class TestFourSignCertificate:
     """_four_stays_below_limit proves that every block past weight a stays
     strictly below the tail limit; each claim is checked on numpy blocks."""
@@ -661,10 +670,9 @@ class TestFourSignCertificate:
     @pytest.mark.parametrize("a", [17.0, 66.0, 258.0, 1026.0])
     def test_certified_points_stay_below_the_limit(self, a, n):
         zs = _disc_points(4.0, 120, seed=int(a) + n)
-        below = resolvent._four_stays_below_limit(REMARK, a, zs, n)
+        below = _four_below(a, zs, n)
         assert below.any()
-        # consecutive weights from a on, then log-spaced ones out to 10^7
-        alphas = np.concatenate([a + np.arange(256.0), np.geomspace(a + 256.0, 1e7, 64)])
+        alphas = _four_tail_weights(a)
         for z in zs[below]:
             top = four_block_power_norms_oracle(alphas, z, n).max()
             assert top < _four_limit_oracle(z, n)
@@ -675,23 +683,57 @@ class TestFourSignCertificate:
         # a block with weight past a lies above the limit
         alphas = a + np.arange(4000.0)
         assert four_block_power_norms_oracle(alphas, z, n).max() > _four_limit_oracle(z, n)
-        assert not resolvent._four_stays_below_limit(REMARK, a, np.array([z], complex), n)[0]
+        assert not _four_below(a, np.array([z], complex), n)[0]
 
     def test_criterion_rejects_a_crossover_inside_its_range(self):
         # |z|^4 = 16 < 17, so only the criterion itself can refuse z = 2,
         # where blocks with weights up to 46 lie above the n = 1 limit
         alphas = 17.0 + np.arange(64.0)
         assert four_block_power_norms_oracle(alphas, 2.0, 1).max() > 1.0
-        assert not resolvent._four_stays_below_limit(REMARK, 17.0, np.array([2.0 + 0j]), 1)[0]
+        assert not _four_below(17.0, np.array([2.0 + 0j]), 1)[0]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_points_near_the_block_range_are_refused_quietly(self, n):
-        limit = resolvent.BLOCK_Z_LIMIT[4]
+        limit = resolvent.BLOCK_Z_LIMIT
         zs = limit * np.array([1.0, -1j, (1.0 + 1.0j) / math.sqrt(2.0), 0.999 - 0.01j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a in (66.0, 1e6):
-                assert not resolvent._four_stays_below_limit(REMARK, a, zs, n).any()
+                assert not _four_below(a, zs, n).any()
+
+
+class TestFourMajorant:
+    """The 4x4 tail bound, the sign certificate's limit or the majorant of
+    the expansion, holds over every block past weight a wherever
+    |z|^2 < a + 1, at every n; each bound is checked on numpy blocks."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("a", [17.0, 66.0, 322.0, 1346.0])
+    def test_bound_holds_over_the_tail(self, a, n):
+        zs = _disc_points(math.sqrt(a), 60, seed=int(a) + n)
+        bound = resolvent._tail_bound(REMARK, a, zs, n, np.zeros(len(zs)))
+        assert np.isfinite(bound).all()
+        # the majorant, not only the limit, carries points with |z|^4 >= a
+        assert (np.abs(zs) ** 4 >= a).sum() > 40
+        alphas = _four_tail_weights(a)
+        for z, ub in zip(zs, bound):
+            assert four_block_power_norms_oracle(alphas, z, n).max() <= ub
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_points_past_its_range_have_no_bound(self, n):
+        # |z|^2 >= a + 1 leaves no lower bound on |Q| over the tail
+        zs = np.array([8.2, 9.0j, 1e75])
+        assert np.isnan(resolvent._tail_bound(REMARK, 66.0, zs, n, np.ones(3))).all()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_window_certifies_after_one_chunk(self, n):
+        # every cell's block maximum lies in the first chunk, and the power
+        # norms decay like 1/alpha^(1/2) or faster, so the majorant closes
+        # each cell there
+        zs = GridRegion(-2.0, 2.0, -2.0, 2.0, 41, 41).lattice().ravel()
+        batch = resolvent.resolvent_power_norms(REMARK, zs, n)
+        assert batch.certified.all()
+        assert (batch.k_cutoff == resolvent.HEAD_CHUNK).all()
 
 
 # the 2x2 families with a sign certificate: both symbols, both weight rules
@@ -846,10 +888,10 @@ class TestTwoSignCertificate:
         assert not resolvent._two_stays_below(SHARG, 66.0, zs, t)[0]
 
     def test_shargorodsky_window_certifies_every_cell(self):
-        # at the field budget 110 of these 6561 cells stayed open with the
-        # envelope alone
+        # at a 20000-block budget 110 of these 6561 cells stayed open with
+        # the envelope alone
         zs = GridRegion(-4.0, 4.0, -4.0, 4.0, 81, 81).lattice().ravel()
-        batch = resolvent.resolvent_power_norms(SHARG, zs, 0, max_blocks=FIELD_MAX_BLOCKS[2])
+        batch = resolvent.resolvent_power_norms(SHARG, zs, 0)
         assert batch.certified.all()
 
     @pytest.mark.parametrize(
@@ -901,9 +943,9 @@ class TestFourTailLimitNearZero:
         rng = np.random.default_rng(int(math.log10(a)))
         radii = np.geomspace(1e-7, 9.9e-5, 24)
         zs = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, len(radii)))
-        below = resolvent._four_stays_below_limit(REMARK, a, zs, 0)
+        below = _four_below(a, zs, 0)
         assert below.any()
-        alphas = np.concatenate([a + np.arange(256.0), np.geomspace(a + 256.0, 1e7, 64)])
+        alphas = _four_tail_weights(a)
         for z in zs[below]:
             top = four_block_power_norms_oracle(alphas, z, 0).max()
             assert top < float(_four_limit_digits(abs(z)))
@@ -955,7 +997,8 @@ class TestCertificatesAreArrayFunctions:
     @pytest.mark.parametrize(
         "model, n, certificate",
         [
-            (REMARK, 0, "_four_tail_deviation"),
+            (REMARK, 0, "_four_expansion"),
+            (REMARK, 2, "_four_expansion"),
             (REMARK, 0, "_four_stays_below_limit"),
             (REMARK, 1, "_four_stays_below_limit"),
             (REMARK, 0, "_tail_limit"),
@@ -1114,17 +1157,14 @@ class TestFieldEngine:
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize(
-        "model, budget",
-        [(SHARG, 20000), (REMARK, 256), (scale_operator(REMARK, 1.0 - 0.5j), 256),
-         (TruncatedFamily(SHARG, 700), None), (DIAGONAL, None)],
+        "model",
+        [SHARG, REMARK, scale_operator(REMARK, 1.0 - 0.5j), TruncatedFamily(SHARG, 700),
+         DIAGONAL],
     )
-    def test_field_takes_the_per_shape_budget(self, model, budget, n):
-        # block families, also scaled, take FIELD_MAX_BLOCKS; other models
-        # the engine's default
+    def test_field_takes_the_engine_default(self, model, n):
         region = GridRegion(-1.0, 1.0, -1.0, 1.0, 5, 5)
         field = compute_norm_field(model, region, n)
-        kwargs = {} if budget is None else {"max_blocks": budget}
-        batch = resolvent.resolvent_power_norms(model, region.lattice().ravel(), n, **kwargs)
+        batch = resolvent.resolvent_power_norms(model, region.lattice().ravel(), n)
         assert field.values.ravel().tolist() == batch.value.tolist()
 
     def test_window_closes_in_several_chunks(self):
