@@ -127,8 +127,11 @@ class SymbolSpec:
 class DenseOperator:
     """A concrete operator on C^n given by its square matrix.
 
-    diagonal holds the main diagonal when every off-diagonal entry is
-    exactly zero, and is None otherwise.
+    blocks holds the boundaries 0 = b_0 < ... < b_m = dim of the finest
+    split into contiguous diagonal blocks [b_i, b_{i+1}) with every entry
+    outside them exactly zero: the matrix is the direct sum of those
+    blocks, and a diagonal matrix is the all-1x1 split.  Index i closes a
+    block when no nonzero entry in rows or columns 0..i reaches past i.
     """
 
     def __init__(self, matrix):
@@ -136,8 +139,12 @@ class DenseOperator:
         m.setflags(write=False)
         self.matrix = m
         self.dim = m.shape[0]
-        d = np.diagonal(m)
-        self.diagonal = d if np.count_nonzero(m) == np.count_nonzero(d) else None
+        coupled = m != 0
+        coupled |= coupled.T
+        idx = np.arange(self.dim)
+        reach = np.where(coupled, idx, idx[:, None]).max(axis=1)
+        ends = np.flatnonzero(np.maximum.accumulate(reach) == idx) + 1
+        self.blocks = (0, *ends.tolist())
 
     def __repr__(self):
         return f"DenseOperator(dim={self.dim})"

@@ -4,21 +4,24 @@ resolvent_power_norms evaluates one model at many points z and returns
 one columnar ResolventValues; resolvent_power_norm is its one-point call.
 These two alone take max_blocks, the tail-scan budget of infinite families.
 
-A diagonal matrix D is normal, so every power norm of it is exact:
-||(D - z)^-2^n||^(1/2^n) = 1/min_i |z - d_i| (diagonal_power_norms).  The
-dense path for every other matrix is exact linear algebra on one explicit
-inverse W = (T - z)^-1 per point: every dense norm is
-sigma_max(W^2^n)^(1/2^n), with n = 0 the resolvent norm 1/sigma_min(T - z).
-The points go in stacks (_dense_power_norms): one stacked LU and
-multi-column solve gives W, which _batch_square_scaled squares n times with
-exact rescaling, the squaring the 4x4 block stacks use, and
-largest_singular_values takes sigma_max directly, with no iteration.  The
-clearance checks of the dense gnr_defect, expansion_residual and
-power_diff_bound_check read sigma_min(T - z) = 1/sigma_max(W) off the
-inverse they go on to use.  gnr_defect evaluates at the sequence's own
-anchor, which its constructor checked against the limit; a dense defect
-checks it against the term it evaluates, and a truncation sequence's
-defect is the engine's scan of its family past block k.
+A dense matrix T is the direct sum of its diagonal blocks
+(DenseOperator.blocks), and the norm of a direct sum is the largest of its
+summands' norms, so every dense value is max_B ||(B - z)^-2^n||^(1/2^n)
+over T's blocks B (_dense_power_norms).  A 1x1 block d is normal, with the
+exact value 1/|z - d| at every n, so a diagonal matrix takes
+1/min_i |z - d_i|.  A larger block takes exact linear algebra on one
+explicit inverse W = (B - z)^-1 per point: sigma_max(W^2^n)^(1/2^n), with
+n = 0 the resolvent norm 1/sigma_min(B - z).  Each block size goes as one
+stack of (points x blocks): one stacked LU and multi-column solve gives
+W, which _batch_square_scaled squares n times with exact rescaling, the
+squaring the 4x4 block stacks use, and largest_singular_values takes
+sigma_max directly, with no iteration.  The clearance checks of the dense
+gnr_defect, expansion_residual and power_diff_bound_check read
+sigma_min(T - z) = 1/sigma_max(W) off the inverse of the whole T they go
+on to use.  gnr_defect evaluates at the sequence's own anchor, which its
+constructor checked against the limit; a dense defect checks it against
+the term it evaluates, and a truncation sequence's defect is the engine's
+scan of its family past block k.
 
 Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
 engine that takes all points at once.  This module alone scans blocks:
@@ -97,9 +100,10 @@ SPECTRUM_CLEARANCE = 1e-10
 # or many; a 2x2 stack holds 16 * STACK_CAP values, one per entry of those
 # matrices
 STACK_CAP = 1 << 10
-# a dense stack of points holds at most DENSE_CAP / (dim * max(dim, SHIFTS))
-# matrices: a point takes dim^2 entries per matrix and dim * SHIFTS Sturm
-# pivots per bisection pass
+# a dense stack of points takes at most DENSE_CAP / (count * s * max(s, SHIFTS))
+# points for count diagonal blocks of size s >= 2: a point takes s^2 entries
+# per block and s * SHIFTS Sturm pivots per bisection pass; 1x1 blocks take
+# DENSE_CAP / count points, one distance per block
 DENSE_CAP = 1 << 18
 
 # block scans walk k = 1, 2, ... in chunks growing from HEAD_CHUNK to CHUNK_CAP
@@ -180,35 +184,44 @@ class PowerDiffBound:
 # ---------------------------------------------------------------- dense path
 
 
-def diagonal_power_norms(diagonal: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """1/min_i |z - d_i| at each z of zs: every power norm of diag(d), exactly."""
-    dists = np.abs(zs[:, None] - diagonal[None, :]).min(axis=1)
-    with np.errstate(divide="ignore"):
-        return np.divide(1.0, dists)
+def _shifted(mats: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The stack of B - z over the points zs and, within each, the matrices B of mats."""
+    stack = np.repeat(mats[None], len(zs), axis=0)
+    diag = np.arange(mats.shape[-1])
+    stack[..., diag, diag] -= zs[:, None, None]
+    return stack.reshape(-1, *mats.shape[-2:])
 
 
-def _shifted(matrix: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The stack of T - z over zs."""
-    stack = np.repeat(matrix[None], len(zs), axis=0)
-    diag = np.arange(matrix.shape[0])
-    stack[:, diag, diag] -= zs[:, None]
-    return stack
+def _dense_power_norms(matrix: np.ndarray, blocks, zs: np.ndarray, n: int) -> np.ndarray:
+    """||(T - z)^-2^n|| ^ (1/2^n) at each z for T, the direct sum of its blocks.
 
-
-def _dense_power_norms(matrix: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
-    """sigma_max(W^2^n) ^ (1/2^n) with W = (T - z)^-1 at each z, in stacks of points.
-
-    This is ||(T - z)^-2^n|| ^ (1/2^n); inf where W is singular or
-    overflows.
+    blocks holds the boundaries of T's diagonal blocks.  The norm of a
+    direct sum is the largest of its summands' norms, so each block size
+    is one (points x blocks) stack and a point takes its maximum over all
+    blocks.  A 1x1 block d is normal, with the value 1/|z - d| at every n;
+    a larger block B gives sigma_max(W^2^n) ^ (1/2^n), W = (B - z)^-1, inf
+    where W is singular or overflows.
     """
-    dim = matrix.shape[0]
-    rows = max(1, DENSE_CAP // (dim * max(dim, SHIFTS)))
-    out = np.empty(len(zs))
-    for i in range(0, len(zs), rows):
-        w, ok = explicit_inverses(_shifted(matrix, zs[i : i + rows]))
-        mats, exps = _batch_square_scaled(w, n)
-        sigma = _scaled_root(largest_singular_values(mats), exps, 1 << n)
-        out[i : i + rows] = np.where(ok, sigma, math.inf)
+    bounds = np.asarray(blocks)
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    out = np.zeros(len(zs))
+    # not np.unique: its first call imports numpy.ma, about 1 MB of peak RSS
+    for size in sorted(set(sizes.tolist())):
+        span = starts[sizes == size][:, None] + np.arange(size)
+        mats = matrix[span[:, :, None], span[:, None, :]]
+        count = len(mats)
+        rows = max(1, DENSE_CAP // (count if size == 1 else count * size * max(size, SHIFTS)))
+        for i in range(0, len(zs), rows):
+            z = zs[i : i + rows]
+            if size == 1:
+                with np.errstate(divide="ignore"):
+                    values = 1.0 / np.abs(z[:, None] - mats[:, 0, 0]).min(axis=1)
+            else:
+                w, ok = explicit_inverses(_shifted(mats, z))
+                powers, exps = _batch_square_scaled(w, n)
+                sigma = _scaled_root(largest_singular_values(powers), exps, 1 << n)
+                values = np.where(ok, sigma, math.inf).reshape(len(z), count).max(axis=1)
+            np.maximum(out[i : i + rows], values, out=out[i : i + rows])
     return out
 
 
@@ -815,13 +828,14 @@ def resolvent_power_norms(
     This is the one place that decides how a model is evaluated at z, for
     fields, points and anchor checks alike.  Block families and their
     truncations scan all points in one block engine pass; each value is
-    the one a single-point call gives.  Diagonal matrices take
-    diagonal_power_norms, the inverse-symbol family its exact rule of z,
-    scaled models the identity ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|,
-    and other dense matrices go through _dense_power_norms in stacks of
-    points, again each value the single-point one.  max_blocks bounds the
-    tail scan of infinite families.  A non-finite point, or a block point
-    beyond BLOCK_Z_LIMIT, raises DomainError.
+    the one a single-point call gives.  A dense matrix takes the largest
+    value over the diagonal blocks it is the direct sum of, 1/|z - d| for a
+    1x1 block d, through _dense_power_norms in stacks of points; the
+    inverse-symbol family takes its exact rule of z, scaled models the
+    identity ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|.  Again each value is
+    the single-point one.  max_blocks bounds the tail scan of infinite
+    families.  A non-finite point, or a block point beyond BLOCK_Z_LIMIT,
+    raises DomainError.
     """
     if n < 0:
         raise DomainError("power index n must be nonnegative")
@@ -835,11 +849,7 @@ def resolvent_power_norms(
         inner = resolvent_power_norms(model.inner, zs / factor, n, max_blocks=max_blocks)
         return replace(inner, value=inner.value / s, tail_gap=inner.tail_gap / s)
     if isinstance(model, DenseOperator):
-        if model.diagonal is not None:
-            values = diagonal_power_norms(model.diagonal, zs)
-        else:
-            values = _dense_power_norms(model.matrix, zs, n)
-        return _exact_values(values, 0)
+        return _exact_values(_dense_power_norms(model.matrix, model.blocks, zs, n), 0)
     far = np.hypot(zs.real, zs.imag) > BLOCK_Z_LIMIT
     if isinstance(model, (TruncatedFamily, DiagBlockFamily)) and far.any():
         raise DomainError(
@@ -902,7 +912,7 @@ def _inverse_of(matrix: np.ndarray, z: complex, label: str):
     Raises SingularityError unless the clearance 1 / sigma_max(W) =
     sigma_min(matrix - z) exceeds SPECTRUM_CLEARANCE.
     """
-    w, ok = explicit_inverses(_shifted(matrix, np.array([z])))
+    w, ok = explicit_inverses(_shifted(matrix[None], np.array([z])))
     sigma = float(largest_singular_values(w)[0]) if ok[0] else math.inf
     if not 1.0 / sigma > SPECTRUM_CLEARANCE:
         raise SingularityError(

@@ -96,13 +96,38 @@ class TestDiagBlockFamily:
 class TestDenseOperator:
     def test_diagonal_is_detected_exactly(self):
         m = np.diag([2.0, 0.0, 1j]).astype(complex)
-        assert np.array_equal(DenseOperator(m).diagonal, [2.0, 0.0, 1j])
+        assert DenseOperator(m).blocks == (0, 1, 2, 3)
         m[0, 2] = -0.0  # a signed zero is still zero
-        assert np.array_equal(DenseOperator(m).diagonal, [2.0, 0.0, 1j])
+        assert DenseOperator(m).blocks == (0, 1, 2, 3)
         m[0, 2] = 1e-300
-        assert DenseOperator(m).diagonal is None
-        assert DenseOperator(np.zeros((2, 2))).diagonal.tolist() == [0.0, 0.0]
-        assert assemble_truncation(shargorodsky_family(), 2).diagonal is None
+        assert DenseOperator(m).blocks == (0, 3)
+        assert DenseOperator(np.zeros((2, 2))).blocks == (0, 1, 2)
+        assert assemble_truncation(shargorodsky_family(), 2).blocks == (0, 2, 4)
+
+    @pytest.mark.parametrize(
+        "matrix, blocks",
+        [
+            (np.zeros((5, 5)), (0, 1, 2, 3, 4, 5)),
+            # coupling below the diagonal only
+            (np.diag([1.0, 2.0, 3.0], -1), (0, 4)),
+            # 0 and 2 coupled across the decoupled index 1
+            (np.diag([1.0, 2.0, 3.0]) + np.eye(3, k=-2), (0, 3)),
+            (np.eye(3, k=2), (0, 3)),
+            (assemble_truncation(shargorodsky_family(), 5).matrix, (0, 2, 4, 6, 8, 10)),
+            (assemble_truncation(build_named_example("remark_n1").model, 3).matrix, (0, 4, 8, 12)),
+            (np.random.default_rng(3).standard_normal((7, 7)), (0, 7)),
+        ],
+        ids=["zero", "lower", "across-lower", "across-upper", "shargorodsky", "remark_n1", "full"],
+    )
+    def test_finest_contiguous_split(self, matrix, blocks):
+        assert DenseOperator(matrix).blocks == blocks
+
+    def test_split_of_a_mixed_direct_sum(self):
+        m = np.zeros((8, 8), dtype=complex)
+        m[0, 0] = 1.0
+        m[1:3, 1:3] = [[0.0, 1.0], [2.0, 0.0]]
+        m[4:8, 4:8] = 1.0
+        assert DenseOperator(m).blocks == (0, 1, 3, 4, 8)
 
 
 class TestAssembleTruncation:

@@ -425,19 +425,49 @@ class TestCsvReaderEdges:
 
 # VmHWM, the peak RSS of this process image: ru_maxrss of a child would
 # also count the memory of the process that started it
-READ_PEAK = """
+PEAK_KIB = """
 import sys
-from pseudolab import read_mask_csv
 
 def peak_kib():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
+READ_PEAK = PEAK_KIB + """
+from pseudolab import read_mask_csv
 
 before = peak_kib()
 with open(sys.argv[1], newline="") as fh:
     mask = read_mask_csv(fh)
 print((peak_kib() - before) / 1024.0, int(mask.mask.sum()))
 """
+
+DIAGONAL_FIELD_PEAK = PEAK_KIB + """
+import numpy as np
+from pseudolab import DenseOperator, GridRegion, compute_norm_field, resolvent_power_norm
+
+model = DenseOperator(np.diag(np.linspace(-1.0, 1.0, 500) + 0.01j))
+region = GridRegion(-1.0, 1.0, -1.0, 1.0, 161, 161)
+before = peak_kib()
+values = compute_norm_field(model, region, 0).values.ravel()
+added = (peak_kib() - before) / 1024.0
+zs = region.lattice().ravel()
+same = all(values[i] == resolvent_power_norm(model, zs[i], 0).value for i in (0, 9000, 25920))
+print(added, same)
+"""
+
+
+def _peak_run(script: str, *args: str) -> list:
+    """The words a script printed, run in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudolab.__file__)))
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path_var},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
@@ -447,16 +477,17 @@ def test_reading_a_401_mask_keeps_peak_rss_low(tmp_path):
     path = tmp_path / "mask.csv"
     with path.open("w", newline="") as fh:
         write_mask_csv(mask, fh)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pseudolab.__file__)))
-    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", READ_PEAK, str(path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path_var},
-    )
-    assert proc.returncode == 0, proc.stderr
-    added_mb, members = proc.stdout.split()
+    added_mb, members = _peak_run(READ_PEAK, str(path))
     assert int(members) == int(mask.mask.sum())
     # a list of per-row tuples added about 37 MB here, one list of every
     # csv record about 50 MB; slices of parsed floats add about 13 MB
+    assert float(added_mb) < 20.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_a_large_diagonal_field_keeps_peak_rss_low():
+    added_mb, same = _peak_run(DIAGONAL_FIELD_PEAK)
+    assert same == "True"
+    # one (cells x 500) complex difference added about 300 MB; stacks of at
+    # most DENSE_CAP entries add about 3 MB
     assert float(added_mb) < 20.0

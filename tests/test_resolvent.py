@@ -112,9 +112,10 @@ class TestDensePath:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_powers_of_a_huge_inverse_stay_finite(self, n):
-        # W = diag(1e160, 1): W^2 overflows unless it is scaled first
+        # W = diag(1e160, 1): W^2 overflows unless it is scaled first; the
+        # kernel takes the matrix as one block, the entry as two 1x1 blocks
         matrix = np.diag([1e-160, 1.0]).astype(complex)
-        assert _dense_power_norms(matrix, np.array([0j]), n)[0] == 1e160
+        assert _dense_power_norms(matrix, (0, 2), np.array([0j]), n)[0] == 1e160
         assert resolvent_power_norm(DenseOperator(matrix), 0.0, n).value == 1e160
 
     @pytest.mark.filterwarnings("error")
@@ -122,14 +123,15 @@ class TestDensePath:
     def test_high_powers_take_the_root_without_overflow(self, n):
         # from 2^n = 1024 on, sigma 2^r alone could overflow
         matrix = np.diag([1e-160, 1.0]).astype(complex)
-        assert _dense_power_norms(matrix, np.array([0j]), n)[0] == pytest.approx(1e160, rel=1e-15)
+        got = _dense_power_norms(matrix, (0, 2), np.array([0j]), n)[0]
+        assert got == pytest.approx(1e160, rel=1e-15)
         assert resolvent_power_norm(DenseOperator(matrix), 0.0, n).value == 1e160
 
     @pytest.mark.filterwarnings("error")
     def test_power_scaling_loses_no_ulps(self):
         # powers of two scale exactly, so the root of sigma 2^E is exact here
         matrix = np.diag([1e-100, 1.0]).astype(complex)
-        assert _dense_power_norms(matrix, np.array([0j]), 1)[0] == 1e100
+        assert _dense_power_norms(matrix, (0, 2), np.array([0j]), 1)[0] == 1e100
         assert resolvent_power_norm(DenseOperator(matrix), 0.0, 1).value == 1e100
 
     @pytest.mark.parametrize(
@@ -148,6 +150,19 @@ class TestDensePath:
         matrix = assemble_truncation(SHARG, 300).matrix
         z = 0.05 + 0.05j
         got = resolvent_power_norm(DenseOperator(matrix), z, 0).value
+        smin = np.linalg.svd(matrix - z * np.eye(600), compute_uv=False)[-1]
+        assert got == pytest.approx(1.0 / smin, rel=1e-12, abs=0.0)
+
+    def test_600_dim_irreducible_point(self):
+        # a unitary similarity of the 600-dim truncation couples every index,
+        # so the point takes the multi-panel LU and tridiagonalization
+        rng = np.random.default_rng(29)
+        q = np.linalg.qr(random_complex_matrix(rng, 600))[0]
+        matrix = q @ assemble_truncation(SHARG, 300).matrix @ q.conj().T
+        model = DenseOperator(matrix)
+        assert model.blocks == (0, 600)
+        z = 0.05 + 0.05j
+        got = resolvent_power_norm(model, z, 0).value
         smin = np.linalg.svd(matrix - z * np.eye(600), compute_uv=False)[-1]
         assert got == pytest.approx(1.0 / smin, rel=1e-12, abs=0.0)
 
@@ -186,6 +201,74 @@ class TestDensePath:
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(want, rel=1e-9)
+
+
+def _direct_sum(*blocks) -> np.ndarray:
+    dim = sum(len(b) for b in blocks)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    i = 0
+    for b in blocks:
+        out[i : i + len(b), i : i + len(b)] = b
+        i += len(b)
+    return out
+
+
+class TestDirectSums:
+    """A dense matrix is the direct sum of its diagonal blocks, and its value
+    at z is the largest of theirs."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_value_is_the_largest_block_value(self, n):
+        rng = np.random.default_rng(59)
+        blocks = [
+            np.array([[0.4 + 0.1j]]),
+            np.array([[0.0, 1.5], [2.0, 0.0]]),
+            random_complex_matrix(rng, 5),
+            np.array([[-0.7j]]),
+            assemble_truncation(REMARK, 1).matrix,
+            np.array([[0.0, 1.0], [0.5, 0.2]]),
+            random_complex_matrix(rng, 5),
+        ]
+        model = DenseOperator(_direct_sum(*blocks))
+        assert model.blocks == (0, 1, 3, 8, 9, 13, 15, 20)
+        zs = rng.uniform(-2.0, 2.0, 6) + 1j * rng.uniform(-2.0, 2.0, 6)
+        got = resolvent.resolvent_power_norms(model, zs, n).value
+        own = [resolvent.resolvent_power_norms(DenseOperator(b), zs, n).value for b in blocks]
+        assert np.array_equal(got, np.max(own, axis=0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_a_singular_block_is_inf_at_its_point_only(self, n):
+        # z = 1 is the 1x1 block, z = 2 an eigenvalue of the triangular 2x2 one
+        rng = np.random.default_rng(61)
+        triangular = np.array([[2.0, 1.0], [0.0, -1.0]])
+        model = DenseOperator(_direct_sum([[1.0]], triangular, random_complex_matrix(rng, 3)))
+        region = GridRegion(0.0, 2.0, -1.0, 1.0, 3, 3)
+        lattice = region.lattice().ravel()
+        values = compute_norm_field(model, region, n).values.ravel()
+        hit = np.isin(lattice, [1.0, 2.0])
+        assert hit.sum() == 2 and np.isinf(values[hit]).all()
+        assert np.isfinite(values[~hit]).all()
+        for z, cell in zip(lattice, values):
+            assert cell == resolvent_power_norm(model, z, n).value
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_field_cells_over_several_stacks_equal_point_values(self, n):
+        rng = np.random.default_rng(67)
+        diagonal = np.diag(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        model = DenseOperator(
+            _direct_sum(
+                assemble_truncation(SHARG, 50).matrix,
+                assemble_truncation(REMARK, 8).matrix,
+                random_complex_matrix(rng, 5),
+                diagonal,
+            )
+        )
+        region = GridRegion(-1.2, 1.2, -1.2, 1.2, 7, 7)
+        # the 50 2x2 blocks take 10 points a stack, the eight 4x4 blocks 32
+        assert region.nx * region.ny > resolvent.DENSE_CAP // (8 * 4 * numkernel.SHIFTS)
+        field = compute_norm_field(model, region, n)
+        for z, cell in zip(region.lattice().ravel(), field.values.ravel()):
+            assert cell == resolvent_power_norm(model, z, n).value
 
 
 class TestScaledPath:
