@@ -16,7 +16,8 @@ class DomainError(ValueError):
 
 
 class InapplicableConditionError(DomainError):
-    """Tail-bound condition queried for a family with tail limit 0 or infinity."""
+    """A study that does not apply to its input: constant-region on a 4x4
+    family, or a decay maximizer outside its weight grid."""
 
 
 class SingularityError(ArithmeticError):

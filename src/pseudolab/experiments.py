@@ -497,28 +497,26 @@ def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyRepor
 
     target_slope = -2.0 * beta / (1.0 + beta)
     target_exp = 2.0 / (1.0 + beta)
+    mu_cont = [_decay_maximizer(beta, r, phi) for r in rs]
     if rule.kind == "log_grid":
         alphas = rule.values(np.arange(1, LOG_GRID_COUNT + 1))
     else:
-        kmax = int(math.ceil(max(rs) ** target_exp * 4.0)) + 4
+        # twice the largest maximizer, so every scan peaks inside the grid
+        kmax = int(math.ceil(2.0 * max(mu_cont))) + 4
         alphas = rule.values(np.arange(1, kmax + 1))
 
     zs = [r * complex(math.cos(phi), math.sin(phi)) for r in rs]
     values = resolvent_power_norms(family, zs, 0).value.tolist()
     series = list(zip(rs, values))
-    mu_grid = []
-    mu_cont = []
     notes = [STUDY_PROXY_NOTE]
-    for r in rs:
+    for r, mu in zip(rs, mu_cont):
         gv = _decay_gain(beta, r, phi, alphas)
         m = int(np.argmax(gv))
         if m == 0 or m == len(alphas) - 1 or gv[m] < max(gv[0], gv[-1]):
             raise InapplicableConditionError(
                 f"maximizer scan not unimodal inside the weight grid at r={r}"
             )
-        mu_grid.append(float(alphas[m]))
-        mu_cont.append(_decay_maximizer(beta, r, phi))
-        rel = abs(mu_cont[-1] - mu_grid[-1]) / mu_cont[-1]
+        rel = abs(mu - float(alphas[m])) / mu
         if rel > 0.01:
             notes.append(
                 f"grid and continuous maximizers differ by {rel:.3%} at r={r}"

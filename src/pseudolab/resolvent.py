@@ -5,23 +5,17 @@ one columnar ResolventValues; resolvent_power_norm is its one-point call.
 These two alone take max_blocks, the tail-scan budget of infinite families.
 
 A dense matrix T is the direct sum of its diagonal blocks
-(DenseOperator.blocks), and the norm of a direct sum is the largest of its
-summands' norms, so every dense value is max_B ||(B - z)^-2^n||^(1/2^n)
-over T's blocks B (_dense_power_norms).  A 1x1 block d is normal, with the
-exact value 1/|z - d| at every n, so a diagonal matrix takes
-1/min_i |z - d_i|.  A larger block takes exact linear algebra on one
-explicit inverse W = (B - z)^-1 per point: sigma_max(W^2^n)^(1/2^n), with
-n = 0 the resolvent norm 1/sigma_min(B - z).  Each block size goes as one
-stack of (points x blocks): one stacked LU and multi-column solve gives
-W, which _batch_square_scaled squares n times with exact rescaling, the
-squaring the 4x4 block stacks use, and largest_singular_values takes
-sigma_max directly, with no iteration.  The clearance checks of the dense
-gnr_defect, expansion_residual and power_diff_bound_check read
-sigma_min(T - z) = 1/sigma_max(W) off the inverse of the whole T they go
-on to use.  gnr_defect evaluates at the sequence's own anchor, which its
-constructor checked against the limit; a dense defect checks it against
-the term it evaluates, and a truncation sequence's defect is the engine's
-scan of its family past block k.
+(DenseOperator.blocks), so every dense value is the largest of its blocks'
+values (_dense_power_norms): 1/|z - d| for a 1x1 block d, and for a larger
+block B sigma_max(W^2^n)^(1/2^n) of W = (B - z)^-1, one stacked LU and
+solve per block size, squared with exact rescaling (_batch_square_scaled)
+and read by largest_singular_values with no iteration.  The clearance
+checks of the dense gnr_defect, expansion_residual and
+power_diff_bound_check read sigma_min(T - z) = 1/sigma_max(W) off the
+inverse of the whole T they go on to use.  gnr_defect evaluates at the
+sequence's own anchor, which its constructor checked against the limit; a
+dense defect checks it against the term it evaluates, and a truncation
+sequence's defect is the engine's scan of its family past block k.
 
 Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
 engine that takes all points at once.  This module alone scans blocks:
@@ -49,10 +43,16 @@ _tail_limit alone writes down and every certificate reads:
   strictly below the tail limit (_four_stays_below_limit; z = 0 has closed
   forms instead); where that fails, and for n >= 2, a majorant read off it,
   increasing in 1/alpha, bounds the tail.
-  Its head values are exact: an LDL* positivity test of floor^2 I - M*M
-  drops the blocks M whose norm cannot reach the value the point's scan
-  must beat at the start of the chunk, and one stacked Jacobi call
-  evaluates the rest.
+
+Head values are exact, and both block shapes take powers by one rule: a
+block is a weighted cycle with B^d = P I, P = (alpha f)^(d/2), so
+(P - z^d)(B - z)^-1 is a polynomial in B of degree < d, and n exactly
+rescaled squarings modulo x^d - P raise it to 2^n (_power_coefficients).
+A 2x2 head reads sigma_max off sv2x2_batch (n = 0 takes a closed form in
+real arithmetic).  A 4x4 head drops, by an LDL* positivity test of
+floor^2 I - M*M, the blocks M that cannot reach the value the point's
+scan must beat at the start of the chunk, and one stacked Jacobi call
+evaluates the rest.  Every model takes n <= POWER_INDEX_LIMIT.
 
 Each point's arithmetic depends on that point alone, so a value does not
 depend on the other points of the call.  The certificates are array
@@ -115,6 +115,9 @@ CHUNK_CAP = 1 << 18
 # the 4x4 blocks form |z|^4, and this limit keeps it at most 1e300; past it
 # a point came back as a certified inf or as nan
 BLOCK_Z_LIMIT = 1e75
+# the largest power index n: 2^n and a power's exponent, about 2^n log2 of
+# its scale, stay finite, and the root has met its n -> inf limit long before
+POWER_INDEX_LIMIT = 64
 FOUR_ROUNDING = 1e-9  # the relative growth of the 4x4 bounds that covers their rounding
 
 
@@ -225,7 +228,7 @@ def _dense_power_norms(matrix: np.ndarray, blocks, zs: np.ndarray, n: int) -> np
     return out
 
 
-# --------------------------------------------------- 2x2 block head values
+# ------------------------------------------------------ block head values
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,21 +239,76 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, m: int) -> np.ndarray:
-    """(points, blocks) values ||(B_k - z)^-m||^(1/m); inf marks a singular block.
+def _power_coefficients(d: int, alphas, fs, zs: np.ndarray, n: int):
+    """(c, exps, q): (P - z^d)^(2^n) (B_k - z)^-2^n = 2^exps sum_{i<d} c_i B_k^i, q = |P - z^d|.
 
-    z^2 is _cmul's, so each value depends on its point alone.
+    B^d = P I, P = (alpha f)^(d/2), so (B - z) N = (P - z^d) I for
+    N = sum_i z^(d-1-i) B^i, and n squarings modulo x^d - P raise N to 2^n.
+    Before each and after the last, c is scaled exactly as
+    _batch_square_scaled scales matrices, by its largest real or imaginary
+    part.  c is (d, points, blocks), exps (inf where a power overflows) and
+    q (points, blocks); the products round as _cmul's.
+    """
+    p = (alphas * fs) ** (d // 2)
+    z = zs[:, None]
+    z2 = _cmul(z, z)
+    powers = [np.ones_like(z), z, z2] + ([_cmul(z, z2), _cmul(z2, z2)] if d == 4 else [])
+    q = np.hypot(p - powers[d].real, powers[d].imag)
+    c = np.stack(powers[d - 1 :: -1])
+    x, y, exps = c.real, c.imag, np.zeros(q.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n + 1):
+            s = np.maximum(np.abs(x), np.abs(y)).max(axis=0)
+            ok = (s > 0.0) & (s < math.inf)
+            e = np.maximum(np.frexp(np.where(ok, s, 1.0))[1], -1023)
+            x, y, exps = x * np.exp2(-e), y * np.exp2(-e), np.where(ok, exps + e, math.inf)
+            if step < n:
+                sq_x, sq_y = np.zeros((2, d) + q.shape)
+                for i in range(d):
+                    for j in range(i, d):
+                        # c_i c_j x^(i+j), twice off the diagonal, and x^d = P
+                        w = (1.0 if i == j else 2.0) * (p if i + j >= d else 1.0)
+                        sq_x[(i + j) % d] += (x[i] * x[j] - y[i] * y[j]) * w
+                        sq_y[(i + j) % d] += (x[i] * y[j] + y[i] * x[j]) * w
+                x, y, exps = sq_x, sq_y, 2.0 * exps
+    return x + 1j * y, exps, q
+
+
+def _four_power_stack(family, ks: np.ndarray, zs: np.ndarray, n: int):
+    """_power_coefficients' (c, exps, q) with c laid out as a 4x4 matrix, flat and point-major.
+
+    B e0 = alpha e2, B e2 = alpha e1, B e1 = f e3 and B e3 = f e0: c_i goes
+    where B^i takes each e_j, i steps along that cycle, times its weights.
+    """
+    alphas = family.alpha.values(ks)
+    fs = family.symbol.values(alphas)
+    c, exps, q = _power_coefficients(4, alphas, fs, zs, n)
+    mats = np.zeros(q.shape + (4, 4), dtype=np.complex128)
+    cycle, weights = (0, 2, 1, 3), (alphas, alphas, fs, fs)
+    for t in range(4):
+        w = 1.0
+        for i in range(4):
+            mats[..., cycle[(t + i) % 4], cycle[t]] = c[i] * w
+            w = w * weights[(t + i) % 4]
+    return mats.reshape(-1, 4, 4), exps.ravel(), q.ravel()
+
+
+def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
+    """(points, blocks) values ||(B_k - z)^-2^n||^(1/2^n); inf marks a singular block.
+
+    n = 0 takes real arithmetic, z^2 by _cmul; n >= 1 the matrix
+    c0 + c1 B = [[c0, c1 f], [c1 alpha, c0]] of _power_coefficients.
     """
     alphas = family.alpha.values(ks)
     fs = family.symbol.values(alphas)
     z = zs[:, None]
-    zsq = _cmul(z, z)
-    if m == 1:
+    if n == 0:
         # 1/sigma_min(B - z) = sigma_max / |det| with det = z^2 - alpha f, in
         # real arithmetic.  sigma_max^2 = (F + sqrt(F^2 - 4 |det|^2)) / 2 with
         # F = ||B - z||_F^2; the radicand is summed from the rows (-z, f),
         # (alpha, -z) as (f^2 - alpha^2)^2 + 4 |alpha z + f conj(z)|^2, so it
         # does not cancel when sigma_max is close to sigma_min
+        zsq = _cmul(z, z)
         x, y = z.real, z.imag
         big = 2.0 * (x * x + y * y) + alphas * alphas + fs * fs
         det = np.hypot(alphas * fs - zsq.real, zsq.imag)
@@ -259,29 +317,10 @@ def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, m: int) -> np.ndar
         hi = np.sqrt((big + np.sqrt(rows * rows + 4.0 * cross)) / 2.0)
         with np.errstate(divide="ignore"):
             return hi / det
-    # (B - z)^-m = [(B + z)/q]^m with q = alpha f - z^2 and B^2 = (alpha f) I,
-    # evaluated through the two scalars w+- = (z +- sqrt(alpha f))/q, rescaled
-    # so no intermediate power overflows
-    p = alphas * fs
-    s = np.sqrt(p)
-    q = p - zsq
-    sing = q == 0
-    qs = np.where(sing, 1.0, q)
-    wp = (z + s) / qs
-    wm = (z - s) / qs
-    scale = np.maximum(np.abs(wp), np.abs(wm))
-    up = (wp / scale) ** m
-    um = (wm / scale) ** m
-    half_sum = 0.5 * (up + um)
-    half_diff = 0.5 * (up - um)
-    hi, _ = sv2x2_batch(
-        half_sum,
-        half_diff * np.sqrt(fs / alphas),
-        half_diff * np.sqrt(alphas / fs),
-        half_sum,
-    )
-    vals = scale * hi ** (1.0 / m)
-    return np.where(sing, np.inf, vals)
+    c, exps, q = _power_coefficients(2, alphas, fs, zs, n)
+    hi, _ = sv2x2_batch(c[0], c[1] * fs, c[1] * alphas, c[0])
+    with np.errstate(divide="ignore"):
+        return _scaled_root(hi, exps, 1 << n) / q
 
 
 # ------------------------------------------------------- tail certificates
@@ -433,23 +472,22 @@ def _group_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
     blocks left share one Jacobi call; a point with every block dropped
     gets 0.
     """
-    m = 1 << n
     if family.block_dim == 2:
-        return _two_block_values(family, ks, zs, m).max(axis=1)
-    mats, sing = _four_resolvent_batch(family, ks, zs)
-    mats, exps = _batch_square_scaled(mats, n)
-    # value < floor  <=>  sigma_max(mats) < floor^m / 2^exps; a zero
-    # floor gives bound 0, which drops nothing
-    with np.errstate(divide="ignore"):
-        lead = m * np.log(floors)
-    keep = ~norm_below(mats, np.exp(np.repeat(lead, len(ks)) - exps * math.log(2.0)))
+        return _two_block_values(family, ks, zs, n).max(axis=1)
+    m = 1 << n
+    mats, exps, q = _four_power_stack(family, ks, zs, n)
+    # value < floor  <=>  sigma_max(mats) < (floor q)^m / 2^exps; a zero
+    # floor or q gives bound 0, which drops nothing, and a bound that (or
+    # whose square) overflows lies far above the block and drops it rightly
+    with np.errstate(divide="ignore", over="ignore"):
+        lead = m * (np.repeat(np.log(floors), len(ks)) + np.log(q))
+        keep = ~norm_below(mats, np.exp(lead - exps * math.log(2.0)))
     vals = np.zeros(len(mats))
     if keep.any():
         sigma = jacobi_singular_values(mats[keep])[:, 0]
-        vals[keep] = _scaled_root(sigma, exps[keep], m)
-    out = vals.reshape(len(zs), len(ks)).max(axis=1)
-    out[sing.any(axis=1)] = math.inf
-    return out
+        with np.errstate(divide="ignore"):
+            vals[keep] = _scaled_root(sigma, exps[keep], m) / q[keep]
+    return vals.reshape(len(zs), len(ks)).max(axis=1)
 
 
 def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
@@ -578,45 +616,8 @@ def _inverse_family_values(zs: np.ndarray, n: int) -> ResolventValues:
 # --------------------------------------------------------------- 4x4 blocks
 
 
-def _four_resolvent_batch(family, ks: np.ndarray, zs: np.ndarray):
-    """Stacked (B_k - z)^-1 over points x blocks; returns (mats, singular_mask).
-
-    mats is (points * blocks, 4, 4), point-major; the mask is (points, blocks).
-    """
-    alphas = family.alpha.values(ks)
-    betas = family.symbol.values(alphas)
-    p = alphas * betas
-    z1, z2 = zs[:, None], _cmul(zs, zs)[:, None]
-    z3, z4 = _cmul(z1, z2), _cmul(z2, z2)
-    q = p * p - z4
-    sing = q == 0
-    qs = np.where(sing, 1.0, q)
-    r = np.zeros(sing.shape + (4, 4), dtype=np.complex128)
-    a2b = alphas * alphas * betas
-    ab2 = alphas * betas * betas
-    ab = alphas * betas
-    r[..., 3, 0] = a2b
-    r[..., 1, 0] = z1 * alphas * alphas
-    r[..., 2, 0] = z2 * alphas
-    r[..., 0, 0] = z3
-    r[..., 2, 1] = ab2
-    r[..., 0, 1] = z1 * betas * betas
-    r[..., 3, 1] = z2 * betas
-    r[..., 1, 1] = z3
-    r[..., 0, 2] = ab2
-    r[..., 3, 2] = z1 * ab
-    r[..., 1, 2] = z2 * alphas
-    r[..., 2, 2] = z3
-    r[..., 1, 3] = a2b
-    r[..., 2, 3] = z1 * ab
-    r[..., 0, 3] = z2 * betas
-    r[..., 3, 3] = z3
-    r /= qs[..., None, None]
-    return r.reshape(-1, 4, 4), sing
-
-
 def _batch_square_scaled(mats: np.ndarray, n: int):
-    """A stack (b, d, d) raised to the power 2^n by repeated squaring.
+    """A stack (b, d, d) of dense blocks raised to the power 2^n by repeated squaring.
 
     Before each square a matrix is scaled exactly by 2^-e, e the frexp
     exponent of its largest entry modulus s (at least -1023, so 2^-e is
@@ -834,11 +835,11 @@ def resolvent_power_norms(
     inverse-symbol family takes its exact rule of z, scaled models the
     identity ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|.  Again each value is
     the single-point one.  max_blocks bounds the tail scan of infinite
-    families.  A non-finite point, or a block point beyond BLOCK_Z_LIMIT,
-    raises DomainError.
+    families.  n past POWER_INDEX_LIMIT, a non-finite point, or a block
+    point beyond BLOCK_Z_LIMIT raises DomainError.
     """
-    if n < 0:
-        raise DomainError("power index n must be nonnegative")
+    if not 0 <= n <= POWER_INDEX_LIMIT:
+        raise DomainError(f"power index n must lie in 0..{POWER_INDEX_LIMIT}, got {n}")
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     if not np.isfinite(zs).all():
         bad = complex(zs[~np.isfinite(zs)][0])

@@ -276,6 +276,14 @@ class TestExitCodeMatrix:
             want = resolvent_norm_oracle(jordan, complex(float(re), float(im)))
             assert float(value) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("n", ["65", "1100"])
+    def test_power_index_beyond_the_limit_is_two(self, capsys, n):
+        # at n = 1100, 2^n overflowed a double and escaped as a traceback
+        assert run(["field", "--model", "shargorodsky", "--region", "0,1,0,1",
+                    "--nx", "2", "--ny", "2", "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "power index" in err
+
     def test_point_beyond_the_block_range_is_two(self, capsys):
         assert run(["field", "--model", "remark_n1", "--region", "1e76,2e76,0,1e76",
                     "--nx", "2", "--ny", "2"]) == 2
@@ -316,6 +324,12 @@ class TestStudies:
     def test_decay_sparse_passes(self, capsys):
         code = run(["decay", "--grid", "sparse", "--samples", "5"])
         assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+    def test_decay_sparse_grid_holds_the_maximizer(self, capsys):
+        # the successor grid is sized from the closed-form maximizer, 3.0e4 at
+        # r = 100: sized as 4 r^(2/(1+beta)) it stopped at 17320 weights
+        assert run(["decay", "--beta", "0.1", "--grid", "sparse"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
     def test_counterexample_const_passes(self, capsys):

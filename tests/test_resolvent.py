@@ -4,6 +4,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -50,11 +51,7 @@ from pseudolab.numkernel import (
     sv2x2_batch,
 )
 from pseudolab.operators import TruncatedFamily
-from pseudolab.resolvent import (
-    _batch_square_scaled,
-    _dense_power_norms,
-    _four_resolvent_batch,
-)
+from pseudolab.resolvent import _dense_power_norms, _four_power_stack
 
 SHARG = build_named_example("shargorodsky").model
 EMPTY = build_named_example("empty_resolvent").model
@@ -440,6 +437,25 @@ class TestPowerNorms:
         with pytest.raises(DomainError):
             resolvent_power_norm(DIAG26, 3.0, -1)
 
+    @pytest.mark.parametrize("model", [SHARG, REMARK, EMPTY, DIAG26, TruncatedFamily(SHARG, 8)])
+    @pytest.mark.parametrize("n", [resolvent.POWER_INDEX_LIMIT + 1, 1100])
+    def test_power_index_beyond_the_limit_rejected(self, model, n):
+        # 2^1100 is no double: the index used to escape as an OverflowError
+        with pytest.raises(DomainError, match="power index"):
+            resolvent_power_norm(model, 0.3 + 0.2j, n)
+
+    @pytest.mark.parametrize("n", [60, resolvent.POWER_INDEX_LIMIT])
+    @pytest.mark.parametrize("z", [0.5, 0.3 + 0.2j])
+    @pytest.mark.parametrize("model", [SHARG, NONCONST, DECAY], ids=["sharg", "noncon", "decay"])
+    def test_high_powers_match_the_dense_truncation(self, model, z, n):
+        # raising the eigen-branches w+- = (z +- sqrt(alpha f))/q to the power
+        # 2^n reported shargorodsky as inf at 0.3 + 0.2i (n = 60) and 0.6667
+        # at 0.5 (n = 64), both certified; the maximum sits in the first blocks
+        got = resolvent_power_norm(model, z, n)
+        dense = resolvent_power_norm(assemble_truncation(model, 50), z, n).value
+        assert got.certified and math.isfinite(got.value)
+        assert got.value == pytest.approx(dense, rel=1e-13)
+
     @pytest.mark.parametrize(
         "model",
         [SHARG, REMARK, EMPTY, DIAG26, DenseOperator([[1.0, 1.0], [0.0, 2.0]]),
@@ -609,7 +625,7 @@ class TestTwoByTwoValues:
             assume(False)
         z = complex(re, im)
         ks = np.unique(np.geomspace(1, k_max, 64).astype(np.int64))
-        got = resolvent._two_block_values(family, ks, np.array([z]), 1)[0]
+        got = resolvent._two_block_values(family, ks, np.array([z]), 0)[0]
         eps = np.finfo(float).eps
         for k, value in zip(ks, got):
             block = family.block(int(k)) - z * np.eye(2)
@@ -621,6 +637,65 @@ class TestTwoByTwoValues:
             hi, lo = sv2x2_batch(block[0, 0], block[0, 1], block[1, 0], block[1, 1])
             assert hi == pytest.approx(sv[0], rel=1e-13)
             assert lo * hi == pytest.approx(abs(np.linalg.det(block)), rel=1e-13)
+
+
+def _fifty_digit_block_value(family, k: int, z: complex, n: int):
+    """||(B_k - z)^-2^n||^(1/2^n) to 50 digits, and the condition of P - z^d.
+
+    B_k is built from the doubles alpha_k and f(alpha_k) the engine uses, and
+    z is taken exactly.  kappa = (P + |z|^d) / |P - z^d|, P = (alpha f)^(d/2),
+    bounds how much the rounding of z^d and P can move the value.
+    """
+    alpha = float(family.alpha.values(np.array([k]))[0])
+    f = float(family.symbol.values(np.array([alpha]))[0])
+    with mpmath.workdps(50):
+        d = family.block_dim
+        block = mpmath.matrix(family.block(k).real.tolist())
+        zz = mpmath.mpc(z.real, z.imag)
+        w = (block - zz * mpmath.eye(d)) ** -1
+        for _ in range(n):
+            w = w * w
+        sigma = max(mpmath.svd_c(w, compute_uv=False))
+        p = (mpmath.mpf(alpha) * f) ** (d // 2)
+        kappa = (p + abs(zz) ** d) / abs(p - zz**d)
+        return float(sigma ** (mpmath.mpf(1) / 2**n)), float(kappa)
+
+
+class TestBlockPowerRule:
+    """Every 2x2 and 4x4 block power comes from the coefficients of a polynomial in B."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from([SHARG, NONCONST, DECAY, REMARK]),
+        n=st.integers(0, 4),
+        k=st.integers(0, 50).map(lambda e: int(10 ** (e / 10))),
+        centre=st.integers(-1, 3),
+        log_r=st.floats(-12.0, 8.0),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    @example(SHARG, 1, 7, -1, math.log10(0.5), 0.0)
+    @example(NONCONST, 2, 100000, 0, -6.0, 1.0)
+    @example(DECAY, 4, 31622, 2, -9.0, 2.0)
+    @example(REMARK, 3, 1995, 1, -4.0, 0.5)
+    @example(REMARK, 0, 1, -1, 8.0, 1.3)
+    def test_values_match_fifty_digits(self, family, n, k, centre, log_r, angle):
+        # centre -1 puts z at 10^log_r e^(i angle), up to 1e8; centre j puts
+        # it at relative distance 10^log_r from sqrt(alpha f) i^j, an
+        # eigenvalue of B_k (for 2x2 blocks when j is even)
+        alpha = family.alpha.value(k)
+        offset = 10.0**log_r * complex(math.cos(angle), math.sin(angle))
+        if centre < 0:
+            z = offset
+        else:
+            z = complex(math.sqrt(alpha * family.symbol.value(alpha)) * 1j**centre * (1.0 + offset))
+        got = resolvent._group_maxima(family, np.array([k]), np.array([z]), n, np.zeros(1))[0]
+        want, kappa = _fifty_digit_block_value(family, k, z, n)
+        eps = np.finfo(float).eps
+        if math.isinf(got):
+            # q = P - z^d rounded to 0: z is an eigenvalue up to rounding
+            assert kappa * eps > 1e-3
+        else:
+            assert abs(got - want) <= 16.0 * eps * kappa * want
 
 
 def _four_limit_oracle(z: complex, n: int) -> float:
@@ -663,6 +738,15 @@ class TestFourByFourHeads:
         assert got.value >= head * (1.0 - 1e-12)
         assert got.value <= max(head, _four_limit_oracle(z, n)) * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("n", [15, 20])
+    def test_high_powers_screen_quietly(self, n):
+        # from n = 15 the screen's bound exp(m log floor - exps log 2)
+        # overflows to inf, which drops the block rightly, but warned
+        got = resolvent_power_norm(REMARK, 0.3 + 0.2j, n)
+        dense = resolvent_power_norm(assemble_truncation(REMARK, 50), 0.3 + 0.2j, n).value
+        assert got.certified
+        assert got.value == pytest.approx(dense, rel=1e-13)
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         n=st.integers(0, 2),
@@ -673,9 +757,7 @@ class TestFourByFourHeads:
     )
     def test_screen_drops_only_blocks_below_their_bound(self, n, re, im, first, spread):
         ks = np.arange(first, first + 32)
-        mats, sing = _four_resolvent_batch(REMARK, ks, np.array([complex(re, im)]))
-        assume(not sing.any())
-        mats, _ = _batch_square_scaled(mats, n)
+        mats, _, _ = _four_power_stack(REMARK, ks, np.array([complex(re, im)]), n)
         sigma = np.array([singular_values_oracle(mat)[0] for mat in mats])
         # bounds straddle the true norms: blocks at one end of ks sit above theirs
         bound = sigma * np.exp(spread * np.linspace(-1.0, 1.0, len(ks)))
@@ -1225,6 +1307,9 @@ class TestFieldEngine:
     @example("diagonal", 2, (-2, -2), 1.0, 64)
     @example("scaled_diagonal", 0, (-4, -4), 0.25, 64)
     @example("scaled_diagonal", 2, (-2, -2), 1.0, 64)
+    @example("shargorodsky", 2, (-2, -2), 1.0, 400)
+    @example("nonconstant", 3, (-4, -4), 0.5, 64)
+    @example("decay", 3, (-2, -2), 0.25, 400)
     def test_field_cells_equal_point_values(self, name, n, corner, step, budget):
         # every window holds z = 0; step 1 with corner >= -2 also holds z = 2
         model = ENGINE_MODELS[name]
