@@ -29,6 +29,7 @@ from .resolvent import resolvent_power_norms
 
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
+READ_CHARS = 1 << 16  # CSV characters a reader splits at a time, in whole lines
 READ_SLICE = 4096  # CSV records a reader parses at a time
 
 
@@ -272,16 +273,43 @@ def write_json(obj, fp) -> None:
     fp.write("\n")
 
 
+def _floats(tokens) -> np.ndarray:
+    # each distinct token converted once; ValueError if one is not a number
+    unique = set(tokens)
+    value = dict(zip(unique, map(float, unique)))
+    return np.fromiter(map(value.__getitem__, tokens), float, len(tokens))
+
+
+def _plain_values(lines) -> np.ndarray | None:
+    # the floats of lines that are each three comma-separated fields ending
+    # in a newline, split on commas as csv.reader splits them; None where
+    # csv.reader may read otherwise (a CR, a field past the size limit,
+    # blank, short or long lines, no final newline) or a token is not a
+    # number, as no token holding a quote or NUL is
+    text = ",".join(lines)
+    if (
+        "\r" in text or len(text) >= csv.field_size_limit()
+        or not text.endswith("\n") or text.count("\n") != len(lines)
+    ):
+        return None
+    # each line ends in its one newline, so a token holds a newline only at
+    # its end, and every line has three fields exactly when the newlines end
+    # every third token
+    tokens = text.split(",")
+    if len(tokens) != 3 * len(lines) or "".join(tokens[2::3]).count("\n") != len(lines):
+        return None
+    try:
+        return _floats(tokens)
+    except ValueError:
+        return None
+
+
 def _parse_records(records, lineno) -> np.ndarray:
-    # the floats of csv records from line lineno on, blank ones skipped, each
-    # distinct token converted once; a failed slice is replayed record by
-    # record to name its first bad line
+    # the floats of csv records from line lineno on, blank ones skipped; a
+    # failed slice is replayed record by record to name its first bad line
     if set(map(len, records)) <= {0, 3}:
-        tokens = list(chain.from_iterable(records))
-        unique = set(tokens)
         with contextlib.suppress(ValueError):
-            value = dict(zip(unique, map(float, unique)))
-            return np.fromiter(map(value.__getitem__, tokens), float, len(tokens))
+            return _floats(list(chain.from_iterable(records)))
     for lineno, row in enumerate(records, start=lineno):
         if row and len(row) != 3:
             raise ConfigurationError(f"line {lineno}: expected 3 columns")
@@ -303,6 +331,18 @@ def _read_rows(fp, header) -> np.ndarray:
             f"expected header {','.join(header)}, got {','.join(first)}"
         )
     parts, lineno = [np.empty(0)], 2
+    # the body in slices of whole lines, as fp itself splits them: a plain
+    # slice is split on commas, and the first other one goes with the rest
+    # of the file to csv.reader, which alone reads quotes, CR and blank lines
+    # and names the first bad line; a plain slice holds no blank line, so
+    # line numbers agree (at the end of the file the header's reader is done)
+    while lines := fp.readlines(READ_CHARS):
+        values = _plain_values(lines)
+        if values is None:
+            reader = csv.reader(chain(lines, fp))
+            break
+        parts.append(values)
+        lineno += len(lines)
     while True:
         records = []
         try:

@@ -965,7 +965,15 @@ def expansion_residual(op, lam: complex, lam0: complex, l: int) -> float:
 
 
 def power_diff_bound_check(op, lam_k: complex, nu: complex, n: int) -> PowerDiffBound:
-    """Compare ||R(nu)^2^n - R(lam_k)^2^n|| against its binomial bound."""
+    """Compare ||R(nu)^2^n - R(lam_k)^2^n|| against its binomial bound.
+
+    With m = 2^n, c = ||R(lam_k)|| and d = |nu - lam_k| the bound is
+    c^m (1 - dc)^-m sum_{j>=1} C(m, j) (cd)^j, whose sum is
+    expm1(m log1p(cd)); it is formed in logs, so no factor overflows or
+    underflows on its own.  n past POWER_INDEX_LIMIT is refused.
+    """
+    if not 0 <= n <= POWER_INDEX_LIMIT:
+        raise DomainError(f"power index n must lie in 0..{POWER_INDEX_LIMIT}, got {n}")
     matrix = _dense_matrix_of(op)
     lam_k, nu = complex(lam_k), complex(nu)
     r_lam, c = _inverse_of(matrix, lam_k, "the operator at lam_k")
@@ -977,8 +985,14 @@ def power_diff_bound_check(op, lam_k: complex, nu: complex, n: int) -> PowerDiff
         )
     m = 1 << n
     lhs = largest_singular_value(_mat_power(r_nu, m) - _mat_power(r_lam, m))
-    total = 0.0
-    for j in range(1, m + 1):
-        total += math.comb(m, j) * c**j * d**j
-    rhs = c**m * (1.0 - d * c) ** (-m) * total
+    s = m * math.log1p(d * c)
+    if s == 0.0:
+        rhs = 0.0
+    else:
+        # log expm1(s) = s + log(1 - e^-s), which overflows for no s
+        log_sum = s + math.log(-math.expm1(-s))
+        try:
+            rhs = math.exp(m * (math.log(c) - math.log1p(-d * c)) + log_sum)
+        except OverflowError:
+            rhs = math.inf
     return PowerDiffBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + 1e-10))

@@ -9,7 +9,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pseudolab
@@ -29,7 +29,7 @@ from pseudolab import (
     write_field_csv,
     write_mask_csv,
 )
-from pseudolab.pseudospectra import READ_SLICE, LevelSetMask, dilate_one_cell
+from pseudolab.pseudospectra import READ_CHARS, READ_SLICE, LevelSetMask, dilate_one_cell
 
 DIAG26 = DenseOperator(np.diag([2.0, 6.0]))
 SHARG = build_named_example("shargorodsky").model
@@ -355,10 +355,80 @@ def lattice_csv(nx, ny):
         GridRegion(0.0, 1.0, 0.0, 1.0, nx, ny), 0, np.ones((nx, ny))))
 
 
+def line_at(text, offset):
+    """The number of the line of text that holds character offset."""
+    return text.count("\n", 0, offset) + 1
+
+
+def quote_line(line):
+    return ",".join(f'"{t}"' for t in line.split(","))
+
+
+def quoted_from(text, offset):
+    """text with every token of the lines starting past offset quoted."""
+    cut = text.index("\n", offset) + 1
+    return text[:cut] + "".join(quote_line(line) + "\n" for line in text[cut:].splitlines())
+
+
+# a line of the third READ_CHARS slice of a 100x60 lattice's body
+THIRD_SLICE_LINE = line_at(lattice_csv(100, 60), 5 * READ_CHARS // 2)
+
+
+def reference_rows(fp):
+    """The field rows a per-record reader gives: csv.reader one record at a
+    time, blank records skipped, float per token, the first bad line named."""
+    reader = csv.reader(fp)
+    first = next(reader, None)
+    if first is None:
+        raise ConfigurationError("empty CSV input")
+    if [c.strip() for c in first] != ["re", "im", "value"]:
+        raise ConfigurationError(f"expected header re,im,value, got {','.join(first)}")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ConfigurationError(f"line {lineno}: expected 3 columns")
+        try:
+            rows.append([float(t) for t in row])
+        except ValueError:
+            raise ConfigurationError(f"line {lineno}: malformed number") from None
+    if not rows:
+        raise ConfigurationError("CSV holds no data rows")
+    return np.array(rows)
+
+
+# a 70x70 field of distinct values over about four READ_CHARS slices
+REFERENCE_CSV = written(write_field_csv, NormField(
+    GridRegion(-1.0, 1.0, -0.5, 0.5, 70, 70), 0, np.linspace(0.25, 9.0, 4900).reshape(70, 70)))
+REFERENCE_LINES = REFERENCE_CSV.splitlines()
+
+
+LINE_EDITS = {
+    "quote": lambda lines, i: lines.__setitem__(i, quote_line(lines[i])),
+    "crlf": lambda lines, i: lines.__setitem__(i, lines[i] + "\r"),
+    "cr": lambda lines, i: lines.__setitem__(i, lines[i].replace(",", ",\r", 1)),
+    "blank": lambda lines, i: lines.insert(i, ""),
+    "malformed": lambda lines, i: lines.__setitem__(i, lines[i] + "e"),
+    "short": lambda lines, i: lines.__setitem__(i, lines[i].rsplit(",", 1)[0]),
+    "long": lambda lines, i: lines.__setitem__(i, lines[i] + ",1"),
+}
+
+
 class TestCsvReaderEdges:
     def test_blank_lines_keep_their_line_numbers(self):
         text = "re,im,value\n0,0,1\n\n0,1,1\n\n1,0,x\n1,1,1\n"
         with pytest.raises(ConfigurationError, match=r"^line 6: malformed number$"):
+            read_field_csv(io.StringIO(text))
+        # both past the first slice: the blank line sends its slice to csv.reader
+        text = lattice_csv(100, 60)
+        lines = text.splitlines()
+        lines[THIRD_SLICE_LINE - 1] = "0.5,0.5,x"
+        lines.insert(line_at(text, 3 * READ_CHARS // 2), "")
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(
+            ConfigurationError, match=rf"^line {THIRD_SLICE_LINE + 1}: malformed number$"
+        ):
             read_field_csv(io.StringIO(text))
 
     def test_blank_lines_between_rows_are_skipped(self):
@@ -366,13 +436,25 @@ class TestCsvReaderEdges:
         back = read_field_csv(io.StringIO(text))
         assert back.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
-    def test_crlf_and_quoted_numbers_round_trip(self):
+    def test_crlf_and_quoted_numbers_round_trip(self, tmp_path):
         field = diag_field(GridRegion(1.0, 7.0, -1.0, 1.0, 7, 3))
         text = written(write_field_csv, field)
         lines = text.splitlines()
-        quoted = [lines[0]] + [",".join(f'"{t}"' for t in line.split(",")) for line in lines[1:]]
+        quoted = [lines[0]] + [quote_line(line) for line in lines[1:]]
         for variant in (text.replace("\n", "\r\n"), "\r\n".join(quoted) + "\r\n"):
             back = read_field_csv(io.StringIO(variant, newline=""))
+            assert back.region == field.region
+            assert np.array_equal(back.values, field.values)
+        # rows quoted only past the first slice: the plain slices hand off
+        # to csv.reader mid-file, read from a string and from a file opened
+        # as the CLI opens it
+        field = diag_field(GridRegion(1.0, 7.0, -1.0, 1.0, 150, 70))
+        text = quoted_from(written(write_field_csv, field), 3 * READ_CHARS // 2)
+        path = tmp_path / "field.csv"
+        path.write_text(text.replace("\n", "\r\n"), newline="")
+        with open(path, newline="") as fh:
+            from_file = read_field_csv(fh)
+        for back in (read_field_csv(io.StringIO(text)), from_file):
             assert back.region == field.region
             assert np.array_equal(back.values, field.values)
 
@@ -388,7 +470,7 @@ class TestCsvReaderEdges:
         ("0.5,0.5,one", "malformed number"),
         ("0.5,0.5", "expected 3 columns"),
     ])
-    @pytest.mark.parametrize("lineno", [READ_SLICE, READ_SLICE + 1, 5000])
+    @pytest.mark.parametrize("lineno", [READ_SLICE, READ_SLICE + 1, 5000, THIRD_SLICE_LINE])
     def test_bad_line_past_the_first_slice_keeps_its_number(self, bad, message, lineno):
         lines = lattice_csv(100, 60).splitlines()
         lines[lineno - 1] = bad
@@ -407,9 +489,52 @@ class TestCsvReaderEdges:
 
     def test_many_slices_round_trip(self):
         field = diag_field(GridRegion(1.0, 7.0, -1.0, 1.0, 150, 70))
-        back = read_field_csv(io.StringIO(written(write_field_csv, field)))
-        assert back.region == field.region
-        assert np.array_equal(back.values, field.values)
+        text = written(write_field_csv, field)
+        for variant in (text, text.rstrip("\n")):  # and with no final newline
+            back = read_field_csv(io.StringIO(variant))
+            assert back.region == field.region
+            assert np.array_equal(back.values, field.values)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        edits=st.lists(st.tuples(
+            st.sampled_from(sorted(LINE_EDITS)),
+            st.integers(1, len(REFERENCE_LINES) - 1),
+        ), max_size=6),
+        final_newline=st.booleans(),
+        newline=st.sampled_from([None, "", "\n", "\r", "\r\n"]),
+        nx=st.sampled_from([2, 70]),
+    )
+    # a short and a long row in one slice hold as many fields as two good rows,
+    # and a six-field row keeps every newline in a third token
+    @example(edits=[("short", 2000), ("long", 2001)], final_newline=True, newline="", nx=70)
+    @example(edits=[("long", 100)] * 3, final_newline=True, newline=None, nx=70)
+    # a lone CR ends a line only where the stream splits lines at CR
+    @example(edits=[("cr", 3000)], final_newline=True, newline="\n", nx=70)
+    @example(edits=[], final_newline=True, newline="\r", nx=2)
+    def test_matches_per_record_reference(self, edits, final_newline, newline, nx):
+        lines = REFERENCE_LINES[:1 + 70 * nx]  # the first nx lattice rows
+        for kind, i in edits:
+            LINE_EDITS[kind](lines, 1 + (i - 1) % (len(lines) - 1))
+        text = "\n".join(lines) + "\n" * final_newline
+
+        def outcome(read):
+            try:
+                return read(io.StringIO(text, newline=newline)).tobytes()
+            except (ConfigurationError, csv.Error) as err:
+                return type(err), str(err)
+
+        assert outcome(lambda fp: read_field_csv(fp).values) == outcome(
+            lambda fp: reference_rows(fp)[:, 2])
+
+    def test_a_line_with_inner_newlines_is_one_record(self, tmp_path):
+        # a file opened with newline="\r" gives its body as one line holding
+        # newlines, which csv.reader refuses
+        path = tmp_path / "field.csv"
+        for body in (b"0,\n0,1\n", b"0,1,\n5"):
+            path.write_bytes(b"re,im,value\r" + body)
+            with open(path, newline="\r") as fh, pytest.raises(csv.Error, match="new-line"):
+                read_field_csv(fh)
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty CSV input"),

@@ -1555,6 +1555,33 @@ class TestPowerDiffBound:
         with pytest.raises(DomainError):
             power_diff_bound_check(DIAG26, 3.0, 3.0 + 1.5 / c, 1)
 
+    def test_matches_the_binomial_sum(self):
+        # the bound c^m (1 - dc)^-m sum_{j>=1} C(m, j) (cd)^j summed term by term
+        rng = np.random.default_rng(5)
+        for model, lam in ((DIAG26, 3.0), (DenseOperator(random_complex_matrix(rng, 4)), 0.3 + 0.2j)):
+            c = resolvent._inverse_of(model.matrix, lam, "lam")[1]
+            for frac in (1e-6, 0.01, 0.4):
+                nu = lam + frac / c
+                d = abs(nu - lam)
+                for n in range(1, 9):
+                    m = 1 << n
+                    total = sum(math.comb(m, j) * c**j * d**j for j in range(1, m + 1))
+                    want = c**m * (1.0 - d * c) ** (-m) * total
+                    res = power_diff_bound_check(model, lam, nu, n)
+                    assert res.rhs == pytest.approx(want, rel=1e-12, abs=0.0)
+                    assert res.holds
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_high_powers_hold(self, n):
+        res = power_diff_bound_check(DIAG26, 3.0, 3.001, n)
+        assert res.holds and math.isfinite(res.rhs)
+        assert res.lhs == pytest.approx(1.0 - 1.001 ** -(1 << n), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [-1, 65])
+    def test_power_index_beyond_the_limit_rejected(self, n):
+        with pytest.raises(DomainError, match=rf"^power index n must lie in 0\.\.64, got {n}$"):
+            power_diff_bound_check(DIAG26, 3.0, 3.001, n)
+
 
 class TestSequencesWithFamilies:
     def test_scaled_family_sequence_values(self):
