@@ -259,18 +259,17 @@ def write_json(obj, fp) -> None:
     """
     doc = {**asdict(obj.region), "n": obj.n}
     if isinstance(obj, NormField):
-        doc["values"] = [
-            [v if math.isfinite(v) else repr(v) for v in row]
-            for row in obj.values.tolist()
-        ]
+        key, rows = "values", obj.values.tolist()
+        rows = [[repr(v) if math.isfinite(v) else f'"{v}"' for v in r] for r in rows]
     else:
-        doc.update(
-            epsilon=obj.epsilon,
-            strictness=obj.strictness,
-            member=obj.mask.astype(int).tolist(),
-        )
-    json.dump(doc, fp, indent=2, sort_keys=True)
-    fp.write("\n")
+        key, doc["epsilon"], doc["strictness"] = "member", obj.epsilon, obj.strictness
+        rows = np.where(obj.mask, "1", "0").tolist()
+    # json.dump's indent=2 layout, the rows joined in one pass, not streamed
+    doc[key] = None
+    nested = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    body = f'"{key}": [\n    [\n      {nested}\n    ]\n  ]'
+    fp.write(text.replace(f'"{key}": null', body, 1) + "\n")
 
 
 def _floats(tokens) -> np.ndarray:

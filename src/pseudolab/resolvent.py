@@ -218,7 +218,7 @@ def _dense_power_norms(matrix: np.ndarray, blocks, zs: np.ndarray, n: int) -> np
             z = zs[i : i + rows]
             if size == 1:
                 with np.errstate(divide="ignore"):
-                    values = 1.0 / np.abs(z[:, None] - mats[:, 0, 0]).min(axis=1)
+                    values = 1.0 / np.abs(z - mats[:, 0, 0, None]).min(axis=0)
             else:
                 w, ok = explicit_inverses(_shifted(mats, z))
                 powers, exps = _batch_square_scaled(w, n)

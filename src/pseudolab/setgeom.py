@@ -10,17 +10,17 @@ complex coordinates of region.lattice(), minimized and maximized
 exactly; no route rounds differently from that formula.
 
 Two masks on one lattice (every study, the CLI round trip) and every
-delta-neighborhood go through an exact squared Euclidean distance
-transform of the member mask, separable in the two lattice axes
-(Felzenszwalb & Huttenlocher, "Distance transforms of sampled
-functions", Theory of Computing 8, 2012).  The transform only selects
-cells: the Hausdorff queries within a roundoff band of the largest
-distance, and the lattice cells within that band of delta.  Those cells
-are recomputed with the float formula against the members in a box
-around them, so results are bit-for-bit those of the brute-force double
-loop.  Masks on different lattices take that double loop directly, in
-row chunks.  Both routes are deterministic, which makes Hausdorff
-symmetry exact rather than approximate.
+delta-neighborhood go through a squared Euclidean distance transform of
+the member mask, separable in the two lattice axes (Felzenszwalb &
+Huttenlocher, Theory of Computing 8, 2012) and taken only at the cells
+a caller reads, on their rows, as far across a row as its reach.  The
+transform only selects cells: the Hausdorff queries within a roundoff
+band of the largest distance, and the lattice cells within that band of
+delta.  Those cells are recomputed with the float formula against the
+members in a box around them, so results are bit-for-bit those of the
+brute-force double loop.  Masks on different lattices take that double
+loop directly, in row chunks.  Both routes are deterministic, which
+makes Hausdorff symmetry exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .errors import DomainError
 from .pseudospectra import GridRegion, LevelSetMask
 
 # entries per chunk of every distance table (brute force, the transform's
-# row minimum, the recomputed boxes); a few MB of temporaries
+# whole-row minimum, the recomputed boxes); a few MB of temporaries.  The
+# banded row minimum needs no chunks: it holds two copies of its rows
 _CHUNK_ENTRIES = 2**17
 
 
@@ -76,30 +77,53 @@ def _min_dists_brute(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _squared_distance_transform(region: GridRegion, mask: np.ndarray) -> np.ndarray:
-    """Squared distance from every cell to the nearest member, (nx, ny).
+def _squared_distances_at(
+    region: GridRegion, mask: np.ndarray, cells: np.ndarray, reach: float = math.inf
+) -> np.ndarray:
+    """Upper bounds on the squared distance from every cell to the nearest
+    member, (nx, ny), exact at the `cells` whose distance is at most reach.
 
-    Distances are measured between the ideal points (i hx, j hy); they
+    Pass 1 takes col(i, j), the squared distance to the nearest member in
+    the cell's own column; its largest value at the cells caps the reach.
+    Pass 2, on the rows that hold cells, takes the minimum of col(i, j') +
+    (j - j')^2 hy^2 over |j - j'| <= b = floor(reach / hy) + 1, or over the
+    row when 2 b + 1 >= ny.  Distances between the ideal points (i hx, j hy)
     differ from the float formula by roundoff only.
     """
     nx, ny = mask.shape
     rows = np.arange(nx)[:, None]
-    # pass 1: per column j, the row offset g to the nearest member in it
     above = np.maximum.accumulate(np.where(mask, rows, -2 * nx), axis=0)
     below = np.minimum.accumulate(np.where(mask, rows, 3 * nx)[::-1], axis=0)[::-1]
     g = np.minimum(rows - above, below - rows).astype(np.float64)
     g[g >= nx] = np.inf  # column without members
     col = g * g * (region.hx * region.hx)
-    # pass 2: min over j' of g(i, j')^2 hx^2 + (j - j')^2 hy^2, per row i
-    dj = np.arange(ny, dtype=np.float64)
-    across = (dj[:, None] - dj[None, :]) ** 2 * (region.hy * region.hy)
-    out = np.empty((nx, ny))
-    step = max(1, _CHUNK_ENTRIES // (ny * ny))
-    for start in range(0, nx, step):
-        out[start : start + step] = (
-            col[start : start + step, None, :] + across[None, :, :]
-        ).min(axis=2)
-    return out
+    span = min(reach, math.sqrt(np.max(col, where=cells, initial=0.0))) / region.hy
+    b = math.floor(span) + 1 if span < ny else ny
+    held = cells.any(axis=1)
+    # col's own rows when all are held: each fresh large array costs page faults
+    part = col if held.all() else col[held]
+    hy2 = region.hy * region.hy
+    if 2 * b + 1 < ny:
+        own = part.copy()
+        shifted = np.empty_like(part)
+        for o in range(1, b + 1):
+            np.add(own, float(o) ** 2 * hy2, out=shifted)
+            np.minimum(part[:, :-o], shifted[:, o:], out=part[:, :-o])
+            np.minimum(part[:, o:], shifted[:, :-o], out=part[:, o:])
+    else:
+        # columns outside the members' span offer only inf candidates
+        lo, hi = np.flatnonzero(mask.any(axis=0))[[0, -1]] + [0, 1]
+        own = part[:, lo:hi].copy()
+        dj = np.arange(ny, dtype=np.float64)
+        across = (dj[:, None] - dj[None, lo:hi]) ** 2 * hy2
+        step = max(1, _CHUNK_ENTRIES // (ny * (hi - lo)))
+        for start in range(0, len(part), step):
+            part[start : start + step] = (
+                own[start : start + step, None, :] + across[None, :, :]
+            ).min(axis=2)
+    if part is not col:
+        col[held] = part
+    return col
 
 
 def _roundoff_band(region: GridRegion, reach: float) -> float:
@@ -151,14 +175,15 @@ def _directed_on_lattice(
     region: GridRegion, queries: np.ndarray, targets: np.ndarray
 ) -> float:
     """sup over query members of the distance to the nearest target member."""
-    d2 = _squared_distance_transform(region, targets)[queries]
-    top2 = float(d2.max())
+    cells = queries & ~targets
+    d2 = _squared_distances_at(region, targets, cells)[cells]
+    top2 = float(d2.max(initial=0.0))
     if top2 == 0.0:
         return 0.0
     top = math.sqrt(top2)
     band = _roundoff_band(region, top)
-    cells = np.argwhere(queries)[np.sqrt(d2) >= top - band]
-    return float(_near_min_dists(region, targets, cells, top + 2.0 * band).max())
+    near = np.argwhere(cells)[np.sqrt(d2) >= top - band]
+    return float(_near_min_dists(region, targets, near, top + 2.0 * band).max())
 
 
 def _require_members(side: str, s: MaskSet) -> None:
@@ -192,10 +217,10 @@ def delta_neighborhood(a: MaskSet, delta: float) -> MaskSet:
         raise DomainError("delta must be positive and finite")
     if not a.mask.any():
         raise DomainError("delta neighborhood of an empty mask")
-    dist = np.sqrt(_squared_distance_transform(a.region, a.mask))
     band = _roundoff_band(a.region, delta)
+    reach = delta + 2.0 * band
+    dist = np.sqrt(_squared_distances_at(a.region, a.mask, ~a.mask, reach))
     mask = dist <= delta
     near = np.abs(dist - delta) <= band
-    cells = np.argwhere(near)
-    mask[near] = _near_min_dists(a.region, a.mask, cells, delta + 2.0 * band) <= delta
+    mask[near] = _near_min_dists(a.region, a.mask, np.argwhere(near), reach) <= delta
     return MaskSet(a.region, mask)

@@ -8,6 +8,11 @@ kernels in the package.
 """
 from __future__ import annotations
 
+import dataclasses
+import io
+import json
+import math
+
 import numpy as np
 
 
@@ -97,3 +102,24 @@ def eigenvalues_oracle(a) -> np.ndarray:
 
 def random_complex_matrix(rng: np.random.Generator, n: int, scale: float = 1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def json_document_oracle(obj) -> str:
+    """The JSON text of a NormField or LevelSetMask as the stdlib streaming
+    encoder writes it: json.dump(indent=2, sort_keys=True) and a newline."""
+    doc = {**dataclasses.asdict(obj.region), "n": obj.n}
+    if hasattr(obj, "values"):
+        doc["values"] = [
+            [v if math.isfinite(v) else repr(v) for v in row]
+            for row in obj.values.tolist()
+        ]
+    else:
+        doc.update(
+            epsilon=obj.epsilon,
+            strictness=obj.strictness,
+            member=obj.mask.astype(int).tolist(),
+        )
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue()

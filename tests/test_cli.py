@@ -1,15 +1,26 @@
 """Front-end behavior: flag parsing, exit codes, file round trips."""
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from oracles import resolvent_norm_oracle
+from oracles import json_document_oracle, resolvent_norm_oracle
 import pseudolab
-from pseudolab import MaskSet, cli, hausdorff_distance, read_mask_csv
+from pseudolab import (
+    DenseOperator,
+    GridRegion,
+    MaskSet,
+    cli,
+    compute_norm_field,
+    hausdorff_distance,
+    level_set,
+    read_mask_csv,
+)
 from pseudolab.cli import parse_and_dispatch
 
 
@@ -383,6 +394,20 @@ class TestRoundTrip:
         assert [int(rec[2]) for rec in rows] == flat
         assert set(flat) == {0, 1}
         assert (doc["epsilon"], doc["n"], doc["strictness"]) == (1.0, 0, "closed_Sigma")
+
+    def test_field_and_levelset_json_bytes(self, diag_matrix_file, tmp_path):
+        grid = ["--model", diag_matrix_file, "--region", "1,3,-1,1",
+                "--nx", "3", "--ny", "5"]
+        fj, mj = tmp_path / "f.json", tmp_path / "m.json"
+        assert run(["field", *grid, "--format", "json", "--out", str(fj)]) == 0
+        assert run(["levelset", *grid, "--epsilon", "1", "--format", "json",
+                    "--out", str(mj)]) == 0
+        model = DenseOperator(np.diag([2.0, 6.0]))
+        field = compute_norm_field(model, GridRegion(1.0, 3.0, -1.0, 1.0, 3, 5), 0)
+        assert math.isinf(field.values[1, 2])  # z = 2, an eigenvalue
+        assert fj.read_bytes() == json_document_oracle(field).encode()
+        mask = level_set(field, 1.0, "closed_Sigma")
+        assert mj.read_bytes() == json_document_oracle(mask).encode()
 
 
 def test_module_entry_point_runs():

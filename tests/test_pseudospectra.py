@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import json_document_oracle
 import pseudolab
 from pseudolab import (
     ConfigurationError,
@@ -29,7 +30,13 @@ from pseudolab import (
     write_field_csv,
     write_mask_csv,
 )
-from pseudolab.pseudospectra import READ_CHARS, READ_SLICE, LevelSetMask, dilate_one_cell
+from pseudolab.pseudospectra import (
+    READ_CHARS,
+    READ_SLICE,
+    LevelSetMask,
+    dilate_one_cell,
+    write_json,
+)
 
 DIAG26 = DenseOperator(np.diag([2.0, 6.0]))
 SHARG = build_named_example("shargorodsky").model
@@ -348,6 +355,48 @@ class TestCsvRoundTrip:
             region, "value", lambda i, j: field_cell(field.values[i, j]))
         assert written(write_mask_csv, mask) == per_point_csv(
             region, "member", lambda i, j: int(mask.mask[i, j]))
+
+
+
+class TestJsonWriter:
+    """write_json's bytes are those of json.dump(indent=2, sort_keys=True)."""
+
+    def test_field_with_extreme_values(self):
+        values = np.array([
+            [math.inf, 5e-324, 1e308],
+            [1e308, 0.1, 2.2250738585072014e-308],
+            [1.0, math.inf, 5e-324],
+        ])
+        field = NormField(GridRegion(-1.0, 1.0, -0.5, 0.5, 3, 3), 2, values)
+        assert written(write_json, field) == json_document_oracle(field)
+
+    @pytest.mark.parametrize("strictness", ["open_sigma", "closed_Sigma"])
+    def test_masks(self, strictness):
+        field = diag_field(GridRegion(1.0, 7.0, -1.0, 1.0, 13, 5))
+        for epsilon in (0.25, 1.0, 1e9):
+            mask = level_set(field, epsilon, strictness)
+            assert written(write_json, mask) == json_document_oracle(mask)
+
+    def test_two_by_n_lattice(self):
+        field = diag_field(GridRegion(2.0, 6.0, -1.0, 1.0, 2, 9))
+        assert math.isinf(field.values[0, 4])
+        mask = level_set(field, 0.5, "closed_Sigma")
+        assert written(write_json, field) == json_document_oracle(field)
+        assert written(write_json, mask) == json_document_oracle(mask)
+
+    def test_random_fields_and_masks(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            nx, ny = (int(k) for k in rng.integers(2, 12, 2))
+            re, im = np.sort(rng.uniform(-3.0, 3.0, (2, 2)))
+            region = GridRegion(*re, *im, nx, ny)
+            values = np.exp(rng.uniform(-700.0, 700.0, (nx, ny)))
+            values[rng.random((nx, ny)) < 0.1] = math.inf
+            field = NormField(region, int(rng.integers(0, 3)), values)
+            epsilon = float(np.exp(rng.uniform(-5.0, 5.0)))
+            mask = level_set(field, epsilon, "closed_Sigma")
+            assert written(write_json, field) == json_document_oracle(field)
+            assert written(write_json, mask) == json_document_oracle(mask)
 
 
 def lattice_csv(nx, ny):

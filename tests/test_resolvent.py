@@ -267,6 +267,23 @@ class TestDirectSums:
         for z, cell in zip(region.lattice().ravel(), field.values.ravel()):
             assert cell == resolvent_power_norm(model, z, n).value
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_diagonal_field_over_two_stacks_equals_point_values(self, n):
+        rng = np.random.default_rng(73)
+        region = GridRegion(-1.0, 1.0, -1.0, 1.0, 21, 21)
+        d = rng.uniform(-1.0, 1.0, 600) + 1j * rng.uniform(-1.0, 1.0, 600)
+        d[17] = region.point(4, 9)
+        model = DenseOperator(np.diag(d))
+        # the 1x1 blocks take DENSE_CAP // 600 = 436 points a stack
+        assert resolvent.DENSE_CAP // len(d) < region.nx * region.ny < 2 * (
+            resolvent.DENSE_CAP // len(d)
+        )
+        field = compute_norm_field(model, region, n)
+        assert math.isinf(field.values[4, 9])
+        assert np.isfinite(np.delete(field.values.ravel(), 4 * 21 + 9)).all()
+        for z, cell in zip(region.lattice().ravel(), field.values.ravel()):
+            assert cell == resolvent_power_norm(model, z, n).value
+
 
 class TestScaledPath:
     def test_half_scaled_family_at_zero(self):

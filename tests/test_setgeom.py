@@ -12,7 +12,7 @@ from pseudolab import (
     hausdorff_distance,
     region_with_step,
 )
-from pseudolab.setgeom import _min_dists_brute
+from pseudolab.setgeom import _directed_on_lattice, _min_dists_brute
 
 
 def random_mask(rng, region, density=0.2) -> MaskSet:
@@ -208,6 +208,85 @@ class TestTransformMatchesBruteForce:
         for delta in (region.hx, 3.5 * region.hy, 1e9):
             got = delta_neighborhood(one, delta).mask
             assert np.array_equal(got, brute_neighborhood(one, delta))
+
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_hausdorff_nested_masks(self, region):
+        rng = np.random.default_rng(44)
+        for density in (0.02, 0.2, 0.9):
+            a = random_mask(rng, region, density)
+            b = MaskSet(region, a.mask | (rng.random(a.mask.shape) < 0.1))
+            # no query cell lies outside the targets: 0 without a row minimum
+            assert _directed_on_lattice(region, a.mask, b.mask) == 0.0
+            assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
+
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_hausdorff_thin_rings(self, region):
+        centre = region.lattice()[region.nx // 2, region.ny // 2]
+        step = max(region.hx, region.hy)
+        radius = 0.3 * min(region.re_max - region.re_min, region.im_max - region.im_min)
+        inner = disc_mask(region, centre, radius)
+        outer = disc_mask(region, centre, radius + step)
+        assert hausdorff_distance(inner, outer) == brute_hausdorff(inner, outer)
+        ring = MaskSet(region, outer.mask & ~inner.mask)
+        wide = disc_mask(region, centre, radius + 2.0 * step)
+        wider = MaskSet(region, wide.mask & ~inner.mask)
+        assert hausdorff_distance(ring, wider) == brute_hausdorff(ring, wider)
+        assert hausdorff_distance(ring, inner) == brute_hausdorff(ring, inner)
+
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_hausdorff_queries_in_columns_without_targets(self, region):
+        rng = np.random.default_rng(45)
+        for _ in range(3):
+            a = random_mask(rng, region, 0.2)
+            targets = rng.random(a.mask.shape) < 0.3
+            targets[:, region.ny // 3 :] = False
+            targets[0, 0] = True
+            b = MaskSet(region, targets)
+            assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
+
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_hausdorff_disjoint_halves(self, region):
+        rows = np.zeros((region.nx, region.ny), dtype=bool)
+        rows[: region.nx // 2] = True
+        cols = np.zeros_like(rows)
+        cols[:, : region.ny // 2] = True
+        corner = cell_mask(region, (region.nx - 1, region.ny - 1))
+        for half in (rows, cols):
+            a, b = MaskSet(region, half), MaskSet(region, ~half)
+            assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
+            assert hausdorff_distance(a, corner) == brute_hausdorff(a, corner)
+
+    def test_directed_distance_off_the_query_column(self):
+        # q1's nearest target lies 5 columns away, inside the reach that
+        # both queries' own-column targets (6 rows away) set; q2's, at
+        # sqrt(29) steps, is the directed distance
+        region = TRANSFORM_REGIONS[0]
+        queries = cell_mask(region, (10, 20), (30, 20))
+        targets = cell_mask(region, (16, 20), (10, 25), (36, 20), (35, 22))
+        want = float(_min_dists_brute(queries.points(), targets.points()).max())
+        assert want == abs(region.point(30, 20) - region.point(35, 22))
+        assert _directed_on_lattice(region, queries.mask, targets.mask) == want
+
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_neighborhood_at_sqrt5_and_sqrt8_steps(self, region):
+        rng = np.random.default_rng(46)
+        for density in (0.02, 0.2):
+            s = random_mask(rng, region, density)
+            for h in (region.hx, region.hy):
+                for delta in (math.sqrt(5.0) * h, math.sqrt(8.0) * h):
+                    got = delta_neighborhood(s, delta).mask
+                    assert np.array_equal(got, brute_neighborhood(s, delta))
+
+    @pytest.mark.parametrize("region", TRANSFORM_REGIONS, ids=REGION_IDS)
+    def test_neighborhood_over_half_the_window(self, region):
+        # the reach spans half a lattice row or more: whole-row minima
+        rng = np.random.default_rng(47)
+        one = cell_mask(region, (region.nx // 2, region.ny // 2))
+        height = region.im_max - region.im_min
+        for s in (one, random_mask(rng, region, 0.02)):
+            for delta in (0.5 * height, 0.5 * (region.re_max - region.re_min), height):
+                got = delta_neighborhood(s, delta).mask
+                assert np.array_equal(got, brute_neighborhood(s, delta))
 
     def test_different_regions_take_the_brute_route(self):
         rng = np.random.default_rng(43)
