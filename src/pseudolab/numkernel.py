@@ -7,8 +7,8 @@ matrices:
                                pivoting (``lu_factor``) and one
                                multi-column solve (``lu_solve``)
 * ``largest_singular_values``  sigma_max of each matrix, direct: the Gram
-                               matrix, Householder tridiagonalization and
-                               Sturm bisection
+                               matrix, then a closed form or Householder
+                               tridiagonalization and Sturm multisection
 * ``sv2x2_batch``              closed-form singular values of 2x2 blocks
 
 plus ``jacobi_singular_values``, all singular values of one matrix or of
@@ -18,13 +18,13 @@ the block engine calls these two on stacks of 4x4 blocks.
 ``smallest_singular_value``, 1 / sigma_max of the explicit inverse of one
 matrix, is the public one-matrix helper; no package path calls it.
 
-sigma_max involves no iteration that has to converge.  A matrix is scaled
-by an exact power of two, its Gram matrix is reduced to a real symmetric
-tridiagonal T with the same eigenvalues (Golub & Van Loan, Matrix
-Computations, 4th ed., 8.3), and lambda_max(T) is enclosed by Sturm-count
-bisection until the enclosure is two adjacent doubles (8.4).  Both steps
-do a fixed amount of work per matrix.  ``largest_singular_value`` is a
-stack of one and takes rectangular input.
+sigma_max involves no iteration that has to converge.  A scaled matrix's
+2x2 Gram matrix gives lambda_max in closed form; a larger one is reduced to
+a real tridiagonal T (Golub & Van Loan, Matrix Computations, 4th ed., 8.3)
+whose lambda_max is enclosed by Sturm-count multisection down to two
+adjacent doubles (8.4), the first pass around a power estimate when T has
+at most SHIFTS rows.  The count is monotone in the shift (Demmel, Dhillon &
+Ren, ETNA 3, 1995), so the seed saves passes and changes no bit.
 
 Every step treats each matrix of a stack alike: matrix products run
 slice by slice and elementwise operations along the rows of one matrix,
@@ -48,6 +48,9 @@ PANEL = 32
 # Sturm counts per matrix in one bisection pass; a pass shrinks the
 # enclosure of lambda_max by the factor SHIFTS + 1
 SHIFTS = 255
+# a seeded pass's shifts in ulps of its estimate: 0 and +-g, g geometric in [1, 2^44]
+SEED_OFFSETS = np.array(sorted([0.0] + [s * 2.0 ** (44 * j / (SHIFTS // 2 - 1))
+                                        for s in (-1, 1) for j in range(SHIFTS // 2)]))
 
 
 class DimensionError(ValueError):
@@ -274,23 +277,26 @@ def largest_singular_values(mats: np.ndarray) -> np.ndarray:
     """sigma_max of each matrix of a stack (b, m, n) of finite complex entries.
 
     Each matrix is multiplied by the power of two 2^-e that brings its
-    largest |re| or |im| into [1/2, 1), exactly; its Gram matrix C on the
-    smaller side is reduced to tridiagonal form (``_tridiagonal``) and
-    lambda_max(C) enclosed by bisection (``_top_eigenvalue``), so sigma_max =
-    sqrt(lambda_max) 2^e.  lambda_max >= 1/4 after the scaling; forming
-    the Gram matrix and reducing it move lambda_max by at most O(k u)
+    largest |re| or |im| into [1/2, 1), exactly; lambda_max of its Gram
+    matrix C on the smaller side, (c00 + c11)/2 + hypot((c00 - c11)/2, |c01|)
+    on two columns and else by ``_tridiagonal`` and ``_top_eigenvalue``,
+    gives sigma_max = sqrt(lambda_max) 2^e.  lambda_max >= 1/4 after the
+    scaling; forming C and reducing it move lambda_max by at most O(k u)
     relative, and by a few ulps in practice.  A zero matrix gives 0.
     """
     w = np.asarray(mats, dtype=np.complex128)
     if w.shape[1] < w.shape[2]:
         w = np.swapaxes(w, 1, 2)
     parts = np.ascontiguousarray(w).view(np.float64)
-    top = np.abs(parts).max(axis=(1, 2))
-    zero = top == 0.0
-    e = np.frexp(np.where(zero, 1.0, top))[1]
+    e = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]  # 0 for a zero matrix
     w = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
-    lam = _top_eigenvalue(*_tridiagonal(np.conj(np.swapaxes(w, 1, 2)) @ w))
-    return np.where(zero, 0.0, np.ldexp(np.sqrt(lam), e))
+    gram = np.conj(np.swapaxes(w, 1, 2)) @ w
+    if gram.shape[1] == 2:
+        g00, g11 = gram[:, 0, 0].real, gram[:, 1, 1].real
+        lam = (g00 + g11) / 2.0 + np.hypot((g00 - g11) / 2.0, np.abs(gram[:, 0, 1]))
+    else:
+        lam = _top_eigenvalue(*_tridiagonal(gram))
+    return np.ldexp(np.sqrt(lam), e)
 
 
 def _householder(x: np.ndarray):
@@ -370,9 +376,11 @@ def _top_eigenvalue(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
     diag is (b, k) and off (b, k - 1), nonnegative.  The enclosure [lo, hi]
     starts at max(diag) (a Rayleigh quotient) and the Gershgorin bound, and
-    each pass counts the eigenvalues below SHIFTS evenly spaced points
-    inside it, all matrices and points at once (multisection), until no
-    double lies strictly between lo and hi.  Returns lo.
+    each pass counts the eigenvalues below SHIFTS points inside it, all
+    matrices and points at once (multisection), until no double lies
+    strictly between lo and hi.  Returns lo.  The points are evenly spaced,
+    but if k <= SHIFTS the first pass takes x + |ulp(x)| SEED_OFFSETS in
+    [lo, hi) for a finite estimate x (``_power_estimate``).
     """
     k = diag.shape[1]
     squares = np.maximum(off * off, np.finfo(float).tiny)
@@ -383,9 +391,15 @@ def _top_eigenvalue(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     hi += 4.0 * np.finfo(float).eps * np.abs(hi)
     steps = np.arange(1, SHIFTS + 1) / (SHIFTS + 1)
     active = np.flatnonzero(np.nextafter(lo, np.inf) < hi)
+    seed = k <= SHIFTS
     while len(active):
         below, above = lo[active], hi[active]
         shifts = below[:, None] + (above - below)[:, None] * steps
+        if seed:
+            seed, x = False, _power_estimate(diag[active], off[active])
+            ok = np.isfinite(x)
+            x = x[ok, None] + np.abs(np.spacing(x[ok, None])) * SEED_OFFSETS
+            shifts[ok] = np.clip(x, below[ok, None], np.nextafter(above[ok, None], -np.inf))
         # lambda_max >= shift exactly where fewer than k eigenvalues lie below it
         passed = (_count_below(diag[active], squares[active], shifts) < k).sum(axis=1)
         rows = np.arange(len(active))
@@ -394,6 +408,22 @@ def _top_eigenvalue(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         hi[active] = np.where(passed < SHIFTS, upper, above)
         active = active[np.nextafter(lo[active], np.inf) < hi[active]]
     return lo
+
+
+def _power_estimate(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """v^T T v / v^T v per tridiagonal T of a stack (nan for T = 0), v the column
+    of T^256 (eight squarings, each rescaled exactly) of largest diagonal entry."""
+    i = np.arange(diag.shape[1])
+    power = t = np.zeros(diag.shape + i.shape)
+    t[:, i, i] = diag
+    t[:, i[1:], i[:-1]] = t[:, i[:-1], i[1:]] = off
+    for _ in range(8):
+        power = power * np.exp2(-np.frexp(np.abs(power).max(axis=(1, 2)))[1])[:, None, None]
+        power = power @ power
+    pick = np.argmax(np.diagonal(power, axis1=1, axis2=2), axis=1)
+    v = power[np.arange(len(diag)), :, pick, None]
+    with np.errstate(invalid="ignore"):
+        return (v * (t @ v)).sum(axis=(1, 2)) / (v * v).sum(axis=(1, 2))
 
 
 def _count_below(diag: np.ndarray, squares: np.ndarray, shifts: np.ndarray) -> np.ndarray:

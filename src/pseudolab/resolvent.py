@@ -7,9 +7,9 @@ These two alone take max_blocks, the tail-scan budget of infinite families.
 A dense matrix T is the direct sum of its diagonal blocks
 (DenseOperator.blocks), so every dense value is the largest of its blocks'
 values (_dense_power_norms): 1/|z - d| for a 1x1 block d, and for a larger
-block B sigma_max(W^2^n)^(1/2^n) of W = (B - z)^-1, one stacked LU and
-solve per block size, squared with exact rescaling (_batch_square_scaled)
-and read by largest_singular_values with no iteration.  The clearance
+block B sigma_max(W^2^n)^(1/2^n) of W = (B - z)^-1: one stacked LU and
+solve per block size, exactly rescaled squares (_batch_square_scaled) and
+largest_singular_values, closed-form on 2x2 blocks.  The clearance
 checks of the dense gnr_defect, expansion_residual and
 power_diff_bound_check read sigma_min(T - z) = 1/sigma_max(W) off the
 inverse of the whole T they go on to use.  gnr_defect evaluates at the
@@ -102,8 +102,8 @@ SPECTRUM_CLEARANCE = 1e-10
 STACK_CAP = 1 << 10
 # a dense stack of points takes at most DENSE_CAP / (count * s * max(s, SHIFTS))
 # points for count diagonal blocks of size s >= 2: a point takes s^2 entries
-# per block and s * SHIFTS Sturm pivots per bisection pass; 1x1 blocks take
-# DENSE_CAP / count points, one distance per block
+# per block and, from s = 3 on (2x2 blocks take a closed form), s * SHIFTS Sturm
+# pivots per multisection pass; 1x1 blocks take DENSE_CAP / count points
 DENSE_CAP = 1 << 18
 
 # block scans walk k = 1, 2, ... in chunks growing from HEAD_CHUNK to CHUNK_CAP

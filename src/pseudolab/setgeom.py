@@ -18,9 +18,9 @@ transform only selects cells: the Hausdorff queries within a roundoff
 band of the largest distance, and the lattice cells within that band of
 delta.  Those cells are recomputed with the float formula against the
 members in a box around them, so results are bit-for-bit those of the
-brute-force double loop.  Masks on different lattices take that double
-loop directly, in row chunks.  Both routes are deterministic, which
-makes Hausdorff symmetry exact rather than approximate.
+brute-force double loop.  Masks on different lattices, or on one whose
+squared steps or diagonal are not normal doubles, take that double loop
+in row chunks.  Both routes are deterministic, so Hausdorff symmetry is exact.
 """
 
 from __future__ import annotations
@@ -126,6 +126,13 @@ def _squared_distances_at(
     return col
 
 
+def _transform_fits(region: GridRegion) -> bool:
+    """Whether hx^2, hy^2 and the squared window diagonal are normal doubles."""
+    x, y = region.nx * region.hx, region.ny * region.hy
+    least = min(region.hx * region.hx, region.hy * region.hy)
+    return least >= np.finfo(np.float64).tiny and x * x + y * y < math.inf
+
+
 def _roundoff_band(region: GridRegion, reach: float) -> float:
     """Bound on |float formula - transform distance| for distances <= reach.
 
@@ -197,7 +204,7 @@ def hausdorff_distance(a: MaskSet, b: MaskSet) -> float:
     """max of the two directed sup-min distances between the point sets."""
     _require_members("first", a)
     _require_members("second", b)
-    if a.region == b.region:
+    if a.region == b.region and _transform_fits(a.region):
         d_ab = _directed_on_lattice(a.region, a.mask, b.mask)
         d_ba = _directed_on_lattice(a.region, b.mask, a.mask)
         return max(d_ab, d_ba)
@@ -217,6 +224,9 @@ def delta_neighborhood(a: MaskSet, delta: float) -> MaskSet:
         raise DomainError("delta must be positive and finite")
     if not a.mask.any():
         raise DomainError("delta neighborhood of an empty mask")
+    if not _transform_fits(a.region):
+        dist = _min_dists_brute(a.region.lattice().ravel(), a.points())
+        return MaskSet(a.region, (dist <= delta).reshape(a.mask.shape))
     band = _roundoff_band(a.region, delta)
     reach = delta + 2.0 * band
     dist = np.sqrt(_squared_distances_at(a.region, a.mask, ~a.mask, reach))

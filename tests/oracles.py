@@ -4,7 +4,10 @@ Every expected value asserted in the tests either comes from a hand
 calculation frozen into the test file, or from one of these oracles.
 They are deliberately built on LAPACK-backed numpy decompositions
 (eigh, eigvals) so that they share no code path with the iterative
-kernels in the package.
+kernels in the package.  The two ``uniform_*`` references are of another
+kind: the sigma_max kernel as it was before its first bisection pass was
+seeded and 2x2 matrices took a closed form, which the kernel must still
+match bit for bit.
 """
 from __future__ import annotations
 
@@ -15,6 +18,8 @@ import math
 
 import numpy as np
 
+from pseudolab import numkernel
+
 
 def singular_values_oracle(a) -> np.ndarray:
     """All singular values, descending, via the eigendecomposition of A*A."""
@@ -23,6 +28,50 @@ def singular_values_oracle(a) -> np.ndarray:
     evals = np.linalg.eigh(gram)[0]
     evals = np.clip(evals, 0.0, None)
     return np.sqrt(evals)[::-1]
+
+
+def uniform_top_eigenvalue(diag, off) -> np.ndarray:
+    """lambda_max of each tridiagonal matrix by Sturm multisection with
+    SHIFTS evenly spaced shifts in every pass, counted by
+    numkernel._count_below as found at call time."""
+    k = diag.shape[1]
+    squares = np.maximum(off * off, np.finfo(float).tiny)
+    lo = diag.max(axis=1)
+    reach = np.zeros((len(diag), k + 1))
+    reach[:, 1:-1] = off
+    hi = (diag + reach[:, :-1] + reach[:, 1:]).max(axis=1)
+    hi += 4.0 * np.finfo(float).eps * np.abs(hi)
+    shifts_per_pass = numkernel.SHIFTS
+    steps = np.arange(1, shifts_per_pass + 1) / (shifts_per_pass + 1)
+    active = np.flatnonzero(np.nextafter(lo, np.inf) < hi)
+    while len(active):
+        below, above = lo[active], hi[active]
+        shifts = below[:, None] + (above - below)[:, None] * steps
+        counts = numkernel._count_below(diag[active], squares[active], shifts)
+        passed = (counts < k).sum(axis=1)
+        rows = np.arange(len(active))
+        lo[active] = np.where(passed > 0, shifts[rows, passed - 1], below)
+        upper = shifts[rows, np.minimum(passed, shifts_per_pass - 1)]
+        hi[active] = np.where(passed < shifts_per_pass, upper, above)
+        active = active[np.nextafter(lo[active], np.inf) < hi[active]]
+    return lo
+
+
+def uniform_sigma_max(mats) -> np.ndarray:
+    """sigma_max of each matrix of a stack (b, m, n) by the general kernel
+    at every size: the Gram matrix on the smaller side of the matrix scaled
+    by a power of two, numkernel._tridiagonal and uniform_top_eigenvalue."""
+    w = np.asarray(mats, dtype=np.complex128)
+    if w.shape[1] < w.shape[2]:
+        w = np.swapaxes(w, 1, 2)
+    parts = np.ascontiguousarray(w).view(np.float64)
+    top = np.abs(parts).max(axis=(1, 2))
+    zero = top == 0.0
+    e = np.frexp(np.where(zero, 1.0, top))[1]
+    w = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
+    gram = np.conj(np.swapaxes(w, 1, 2)) @ w
+    lam = uniform_top_eigenvalue(*numkernel._tridiagonal(gram))
+    return np.where(zero, 0.0, np.ldexp(np.sqrt(lam), e))
 
 
 def spectral_norm_oracle(a) -> float:

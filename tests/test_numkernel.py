@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pseudolab import numkernel
 from pseudolab.numkernel import (
+    SHIFTS,
     DimensionError,
     SingularExtremes,
     as_square_matrix,
@@ -26,6 +28,8 @@ from oracles import (
     singular_values_oracle,
     smallest_sv_oracle,
     spectral_norm_oracle,
+    uniform_sigma_max,
+    uniform_top_eigenvalue,
 )
 
 
@@ -291,3 +295,152 @@ class TestSv2x2:
             one = sv2x2(m)
             assert hi[i] == pytest.approx(one.sigma_max, rel=1e-13)
             assert lo[i] == pytest.approx(one.sigma_min, rel=1e-10, abs=1e-13)
+
+
+def _tridiagonals(rng, b, k, structure, scales):
+    """A stack of b symmetric tridiagonal matrices (diag, off), off >= 0, with
+    the diagonal and the off-diagonal at the two given scales."""
+    diag = rng.standard_normal((b, k))
+    off = np.abs(rng.standard_normal((b, k - 1)))
+    if structure in ("zero_off", "mixed"):
+        off[rng.random(off.shape) < (1.0 if structure == "zero_off" else 0.5)] = 0.0
+    if structure in ("repeated", "mixed"):
+        diag = rng.integers(-1, 2, (b, k)).astype(float)
+    return scales[0] * diag, scales[1] * off
+
+
+# (diagonal, off-diagonal) scales: the squares of the off-diagonal stay
+# finite; at (1e-200, 1e-200) they underflow and the count takes the floor
+COUNT_SCALES = [(1.0, 1.0), (1e-200, 1e-100), (1e200, 1e100), (1e-200, 1e-200)]
+# scales at which that floor, the smallest normal double, lies far below
+# roundoff, as in every Gram matrix the kernel reduces
+FLOOR_FREE_SCALES = [(1.0, 1.0), (1e-100, 1e-100), (1e100, 1e100), (1e200, 1e100)]
+
+
+def _adjacent_doubles(x, reach):
+    """(b, 2 reach + 1): the doubles from reach below to reach above each x."""
+    down, up = [x], [x]
+    for _ in range(reach):
+        down.append(np.nextafter(down[-1], -np.inf))
+        up.append(np.nextafter(up[-1], np.inf))
+    return np.stack(down[:0:-1] + up, axis=1)
+
+
+class TestSturmCount:
+    """The count of eigenvalues below a shift is monotone in the shift (Demmel,
+    Dhillon & Ren, ETNA 3, 1995): the seeded bisection pass rests on it."""
+
+    @pytest.mark.parametrize("scales", COUNT_SCALES, ids=str)
+    @pytest.mark.parametrize("structure", ["random", "zero_off", "repeated", "mixed"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 24])
+    def test_count_is_nondecreasing_in_the_shift(self, k, structure, scales):
+        rng = np.random.default_rng(k * 7 + len(structure))
+        diag, off = _tridiagonals(rng, 6, k, structure, scales)
+        squares = np.maximum(off * off, np.finfo(float).tiny)
+        top = uniform_top_eigenvalue(diag, off)
+        reach = np.abs(diag).max() + 2.0 * off.max(initial=0.0)
+        rows = [
+            _adjacent_doubles(top, 200),
+            np.sort(reach * rng.uniform(-1.5, 1.5, (6, 400)), axis=1),
+        ]
+        # every eigenvalue of a matrix with zero off-diagonal is a diagonal entry
+        rows.append(_adjacent_doubles(diag[:, k // 2], 50))
+        for shifts in rows:
+            counts = numkernel._count_below(diag, squares, shifts)
+            assert (np.diff(counts, axis=1) >= 0).all()
+            assert counts.min() >= 0 and counts.max() <= k
+
+
+def _stack(rng, b, shape, kind, scale):
+    a = rng.standard_normal((b,) + shape) + 1j * rng.standard_normal((b,) + shape)
+    k = min(shape)
+    if kind.startswith("gap"):
+        # top singular values 1 and 1 - gap (and 1 - 2 gap)
+        gap = float(kind[3:])
+        q1 = np.linalg.qr(a[..., :, :k])[0]
+        q2 = np.linalg.qr(np.conj(np.swapaxes(a, -1, -2))[..., :, :k])[0]
+        s = np.sort(rng.random(k))[::-1] * (1.0 - 3.0 * gap)
+        s[:3] = (1.0, 1.0 - gap, 1.0 - 2.0 * gap)[:k]
+        a = (q1 * s) @ np.conj(np.swapaxes(q2, -1, -2))
+    elif kind == "zero_inside" and b > 1:
+        a[rng.integers(b)] = 0.0
+    return scale * a
+
+
+def _counted(monkeypatch):
+    """Count _count_below calls, one per multisection pass."""
+    calls = [0]
+    count_below = numkernel._count_below
+
+    def counting(*args):
+        calls[0] += 1
+        return count_below(*args)
+
+    monkeypatch.setattr(numkernel, "_count_below", counting)
+    return calls
+
+
+class TestSeededMultisection:
+    """The seeded first pass returns the uniform multisection's value bit for bit."""
+
+    KINDS = ["random", "zero_inside", "gap1e-3", "gap1e-8", "gap1e-14"]
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("side", ["square", "tall", "wide"])
+    def test_values_and_passes_match_the_uniform_kernel(self, side, kind, scale, monkeypatch):
+        rng = np.random.default_rng(len(side) * 31 + len(kind))
+        calls = _counted(monkeypatch)
+        for k in range(1, 25):
+            b = int(rng.integers(1, 10))
+            shape = {"square": (k, k), "tall": (k + 3, k), "wide": (k, k + 2)}[side]
+            a = _stack(rng, b, shape, kind, scale)
+            calls[0] = 0
+            got = largest_singular_values(a)
+            seeded = calls[0]
+            calls[0] = 0
+            want = uniform_sigma_max(a)
+            if k == 2:  # a closed form, within a few ulps
+                assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+                continue
+            assert np.array_equal(got, want)
+            assert seeded <= calls[0] + 1
+            if kind == "zero_inside":  # no matrix depends on its stack
+                one = [largest_singular_values(a[i : i + 1])[0] for i in range(b)]
+                assert np.array_equal(got, one)
+
+    @pytest.mark.parametrize("scales", FLOOR_FREE_SCALES, ids=str)
+    @pytest.mark.parametrize("structure", ["random", "zero_off", "repeated", "mixed"])
+    def test_tridiagonal_values_match_bit_for_bit(self, structure, scales):
+        rng = np.random.default_rng(len(structure))
+        for k in (1, 2, 3, 5, 13, 24, SHIFTS, SHIFTS + 1):
+            diag, off = _tridiagonals(rng, 3, k, structure, scales)
+            got = numkernel._top_eigenvalue(diag, off)
+            assert np.array_equal(got, uniform_top_eigenvalue(diag, off))
+
+    def test_a_zero_tridiagonal_takes_the_uniform_pass(self):
+        assert np.isnan(numkernel._power_estimate(np.zeros((2, 4)), np.zeros((2, 3)))).all()
+        diag, off = np.zeros((2, 4)), np.zeros((2, 3))
+        assert np.array_equal(numkernel._top_eigenvalue(diag, off), np.zeros(2))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_dense_field_stacks_end_in_two_passes(self, n, monkeypatch):
+        # Q (M + ramp) Q* for a Haar Q and a fixed Ginibre M, inverted at the
+        # nine points of a 3x3 grid on [-1.2, 1.2]^2, squared n times
+        dim = 32
+        base_rng = np.random.default_rng(7)
+        g = base_rng.standard_normal((dim, dim)) + 1j * base_rng.standard_normal((dim, dim))
+        base = g / math.sqrt(2 * dim) + np.diag(np.linspace(-0.5, 0.5, dim))
+        for seed in (1, 2, 3):
+            q, r = np.linalg.qr(random_complex_matrix(np.random.default_rng(seed), dim))
+            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            a = q @ base @ q.conj().T
+            zs = np.add.outer(np.linspace(-1.2, 1.2, 3), 1j * np.linspace(-1.2, 1.2, 3)).ravel()
+            w, ok = explicit_inverses(a[None] - zs[:, None, None] * np.eye(dim))
+            assert ok.all()
+            for _ in range(n):
+                w = w @ w
+            calls = _counted(monkeypatch)
+            got = largest_singular_values(w)
+            assert calls[0] <= 2
+            assert np.array_equal(got, uniform_sigma_max(w))

@@ -20,6 +20,7 @@ from oracles import (
     smallest_sv_oracle,
     spectral_norm_oracle,
     two_block_power_norms_oracle,
+    uniform_sigma_max,
 )
 from pseudolab import (
     AlphaRule,
@@ -162,6 +163,42 @@ class TestDensePath:
         got = resolvent_power_norm(model, z, 0).value
         smin = np.linalg.svd(matrix - z * np.eye(600), compute_uv=False)[-1]
         assert got == pytest.approx(1.0 / smin, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_two_by_two_blocks_match_the_general_kernel(self, n, monkeypatch):
+        # 2x2 blocks take sigma_max in closed form: within 4 ulps of the
+        # general kernel, with the same inf cells (singular, floored pivot,
+        # overflowing inverse)
+        rng = np.random.default_rng(37)
+        blocks = [random_complex_matrix(rng, 2) for _ in range(6)]
+        blocks += [np.triu(random_complex_matrix(rng, 2)) for _ in range(3)]
+        blocks.append(np.array([[1.5e-300, 1.0], [0.0, 1e-10]]))
+        matrix = np.zeros((20, 20), dtype=complex)
+        for i, block in enumerate(blocks):
+            matrix[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = block
+        bounds = tuple(range(0, 21, 2))
+        spectrum = [b[0, 0] for b in blocks[6:]]
+        zs = np.concatenate([
+            spectrum, np.array(spectrum) + 1e-9, [0.0, 1e-20],
+            rng.uniform(-3, 3, 40) + 1j * rng.uniform(-3, 3, 40),
+        ])
+        got = _dense_power_norms(matrix, bounds, zs, n)
+        monkeypatch.setattr(resolvent, "largest_singular_values", uniform_sigma_max)
+        want = _dense_power_norms(matrix, bounds, zs, n)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.isinf(got).sum() == 5
+        fin = np.isfinite(want)
+        assert np.all(np.abs(got[fin] - want[fin]) <= 4 * np.spacing(want[fin]))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_truncation_field_matches_the_family(self, n):
+        # 40 uncoupled 2x2 blocks, as a dense matrix and as a block family
+        zs = GridRegion(-2.0, 2.0, -2.0, 2.0, 41, 41).lattice().ravel()
+        dense = resolvent.resolvent_power_norms(assemble_truncation(SHARG, 40), zs, n).value
+        family = resolvent.resolvent_power_norms(TruncatedFamily(SHARG, 40), zs, n).value
+        assert np.array_equal(np.isinf(dense), np.isinf(family))
+        fin = np.isfinite(family)
+        assert np.all(np.abs(dense[fin] - family[fin]) <= 1e-14 * family[fin])
 
     def test_one_factorization_per_shifted_matrix(self, monkeypatch):
         calls = []

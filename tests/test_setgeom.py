@@ -296,3 +296,39 @@ class TestTransformMatchesBruteForce:
         b = random_mask(rng, fine, 0.3)
         assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
         assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
+
+
+# windows whose squared step underflows (to 0 or to a subnormal) or whose
+# squared diagonal overflows, on one axis or both
+EXTREME_REGIONS = [
+    GridRegion(0.0, 1e-300, 0.0, 1e-300, 5, 6),
+    GridRegion(0.0, 1e-155, 0.0, 1e-155, 5, 6),
+    GridRegion(0.0, 1.0, 0.0, 1e-300, 7, 6),
+    GridRegion(-1e300, 1e300, -1e300, 1e300, 5, 6),
+]
+EXTREME_IDS = ["step-1e-300", "subnormal-step-squared", "flat-im", "diagonal-overflows"]
+
+
+class TestExtremeWindows:
+    """Windows outside the transform's range take the brute-force loop."""
+
+    @pytest.mark.parametrize("region", EXTREME_REGIONS, ids=EXTREME_IDS)
+    def test_hausdorff(self, region):
+        rng = np.random.default_rng(48)
+        one = cell_mask(region, (1, 2))
+        far = cell_mask(region, (region.nx - 1, region.ny - 1), (0, 0))
+        assert hausdorff_distance(one, far) == brute_hausdorff(one, far)
+        for density in (0.2, 0.6):
+            a, b = random_mask(rng, region, density), random_mask(rng, region, density)
+            assert hausdorff_distance(a, b) == brute_hausdorff(a, b)
+            assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
+
+    @pytest.mark.parametrize("region", EXTREME_REGIONS, ids=EXTREME_IDS)
+    def test_neighborhood(self, region):
+        rng = np.random.default_rng(49)
+        one = cell_mask(region, (1, 2))
+        for s in (one, random_mask(rng, region, 0.2)):
+            for delta in (1e-301, region.hx, region.hy, 2.0 * region.hx, 1e300):
+                got = delta_neighborhood(s, delta).mask
+                assert np.array_equal(got, brute_neighborhood(s, delta))
+                assert (got >= s.mask).all()  # every member is in its neighborhood
