@@ -21,14 +21,13 @@ Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
 engine that takes all points at once.  This module alone scans blocks:
 the points walk the block_chunks schedule together, chunks growing from
 HEAD_CHUNK blocks to CHUNK_CAP, and each chunk is evaluated for the points
-still active as (points x blocks) stacks of at most STACK_CAP 4x4
-matrices (16 * STACK_CAP 2x2 values), each reduced to per-point maxima at
-once.  Truncations take the exact maximum over their blocks.  Infinite
-families, or their blocks past a start index, scan a head until a
-closed-form certificate for the tail beyond it closes the gap; a point
-leaves the active set once its certificate closes, its value is inf, or
-the budget ends.  Every point's value starts at the tail limit, which
-_tail_limit alone writes down and every certificate reads:
+still active in (points x blocks) groups of at most STACK_CAP 4x4
+matrices (16 * STACK_CAP 2x2 values).  Truncations take the exact maximum
+over their blocks.  Infinite families, or their blocks past a start index,
+scan a head until a closed-form certificate for the tail beyond it closes
+the gap; a point leaves the active set once its certificate closes, its
+value is inf, or the budget ends.  Every point's value starts at the tail
+limit, which _tail_limit alone writes down and every certificate reads:
 
 * 2x2 shapes: the symbols 1 + 1/x, 1 - 1/sqrt(x) and x^beta are
   monotone with x f(x) nondecreasing.  For n = 0, exact polynomial algebra
@@ -49,10 +48,10 @@ block is a weighted cycle with B^d = P I, P = (alpha f)^(d/2), so
 (P - z^d)(B - z)^-1 is a polynomial in B of degree < d, and n exactly
 rescaled squarings modulo x^d - P raise it to 2^n (_power_coefficients).
 A 2x2 head reads sigma_max off sv2x2_batch (n = 0 takes a closed form in
-real arithmetic).  A 4x4 head drops, by an LDL* positivity test of
-floor^2 I - M*M, the blocks M that cannot reach the value the point's
-scan must beat at the start of the chunk, and one stacked Jacobi call
-evaluates the rest.  Every model takes n <= POWER_INDEX_LIMIT.
+real arithmetic).  A 4x4 head drops, by an LDL* test, the blocks that
+cannot reach the value their point's scan must beat at the start of the
+chunk or its largest column-norm value; Jacobi stacks of at most
+STACK_CAP evaluate the rest.  Every model takes n <= POWER_INDEX_LIMIT.
 
 Each point's arithmetic depends on that point alone, so a value does not
 depend on the other points of the call.  The certificates are array
@@ -107,7 +106,7 @@ STACK_CAP = 1 << 10
 DENSE_CAP = 1 << 18
 
 # block scans walk k = 1, 2, ... in chunks growing from HEAD_CHUNK to CHUNK_CAP
-HEAD_CHUNK = 64
+HEAD_CHUNK = 16
 CHUNK_GROWTH = 4
 CHUNK_CAP = 1 << 18
 
@@ -464,50 +463,68 @@ def block_chunks(lo: int, hi: int):
         size = min(size * CHUNK_GROWTH, CHUNK_CAP)
 
 
-def _group_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
-    """Per point of zs, the max of its block values over ks; inf on a singular block.
+def _four_survivors(family, ks, zs, n: int, floors: np.ndarray, rows: slice):
+    """(mats, exps, q, points) of the 4x4 blocks over ks, at zs[rows], that may hold a maximum.
 
-    2x2 values are all evaluated.  A 4x4 block whose value provably stays
-    below its point's floor is dropped by one positivity screen, and the
-    blocks left share one Jacobi call; a point with every block dropped
-    gets 0.
+    An LDL* screen drops the blocks whose value provably lies below their
+    point's max(floor, L (1 - FOUR_ROUNDING)), L its largest column-norm
+    value here: sigma_max is at least every column norm, so no dropped
+    block comes within rounding of the maximum.  points indexes zs.
     """
-    if family.block_dim == 2:
-        return _two_block_values(family, ks, zs, n).max(axis=1)
     m = 1 << n
-    mats, exps, q = _four_power_stack(family, ks, zs, n)
-    # value < floor  <=>  sigma_max(mats) < (floor q)^m / 2^exps; a zero
-    # floor or q gives bound 0, which drops nothing, and a bound that (or
-    # whose square) overflows lies far above the block and drops it rightly
-    with np.errstate(divide="ignore", over="ignore"):
-        lead = m * (np.repeat(np.log(floors), len(ks)) + np.log(q))
-        keep = ~norm_below(mats, np.exp(lead - exps * math.log(2.0)))
-    vals = np.zeros(len(mats))
-    if keep.any():
-        sigma = jacobi_singular_values(mats[keep])[:, 0]
-        with np.errstate(divide="ignore"):
-            vals[keep] = _scaled_root(sigma, exps[keep], m) / q[keep]
-    return vals.reshape(len(zs), len(ks)).max(axis=1)
+    mats, exps, q = _four_power_stack(family, ks, zs[rows], n)
+    # value < threshold  <=>  sigma_max(mats) < (threshold q)^m / 2^exps; a bound
+    # of 0 (zero threshold or q) or NaN (a singular block, inf threshold) drops
+    # nothing, and one that (or whose square) overflows drops the block rightly
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_q, log_2 = np.log(q), math.log(2.0)
+        sq = np.einsum("bij,bij->bj", mats.view(np.float64), mats.view(np.float64))
+        cols = np.maximum(np.maximum(sq[:, 0] + sq[:, 1], sq[:, 2] + sq[:, 3]),
+                          np.maximum(sq[:, 4] + sq[:, 5], sq[:, 6] + sq[:, 7]))
+        low = ((0.5 * np.log(cols) + exps * log_2) / m - log_q).reshape(-1, len(ks))
+        rise = np.fmax.reduce(low, axis=1) + math.log1p(-FOUR_ROUNDING)
+        lead = m * (np.repeat(np.fmax(np.log(floors[rows]), rise), len(ks)) + log_q)
+        keep = ~norm_below(mats, np.exp(lead - exps * log_2))
+    return mats[keep], exps[keep], q[keep], np.repeat(np.arange(len(zs))[rows], len(ks))[keep]
+
+
+def _stacks(parts, cap: int):
+    """A stream of tuples of equal-length arrays, regrouped into tuples of at most cap rows."""
+    held = None
+    for part in parts:
+        held = part if held is None else [np.concatenate(a) for a in zip(held, part)]
+        while len(held[0]) >= cap:
+            yield [a[:cap] for a in held]
+            held = [a[cap:] for a in held]
+    if held and len(held[0]):
+        yield held
 
 
 def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
     """Per point of zs, max(floor, max of its block values over ks).
 
-    The (points x blocks) pairs are evaluated in groups of at most
-    STACK_CAP 4x4 matrices or 16 * STACK_CAP 2x2 values, each reduced to
-    per-point maxima at once.  Every group screens against the floors the
-    chunk started with, so a point's value does not depend on which points
-    share its groups.
+    The (points x blocks) pairs are formed in groups of at most STACK_CAP
+    4x4 matrices or 16 * STACK_CAP 2x2 values; 4x4 groups are screened
+    against the floors the chunk started with (_four_survivors) and pool
+    their survivors in Jacobi stacks of at most STACK_CAP.  A point's
+    values depend on that point alone, whatever shares its groups.
     """
     cap = STACK_CAP if family.block_dim == 4 else 16 * STACK_CAP
     width = min(len(ks), cap)
     rows = cap // width
     best = floors.copy()
-    for i in range(0, len(zs), rows):
-        part = slice(i, i + rows)
-        for j in range(0, len(ks), width):
-            group = _group_maxima(family, ks[j : j + width], zs[part], n, floors[part])
-            best[part] = np.maximum(best[part], group)
+    groups = ((slice(i, i + rows), ks[j : j + width])
+              for i in range(0, len(zs), rows) for j in range(0, len(ks), width))
+    if family.block_dim == 2:
+        for part, group in groups:
+            values = _two_block_values(family, group, zs[part], n).max(axis=1)
+            best[part] = np.maximum(best[part], values)
+        return best
+    parts = (_four_survivors(family, group, zs, n, floors, part) for part, group in groups)
+    for mats, exps, q, points in _stacks(parts, STACK_CAP):
+        sigma = jacobi_singular_values(mats)[:, 0]
+        with np.errstate(divide="ignore"):
+            np.maximum.at(best, points, _scaled_root(sigma, exps, 1 << n) / q)
     return best
 
 
@@ -533,7 +550,8 @@ def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray) ->
     value + TAIL_TOL rounded toward it, where the sign certificate holds.
     A 4x4 point takes the tail limit c where the sign certificate holds,
     else the majorant (c^m + U ||X1|| + U^2 ||X2|| + U^3 t)^(1/m) of the
-    expansion: ||X0|| = c^m, and each term increases with u.
+    expansion: ||X0|| = c^m, and each term increases with u.  Past n = 3
+    it takes the n = 3 majorant: ||R^2m||^(1/2m) <= ||R^m||^(1/m).
     """
     if family.block_dim == 2:
         if n > 0:
@@ -542,6 +560,7 @@ def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray) ->
         proved = np.where(_two_stays_below(family, a, zs, slack), slack, math.nan)
         proved = np.where(_two_stays_below(family, a, zs, values), values, proved)
         return np.fmin(proved, _envelope_sup(family, a, zs))
+    n = min(n, 3)
     limit = _tail_limit(family, zs, n)
     ok, s, t = expansion = _four_expansion(a, zs, n)
     u, m = 1.0 / a, 1 << n

@@ -264,6 +264,16 @@ class TestSequences:
         with pytest.raises(SingularityError):
             TruncationSequence(shargorodsky_family(), gnr_anchor=complex(math.sqrt(3.0)))
 
+    @pytest.mark.parametrize("k", [30, 60])
+    def test_anchor_check_scans_64_blocks(self, k):
+        # sqrt(alpha_k f_k) is an eigenvalue of block k, past the scan
+        # schedule's first chunk but within the anchor check's own reach
+        family = shargorodsky_family()
+        alpha = family.alpha.value(k)
+        anchor = complex(math.sqrt(alpha * family.symbol.value(alpha)))
+        with pytest.raises(SingularityError, match="limit"):
+            TruncationSequence(family, gnr_anchor=anchor)
+
     def test_scaled_family_anchor_probes_the_first_blocks(self):
         # sqrt(3) is an eigenvalue of the limit's first block: the 64-block
         # probe of the family finds it

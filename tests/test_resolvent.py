@@ -46,6 +46,7 @@ from pseudolab import (
 )
 from pseudolab import numkernel, resolvent
 from pseudolab.numkernel import (
+    jacobi_singular_values,
     largest_singular_value,
     norm_below,
     smallest_singular_value,
@@ -742,7 +743,7 @@ class TestBlockPowerRule:
             z = offset
         else:
             z = complex(math.sqrt(alpha * family.symbol.value(alpha)) * 1j**centre * (1.0 + offset))
-        got = resolvent._group_maxima(family, np.array([k]), np.array([z]), n, np.zeros(1))[0]
+        got = resolvent._chunk_maxima(family, np.array([k]), np.array([z]), n, np.zeros(1))[0]
         want, kappa = _fifty_digit_block_value(family, k, z, n)
         eps = np.finfo(float).eps
         if math.isinf(got):
@@ -792,6 +793,41 @@ class TestFourByFourHeads:
         assert got.value >= head * (1.0 - 1e-12)
         assert got.value <= max(head, _four_limit_oracle(z, n)) * (1.0 + 1e-12)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 4),
+        first=st.sampled_from([1, 17, 81, 5000, 10**6]),
+        count=st.sampled_from([16, 64, 300]),
+        floor=st.sampled_from(["zero", "inf", "below", "at", "above"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(2, 1, 16, "zero", 0)
+    @example(0, 17, 64, "at", 1)
+    @example(4, 81, 300, "below", 2)
+    def test_chunk_maxima_equal_every_block_through_jacobi(
+        self, n, first, count, floor, seed
+    ):
+        # points near the block eigenvalues, at 0 and far out; the screen
+        # and the gathered stacks must not move a maximum by one bit
+        rng = np.random.default_rng(seed)
+        root = np.sqrt(REMARK.alpha.values(np.array([first, first + count // 2])) + 1.0)
+        zs = np.concatenate([
+            rng.uniform(-3.0, 3.0, 5) + 1j * rng.uniform(-3.0, 3.0, 5),
+            [0.0, root[0], 1j * root[1] * (1.0 + 1e-9), 40.0 + 3.0j],
+        ])
+        ks = np.arange(first, first + count)
+        mats, exps, q = _four_power_stack(REMARK, ks, zs, n)
+        sigma = jacobi_singular_values(mats)[:, 0]
+        with np.errstate(divide="ignore"):
+            blocks = (resolvent._scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
+        top = blocks.max(axis=1)
+        floors = {
+            "zero": np.zeros(len(zs)), "inf": np.full(len(zs), math.inf),
+            "below": 0.9 * top, "at": top, "above": 1.1 * top,
+        }[floor]
+        got = resolvent._chunk_maxima(REMARK, ks, zs, n, floors)
+        assert got.tolist() == np.maximum(floors, top).tolist()
+
     @pytest.mark.parametrize("n", [15, 20])
     def test_high_powers_screen_quietly(self, n):
         # from n = 15 the screen's bound exp(m log floor - exps log 2)
@@ -833,10 +869,10 @@ class TestTailCertification:
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("z", [0.4, 0.3 + 0.2j, 1j])
     def test_remark_points_close_after_one_chunk(self, z, n):
-        # the sign certificate holds at weight 66, past the first chunk
+        # the sign certificate holds at weight 18, past the first chunk
         got = resolvent_power_norm(REMARK, z, n)
         assert got.certified and got.tail_gap == 0.0
-        assert got.k_cutoff == 64
+        assert got.k_cutoff == resolvent.HEAD_CHUNK
 
     def test_decay_family_certifies_exactly(self):
         got = resolvent_norm(DECAY, 1.0 + 0.5j)
@@ -861,6 +897,12 @@ class TestTailCertification:
         for z in (0.0, 0.5, 1.0, 2.0 + 1.0j, 1e-8, 1e6):
             got = resolvent_norm(EMPTY, z)
             assert got == ResolventValue(math.inf, 0.0, True, 0)
+
+
+def _chunk_end(k: int) -> int:
+    """The last block of the block_chunks chunk that holds block k."""
+    ends = (int(ks[-1]) for ks in resolvent.block_chunks(0, resolvent.MAX_BLOCKS_DEFAULT))
+    return next(end for end in ends if end >= k)
 
 
 def _disc_points(radius: float, count: int, seed: int) -> np.ndarray:
@@ -938,6 +980,26 @@ class TestFourMajorant:
         for z, ub in zip(zs, bound):
             assert four_block_power_norms_oracle(alphas, z, n).max() <= ub
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_high_power_bound_holds_over_a_long_head(self, n):
+        # the expansion formed at n itself underflowed and gave exactly 0
+        # here; the n' = 3 bound covers every n >= 3
+        zs = np.array([0.3 + 0.2j, 3.0 + 0.05j])
+        bound = resolvent._tail_bound(REMARK, 65.0, zs, n, np.zeros(2))
+        # weight 65 is block 64
+        ks = np.concatenate([np.arange(64, 20064), np.geomspace(20064, 1e7, 64).astype(np.int64)])
+        head = resolvent._chunk_maxima(REMARK, ks, zs, n, np.zeros(2))
+        assert (head > 0.1).all()
+        assert (head <= bound).all()
+
+    def test_high_power_point_certifies(self):
+        # at n = 30 the expansion at n gave no bound, and the point scanned
+        # the whole budget and ended uncertified with gap inf
+        got = resolvent_power_norm(REMARK, 0.3 + 0.2j, 30)
+        dense = resolvent_power_norm(assemble_truncation(REMARK, 50), 0.3 + 0.2j, 30).value
+        assert got.certified and got.tail_gap == 0.0
+        assert got.value == pytest.approx(dense, rel=1e-13)
+
     @pytest.mark.parametrize("n", [0, 2])
     def test_points_past_its_range_have_no_bound(self, n):
         # |z|^2 >= a + 1 leaves no lower bound on |Q| over the tail
@@ -945,14 +1007,14 @@ class TestFourMajorant:
         assert np.isnan(resolvent._tail_bound(REMARK, 66.0, zs, n, np.ones(3))).all()
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_window_certifies_after_one_chunk(self, n):
-        # every cell's block maximum lies in the first chunk, and the power
-        # norms decay like 1/alpha^(1/2) or faster, so the majorant closes
-        # each cell there
+    def test_window_certifies_by_the_chunk_of_block_64(self, n):
+        # every cell's block maximum lies in the first 64 blocks, and the
+        # power norms decay like 1/alpha^(1/2) or faster, so the majorant
+        # closes each cell by the end of the chunk that holds block 64
         zs = GridRegion(-2.0, 2.0, -2.0, 2.0, 41, 41).lattice().ravel()
         batch = resolvent.resolvent_power_norms(REMARK, zs, n)
         assert batch.certified.all()
-        assert (batch.k_cutoff == resolvent.HEAD_CHUNK).all()
+        assert (batch.k_cutoff <= _chunk_end(64)).all()
 
 
 # the 2x2 families with a sign certificate: both symbols, both weight rules
@@ -1114,14 +1176,37 @@ class TestTwoSignCertificate:
         assert batch.certified.all()
 
     @pytest.mark.parametrize(
-        "model, z, value, k_cutoff",
-        [(NONCONST, 50 + 50j, 1.0020386189953652, 349504),
-         (SHARG, 2.7 + 2.5j, 1.0000051556306346, 5440)],
+        "model, z, value, closing",
+        [(NONCONST, 50 + 50j, 1.0020386189953652, 135929),
+         (SHARG, 2.7 + 2.5j, 1.0000051556306346, 3876)],
     )
-    def test_slow_points_close(self, model, z, value, k_cutoff):
-        # both scanned all 10^6 blocks and ended uncertified with the envelope
+    def test_slow_points_close(self, model, z, value, closing):
+        # both scanned all 10^6 blocks and ended uncertified with the
+        # envelope; the sign certificate holds once the scan has passed
+        # block `closing`, so the point closes at the end of that chunk
         got = resolvent_norm(model, z)
-        assert got == ResolventValue(value, 0.0, True, k_cutoff)
+        assert got == ResolventValue(value, 0.0, True, _chunk_end(closing))
+
+
+DENSE_12 = DenseOperator(random_complex_matrix(np.random.default_rng(61), 12))
+
+
+class TestValuesNonincreasingInN:
+    """||R^2m||^(1/2m) <= ||R^m||^(1/m) for every resolvent R, so no value
+    rises with n past the upper bound value + tail_gap at the n before."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        model=st.sampled_from([SHARG, REMARK, NONCONST, DENSE_12]),
+        re=st.floats(-2.5, 2.5),
+        im=st.floats(-2.5, 2.5),
+    )
+    @example(REMARK, 0.3, 0.2)
+    @example(REMARK, 3.0, 0.05)
+    def test_values_do_not_rise_with_n(self, model, re, im):
+        rvs = [resolvent_power_norm(model, complex(re, im), n) for n in range(7)]
+        for lo, hi in zip(rvs, rvs[1:]):
+            assert hi.value <= (lo.value + lo.tail_gap) * (1.0 + 1e-12)
 
 
 def _four_limit_digits(r: float) -> decimal.Decimal:
@@ -1399,11 +1484,47 @@ class TestFieldEngine:
         assert len({rv.k_cutoff for rv in batch}) >= 4
         assert any(math.isinf(rv.value) for rv in batch)
         assert any(
-            rv.certified and rv.k_cutoff == 64 and math.isfinite(rv.value) for rv in batch
+            rv.certified and rv.k_cutoff == resolvent.HEAD_CHUNK and math.isfinite(rv.value)
+            for rv in batch
         )
         assert any(not rv.certified and rv.k_cutoff == 3000 for rv in batch)
         for z, rv in zip(zs, batch):
             assert rv == resolvent_power_norm(REMARK, z, 1, max_blocks=3000)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "name, radius", [("shargorodsky", 4.0), ("nonconstant", 4.0), ("remark_n1", 4.0)]
+    )
+    def test_first_chunk_moves_only_the_cutoffs(self, monkeypatch, name, radius, n):
+        # a 16-block first chunk may close a point earlier and moves nothing else
+        model = build_named_example(name).model
+        zs = GridRegion(-radius, radius, -radius, radius, 17, 17).lattice().ravel()
+        runs = []
+        for head in (64, 16):
+            monkeypatch.setattr(resolvent, "HEAD_CHUNK", head)
+            batch = resolvent.resolvent_power_norms(model, zs, n)
+            runs.append([batch.value.tolist(), batch.tail_gap.tolist(), batch.certified.tolist()])
+        assert runs[0] == runs[1]
+
+    def test_survivors_share_jacobi_stacks(self, monkeypatch):
+        # with a cap of 8 matrices, the screen's survivors from many groups
+        # are regrouped into full stacks, and no maximum moves
+        zs = GridRegion(-2.0, 2.0, -2.0, 2.0, 5, 5).lattice().ravel()
+        ks = np.arange(1, 81)
+        want = resolvent._chunk_maxima(REMARK, ks, zs, 2, np.zeros(len(zs)))
+        sizes = []
+        kernel = resolvent.jacobi_singular_values
+
+        def recorded(mats):
+            sizes.append(len(mats))
+            return kernel(mats)
+
+        monkeypatch.setattr(resolvent, "jacobi_singular_values", recorded)
+        monkeypatch.setattr(resolvent, "STACK_CAP", 8)
+        got = resolvent._chunk_maxima(REMARK, ks, zs, 2, np.zeros(len(zs)))
+        assert got.tolist() == want.tolist()
+        assert len(sizes) >= 2 and set(sizes[:-1]) == {8} and 1 <= sizes[-1] <= 8
+        assert len(sizes) < len(zs) * len(ks) // 8  # fewer calls than groups
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("kind", ["full", "banded"])
