@@ -431,9 +431,12 @@ def _count_below(diag: np.ndarray, squares: np.ndarray, shifts: np.ndarray) -> n
 
     It is the number of negative pivots q_i = d_i - x - e_{i-1}^2 / q_{i-1}
     of the LDL^T factorization of T - x I.  squares holds e^2 floored at the
-    smallest normal double, far below roundoff, so no pivot is 0/0: a zero
-    pivot makes the next one infinite with the right sign, and signbit
-    counts -0 as negative.
+    smallest normal double, so no pivot is 0/0: a zero pivot makes the next
+    one infinite with the right sign, and signbit counts -0 as negative.
+    The floor lies far below roundoff only when T is scaled as
+    largest_singular_values scales it, to lambda_max >= 1/4.  For a T whose
+    entries lie below about 1e-154 the floor is not negligible, and the
+    count need not reach k at any shift.
     """
     diag, squares = diag.T[:, :, None], squares.T[:, :, None]
     negative = np.empty((len(diag),) + shifts.shape, dtype=bool)

@@ -37,21 +37,25 @@ limit, which _tail_limit alone writes down and every certificate reads:
   Schur-style bounds on the squared block resolvent give a decreasing
   tail majorant;
 * the 4x4 shape: one expansion of the block resolvent power in 1/alpha
-  around its nilpotent limit, formed once per chunk (_four_expansion),
-  proves for n = 0 and 1 that every block beyond the scan point stays
-  strictly below the tail limit (_four_stays_below_limit; z = 0 has closed
-  forms instead); where that fails, and for n >= 2, a majorant read off it,
-  increasing in 1/alpha, bounds the tail.
+  around its nilpotent limit (_four_expansion) proves for n = 0 and 1 that
+  every block beyond the scan point stays strictly below the tail limit
+  (_four_stays_below_limit; z = 0 has closed forms instead); where that
+  fails, and for n >= 2, a majorant read off it, increasing in 1/alpha,
+  bounds the tail.  Its polynomial algebra depends on z alone, so a scan
+  forms it once per call (_four_terms), and each chunk forms only what
+  depends on the weight, at the points still open.
 
 Head values are exact, and both block shapes take powers by one rule: a
 block is a weighted cycle with B^d = P I, P = (alpha f)^(d/2), so
 (P - z^d)(B - z)^-1 is a polynomial in B of degree < d, and n exactly
 rescaled squarings modulo x^d - P raise it to 2^n (_power_coefficients).
 A 2x2 head reads sigma_max off sv2x2_batch (n = 0 takes a closed form in
-real arithmetic).  A 4x4 head drops, by an LDL* test, the blocks that
-cannot reach the value their point's scan must beat at the start of the
-chunk or its largest column-norm value; Jacobi stacks of at most
-STACK_CAP evaluate the rest.  Every model takes n <= POWER_INDEX_LIMIT.
+real arithmetic).  A 4x4 head drops the blocks that cannot reach the
+value their point's scan must beat at the start of the chunk or its
+largest column-norm value: first by their Frobenius norm, then by an LDL*
+test on the candidates of the whole chunk, pooled in stacks of at most
+STACK_CAP; Jacobi stacks of at most STACK_CAP evaluate the rest.  Every
+model takes n <= POWER_INDEX_LIMIT.
 
 Each point's arithmetic depends on that point alone, so a value does not
 depend on the other points of the call.  The certificates are array
@@ -464,28 +468,37 @@ def block_chunks(lo: int, hi: int):
 
 
 def _four_survivors(family, ks, zs, n: int, floors: np.ndarray, rows: slice):
-    """(mats, exps, q, points) of the 4x4 blocks over ks, at zs[rows], that may hold a maximum.
+    """((mats, exps, q, points, bound), keep) of the 4x4 blocks over ks at zs[rows], point-major.
 
-    An LDL* screen drops the blocks whose value provably lies below their
-    point's max(floor, L (1 - FOUR_ROUNDING)), L its largest column-norm
-    value here: sigma_max is at least every column norm, so no dropped
-    block comes within rounding of the maximum.  points indexes zs.
+    A block's value lies below its point's threshold max(floor, L (1 -
+    FOUR_ROUNDING)), L the point's largest column-norm value here, exactly
+    when sigma_max(mats) < bound.  sigma_max is at least every column norm
+    and at most the Frobenius norm, so keep, the blocks that may hold a
+    maximum, is False only where the Frobenius value lies below the
+    threshold by a further factor 1 - FOUR_ROUNDING, both finite (the
+    Frobenius pre-screen).  Such a block, and any that the LDL* test
+    norm_below(mats, bound) drops, comes nowhere near the maximum.  The
+    values are compared in logs, where 2^exps and the root cannot overflow;
+    points indexes zs.
     """
     m = 1 << n
     mats, exps, q = _four_power_stack(family, ks, zs[rows], n)
-    # value < threshold  <=>  sigma_max(mats) < (threshold q)^m / 2^exps; a bound
-    # of 0 (zero threshold or q) or NaN (a singular block, inf threshold) drops
-    # nothing, and one that (or whose square) overflows drops the block rightly
+    points = np.repeat(np.arange(len(zs))[rows], len(ks))
+    # a bound of 0 (zero threshold or q) or NaN (a singular block, inf
+    # threshold) drops nothing, and one that overflows drops the block rightly
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_q, log_2 = np.log(q), math.log(2.0)
         sq = np.einsum("bij,bij->bj", mats.view(np.float64), mats.view(np.float64))
         cols = np.maximum(np.maximum(sq[:, 0] + sq[:, 1], sq[:, 2] + sq[:, 3]),
                           np.maximum(sq[:, 4] + sq[:, 5], sq[:, 6] + sq[:, 7]))
-        low = ((0.5 * np.log(cols) + exps * log_2) / m - log_q).reshape(-1, len(ks))
-        rise = np.fmax.reduce(low, axis=1) + math.log1p(-FOUR_ROUNDING)
-        lead = m * (np.repeat(np.fmax(np.log(floors[rows]), rise), len(ks)) + log_q)
-        keep = ~norm_below(mats, np.exp(lead - exps * log_2))
-    return mats[keep], exps[keep], q[keep], np.repeat(np.arange(len(zs))[rows], len(ks))[keep]
+        # each block's largest column-norm value and its Frobenius value
+        low, frob = (0.5 * np.log([cols, sq.sum(axis=1)]) + exps * log_2) / m - log_q
+        rise = np.fmax.reduce(low.reshape(-1, len(ks)), axis=1) + math.log1p(-FOUR_ROUNDING)
+        line = np.repeat(np.fmax(np.log(floors[rows]), rise), len(ks))
+        bound = np.exp(m * (line + log_q) - exps * log_2)
+        # line + frob is finite exactly where both are
+        keep = (frob >= line + math.log1p(-FOUR_ROUNDING)) | ~np.isfinite(line + frob)
+    return (mats, exps, q, points, bound), keep
 
 
 def _stacks(parts, cap: int):
@@ -504,10 +517,12 @@ def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
     """Per point of zs, max(floor, max of its block values over ks).
 
     The (points x blocks) pairs are formed in groups of at most STACK_CAP
-    4x4 matrices or 16 * STACK_CAP 2x2 values; 4x4 groups are screened
-    against the floors the chunk started with (_four_survivors) and pool
-    their survivors in Jacobi stacks of at most STACK_CAP.  A point's
-    values depend on that point alone, whatever shares its groups.
+    4x4 matrices or 16 * STACK_CAP 2x2 values.  4x4 groups are screened
+    against the floors the chunk started with: a Frobenius pre-screen per
+    group (_four_survivors), then the LDL* test on the candidates of all
+    groups pooled in stacks of at most STACK_CAP, then Jacobi on the
+    survivors, pooled again.  A point's values depend on that point alone,
+    whatever shares its groups and stacks.
     """
     cap = STACK_CAP if family.block_dim == 4 else 16 * STACK_CAP
     width = min(len(ks), cap)
@@ -520,8 +535,16 @@ def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
             values = _two_block_values(family, group, zs[part], n).max(axis=1)
             best[part] = np.maximum(best[part], values)
         return best
+
+    def tested(candidates):
+        for *stack, bound in candidates:
+            with np.errstate(over="ignore"):  # a bound^2 that overflows drops rightly
+                keep = ~norm_below(stack[0], bound)
+            yield [a[keep] for a in stack]
+
     parts = (_four_survivors(family, group, zs, n, floors, part) for part, group in groups)
-    for mats, exps, q, points in _stacks(parts, STACK_CAP):
+    candidates = ([a[keep] for a in blocks] for blocks, keep in parts)
+    for mats, exps, q, points in _stacks(tested(_stacks(candidates, STACK_CAP)), STACK_CAP):
         sigma = jacobi_singular_values(mats)[:, 0]
         with np.errstate(divide="ignore"):
             np.maximum.at(best, points, _scaled_root(sigma, exps, 1 << n) / q)
@@ -543,7 +566,7 @@ def _head_maxima(family, n_blocks: int, zs: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray, terms):
     """At each z, an upper bound for every block value beyond weight a; NaN where none applies.
 
     A 2x2 point at n = 0 takes the least of the envelope and its value, or
@@ -551,7 +574,8 @@ def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray) ->
     A 4x4 point takes the tail limit c where the sign certificate holds,
     else the majorant (c^m + U ||X1|| + U^2 ||X2|| + U^3 t)^(1/m) of the
     expansion: ||X0|| = c^m, and each term increases with u.  Past n = 3
-    it takes the n = 3 majorant: ||R^2m||^(1/2m) <= ||R^m||^(1/m).
+    it takes the n = 3 majorant: ||R^2m||^(1/2m) <= ||R^m||^(1/m).  terms
+    is _four_terms(family, zs, n) for a 4x4 family; a 2x2 one reads none.
     """
     if family.block_dim == 2:
         if n > 0:
@@ -562,12 +586,12 @@ def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray) ->
         return np.fmin(proved, _envelope_sup(family, a, zs))
     n = min(n, 3)
     limit = _tail_limit(family, zs, n)
-    ok, s, t = expansion = _four_expansion(a, zs, n)
+    ok, s, t = expansion = _four_expansion(terms, a, n)
     u, m = 1.0 / a, 1 << n
     with np.errstate(over="ignore"):
-        total = limit**m + u * _fro(s[1]) + u * u * _fro(s[2]) + u**3 * t
+        total = limit**m + u * s[1] + u * u * s[2] + u**3 * t
         majorant = np.where(ok, ((1.0 + FOUR_ROUNDING) * total) ** (1.0 / m), math.nan)
-    below = n < 2 and _four_stays_below_limit(family, a, zs, n, expansion)
+    below = n < 2 and _four_stays_below_limit(terms, a, n, expansion)
     return np.where(below, limit, majorant)
 
 
@@ -598,6 +622,7 @@ def _family_values(
         closed = zs == 0
         tail_gap[closed], certified[closed] = 0.0, True
     active = np.flatnonzero(~certified)
+    terms = _four_terms(family, zs, n) if family.block_dim == 4 else []
     for ks in block_chunks(start, start + max_blocks):
         if not len(active):
             break
@@ -606,7 +631,7 @@ def _family_values(
         k_cutoff[active] = k_done
         a = float(family.alpha.values(np.array([k_done + 1]))[0])
         v = value[active]
-        ub = _tail_bound(family, a, zs[active], n, v)
+        ub = _tail_bound(family, a, zs[active], n, v, _take(terms, active))
         # an inf value is exact; a NaN gap (no certificate) keeps the old gap
         gap = np.where(np.isinf(v), 0.0, np.maximum(ub - v, 0.0))
         tail_gap[active] = np.fmin(tail_gap[active], gap)
@@ -689,79 +714,159 @@ def _poly_product(p: np.ndarray, q: np.ndarray, matrix: bool) -> np.ndarray:
 
 
 def _fro(mats: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (points, d, d) stack, upper bounds for its spectral norms."""
-    return np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(1, 2)))
+    """Frobenius norms of a (..., d, d) stack, upper bounds for its spectral norms."""
+    return np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(-2, -1)))
 
 
-def _truncated_square(c: np.ndarray, rho, u: float):
-    """F^2 as (A^2 to degree 4, rho') for ||F - A|| <= u^5 rho, A of degree 4 with coefficients c.
+def _truncated_square(c):
+    """(A^2 to degree 4, (||A_k||, ||(A^2)_k|| past u^4)) for A of degree 4 with coefficients c.
 
-    rho' = sum ||C_k|| U^(k-5) over A^2's terms past u^4, + 2 ||A||_U rho + U^5 rho^2.
+    The norms are those _truncation_rho reads at any U.
     """
     sq = _poly_product(c, c, c.shape[-1] > 1)
-    size = sum(_fro(ck) * u**k for k, ck in enumerate(c))
-    dropped = sum(_fro(sq[k]) * u ** (k - 5) for k in range(5, len(sq)))
-    return sq[:5], dropped + 2.0 * size * rho + u**5 * rho * rho
+    return sq[:5], (_fro(c), _fro(sq[5:]))
 
 
-def _four_expansion(a: float, zs: np.ndarray, n: int):
-    """At each z, X = (B - z)^-m, m = 2^n, over the 4x4 blocks with weight >= a, in u = 1/alpha.
+def _truncation_rho(squares, u):
+    """rho of F = A + u^5 R, ||R|| <= rho, after the truncated squarings with norms squares.
 
-    The symbol is 1 + 1/x, so B^4 = (alpha f)^2 gives (B - z)^-1 =
-    P(u) / Q(u), where P(u) = u^2 (B^3 + z B^2 + z^2 B + z^3) is a matrix
-    polynomial of degree 4 built from uB = E_alpha + (u + u^2) E_f, and
-    Q(u) = (1 + u)^2 - z^4 u^2.  n squarings form X = P^m / Q^m, keeping P^m
-    and Q^m to degree 4 and the rest in u^5 rho_P and u^5 rho_Q
-    (_truncated_square).  X's Taylor coefficients X0, X1, X2 are exact
-    polynomial algebra (Q(0) = 1); X0 = L^m, L the nilpotent limit of the
-    blocks.  On 0 < u <= U = 1/a, |Q| >= (1 + u)^2 - |z|^4 u^2, increasing
-    or concave in u, so |Q| >= q = min(1, (1 + U)^2 - |z|^4 U^2).  Hence
-    X = S + u^3 T, S = X0 + u X1 + u^2 X2, with ||T|| <= t: the sum of
-    ||rem_k|| U^(k-3) over rem = P^m - S Q^m as kept, plus
-    U^2 (rho_P + ||S|| rho_Q), over q^m.
-
-    Returns (ok, S, t), S the stack X0, X1, X2.  ok marks the points where
-    q > 0, that is |z|^2 < a + 1, and t is finite; S and t are 0 elsewhere.
+    Each squaring of F, kept to degree 4 as A^2, leaves rho' = sum ||C_k||
+    U^(k-5) over A^2's terms past u^4, + 2 ||A||_U rho + U^5 rho^2.
     """
+    rho = 0.0
+    for sizes, dropped in squares:
+        size = sum(f * u**k for k, f in enumerate(sizes))
+        tail = sum(f * u ** (k - 5) for k, f in enumerate(dropped, 5))
+        rho = tail + 2.0 * size * rho + u**5 * rho * rho
+    return rho
+
+
+def _take(terms, points):
+    """terms, arrays that end in the points' axis nested in lists, at the indexed points."""
+    if isinstance(terms, np.ndarray):
+        return terms[..., points]
+    return [_take(t, points) for t in terms]
+
+
+def _four_terms(family, zs, n):
+    """[r, p_squares, q_squares, s, rem, sign]: the 4x4 tail expansion's parts that depend on z.
+
+    The expansion is formed at n' = min(n, 3) (_tail_bound).  The symbol is
+    1 + 1/x, so B^4 = (alpha f)^2 gives (B - z)^-1 = P(u) / Q(u), where
+    P(u) = u^2 (B^3 + z B^2 + z^2 B + z^3) is a matrix polynomial of degree
+    4 built from uB = E_alpha + (u + u^2) E_f, and Q(u) = (1 + u)^2 -
+    z^4 u^2.  n' squarings, each kept to degree 4 (_truncated_square), form
+    P^m and Q^m, m = 2^n'; X's Taylor coefficients X0, X1, X2 are exact
+    polynomial algebra (Q(0) = 1), X0 = L^m, L the nilpotent limit of the
+    blocks, and rem = P^m - S Q^m as kept, S = X0 + u X1 + u^2 X2.  None of
+    this depends on the weight, so a scan forms it once per call, for every
+    point, and each chunk reads it at its open points (_take).
+
+    Every array ends in the points' axis: r is |z|; p_squares and
+    q_squares hold _truncated_square's norms for each squaring of P and of
+    Q; s the Frobenius norms of X0, X1 and X2, and rem those of rem's terms
+    past u^2.  sign holds, for n' <= 1, the rows of _four_stays_below_limit
+    that depend on z alone (_four_sign_rows), and is empty for n' >= 2.
+    Points that no weight of the scan can serve (|z|^2 >= a + 1, out to
+    BLOCK_Z_LIMIT) may overflow here; the readers mask them.
+    """
+    n = min(n, 3)
     r = np.hypot(zs.real, zs.imag)
-    u = 1.0 / a
-    q_low = np.minimum(1.0, (1.0 + u) ** 2 - (r * r * u) ** 2)
-    ok = q_low > 0.0
-    z1 = np.where(ok, zs, 0.0)[:, None, None]
+    z1 = zs[:, None, None]
     # uB = E_alpha + (u + u^2) E_f as coefficients of u^0, u^1, u^2
     ub = np.zeros((3, 1, 4, 4), dtype=np.complex128)
     ub[0, 0, 2, 0] = ub[0, 0, 1, 2] = 1.0
     ub[1:, 0, 0, 3] = ub[1:, 0, 3, 1] = 1.0
     ub2 = _poly_product(ub, ub, True)
     ub3 = _poly_product(ub2, ub, True)
-    z2 = _cmul(z1, z1)
-    z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
-    # P = (uB)^3 / u + z (uB)^2 + z^2 u (uB) + z^3 u^2, where (uB)^3 has no
-    # u^0 or u^6 term: E_alpha^3 = E_f^3 = 0
-    p = ub3[1:6] + z1 * ub2
-    p[1:4] += z2 * ub
-    p[2] += z3 * np.eye(4)
-    q = np.stack([np.ones_like(z4), np.full_like(z4, 2.0), 1.0 - z4])
-    rho_p = rho_q = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z2 = _cmul(z1, z1)
+        z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
+        # P = (uB)^3 / u + z (uB)^2 + z^2 u (uB) + z^3 u^2, where (uB)^3 has no
+        # u^0 or u^6 term: E_alpha^3 = E_f^3 = 0
+        p = ub3[1:6] + z1 * ub2
+        p[1:4] += z2 * ub
+        p[2] += z3 * np.eye(4)
+        q = np.stack([np.ones_like(z4), np.full_like(z4, 2.0), 1.0 - z4])
+        p_squares, q_squares = [], []
         for _ in range(n):
-            p, rho_p = _truncated_square(p, rho_p, u)
-            q, rho_q = _truncated_square(q, rho_q, u)
+            p, norms = _truncated_square(p)
+            p_squares.append(norms)
+            q, norms = _truncated_square(q)
+            q_squares.append(norms)
         x1 = p[1] - _cmul(q[1], p[0])
         s = np.stack([p[0], x1, p[2] - _cmul(q[1], x1) - _cmul(q[2], p[0])])
         rem = _poly_product(s, q, False)  # negated; its terms to u^2 vanish
         rem[: len(p)] -= p
-        s_norm = _fro(s[0]) + u * _fro(s[1]) + u * u * _fro(s[2])
-        t = sum(_fro(rem[k]) * u ** (k - 3) for k in range(3, len(rem)))
+        sign = _four_sign_rows(family, zs, r, n, s) if n < 2 else []
+        return [r, p_squares, q_squares, _fro(s), _fro(rem[3:]), sign]
+
+
+def _four_expansion(terms, a: float, n: int):
+    """At each z, X = (B - z)^-m, m = 2^n, over the 4x4 blocks with weight >= a, in u = 1/alpha.
+
+    terms is _four_terms(family, zs, n) (n <= 3): P^m, Q^m, S and rem as
+    exact polynomial algebra in u, formed once per call.  Here only what
+    depends on a is formed.  P^m and Q^m differ from the true powers by
+    u^5 rho_P and u^5 rho_Q (_truncation_rho).  On 0 < u <= U = 1/a, |Q| >=
+    (1 + u)^2 - |z|^4 u^2, increasing or concave in u, so |Q| >= q =
+    min(1, (1 + U)^2 - |z|^4 U^2).  Hence X = S + u^3 T with ||T|| <= t: the
+    sum of ||rem_k|| U^(k-3) over rem's terms, plus U^2 (rho_P + ||S||
+    rho_Q), over q^m.
+
+    Returns (ok, S, t), S the Frobenius norms of X0, X1 and X2.  ok marks
+    the points where q > 0, that is |z|^2 < a + 1, and t is finite; S and t
+    are 0 elsewhere.
+    """
+    r, p_squares, q_squares, s, rem, _ = terms
+    u = 1.0 / a
+    q_low = np.minimum(1.0, (1.0 + u) ** 2 - (r * r * u) ** 2)
+    ok = q_low > 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho_p = _truncation_rho(p_squares, u)
+        rho_q = _truncation_rho(q_squares, u)
+        s_norm = s[0] + u * s[1] + u * u * s[2]
+        t = sum(f * u ** (k - 3) for k, f in enumerate(rem, 3))
         t = (t + u * u * (rho_p + s_norm * rho_q)) / q_low ** (1 << n)
     ok &= np.isfinite(t)
-    return ok, np.where(ok[:, None, None], s, 0.0), np.where(ok, t, 0.0)
+    return ok, np.where(ok, s, 0.0), np.where(ok, t, 0.0)
 
 
-def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int, expansion) -> np.ndarray:
+def _four_sign_rows(family, zs, r, n, s):
+    """The rows of _four_stays_below_limit at n <= 1 that depend on z alone, r = |z|.
+
+    s is the stack X0, X1, X2 of the expansion at each z.  The rows are
+    ||H1||, ||H2||, ||H3||, ||X2* X2||, v*H1 v, v*H2 v, ||P H1 v||,
+    ||P H2 v||, c^2 and c^2 - l2, as _four_stays_below_limit names them.
+    """
+    x0, x1, x2 = s
+    xh0, xh1, xh2 = np.conj(np.swapaxes(s, 2, 3))
+    h1 = xh0 @ x1 + xh1 @ x0
+    h2 = xh0 @ x2 + xh1 @ x1 + xh2 @ x0
+    h3 = xh1 @ x2 + xh2 @ x1
+    v = np.zeros((len(zs), 4, 1), dtype=np.complex128)
+    c = _tail_limit(family, zs, n)
+    c2 = c * c
+    if n == 0:
+        norm = np.sqrt(c2 + 1.0)
+        v[:, 0, 0] = c / norm
+        v[:, 3, 0] = zs / (np.where(r > 0.0, r, 1.0) * norm)
+        gap0 = r * np.sqrt(r * r + 4.0)  # c^2 - 1/c^2
+    else:
+        gap0 = c2  # c^2 - l2, l2 = 0
+        v[:, 0, 0] = 1.0
+
+    # v*hv and ||(I - vv*) hv|| for h = H1, H2
+    hv = np.stack([h1, h2]) @ v
+    vhv = (np.conj(np.swapaxes(v, 1, 2)) @ hv)[..., 0, 0].real
+    off = _fro(hv - vhv[..., None, None] * v)
+    return np.stack([_fro(h1), _fro(h2), _fro(h3), _fro(xh2 @ x2), *vhv, *off, c2, gap0])
+
+
+def _four_stays_below_limit(terms, a: float, n: int, expansion) -> np.ndarray:
     """At each z, whether every block with weight >= a has value < the tail limit (n = 0, 1).
 
-    expansion is _four_expansion(a, zs, n): X = S + u^3 T with S = X0 +
+    expansion is _four_expansion(terms, a, n): X = S + u^3 T with S = X0 +
     u X1 + u^2 X2 and ||T|| <= t.  So X*X = H0 + u H1 + u^2 H2 + D with
     H_j = sum_i X_i* X_(j-i) and ||D|| <= K u^3, K = ||H3|| + U ||H4|| +
     2 ||S|| t + U^3 t^2.
@@ -773,56 +878,32 @@ def _four_stays_below_limit(family, a: float, zs: np.ndarray, n: int, expansion)
     A = -v*H1 v - U |v*H2 v| - K U^2, b = ||P H1 v|| + U ||P H2 v|| + K U^2
     (P the projection off v) and G = c^2 - l2 - (||H1|| + U ||H2||) u - K u^3,
     so ||X|| < c^m whenever A > 0, G > 0 and A G > u b^2.  G, A and b are
-    taken at u = U, where each is at its worst for the whole tail.  The
-    norms are Frobenius norms, the good terms are shrunk and the bad ones
-    grown by FOUR_ROUNDING relative, which covers the rounding, and the
-    certificate applies only where |z|^4 < a, which keeps every power of
-    |z| finite.  At n = 0, z = 0 is left to the closed form, where v has no
-    direction.
+    taken at u = U, where each is at its worst for the whole tail; what
+    depends on z alone is read off terms, formed once per call
+    (_four_sign_rows).  The norms are Frobenius norms, the good terms are
+    shrunk and the bad ones grown by FOUR_ROUNDING relative, which covers
+    the rounding, and the certificate applies only where |z|^4 < a, which
+    keeps every power of |z| finite.  At n = 0, z = 0 is left to the closed
+    form, where v has no direction.
     """
     in_range, s, t = expansion
-    r = np.hypot(zs.real, zs.imag)
+    r = terms[0]
     ok = in_range & (r**4 < a)
     if n == 0:
         ok &= r > 0.0
-    z = np.where(ok, zs, 0.0)
-    r = np.where(ok, r, 0.0)
-    x0, x1, x2 = np.where(ok[:, None, None], s, 0.0)
-    t = np.where(ok, t, 0.0)
+    fro_h1, fro_h2, fro_h3, fro_x22, q1, q2, b1, b2, c2, gap0 = terms[-1]
     u = 1.0 / a
-    s_norm = _fro(x0) + u * _fro(x1) + u * u * _fro(x2)
-
-    xh0, xh1, xh2 = (np.conj(np.swapaxes(x, 1, 2)) for x in (x0, x1, x2))
-    h1 = xh0 @ x1 + xh1 @ x0
-    h2 = xh0 @ x2 + xh1 @ x1 + xh2 @ x0
-    h3 = xh1 @ x2 + xh2 @ x1
-    big_k = _fro(h3) + u * _fro(xh2 @ x2) + 2.0 * s_norm * t + u**3 * t * t
-    v = np.zeros((len(zs), 4, 1), dtype=np.complex128)
-    c = _tail_limit(family, z, n)
-    c2 = c * c
-    if n == 0:
-        norm = np.sqrt(c2 + 1.0)
-        v[:, 0, 0] = c / norm
-        v[:, 3, 0] = z / (np.where(ok, r, 1.0) * norm)
-        gap0 = r * np.sqrt(r * r + 4.0)  # c^2 - 1/c^2
-    else:
-        gap0 = 1.0
-        v[:, 0, 0] = 1.0
-
-    def along(h):
-        """v*hv and ||(I - vv*) hv||."""
-        hv = h @ v
-        vhv = (np.conj(np.swapaxes(v, 1, 2)) @ hv)[:, 0, 0].real
-        return vhv, _fro(hv - vhv[:, None, None] * v)
-
-    (q1, b1), (q2, b2) = along(h1), along(h2)
-    d = _fro(h1) + u * _fro(h2)
-    pad = FOUR_ROUNDING * (c2 + d)
-    grow = 1.0 + FOUR_ROUNDING
-    big_a = -q1 - grow * (u * np.abs(q2) + big_k * u * u) - pad
-    big_g = gap0 - grow * (d * u + big_k * u**3) - pad
-    big_b = grow * (b1 + u * b2 + big_k * u * u) + pad
-    return ok & (big_a > 0.0) & (big_g > 0.0) & (big_a * big_g > grow * u * big_b**2)
+    # the rows of the points outside ok may overflow; ok masks them
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_norm = s[0] + u * s[1] + u * u * s[2]
+        big_k = fro_h3 + u * fro_x22 + 2.0 * s_norm * t + u**3 * t * t
+        d = fro_h1 + u * fro_h2
+        pad = FOUR_ROUNDING * (c2 + d)
+        grow = 1.0 + FOUR_ROUNDING
+        big_a = -q1 - grow * (u * np.abs(q2) + big_k * u * u) - pad
+        big_g = gap0 - grow * (d * u + big_k * u**3) - pad
+        big_b = grow * (b1 + u * b2 + big_k * u * u) + pad
+        return ok & (big_a > 0.0) & (big_g > 0.0) & (big_a * big_g > grow * u * big_b**2)
 
 
 # ------------------------------------------------------------- public API

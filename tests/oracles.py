@@ -7,7 +7,9 @@ They are deliberately built on LAPACK-backed numpy decompositions
 kernels in the package.  The two ``uniform_*`` references are of another
 kind: the sigma_max kernel as it was before its first bisection pass was
 seeded and 2x2 matrices took a closed form, which the kernel must still
-match bit for bit.
+match bit for bit.  So is ``per_weight_four_tail``: the 4x4 tail
+certificates formed afresh at each weight, as they were before their
+z-only algebra was formed once per call.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import math
 import numpy as np
 
 from pseudolab import numkernel
+from pseudolab.resolvent import FOUR_ROUNDING, _cmul, _poly_product, _tail_limit
 
 
 def singular_values_oracle(a) -> np.ndarray:
@@ -172,3 +175,104 @@ def json_document_oracle(obj) -> str:
     json.dump(doc, buf, indent=2, sort_keys=True)
     buf.write("\n")
     return buf.getvalue()
+
+
+def per_weight_four_tail(family, a: float, zs, n: int):
+    """The 4x4 tail certificates at weight a, each formed afresh at that weight.
+
+    The expansion, sign certificate and tail bound of resolvent as they
+    were before the z-only algebra was formed once per call: points with
+    |z|^2 >= a + 1, and those outside the sign certificate's range, are
+    zeroed before the algebra.  Returns ((ok, S, t), below, bound) at
+    n' = min(n, 3), S the stack of matrices X0, X1, X2 and below None for
+    n' >= 2; the engine must match it bit for bit.
+    """
+    def fro(mats):
+        return np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(1, 2)))
+
+    def truncated_square(c, rho, u):
+        sq = _poly_product(c, c, c.shape[-1] > 1)
+        size = sum(fro(ck) * u**k for k, ck in enumerate(c))
+        dropped = sum(fro(sq[k]) * u ** (k - 5) for k in range(5, len(sq)))
+        return sq[:5], dropped + 2.0 * size * rho + u**5 * rho * rho
+
+    n = min(n, 3)
+    zs = np.asarray(zs, dtype=np.complex128)
+    r = np.hypot(zs.real, zs.imag)
+    u = 1.0 / a
+    q_low = np.minimum(1.0, (1.0 + u) ** 2 - (r * r * u) ** 2)
+    ok = q_low > 0.0
+    z1 = np.where(ok, zs, 0.0)[:, None, None]
+    ub = np.zeros((3, 1, 4, 4), dtype=np.complex128)
+    ub[0, 0, 2, 0] = ub[0, 0, 1, 2] = 1.0
+    ub[1:, 0, 0, 3] = ub[1:, 0, 3, 1] = 1.0
+    ub2 = _poly_product(ub, ub, True)
+    ub3 = _poly_product(ub2, ub, True)
+    z2 = _cmul(z1, z1)
+    z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
+    p = ub3[1:6] + z1 * ub2
+    p[1:4] += z2 * ub
+    p[2] += z3 * np.eye(4)
+    q = np.stack([np.ones_like(z4), np.full_like(z4, 2.0), 1.0 - z4])
+    rho_p = rho_q = 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(n):
+            p, rho_p = truncated_square(p, rho_p, u)
+            q, rho_q = truncated_square(q, rho_q, u)
+        x1 = p[1] - _cmul(q[1], p[0])
+        s = np.stack([p[0], x1, p[2] - _cmul(q[1], x1) - _cmul(q[2], p[0])])
+        rem = _poly_product(s, q, False)
+        rem[: len(p)] -= p
+        s_norm = fro(s[0]) + u * fro(s[1]) + u * u * fro(s[2])
+        t = sum(fro(rem[k]) * u ** (k - 3) for k in range(3, len(rem)))
+        t = (t + u * u * (rho_p + s_norm * rho_q)) / q_low ** (1 << n)
+    ok &= np.isfinite(t)
+    s, t = np.where(ok[:, None, None], s, 0.0), np.where(ok, t, 0.0)
+
+    limit = _tail_limit(family, zs, n)
+    m = 1 << n
+    with np.errstate(over="ignore"):
+        total = limit**m + u * fro(s[1]) + u * u * fro(s[2]) + u**3 * t
+        majorant = np.where(ok, ((1.0 + FOUR_ROUNDING) * total) ** (1.0 / m), math.nan)
+    if n >= 2:
+        return (ok, s, t), None, majorant
+
+    inside = ok & (r**4 < a)
+    if n == 0:
+        inside &= r > 0.0
+    z = np.where(inside, zs, 0.0)
+    rz = np.where(inside, r, 0.0)
+    x0, x1, x2 = np.where(inside[:, None, None], s, 0.0)
+    tz = np.where(inside, t, 0.0)
+    s_norm = fro(x0) + u * fro(x1) + u * u * fro(x2)
+    xh0, xh1, xh2 = (np.conj(np.swapaxes(x, 1, 2)) for x in (x0, x1, x2))
+    h1 = xh0 @ x1 + xh1 @ x0
+    h2 = xh0 @ x2 + xh1 @ x1 + xh2 @ x0
+    h3 = xh1 @ x2 + xh2 @ x1
+    big_k = fro(h3) + u * fro(xh2 @ x2) + 2.0 * s_norm * tz + u**3 * tz * tz
+    v = np.zeros((len(zs), 4, 1), dtype=np.complex128)
+    c = _tail_limit(family, z, n)
+    c2 = c * c
+    if n == 0:
+        norm = np.sqrt(c2 + 1.0)
+        v[:, 0, 0] = c / norm
+        v[:, 3, 0] = z / (np.where(inside, rz, 1.0) * norm)
+        gap0 = rz * np.sqrt(rz * rz + 4.0)
+    else:
+        gap0 = 1.0
+        v[:, 0, 0] = 1.0
+
+    def along(h):
+        hv = h @ v
+        vhv = (np.conj(np.swapaxes(v, 1, 2)) @ hv)[:, 0, 0].real
+        return vhv, fro(hv - vhv[:, None, None] * v)
+
+    (q1, b1), (q2, b2) = along(h1), along(h2)
+    d = fro(h1) + u * fro(h2)
+    pad = FOUR_ROUNDING * (c2 + d)
+    grow = 1.0 + FOUR_ROUNDING
+    big_a = -q1 - grow * (u * np.abs(q2) + big_k * u * u) - pad
+    big_g = gap0 - grow * (d * u + big_k * u**3) - pad
+    big_b = grow * (b1 + u * b2 + big_k * u * u) + pad
+    below = inside & (big_a > 0.0) & (big_g > 0.0) & (big_a * big_g > grow * u * big_b**2)
+    return (ok, s, t), below, np.where(below, limit, majorant)

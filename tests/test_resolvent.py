@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     block_family_power_norm_oracle,
     four_block_power_norms_oracle,
+    per_weight_four_tail,
     random_complex_matrix,
     resolvent_norm_oracle,
     resolvent_power_norm_oracle,
@@ -595,7 +596,7 @@ class TestDenseSigmaMax:
 
 
 class TestBlockScanChunks:
-    """Finite block ranges that cross the 64- and 320-block chunk ends."""
+    """Finite block ranges that cross the 16-, 80- and 336-block chunk ends."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -606,6 +607,15 @@ class TestBlockScanChunks:
         im=st.floats(0.2, 2.0),
         quadrant=st.sampled_from([1, 1j, -1, -1j]),
     )
+    @example("remark_n1", 17, 0, 0.3, 0.4, 1)
+    @example("remark_n1", 81, 0, 0.3, 0.4, 1)
+    @example("remark_n1", 337, 0, 0.3, 0.4, 1)
+    @example("remark_n1", 17, 1, 0.5, 0.2, -1)
+    @example("remark_n1", 81, 1, 0.5, 0.2, -1)
+    @example("remark_n1", 337, 1, 0.5, 0.2, -1)
+    @example("shargorodsky", 17, 0, 0.7, 0.2, 1j)
+    @example("shargorodsky", 81, 0, 0.7, 0.2, 1j)
+    @example("shargorodsky", 337, 0, 0.7, 0.2, 1j)
     @example("remark_n1", 65, 0, 0.3, 0.4, 1)
     @example("remark_n1", 321, 0, 0.3, 0.4, 1)
     @example("remark_n1", 65, 1, 0.5, 0.2, -1)
@@ -623,7 +633,7 @@ class TestBlockScanChunks:
 
     def test_remark_defect_spans_two_chunks(self):
         # the scan starts past block 10; the 4x4 sign certificate closes it
-        # after its first chunk (blocks 11-74) with no gap, so the defect
+        # after its first chunk (blocks 11-26) with no gap, so the defect
         # value + gap is the tail limit or a larger head block
         seq = TruncationSequence(REMARK, gnr_anchor=1j)
         head = block_family_power_norm_oracle(REMARK, range(11, 4097), 1j)
@@ -768,7 +778,7 @@ def _four_limit_oracle(z: complex, n: int) -> float:
 
 
 class TestFourByFourHeads:
-    """Exact 4x4 head values: Cholesky screen plus one stacked Jacobi call."""
+    """Exact 4x4 head values: Frobenius and LDL* screens, then pooled Jacobi stacks."""
 
     def test_default_field_point_closes_most_of_the_gap(self):
         got = resolvent_power_norm(REMARK, 0.4, 0, max_blocks=4096)
@@ -836,6 +846,65 @@ class TestFourByFourHeads:
         dense = resolvent_power_norm(assemble_truncation(REMARK, 50), 0.3 + 0.2j, n).value
         assert got.certified
         assert got.value == pytest.approx(dense, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(0, 4),
+        first=st.sampled_from([1, 17, 81, 5000, 10**6]),
+        count=st.sampled_from([16, 64, 300]),
+        floor=st.sampled_from(["zero", "inf", "below", "at", "above"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(0, 1, 16, "zero", 0)
+    @example(1, 17, 64, "below", 1)
+    @example(3, 81, 300, "at", 2)
+    def test_frobenius_pre_screen_drops_only_what_the_ldl_test_drops(
+        self, n, first, count, floor, seed
+    ):
+        # points at random, at 0, on block eigenvalues and past |z|^2 = a + 1
+        rng = np.random.default_rng(seed)
+        weights = REMARK.alpha.values(np.array([first, first + count // 2]))
+        root = np.sqrt(weights + 1.0)
+        zs = np.concatenate([
+            rng.uniform(-3.0, 3.0, 5) + 1j * rng.uniform(-3.0, 3.0, 5),
+            [0.0, root[0], 1j * root[1], 40.0 + 3.0j, 1.5 * root[0] * np.exp(0.3j)],
+        ])
+        ks = np.arange(first, first + count)
+        mats, exps, q = _four_power_stack(REMARK, ks, zs, n)
+        sigma = jacobi_singular_values(mats)[:, 0]
+        with np.errstate(divide="ignore"):
+            blocks = (resolvent._scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
+        top = blocks.max(axis=1)
+        floors = {
+            "zero": np.zeros(len(zs)), "inf": np.full(len(zs), math.inf),
+            "below": 0.9 * top, "at": top, "above": 1.1 * top,
+        }[floor]
+        (mats, _, _, _, bound), keep = resolvent._four_survivors(
+            REMARK, ks, zs, n, floors, slice(None))
+        with np.errstate(over="ignore"):  # an overflowing bound^2 drops rightly
+            assert norm_below(mats[~keep], bound[~keep]).all()
+        if floor == "inf":
+            assert keep.all()
+
+    def test_frobenius_pre_screen_clears_most_blocks(self, monkeypatch):
+        # sigma_max <= ||M||_F: of the 2176 blocks this field screens, 84 reach
+        # the LDL* test
+        counts = {"screened": 0, "tested": 0}
+        stack, test = resolvent._four_power_stack, resolvent.norm_below
+
+        def screened(family, ks, zs, n):
+            counts["screened"] += len(ks) * len(zs)
+            return stack(family, ks, zs, n)
+
+        def tested(mats, bound):
+            counts["tested"] += len(mats)
+            return test(mats, bound)
+
+        monkeypatch.setattr(resolvent, "_four_power_stack", screened)
+        monkeypatch.setattr(resolvent, "norm_below", tested)
+        zs = GridRegion(-1.0, 1.0, -1.0, 1.0, 11, 11).lattice().ravel()
+        resolvent.resolvent_power_norms(REMARK, zs, 1)
+        assert 0 < counts["tested"] < 0.1 * counts["screened"]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -912,10 +981,16 @@ def _disc_points(radius: float, count: int, seed: int) -> np.ndarray:
     return r * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
 
 
+def _terms(zs: np.ndarray, n: int):
+    """remark_n1's once-per-call 4x4 expansion terms at zs."""
+    return resolvent._four_terms(REMARK, zs, n)
+
+
 def _four_below(a: float, zs: np.ndarray, n: int) -> np.ndarray:
     """The 4x4 sign certificate on its own expansion."""
-    expansion = resolvent._four_expansion(a, zs, n)
-    return resolvent._four_stays_below_limit(REMARK, a, zs, n, expansion)
+    terms = _terms(zs, n)
+    expansion = resolvent._four_expansion(terms, a, n)
+    return resolvent._four_stays_below_limit(terms, a, n, expansion)
 
 
 def _four_tail_weights(a: float) -> np.ndarray:
@@ -972,7 +1047,7 @@ class TestFourMajorant:
     @pytest.mark.parametrize("a", [17.0, 66.0, 322.0, 1346.0])
     def test_bound_holds_over_the_tail(self, a, n):
         zs = _disc_points(math.sqrt(a), 60, seed=int(a) + n)
-        bound = resolvent._tail_bound(REMARK, a, zs, n, np.zeros(len(zs)))
+        bound = resolvent._tail_bound(REMARK, a, zs, n, np.zeros(len(zs)), _terms(zs, n))
         assert np.isfinite(bound).all()
         # the majorant, not only the limit, carries points with |z|^4 >= a
         assert (np.abs(zs) ** 4 >= a).sum() > 40
@@ -985,7 +1060,7 @@ class TestFourMajorant:
         # the expansion formed at n itself underflowed and gave exactly 0
         # here; the n' = 3 bound covers every n >= 3
         zs = np.array([0.3 + 0.2j, 3.0 + 0.05j])
-        bound = resolvent._tail_bound(REMARK, 65.0, zs, n, np.zeros(2))
+        bound = resolvent._tail_bound(REMARK, 65.0, zs, n, np.zeros(2), _terms(zs, n))
         # weight 65 is block 64
         ks = np.concatenate([np.arange(64, 20064), np.geomspace(20064, 1e7, 64).astype(np.int64)])
         head = resolvent._chunk_maxima(REMARK, ks, zs, n, np.zeros(2))
@@ -1004,7 +1079,8 @@ class TestFourMajorant:
     def test_points_past_its_range_have_no_bound(self, n):
         # |z|^2 >= a + 1 leaves no lower bound on |Q| over the tail
         zs = np.array([8.2, 9.0j, 1e75])
-        assert np.isnan(resolvent._tail_bound(REMARK, 66.0, zs, n, np.ones(3))).all()
+        bound = resolvent._tail_bound(REMARK, 66.0, zs, n, np.ones(3), _terms(zs, n))
+        assert np.isnan(bound).all()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_window_certifies_by_the_chunk_of_block_64(self, n):
@@ -1015,6 +1091,40 @@ class TestFourMajorant:
         batch = resolvent.resolvent_power_norms(REMARK, zs, n)
         assert batch.certified.all()
         assert (batch.k_cutoff <= _chunk_end(64)).all()
+
+
+class TestFourTermsOncePerCall:
+    """The 4x4 certificates read z-only terms that a scan forms once per
+    call and indexes by its open points; at every weight they give what an
+    expansion formed afresh at that weight gives, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("end", [16, 80, 336, 1360, 5456])
+    def test_terms_match_a_per_weight_expansion(self, end, n):
+        # the weight after a chunk end; points inside the sign certificate's
+        # range |z|^4 < a, out to |z|^2 = 4a, on |z|^2 = a + 1, and far out
+        a = float(REMARK.alpha.values(np.array([end + 1]))[0])
+        far = np.array([math.sqrt(a + 1.0), 1e3 + 1e3j, -1e10j,
+                        resolvent.BLOCK_Z_LIMIT * (0.6 + 0.8j)])
+        zs = np.concatenate([_disc_points(a**0.25, 30, seed=end + n),
+                             _disc_points(2.0 * math.sqrt(a), 30, seed=end - n), far])
+        # the terms of a larger call, read at these points only
+        others = _disc_points(3.0, 20, seed=n)
+        terms = _terms(np.concatenate([others, zs]), n)
+        terms = resolvent._take(terms, len(others) + np.arange(len(zs)))
+        (ok, s, t), below, bound = per_weight_four_tail(REMARK, a, zs, n)
+        assert ok.any() and not ok.all()
+        expansion = resolvent._four_expansion(terms, a, min(n, 3))
+        s_norms = np.stack([np.sqrt((x.real**2 + x.imag**2).sum(axis=(1, 2))) for x in s])
+        assert expansion[0].tolist() == ok.tolist()
+        assert expansion[1].tobytes() == s_norms.tobytes()
+        assert expansion[2].tobytes() == t.tobytes()
+        got = resolvent._tail_bound(REMARK, a, zs, n, np.zeros(len(zs)), terms)
+        assert got.tobytes() == bound.tobytes()
+        if n < 2:
+            assert below.any()
+            got = resolvent._four_stays_below_limit(terms, a, n, expansion)
+            assert got.tolist() == below.tolist()
 
 
 # the 2x2 families with a sign certificate: both symbols, both weight rules
@@ -1577,6 +1687,10 @@ class TestFieldEngine:
         resolvent_power_norm(REMARK, 0.4, 1, max_blocks=20000)
         resolvent.resolvent_power_norms(SHARG, zs, 1, max_blocks=20000)
         resolvent_power_norm(TruncatedFamily(SHARG, 10**5), 0.3 + 3j, 1)
+        # the Frobenius pre-screen leaves the 11x11 field too few LDL*
+        # candidates a chunk to fill a stack; this window pools more
+        wide = GridRegion(-2.0, 2.0, -2.0, 2.0, 41, 41).lattice().ravel()
+        resolvent.resolvent_power_norms(REMARK, wide, 0)
         assert max(four) == resolvent.STACK_CAP
         assert max(two) == 16 * resolvent.STACK_CAP
 
