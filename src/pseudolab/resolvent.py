@@ -73,6 +73,7 @@ where the certificates' powers of |z| stay finite.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -493,11 +494,12 @@ def _four_survivors(family, ks, zs, n: int, floors: np.ndarray, rows: slice):
                           np.maximum(sq[:, 4] + sq[:, 5], sq[:, 6] + sq[:, 7]))
         # each block's largest column-norm value and its Frobenius value
         low, frob = (0.5 * np.log([cols, sq.sum(axis=1)]) + exps * log_2) / m - log_q
-        rise = np.fmax.reduce(low.reshape(-1, len(ks)), axis=1) + math.log1p(-FOUR_ROUNDING)
+        slack = math.log1p(-FOUR_ROUNDING)
+        rise = np.fmax.reduce(low.reshape(-1, len(ks)), axis=1) + slack
         line = np.repeat(np.fmax(np.log(floors[rows]), rise), len(ks))
         bound = np.exp(m * (line + log_q) - exps * log_2)
         # line + frob is finite exactly where both are
-        keep = (frob >= line + math.log1p(-FOUR_ROUNDING)) | ~np.isfinite(line + frob)
+        keep = (frob >= line + slack) | ~np.isfinite(line + frob)
     return (mats, exps, q, points, bound), keep
 
 
@@ -622,21 +624,26 @@ def _family_values(
         closed = zs == 0
         tail_gap[closed], certified[closed] = 0.0, True
     active = np.flatnonzero(~certified)
-    terms = _four_terms(family, zs, n) if family.block_dim == 4 else []
+    terms = None  # the 4x4 expansion's z-only part at the active points
     for ks in block_chunks(start, start + max_blocks):
         if not len(active):
             break
+        if family.block_dim == 4:
+            # formed at the first chunk, then narrowed to the points still open
+            terms = (_four_terms(family, zs[active], n) if terms is None
+                     else terms._make(x[..., still] for x in terms))
         k_done = int(ks[-1])
         value[active] = _chunk_maxima(family, ks, zs[active], n, value[active])
         k_cutoff[active] = k_done
         a = float(family.alpha.values(np.array([k_done + 1]))[0])
         v = value[active]
-        ub = _tail_bound(family, a, zs[active], n, v, _take(terms, active))
+        ub = _tail_bound(family, a, zs[active], n, v, terms)
         # an inf value is exact; a NaN gap (no certificate) keeps the old gap
         gap = np.where(np.isinf(v), 0.0, np.maximum(ub - v, 0.0))
         tail_gap[active] = np.fmin(tail_gap[active], gap)
         certified[active] = gap <= TAIL_TOL
-        active = active[~certified[active]]
+        still = ~certified[active]
+        active = active[still]
     return ResolventValues(value, tail_gap, certified, k_cutoff)
 
 
@@ -718,57 +725,48 @@ def _fro(mats: np.ndarray) -> np.ndarray:
     return np.sqrt((mats.real**2 + mats.imag**2).sum(axis=(-2, -1)))
 
 
-def _truncated_square(c):
-    """(A^2 to degree 4, (||A_k||, ||(A^2)_k|| past u^4)) for A of degree 4 with coefficients c.
-
-    The norms are those _truncation_rho reads at any U.
-    """
-    sq = _poly_product(c, c, c.shape[-1] > 1)
-    return sq[:5], (_fro(c), _fro(sq[5:]))
-
-
-def _truncation_rho(squares, u):
-    """rho of F = A + u^5 R, ||R|| <= rho, after the truncated squarings with norms squares.
+def _truncation_rho(norms, u):
+    """rho of F = A + u^5 R, ||R|| <= rho, after truncated squarings with these norms.
 
     Each squaring of F, kept to degree 4 as A^2, leaves rho' = sum ||C_k||
-    U^(k-5) over A^2's terms past u^4, + 2 ||A||_U rho + U^5 rho^2.
+    U^(k-5) over A^2's terms past u^4, + 2 ||A||_U rho + U^5 rho^2.  norms
+    holds, per squaring, the ||A_k|| and those ||C_k|| (_FourTerms).
     """
     rho = 0.0
-    for sizes, dropped in squares:
+    for sizes, dropped in norms:
         size = sum(f * u**k for k, f in enumerate(sizes))
         tail = sum(f * u ** (k - 5) for k, f in enumerate(dropped, 5))
         rho = tail + 2.0 * size * rho + u**5 * rho * rho
     return rho
 
 
-def _take(terms, points):
-    """terms, arrays that end in the points' axis nested in lists, at the indexed points."""
-    if isinstance(terms, np.ndarray):
-        return terms[..., points]
-    return [_take(t, points) for t in terms]
+# the 4x4 tail expansion's parts that depend on z alone (_four_terms); every
+# array ends in the points' axis.  r is |z|.  norms holds, for P and Q and
+# each of their n' squarings, the norms ||A_k|| (row 0) and ||(A^2)_(k+5)||
+# (row 1), k = 0..4, that _truncation_rho reads; the terms a polynomial
+# lacks (Q's first squaring has three terms and none past u^4) hold 0,
+# which adds nothing.  s holds the Frobenius norms of X0, X1 and X2, and rem
+# those of rem's terms past u^2.  sign holds, for n' <= 1, the rows of
+# _four_stays_below_limit that depend on z alone (_four_sign_rows), and no
+# row for n' >= 2.
+_FourTerms = namedtuple("_FourTerms", "r norms s rem sign")
 
 
 def _four_terms(family, zs, n):
-    """[r, p_squares, q_squares, s, rem, sign]: the 4x4 tail expansion's parts that depend on z.
+    """The 4x4 tail expansion's parts that depend on z alone, at each z.
 
     The expansion is formed at n' = min(n, 3) (_tail_bound).  The symbol is
     1 + 1/x, so B^4 = (alpha f)^2 gives (B - z)^-1 = P(u) / Q(u), where
     P(u) = u^2 (B^3 + z B^2 + z^2 B + z^3) is a matrix polynomial of degree
     4 built from uB = E_alpha + (u + u^2) E_f, and Q(u) = (1 + u)^2 -
-    z^4 u^2.  n' squarings, each kept to degree 4 (_truncated_square), form
-    P^m and Q^m, m = 2^n'; X's Taylor coefficients X0, X1, X2 are exact
-    polynomial algebra (Q(0) = 1), X0 = L^m, L the nilpotent limit of the
-    blocks, and rem = P^m - S Q^m as kept, S = X0 + u X1 + u^2 X2.  None of
-    this depends on the weight, so a scan forms it once per call, for every
-    point, and each chunk reads it at its open points (_take).
-
-    Every array ends in the points' axis: r is |z|; p_squares and
-    q_squares hold _truncated_square's norms for each squaring of P and of
-    Q; s the Frobenius norms of X0, X1 and X2, and rem those of rem's terms
-    past u^2.  sign holds, for n' <= 1, the rows of _four_stays_below_limit
-    that depend on z alone (_four_sign_rows), and is empty for n' >= 2.
-    Points that no weight of the scan can serve (|z|^2 >= a + 1, out to
-    BLOCK_Z_LIMIT) may overflow here; the readers mask them.
+    z^4 u^2.  n' squarings, each kept to degree 4, form P^m and Q^m,
+    m = 2^n'; X's Taylor coefficients X0, X1, X2 are exact polynomial
+    algebra (Q(0) = 1), X0 = L^m, L the nilpotent limit of the blocks, and
+    rem = P^m - S Q^m as kept, S = X0 + u X1 + u^2 X2.  None of this
+    depends on the weight, so a scan forms it once per call, for the points
+    open at its first chunk, and each chunk reads it at the points still
+    open.  Points that no weight of the scan can serve (|z|^2 >= a + 1, out
+    to BLOCK_Z_LIMIT) may overflow here; the readers mask them.
     """
     n = min(n, 3)
     r = np.hypot(zs.real, zs.imag)
@@ -779,6 +777,7 @@ def _four_terms(family, zs, n):
     ub[1:, 0, 0, 3] = ub[1:, 0, 3, 1] = 1.0
     ub2 = _poly_product(ub, ub, True)
     ub3 = _poly_product(ub2, ub, True)
+    norms = np.zeros((2, n, 2, 5, len(zs)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         z2 = _cmul(z1, z1)
         z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
@@ -788,26 +787,28 @@ def _four_terms(family, zs, n):
         p[1:4] += z2 * ub
         p[2] += z3 * np.eye(4)
         q = np.stack([np.ones_like(z4), np.full_like(z4, 2.0), 1.0 - z4])
-        p_squares, q_squares = [], []
-        for _ in range(n):
-            p, norms = _truncated_square(p)
-            p_squares.append(norms)
-            q, norms = _truncated_square(q)
-            q_squares.append(norms)
+        powers = []  # P^m and Q^m, each squaring kept to degree 4
+        for c, out in zip((p, q), norms):
+            for step in out:
+                sq = _poly_product(c, c, c.shape[-1] > 1)
+                step[0, : len(c)], step[1, : len(sq) - 5] = _fro(c), _fro(sq[5:])
+                c = sq[:5]
+            powers.append(c)
+        p, q = powers
         x1 = p[1] - _cmul(q[1], p[0])
         s = np.stack([p[0], x1, p[2] - _cmul(q[1], x1) - _cmul(q[2], p[0])])
         rem = _poly_product(s, q, False)  # negated; its terms to u^2 vanish
         rem[: len(p)] -= p
-        sign = _four_sign_rows(family, zs, r, n, s) if n < 2 else []
-        return [r, p_squares, q_squares, _fro(s), _fro(rem[3:]), sign]
+        sign = _four_sign_rows(family, zs, r, n, s) if n < 2 else np.zeros((0, len(zs)))
+        return _FourTerms(r, norms, _fro(s), _fro(rem[3:]), sign)
 
 
 def _four_expansion(terms, a: float, n: int):
     """At each z, X = (B - z)^-m, m = 2^n, over the 4x4 blocks with weight >= a, in u = 1/alpha.
 
-    terms is _four_terms(family, zs, n) (n <= 3): P^m, Q^m, S and rem as
-    exact polynomial algebra in u, formed once per call.  Here only what
-    depends on a is formed.  P^m and Q^m differ from the true powers by
+    terms is _four_terms(family, zs, n) (n <= 3): the norms of P^m, Q^m, S
+    and rem, exact polynomial algebra in u formed once per call.  Here only
+    what depends on a is formed.  P^m and Q^m differ from the true powers by
     u^5 rho_P and u^5 rho_Q (_truncation_rho).  On 0 < u <= U = 1/a, |Q| >=
     (1 + u)^2 - |z|^4 u^2, increasing or concave in u, so |Q| >= q =
     min(1, (1 + U)^2 - |z|^4 U^2).  Hence X = S + u^3 T with ||T|| <= t: the
@@ -818,15 +819,13 @@ def _four_expansion(terms, a: float, n: int):
     the points where q > 0, that is |z|^2 < a + 1, and t is finite; S and t
     are 0 elsewhere.
     """
-    r, p_squares, q_squares, s, rem, _ = terms
-    u = 1.0 / a
-    q_low = np.minimum(1.0, (1.0 + u) ** 2 - (r * r * u) ** 2)
+    s, u = terms.s, 1.0 / a
+    q_low = np.minimum(1.0, (1.0 + u) ** 2 - (terms.r * terms.r * u) ** 2)
     ok = q_low > 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho_p = _truncation_rho(p_squares, u)
-        rho_q = _truncation_rho(q_squares, u)
+        rho_p, rho_q = (_truncation_rho(norms, u) for norms in terms.norms)
         s_norm = s[0] + u * s[1] + u * u * s[2]
-        t = sum(f * u ** (k - 3) for k, f in enumerate(rem, 3))
+        t = sum(f * u ** (k - 3) for k, f in enumerate(terms.rem, 3))
         t = (t + u * u * (rho_p + s_norm * rho_q)) / q_low ** (1 << n)
     ok &= np.isfinite(t)
     return ok, np.where(ok, s, 0.0), np.where(ok, t, 0.0)
@@ -887,11 +886,10 @@ def _four_stays_below_limit(terms, a: float, n: int, expansion) -> np.ndarray:
     form, where v has no direction.
     """
     in_range, s, t = expansion
-    r = terms[0]
-    ok = in_range & (r**4 < a)
+    ok = in_range & (terms.r**4 < a)
     if n == 0:
-        ok &= r > 0.0
-    fro_h1, fro_h2, fro_h3, fro_x22, q1, q2, b1, b2, c2, gap0 = terms[-1]
+        ok &= terms.r > 0.0
+    fro_h1, fro_h2, fro_h3, fro_x22, q1, q2, b1, b2, c2, gap0 = terms.sign
     u = 1.0 / a
     # the rows of the points outside ok may overflow; ok masks them
     with np.errstate(over="ignore", invalid="ignore"):

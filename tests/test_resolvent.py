@@ -1108,10 +1108,12 @@ class TestFourTermsOncePerCall:
                         resolvent.BLOCK_Z_LIMIT * (0.6 + 0.8j)])
         zs = np.concatenate([_disc_points(a**0.25, 30, seed=end + n),
                              _disc_points(2.0 * math.sqrt(a), 30, seed=end - n), far])
-        # the terms of a larger call, read at these points only
+        # the terms of a larger call, narrowed to these points as a scan
+        # narrows them to its open points
         others = _disc_points(3.0, 20, seed=n)
         terms = _terms(np.concatenate([others, zs]), n)
-        terms = resolvent._take(terms, len(others) + np.arange(len(zs)))
+        still = np.arange(len(others) + len(zs)) >= len(others)
+        terms = terms._make(a[..., still] for a in terms)
         (ok, s, t), below, bound = per_weight_four_tail(REMARK, a, zs, n)
         assert ok.any() and not ok.all()
         expansion = resolvent._four_expansion(terms, a, min(n, 3))
@@ -1125,6 +1127,36 @@ class TestFourTermsOncePerCall:
             assert below.any()
             got = resolvent._four_stays_below_limit(terms, a, n, expansion)
             assert got.tolist() == below.tolist()
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_points_open_past_the_first_chunk_match_their_own_scan(self, n):
+        # the terms narrowed to the points still open belong to those points;
+        # on this window, with no symmetry between its points, some stay open
+        # for two to four chunks
+        zs = GridRegion(-3.7, 4.1, -3.9, 3.3, 9, 9).lattice().ravel()
+        batch = resolvent.resolvent_power_norms(REMARK, zs, n)
+        late = np.flatnonzero(batch.k_cutoff > resolvent.HEAD_CHUNK)
+        assert len(late) >= 2
+        for i in late:
+            assert batch[i] == resolvent_power_norm(REMARK, zs[i], n)
+
+    def test_terms_only_at_the_points_a_chunk_scans(self, monkeypatch):
+        # z = 0 closes by its closed form at n = 0 and 1 before any chunk, and
+        # a zero block budget scans no chunk: neither forms terms there
+        seen = []
+        form = resolvent._four_terms
+
+        def counted(family, zs, n):
+            seen.append(zs.tolist())
+            return form(family, zs, n)
+
+        monkeypatch.setattr(resolvent, "_four_terms", counted)
+        resolvent.resolvent_power_norms(REMARK, [0.0, 0.3 + 0.2j, 0.0, 1.5j], 1)
+        assert seen == [[0.3 + 0.2j, 1.5j]]
+        seen.clear()
+        resolvent.resolvent_power_norms(REMARK, [0.0, 0.0], 0)
+        resolvent.resolvent_power_norms(REMARK, [0.3 + 0.2j], 0, max_blocks=0)
+        assert seen == []
 
 
 # the 2x2 families with a sign certificate: both symbols, both weight rules
