@@ -15,6 +15,9 @@ plus ``jacobi_singular_values``, all singular values of one matrix or of
 a stack of them by one-sided Jacobi in round-robin order, and
 ``norm_below``, the LDL* positivity test of bound^2 I - M*M over a stack;
 the block engine calls these two on stacks of 4x4 blocks.
+``batch_square_scaled`` raises a stack to the power 2^n by squarings,
+each rescaled exactly by a power of two, for the dense power norms,
+power_diff_bound_check and the multisection's seed (``_power_estimate``).
 ``smallest_singular_value``, 1 / sigma_max of the explicit inverse of one
 matrix, is the public one-matrix helper; no package path calls it.
 
@@ -410,16 +413,38 @@ def _top_eigenvalue(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return lo
 
 
+def batch_square_scaled(mats: np.ndarray, n: int):
+    """A stack (b, d, d) of matrices raised to the power 2^n by repeated squaring.
+
+    Before each square a matrix is scaled exactly by 2^-e, e the frexp
+    exponent of its largest entry modulus s (at least -1023, so 2^-e is
+    finite), so no power overflows; returns (scaled, exps), power =
+    scaled * 2^exps with integer-valued exps.  A zero or non-finite s
+    makes that matrix's exponent +inf.
+    """
+    w, exps = mats, np.zeros(mats.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            s = np.max(np.abs(w), axis=(1, 2))
+            e = np.maximum(np.frexp(s)[1], -1023)
+            w = w * np.exp2(-e)[:, None, None]
+            w = w @ w
+            exps = 2.0 * (exps + e)
+        if n:
+            # a zero or non-finite matrix stays so once squared: the last s
+            # flags every matrix that an earlier one would
+            exps = np.where((s > 0.0) & (s < np.inf), exps, np.inf)
+    return w, exps
+
+
 def _power_estimate(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """v^T T v / v^T v per tridiagonal T of a stack (nan for T = 0), v the column
-    of T^256 (eight squarings, each rescaled exactly) of largest diagonal entry."""
+    of T^256 (``batch_square_scaled``) of largest diagonal entry."""
     i = np.arange(diag.shape[1])
-    power = t = np.zeros(diag.shape + i.shape)
+    t = np.zeros(diag.shape + i.shape)
     t[:, i, i] = diag
     t[:, i[1:], i[:-1]] = t[:, i[:-1], i[1:]] = off
-    for _ in range(8):
-        power = power * np.exp2(-np.frexp(np.abs(power).max(axis=(1, 2)))[1])[:, None, None]
-        power = power @ power
+    power, _ = batch_square_scaled(t, 8)
     pick = np.argmax(np.diagonal(power, axis1=1, axis2=2), axis=1)
     v = power[np.arange(len(diag)), :, pick, None]
     with np.errstate(invalid="ignore"):

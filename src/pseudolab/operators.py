@@ -20,7 +20,8 @@ catalogue of named examples.
 
 The module describes models only and scans no blocks: the block-scan
 schedule and the tail certificates live in resolvent, which a sequence's
-anchor check calls with a tail scan of ANCHOR_BLOCKS blocks.
+anchor check calls at its default budget and reads as a certified upper
+bound on the resolvent norm.
 
 All models are immutable after construction and every operation here is
 pure, so concurrent reads are safe.
@@ -38,7 +39,6 @@ from .numkernel import as_square_matrix
 
 # construction-time sanity checks sample the weight rule at these indices
 VALIDATION_KS = (1, 2, 3, 10, 100, 1_000, 10_000, 100_000, 1_000_000)
-ANCHOR_BLOCKS = 64  # the blocks an anchor check scans of an infinite family
 
 ALPHA_KINDS = ("successor", "log_grid")
 SYMBOL_KINDS = ("one_plus_inv", "one_minus_inv_sqrt", "inverse", "power_beta")
@@ -270,14 +270,16 @@ def scale_operator(model, s: complex):
 def _verify_anchor(limit, anchor: complex):
     """Raise SingularityError unless anchor clears the spectrum of limit.
 
-    The clearance is 1 / ||(T - anchor)^-1|| as resolvent_power_norm
-    reports it, an infinite family's with the tail scan cut at ANCHOR_BLOCKS
-    blocks.
+    The clearance is 1 / (value + tail_gap) of ||(T - anchor)^-1|| as
+    resolvent_power_norm reports it at its default budget: a lower bound on
+    sigma_min(T - anchor), so an infinite family's scan that ends
+    uncertified (gap inf) never clears an anchor.
     """
     # resolvent imports this module
     from .resolvent import SPECTRUM_CLEARANCE, resolvent_power_norm
 
-    d = 1.0 / resolvent_power_norm(limit, anchor, 0, max_blocks=ANCHOR_BLOCKS).value
+    norm = resolvent_power_norm(limit, anchor, 0)
+    d = 1.0 / (norm.value + norm.tail_gap)
     if not d > SPECTRUM_CLEARANCE:
         raise SingularityError(
             f"anchor {anchor} sits numerically on the spectrum of limit "

@@ -15,12 +15,11 @@ with member in {0,1}.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .resolvent import resolvent_power_norms
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
 READ_CHARS = 1 << 16  # CSV characters a reader splits at a time, in whole lines
-READ_SLICE = 4096  # CSV records a reader parses at a time
 
 
 @dataclass(frozen=True)
@@ -303,20 +301,19 @@ def _plain_values(lines) -> np.ndarray | None:
         return None
 
 
-def _parse_records(records, lineno) -> np.ndarray:
-    # the floats of csv records from line lineno on, blank ones skipped; a
-    # failed slice is replayed record by record to name its first bad line
-    if set(map(len, records)) <= {0, 3}:
-        with contextlib.suppress(ValueError):
-            return _floats(list(chain.from_iterable(records)))
-    for lineno, row in enumerate(records, start=lineno):
-        if row and len(row) != 3:
+def _record_values(lines, lineno):
+    # the floats of the csv records of lines from line lineno on, record by
+    # record: blank ones skipped, the first bad line named, and a csv.Error
+    # raised once every record before it was checked
+    for lineno, row in enumerate(csv.reader(lines), start=lineno):
+        if not row:
+            continue
+        if len(row) != 3:
             raise ConfigurationError(f"line {lineno}: expected 3 columns")
         try:
-            list(map(float, row))
+            yield from [float(t) for t in row]
         except ValueError:
             raise ConfigurationError(f"line {lineno}: malformed number") from None
-    raise AssertionError("a failed slice holds a bad record")
 
 
 def _read_rows(fp, header) -> np.ndarray:
@@ -332,28 +329,16 @@ def _read_rows(fp, header) -> np.ndarray:
     parts, lineno = [np.empty(0)], 2
     # the body in slices of whole lines, as fp itself splits them: a plain
     # slice is split on commas, and the first other one goes with the rest
-    # of the file to csv.reader, which alone reads quotes, CR and blank lines
-    # and names the first bad line; a plain slice holds no blank line, so
-    # line numbers agree (at the end of the file the header's reader is done)
+    # of the file to csv.reader, record by record, which alone reads quotes,
+    # CR and blank lines and names the first bad line; a plain slice holds
+    # no blank line, so line numbers agree
     while lines := fp.readlines(READ_CHARS):
         values = _plain_values(lines)
         if values is None:
-            reader = csv.reader(chain(lines, fp))
+            parts.append(np.fromiter(_record_values(chain(lines, fp), lineno), float))
             break
         parts.append(values)
         lineno += len(lines)
-    while True:
-        records = []
-        try:
-            records.extend(islice(reader, READ_SLICE))  # keeps what was read
-        except csv.Error:
-            # a bad record before the one csv.reader failed on is named first
-            _parse_records(records, lineno)
-            raise
-        if not records:
-            break
-        parts.append(_parse_records(records, lineno))
-        lineno += len(records)
     rows = np.concatenate(parts).reshape(-1, 3)
     if not len(rows):
         raise ConfigurationError("CSV holds no data rows")

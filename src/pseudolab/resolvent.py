@@ -8,7 +8,7 @@ A dense matrix T is the direct sum of its diagonal blocks
 (DenseOperator.blocks), so every dense value is the largest of its blocks'
 values (_dense_power_norms): 1/|z - d| for a 1x1 block d, and for a larger
 block B sigma_max(W^2^n)^(1/2^n) of W = (B - z)^-1: one stacked LU and
-solve per block size, exactly rescaled squares (_batch_square_scaled) and
+solve per block size, exactly rescaled squares (batch_square_scaled) and
 largest_singular_values, closed-form on 2x2 blocks.  The clearance
 checks of the dense gnr_defect, expansion_residual and
 power_diff_bound_check read sigma_min(T - z) = 1/sigma_max(W) off the
@@ -81,6 +81,7 @@ import numpy as np
 from .errors import DomainError, SingularityError
 from .numkernel import (
     SHIFTS,
+    batch_square_scaled,
     explicit_inverses,
     jacobi_singular_values,
     largest_singular_value,
@@ -225,7 +226,7 @@ def _dense_power_norms(matrix: np.ndarray, blocks, zs: np.ndarray, n: int) -> np
                     values = 1.0 / np.abs(z - mats[:, 0, 0, None]).min(axis=0)
             else:
                 w, ok = explicit_inverses(_shifted(mats, z))
-                powers, exps = _batch_square_scaled(w, n)
+                powers, exps = batch_square_scaled(w, n)
                 sigma = _scaled_root(largest_singular_values(powers), exps, 1 << n)
                 values = np.where(ok, sigma, math.inf).reshape(len(z), count).max(axis=1)
             np.maximum(out[i : i + rows], values, out=out[i : i + rows])
@@ -248,9 +249,9 @@ def _power_coefficients(d: int, alphas, fs, zs: np.ndarray, n: int):
 
     B^d = P I, P = (alpha f)^(d/2), so (B - z) N = (P - z^d) I for
     N = sum_i z^(d-1-i) B^i, and n squarings modulo x^d - P raise N to 2^n.
-    Before each and after the last, c is scaled exactly as
-    _batch_square_scaled scales matrices, by its largest real or imaginary
-    part.  c is (d, points, blocks), exps (inf where a power overflows) and
+    Before each and after the last, c is scaled exactly by 2^-e, e the
+    frexp exponent of its largest real or imaginary part (at least -1023).
+    c is (d, points, blocks), exps (inf where a power overflows) and
     q (points, blocks); the products round as _cmul's.
     """
     p = (alphas * fs) ** (d // 2)
@@ -667,28 +668,6 @@ def _inverse_family_values(zs: np.ndarray, n: int) -> ResolventValues:
 # --------------------------------------------------------------- 4x4 blocks
 
 
-def _batch_square_scaled(mats: np.ndarray, n: int):
-    """A stack (b, d, d) of dense blocks raised to the power 2^n by repeated squaring.
-
-    Before each square a matrix is scaled exactly by 2^-e, e the frexp
-    exponent of its largest entry modulus s (at least -1023, so 2^-e is
-    finite), so no power overflows; returns (scaled, exps), power =
-    scaled * 2^exps with integer-valued exps.  A zero or non-finite s
-    makes that matrix's exponent +inf.
-    """
-    w = mats
-    exps = np.zeros(mats.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n):
-            s = np.max(np.abs(w), axis=(1, 2))
-            ok = (s > 0.0) & (s < math.inf)
-            e = np.maximum(np.frexp(np.where(ok, s, 1.0))[1], -1023)
-            w = w * np.exp2(-e)[:, None, None]
-            w = w @ w
-            exps = np.where(ok, 2.0 * (exps + e), math.inf)
-    return w, exps
-
-
 def _scaled_root(sigma, exps, m: int):
     """(sigma * 2^exps)^(1/m) for integer-valued exps; inf where exps is.
 
@@ -1040,7 +1019,8 @@ def expansion_residual(op, lam: complex, lam0: complex, l: int) -> float:
     The exact identity
     R(lam) = sum_{j=1}^{l-1} (lam-lam0)^{j-1} R(lam0)^j
              + (lam-lam0)^{l-1} (I - (lam-lam0) R(lam0))^{l-1} R(lam)^l
-    must hold to roundoff; the returned norm measures the defect.
+    must hold to roundoff; the returned norm measures the defect, inf
+    where a power or a partial sum overflows.
     """
     if l < 2:
         raise DomainError("expansion needs l >= 2")
@@ -1049,17 +1029,18 @@ def expansion_residual(op, lam: complex, lam0: complex, l: int) -> float:
     r, _ = _inverse_of(matrix, lam, "the operator at lam")
     r0, _ = _inverse_of(matrix, lam0, "the operator at lam0")
     a = lam - lam0
-    dim = matrix.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
+    eye = np.eye(matrix.shape[0], dtype=np.complex128)
     acc = np.zeros_like(r)
     power = r0.copy()
     coeff = 1.0 + 0.0j
-    for _ in range(1, l):
-        acc += coeff * power
-        power = power @ r0
-        coeff *= a
-    tail = coeff * _mat_power(eye - a * r0, l - 1) @ _mat_power(r, l)
-    return largest_singular_value(r - acc - tail)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(1, l):
+            acc += coeff * power
+            power = power @ r0
+            coeff *= a
+        tail = coeff * _mat_power(eye - a * r0, l - 1) @ _mat_power(r, l)
+        residual = r - acc - tail
+    return largest_singular_value(residual) if np.isfinite(residual).all() else math.inf
 
 
 def power_diff_bound_check(op, lam_k: complex, nu: complex, n: int) -> PowerDiffBound:
@@ -1082,7 +1063,11 @@ def power_diff_bound_check(op, lam_k: complex, nu: complex, n: int) -> PowerDiff
             f"|nu - lam_k| * ||R(lam_k)|| = {d * c:.3g} must be < 1"
         )
     m = 1 << n
-    lhs = largest_singular_value(_mat_power(r_nu, m) - _mat_power(r_lam, m))
+    # both powers at the larger one's power-of-two scale, so no power overflows
+    powers, exps = batch_square_scaled(np.stack([r_nu, r_lam]), n)
+    top = exps.max()
+    diff = powers[0] * np.exp2(exps[0] - top) - powers[1] * np.exp2(exps[1] - top)
+    lhs = float(_scaled_root(largest_singular_values(diff[None]), top, 1)[0])
     s = m * math.log1p(d * c)
     if s == 0.0:
         rhs = 0.0

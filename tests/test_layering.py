@@ -124,18 +124,13 @@ def test_only_the_engine_entries_take_max_blocks():
         if "max_blocks" in inspect.signature(fn).parameters
     }
     assert takers == {"resolvent.resolvent_power_norm", "resolvent.resolvent_power_norms"}
-    # every other caller takes the engine's default; the anchor check scans
-    # one chunk
+    # every other caller, the anchor check included, takes the engine's default
     passers = {
         f"{path.stem}.{scope}"
         for path in sorted(PACKAGE.glob("*.py"))
         for scope in _max_blocks_passers(ast.parse(path.read_text()))
     }
-    assert passers == {
-        "resolvent.resolvent_power_norm",
-        "resolvent.resolvent_power_norms",
-        "operators._verify_anchor",
-    }
+    assert passers == {"resolvent.resolvent_power_norm", "resolvent.resolvent_power_norms"}
     src = "f(max_blocks=1)\ndef g():\n    def h():\n        f(x, max_blocks=2)\n"
     assert set(_max_blocks_passers(ast.parse(src))) == {"<module>", "h"}
 

@@ -264,10 +264,11 @@ class TestSequences:
         with pytest.raises(SingularityError):
             TruncationSequence(shargorodsky_family(), gnr_anchor=complex(math.sqrt(3.0)))
 
-    @pytest.mark.parametrize("k", [30, 60])
+    @pytest.mark.parametrize("k", [30, 60, 100, 1000])
     def test_anchor_check_scans_64_blocks(self, k):
         # sqrt(alpha_k f_k) is an eigenvalue of block k, past the scan
-        # schedule's first chunk but within the anchor check's own reach
+        # schedule's first chunk: the check reads value + tail_gap at the
+        # engine's default budget, so it finds the block however far out
         family = shargorodsky_family()
         alpha = family.alpha.value(k)
         anchor = complex(math.sqrt(alpha * family.symbol.value(alpha)))
@@ -275,8 +276,8 @@ class TestSequences:
             TruncationSequence(family, gnr_anchor=anchor)
 
     def test_scaled_family_anchor_probes_the_first_blocks(self):
-        # sqrt(3) is an eigenvalue of the limit's first block: the 64-block
-        # probe of the family finds it
+        # sqrt(3) is an eigenvalue of the limit's first block: the anchor
+        # check's scan of the family finds it
         family = shargorodsky_family()
         with pytest.raises(SingularityError, match="limit") as err:
             OperatorSequence(
@@ -288,7 +289,7 @@ class TestSequences:
 
     def test_scaled_inverse_symbol_family_has_no_anchor(self):
         # the resolvent set of the inverse-symbol family is empty: its first
-        # 64 blocks clear 1j, but the family itself has resolvent norm inf
+        # blocks clear 1j, but the family itself has resolvent norm inf
         family = build_named_example("empty_resolvent").model
         with pytest.raises(SingularityError, match="limit") as err:
             OperatorSequence(

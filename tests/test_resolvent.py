@@ -62,6 +62,9 @@ NONCONST = build_named_example("nonconstant").model
 DECAY = build_named_example("decay").model
 REMARK = build_named_example("remark_n1").model
 DIAG26 = DenseOperator(np.diag([2.0, 6.0]))
+# ||R(0.5)|| = 4.83 for the nilpotent Jordan block: high powers of its
+# resolvents near 0.5 overflow
+NILPOTENT = DenseOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestResolventValue:
@@ -1804,16 +1807,20 @@ class TestGnrDefect:
 
     def test_anchor_on_an_early_block_is_rejected_at_construction(self):
         # block k has the eigenvalue sqrt(k + 2): sqrt(8) sits on block 6,
-        # inside the 64 blocks the construction check scans
+        # inside the construction check's first chunk
         with pytest.raises(SingularityError) as err:
             TruncationSequence(SHARG, gnr_anchor=math.sqrt(8.0))
         assert err.value.which == "limit"
 
-    def test_anchor_on_a_block_past_the_check_has_an_unbounded_defect(self):
-        # sqrt(102) sits on block 100, past the 64-block construction check;
-        # the defect scan from block 8 reaches it
-        seq = TruncationSequence(SHARG, gnr_anchor=math.sqrt(102.0))
-        assert gnr_defect(seq, 8) > 1.0 / resolvent.SPECTRUM_CLEARANCE
+    def test_anchor_near_a_far_block_has_a_large_defect(self):
+        # sqrt(102) sits on block 100: the construction check scans that far
+        # and refuses it, and an anchor 1e-6 off it passes; the defect scan
+        # from block 8 reaches block 100, where the family takes its value
+        with pytest.raises(SingularityError):
+            TruncationSequence(SHARG, gnr_anchor=math.sqrt(102.0))
+        anchor = math.sqrt(102.0) + 1e-6
+        seq = TruncationSequence(SHARG, gnr_anchor=anchor)
+        assert gnr_defect(seq, 8) == resolvent_norm(SHARG, anchor).value > 5e6
 
     def test_explicit_sequence_defect(self):
         terms = tuple(
@@ -1850,6 +1857,10 @@ class TestExpansionResidual:
     def test_spectrum_point_rejected(self):
         with pytest.raises(SingularityError):
             expansion_residual(DIAG26, 2.0, 3.0, 2)
+
+    def test_overflowing_powers_give_inf(self):
+        assert expansion_residual(NILPOTENT, 0.5, 0.45, 600) == 1.8811920809990345e-15
+        assert expansion_residual(NILPOTENT, 0.5, 0.45, 2000) == math.inf
 
 
 class TestPowerDiffBound:
@@ -1897,6 +1908,20 @@ class TestPowerDiffBound:
         res = power_diff_bound_check(DIAG26, 3.0, 3.001, n)
         assert res.holds and math.isfinite(res.rhs)
         assert res.lhs == pytest.approx(1.0 - 1.001 ** -(1 << n), rel=1e-9)
+
+    @pytest.mark.parametrize("n, lhs, rhs", [
+        (6, 2.176829519265357e21, 1.4040056541843983e49),
+        (9, 1.372960838871802e157, math.inf),
+    ])
+    def test_finite_powers_keep_their_values(self, n, lhs, rhs):
+        res = power_diff_bound_check(NILPOTENT, 0.5, 0.52, n)
+        assert (res.lhs, res.rhs, res.holds) == (lhs, rhs, True)
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_overflowing_powers_give_inf(self, n):
+        # both 2^n-th powers overflow; the bound, at least as large, does too
+        res = power_diff_bound_check(NILPOTENT, 0.5, 0.52, n)
+        assert (res.lhs, res.rhs, res.holds) == (math.inf, math.inf, True)
 
     @pytest.mark.parametrize("n", [-1, 65])
     def test_power_index_beyond_the_limit_rejected(self, n):
