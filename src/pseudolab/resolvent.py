@@ -1065,9 +1065,12 @@ def power_diff_bound_check(op, lam_k: complex, nu: complex, n: int) -> PowerDiff
     m = 1 << n
     # both powers at the larger one's power-of-two scale, so no power overflows
     powers, exps = batch_square_scaled(np.stack([r_nu, r_lam]), n)
-    top = exps.max()
-    diff = powers[0] * np.exp2(exps[0] - top) - powers[1] * np.exp2(exps[1] - top)
-    lhs = float(_scaled_root(largest_singular_values(diff[None]), top, 1)[0])
+    try:
+        top = int(exps.max())  # OverflowError where a power is zero or not finite
+        diff = powers[0] * np.exp2(exps[0] - top) - powers[1] * np.exp2(exps[1] - top)
+        lhs = math.ldexp(largest_singular_values(diff[None])[0], top)
+    except OverflowError:  # or where the difference overflows
+        lhs = math.inf
     s = m * math.log1p(d * c)
     if s == 0.0:
         rhs = 0.0

@@ -26,6 +26,8 @@ from pseudolab.operators import (
     scale_operator,
 )
 
+from pseudolab.resolvent import resolvent_power_norm
+
 from oracles import eigenvalues_oracle
 
 
@@ -265,7 +267,7 @@ class TestSequences:
             TruncationSequence(shargorodsky_family(), gnr_anchor=complex(math.sqrt(3.0)))
 
     @pytest.mark.parametrize("k", [30, 60, 100, 1000])
-    def test_anchor_check_scans_64_blocks(self, k):
+    def test_anchor_on_a_far_block_is_refused(self, k):
         # sqrt(alpha_k f_k) is an eigenvalue of block k, past the scan
         # schedule's first chunk: the check reads value + tail_gap at the
         # engine's default budget, so it finds the block however far out
@@ -274,6 +276,26 @@ class TestSequences:
         anchor = complex(math.sqrt(alpha * family.symbol.value(alpha)))
         with pytest.raises(SingularityError, match="limit"):
             TruncationSequence(family, gnr_anchor=anchor)
+
+    @pytest.mark.parametrize("family", [
+        *(DiagBlockFamily(SymbolSpec("power_beta", beta)) for beta in (0.02, 0.25, 0.5, 0.9, 0.99)),
+        *(
+            DiagBlockFamily(SymbolSpec(kind, beta), AlphaRule("log_grid"), shape)
+            for kind, beta, shape in (
+                ("one_plus_inv", None, "two_by_two"),
+                ("power_beta", 0.1, "two_by_two"),
+                ("power_beta", 0.9, "two_by_two"),
+                ("one_plus_inv", None, "four_by_four"),
+            )
+        ),
+    ])
+    def test_default_anchor_certifies_on_user_families(self, family):
+        # decay at other exponents and log_grid weights scan up to 1360
+        # blocks at 1j before the tail certificate closes, well inside the
+        # default budget, so the default anchor is accepted
+        seq = TruncationSequence(family)
+        norm = resolvent_power_norm(family, seq.gnr_anchor, 0)
+        assert norm.certified and norm.tail_gap == 0.0 and norm.k_cutoff <= 1360
 
     def test_scaled_family_anchor_probes_the_first_blocks(self):
         # sqrt(3) is an eigenvalue of the limit's first block: the anchor

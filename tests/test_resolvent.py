@@ -1923,6 +1923,19 @@ class TestPowerDiffBound:
         res = power_diff_bound_check(NILPOTENT, 0.5, 0.52, n)
         assert (res.lhs, res.rhs, res.holds) == (math.inf, math.inf, True)
 
+    def test_powers_past_the_float_range_keep_a_finite_difference(self):
+        # c^512 is about 2^1030 while the difference of the two powers is
+        # about 1.1e300, so the common scale is applied with ldexp
+        model = DenseOperator(np.diag([0.248, 6.0]))
+        res = power_diff_bound_check(model, 0.0, 5e-14, 9)
+        assert math.isfinite(res.lhs) and math.isfinite(res.rhs) and res.holds
+        assert res.lhs == pytest.approx(1.1337771538057163e300, rel=1e-3)
+        res = power_diff_bound_check(model, 0.0, 0.0, 9)
+        assert (res.lhs, res.rhs, res.holds) == (0.0, 0.0, True)
+        # and far below it, where the scale is about -2^73, the difference is 0
+        res = power_diff_bound_check(DenseOperator(np.diag([1e200, 2e200])), 0.0, 1e190, 64)
+        assert (res.lhs, res.rhs, res.holds) == (0.0, 0.0, True)
+
     @pytest.mark.parametrize("n", [-1, 65])
     def test_power_index_beyond_the_limit_rejected(self, n):
         with pytest.raises(DomainError, match=rf"^power index n must lie in 0\.\.64, got {n}$"):
