@@ -419,6 +419,7 @@ def parse_and_dispatch(argv) -> int:
         SingularityError,
         OSError,
         csv.Error,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -390,10 +390,11 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
     """Probe |norm - M| <= tol inside the claimed constant region.
 
     Probes outside the region are recorded as skipped, never failed;
-    the verdict covers the evaluated probes only.  The equality is only
-    judged on certified values: an uncertified probe is a lower bound
-    and fails.  The region is shargorodsky's, at n = 0; a 4x4 family's
-    constant-norm claim is at n = 1, so it is refused as inapplicable.
+    the verdict covers the evaluated probes only.  A non-finite probe is
+    refused before any is evaluated.  The equality is only judged on
+    certified values: an uncertified probe is a lower bound and fails.
+    The region is shargorodsky's, at n = 0; a 4x4 family's constant-norm
+    claim is at n = 1, so it is refused as inapplicable.
     """
     if isinstance(model, DiagBlockFamily) and model.block_dim == 4:
         raise InapplicableConditionError(
@@ -407,6 +408,9 @@ def constant_region_scan(model, probes, M: float, tol: float) -> StudyReport:
     probes = [complex(p) for p in probes]
     if not probes:
         raise ConfigurationError("needs at least one probe")
+    bad = [z for z in probes if not np.isfinite(z)]
+    if bad:
+        raise ConfigurationError(f"probes must be finite, got {bad[0]}")
     inside = [z for z in probes if in_constant_region(z)]
     results = iter(resolvent_power_norms(model, inside, 0))
     series = []

@@ -12,9 +12,8 @@ matrices:
 * ``sv2x2_batch``              closed-form singular values of 2x2 blocks
 
 plus ``jacobi_singular_values``, all singular values of one matrix or of
-a stack of them by one-sided Jacobi in round-robin order, and
-``norm_below``, the LDL* positivity test of bound^2 I - M*M over a stack;
-the block engine calls these two on stacks of 4x4 blocks.
+a stack of them by one-sided Jacobi in round-robin order, which the block
+engine calls on stacks of 4x4 blocks.
 ``batch_square_scaled`` raises a stack to the power 2^n by squarings,
 each rescaled exactly by a power of two, for the dense power norms,
 power_diff_bound_check and the multisection's seed (``_power_estimate``).
@@ -254,26 +253,6 @@ def jacobi_singular_values(a) -> np.ndarray:
 def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     r = x.view(np.float64)
     return np.einsum("bkl,bkl->bk", r, r)
-
-
-def norm_below(mats: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Per matrix M of a stack (b, m, n), whether sigma_max(M) < bound.
-
-    The LDL* pivots of the Hermitian bound^2 I - M*M are all positive
-    exactly when it is positive definite.  A matrix stops eliminating at
-    its first nonpositive pivot, so its entries never grow.
-    """
-    a = -np.einsum("bki,bkj->bij", mats.conj(), mats)
-    d = a.shape[1]
-    a[:, range(d), range(d)] += (bound * bound)[:, None]
-    ok = np.ones(len(a), dtype=bool)
-    for j in range(d):
-        pivot = a[:, j, j].real
-        ok &= pivot > 0.0
-        col = a[:, j + 1 :, j] / np.where(ok, pivot, 1.0)[:, None]
-        col[~ok] = 0.0
-        a[:, j + 1 :, j + 1 :] -= col[:, :, None] * a[:, j, None, j + 1 :]
-    return ok
 
 
 def largest_singular_values(mats: np.ndarray) -> np.ndarray:

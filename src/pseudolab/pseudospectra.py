@@ -54,6 +54,13 @@ class GridRegion:
             raise ConfigurationError("region needs im_min < im_max")
         if self.nx < 2 or self.ny < 2:
             raise ConfigurationError("grid needs at least 2 points per axis")
+        # the lattice's complex entries, 16 bytes each, must be addressable;
+        # a step of 0 (a subnormal span) is a valid layout
+        if self.nx * self.ny > np.iinfo(np.intp).max // 16:
+            raise ConfigurationError("grid has too many points to lay out (nx * ny)")
+        last = (self.re_min + self.hx * (self.nx - 1), self.im_min + self.hy * (self.ny - 1))
+        if not all(map(math.isfinite, last)):
+            raise ConfigurationError("window too wide: its lattice coordinates overflow")
 
     @property
     def hx(self) -> float:
@@ -86,6 +93,8 @@ def region_with_step(re_min, re_max, im_min, im_max, h) -> GridRegion:
     counts = []
     for lo, hi in ((re_min, re_max), (im_min, im_max)):
         steps = (hi - lo) / h
+        if not math.isfinite(steps):
+            raise ConfigurationError(f"extent [{lo},{hi}] at step {h} has too many points")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
             raise ConfigurationError(
                 f"extent [{lo},{hi}] is not a multiple of step {h}"

@@ -50,12 +50,11 @@ block is a weighted cycle with B^d = P I, P = (alpha f)^(d/2), so
 (P - z^d)(B - z)^-1 is a polynomial in B of degree < d, and n exactly
 rescaled squarings modulo x^d - P raise it to 2^n (_power_coefficients).
 A 2x2 head reads sigma_max off sv2x2_batch (n = 0 takes a closed form in
-real arithmetic).  A 4x4 head drops the blocks that cannot reach the
-value their point's scan must beat at the start of the chunk or its
-largest column-norm value: first by their Frobenius norm, then by an LDL*
-test on the candidates of the whole chunk, pooled in stacks of at most
-STACK_CAP; Jacobi stacks of at most STACK_CAP evaluate the rest.  Every
-model takes n <= POWER_INDEX_LIMIT.
+real arithmetic).  A 4x4 head drops, by their Frobenius norm, the blocks
+that cannot reach the value their point's scan must beat at the start of
+the chunk or its largest column-norm value; Jacobi stacks of at most
+STACK_CAP, pooled over the chunk, evaluate the rest.  Every model takes
+n <= POWER_INDEX_LIMIT.
 
 Each point's arithmetic depends on that point alone, so a value does not
 depend on the other points of the call.  The certificates are array
@@ -86,7 +85,6 @@ from .numkernel import (
     jacobi_singular_values,
     largest_singular_value,
     largest_singular_values,
-    norm_below,
     sv2x2_batch,
 )
 from .operators import (
@@ -470,25 +468,22 @@ def block_chunks(lo: int, hi: int):
 
 
 def _four_survivors(family, ks, zs, n: int, floors: np.ndarray, rows: slice):
-    """((mats, exps, q, points, bound), keep) of the 4x4 blocks over ks at zs[rows], point-major.
+    """((mats, exps, q, points), keep) of the 4x4 blocks over ks at zs[rows], point-major.
 
-    A block's value lies below its point's threshold max(floor, L (1 -
-    FOUR_ROUNDING)), L the point's largest column-norm value here, exactly
-    when sigma_max(mats) < bound.  sigma_max is at least every column norm
-    and at most the Frobenius norm, so keep, the blocks that may hold a
-    maximum, is False only where the Frobenius value lies below the
-    threshold by a further factor 1 - FOUR_ROUNDING, both finite (the
-    Frobenius pre-screen).  Such a block, and any that the LDL* test
-    norm_below(mats, bound) drops, comes nowhere near the maximum.  The
-    values are compared in logs, where 2^exps and the root cannot overflow;
-    points indexes zs.
+    A block's value is (sigma_max(mats) 2^exps)^(1/m) / q, m = 2^n, and
+    sigma_max is at least every column norm and at most the Frobenius norm.
+    So keep, the blocks that may hold a maximum, is False only where the
+    Frobenius value lies below the point's threshold max(floor, L (1 -
+    FOUR_ROUNDING)), L the point's largest column-norm value here, by a
+    further factor 1 - FOUR_ROUNDING, both finite (the Frobenius
+    pre-screen); such a block comes nowhere near the maximum.  The values
+    are compared in logs, where 2^exps and the root cannot overflow; points
+    indexes zs.
     """
     m = 1 << n
     mats, exps, q = _four_power_stack(family, ks, zs[rows], n)
     points = np.repeat(np.arange(len(zs))[rows], len(ks))
-    # a bound of 0 (zero threshold or q) or NaN (a singular block, inf
-    # threshold) drops nothing, and one that overflows drops the block rightly
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_q, log_2 = np.log(q), math.log(2.0)
         sq = np.einsum("bij,bij->bj", mats.view(np.float64), mats.view(np.float64))
         cols = np.maximum(np.maximum(sq[:, 0] + sq[:, 1], sq[:, 2] + sq[:, 3]),
@@ -498,10 +493,9 @@ def _four_survivors(family, ks, zs, n: int, floors: np.ndarray, rows: slice):
         slack = math.log1p(-FOUR_ROUNDING)
         rise = np.fmax.reduce(low.reshape(-1, len(ks)), axis=1) + slack
         line = np.repeat(np.fmax(np.log(floors[rows]), rise), len(ks))
-        bound = np.exp(m * (line + log_q) - exps * log_2)
         # line + frob is finite exactly where both are
         keep = (frob >= line + slack) | ~np.isfinite(line + frob)
-    return (mats, exps, q, points, bound), keep
+    return (mats, exps, q, points), keep
 
 
 def _stacks(parts, cap: int):
@@ -521,11 +515,10 @@ def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
 
     The (points x blocks) pairs are formed in groups of at most STACK_CAP
     4x4 matrices or 16 * STACK_CAP 2x2 values.  4x4 groups are screened
-    against the floors the chunk started with: a Frobenius pre-screen per
-    group (_four_survivors), then the LDL* test on the candidates of all
-    groups pooled in stacks of at most STACK_CAP, then Jacobi on the
-    survivors, pooled again.  A point's values depend on that point alone,
-    whatever shares its groups and stacks.
+    against the floors the chunk started with by a Frobenius pre-screen per
+    group (_four_survivors); Jacobi evaluates the candidates of all groups,
+    pooled in stacks of at most STACK_CAP.  A point's values depend on that
+    point alone, whatever shares its groups and stacks.
     """
     cap = STACK_CAP if family.block_dim == 4 else 16 * STACK_CAP
     width = min(len(ks), cap)
@@ -539,15 +532,9 @@ def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
             best[part] = np.maximum(best[part], values)
         return best
 
-    def tested(candidates):
-        for *stack, bound in candidates:
-            with np.errstate(over="ignore"):  # a bound^2 that overflows drops rightly
-                keep = ~norm_below(stack[0], bound)
-            yield [a[keep] for a in stack]
-
     parts = (_four_survivors(family, group, zs, n, floors, part) for part, group in groups)
     candidates = ([a[keep] for a in blocks] for blocks, keep in parts)
-    for mats, exps, q, points in _stacks(tested(_stacks(candidates, STACK_CAP)), STACK_CAP):
+    for mats, exps, q, points in _stacks(candidates, STACK_CAP):
         sigma = jacobi_singular_values(mats)[:, 0]
         with np.errstate(divide="ignore"):
             np.maximum.at(best, points, _scaled_root(sigma, exps, 1 << n) / q)

@@ -273,6 +273,33 @@ class TestExitCodeMatrix:
         assert run(["verify", "empty-resolvent", "--lam", "nan,0"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("probe", ["nan,0", "inf,0"])
+    def test_non_finite_constant_region_probe_is_two(self, capsys, probe):
+        assert run(["verify", "constant-region", "--model", "shargorodsky",
+                    "--probe", "0.2,0", "--probe", probe]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_mask_too_wide_to_lay_out_is_two(self, tmp_path, capsys):
+        # its step overflowed, and the distance between two copies printed nan
+        mask = tmp_path / "wide.csv"
+        mask.write_text("re,im,member\n-1e308,-1e308,1\n-1e308,1e308,1\n"
+                        "1e308,-1e308,1\n1e308,1e308,0\n")
+        assert run(["hausdorff", "--a", str(mask), "--b", str(mask)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_memory_error_is_two(self, tmp_path, monkeypatch, capsys):
+        # no lattice is allocated: the distance itself runs out of memory
+        mask = tmp_path / "m.csv"
+        mask.write_text("re,im,member\n0,0,1\n0,1,0\n1,0,0\n1,1,1\n")
+
+        def exhausted(a, b):
+            raise MemoryError("cannot allocate the distances")
+
+        monkeypatch.setattr(cli, "hausdorff_distance", exhausted)
+        assert run(["hausdorff", "--a", str(mask), "--b", str(mask)]) == 2
+        assert capsys.readouterr().err == "error: cannot allocate the distances\n"
+
     def test_non_normal_dense_field_is_exact(self, tmp_path, capsys):
         # a Jordan block: not diagonal, so every cell takes the dense kernel,
         # which has no iteration that could fail
@@ -312,8 +339,15 @@ DIAG_CONVERGE = ["converge", "--model", "diag_pair", "--region", "1,7,-1.5,1.5",
         [*DIAG_CONVERGE, "--sequence", "shrink", "--defect-threshold", "nan"],
         [*DIAG_CONVERGE, "--sequence", "grow", "--anchor", "6,0"],
         [*DIAG_CONVERGE, "--sequence", "grow", "--anchor", "2.5,0", "--ks", "4"],
+        # windows no lattice can lay out; they escaped as tracebacks or warned
+        ["field", "--model", "shargorodsky", "--region", "0,1,0,1", "--h", "1e-300"],
+        ["field", "--model", "shargorodsky", "--region", "0,1,0,1",
+         "--nx", str(10**20), "--ny", "3"],
+        ["field", "--model", "diag_pair", "--region", "-1e308,1e308,0,1", "--nx", "3", "--ny", "3"],
+        ["verify", "counterexample-const", "--h", "1e-300"],
     ],
-    ids=["step-nan", "index-zero", "threshold-nan", "anchor-on-limit", "anchor-on-term"],
+    ids=["step-nan", "index-zero", "threshold-nan", "anchor-on-limit", "anchor-on-term",
+         "step-too-fine", "too-many-points", "step-overflows", "study-step-too-fine"],
 )
 def test_malformed_numeric_input_is_one_error_line(argv):
     proc = run_module(argv)

@@ -287,6 +287,16 @@ class TestConstantRegionScan:
         assert len(rep.series) == 1
         assert any("skipped" in s for s in rep.notes)
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_non_finite_probe_is_refused(self, bad, monkeypatch):
+        # it used to be skipped as outside the region, for a verdict of fail
+        def evaluated(*args):
+            raise AssertionError("a probe was evaluated")
+
+        monkeypatch.setattr(experiments, "resolvent_power_norms", evaluated)
+        with pytest.raises(ConfigurationError, match="finite"):
+            constant_region_scan(SHARG, [0.2, bad], 1.0, 1e-9)
+
     def test_all_probes_outside_fails(self):
         rep = constant_region_scan(SHARG, [2.0, 3.0], 1.0, 1e-9)
         assert not rep.passed

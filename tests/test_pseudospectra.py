@@ -106,6 +106,24 @@ class TestGridRegion:
         with pytest.raises(ConfigurationError):
             GridRegion(0.0, 1.0, 0.0, 1.0, 1, 5)
 
+    @pytest.mark.parametrize(
+        "bounds, counts",
+        [
+            ((-1e308, 1e308, 0.0, 1.0), (3, 3)),  # the step overflows
+            ((0.0, 1.0, -1e308, 1e308), (3, 3)),
+            ((0.0, 1.0, 0.0, 1.0), (10**20, 3)),  # more points than an array holds
+            ((0.0, 1.0, 0.0, 1.0), (2**60, 2)),  # 2^61 points of 16 bytes
+        ],
+    )
+    def test_refuses_a_window_it_cannot_lay_out(self, bounds, counts):
+        with pytest.raises(ConfigurationError):
+            GridRegion(*bounds, *counts)
+
+    @pytest.mark.parametrize("h", [1e-300, 5e-324])
+    def test_a_step_with_too_many_points_is_refused(self, h):
+        with pytest.raises(ConfigurationError):
+            region_with_step(0.0, 1.0, 0.0, 1.0, h)
+
     def test_index_bounds(self):
         r = GridRegion(0.0, 1.0, 0.0, 1.0, 3, 3)
         with pytest.raises(DomainError):
