@@ -423,6 +423,43 @@ class TestSeededMultisection:
         diag, off = np.zeros((2, 4)), np.zeros((2, 3))
         assert np.array_equal(numkernel._top_eigenvalue(diag, off), np.zeros(2))
 
+    def test_power_estimate_drops_only_what_turns_subnormal(self, monkeypatch):
+        # the tridiagonals of a banded 32-dim inverse at nine points: their
+        # plainly rescaled squares (batch_square_scaled) hold subnormal
+        # entries from the fifth on, and the seed, which drops them, is the
+        # one those squares give, bit for bit
+        rng = np.random.default_rng(3)
+        dim = 32
+        m = np.diag(rng.standard_normal(dim) * 0.3 + 1j * rng.standard_normal(dim) * 0.3)
+        m += np.diag(2.0 + rng.standard_normal(dim - 1) * 0.2, 1)
+        m += np.diag(rng.standard_normal(dim - 2) * 0.5, 2)
+        m += np.diag(rng.standard_normal(dim - 1) * 0.1, -1)
+        zs = np.add.outer(np.linspace(-1.2, 1.2, 3), 1j * np.linspace(-1.2, 1.2, 3)).ravel()
+        w, ok = explicit_inverses(m[None] - zs[:, None, None] * np.eye(dim))
+        assert ok.all()
+        seen = []
+        estimate = numkernel._power_estimate
+
+        def recorded(diag, off):
+            seen.append((diag, off, estimate(diag, off)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(numkernel, "_power_estimate", recorded)
+        largest_singular_values(w)
+        (diag, off, got), = seen
+        i = np.arange(dim)
+        t = np.zeros((len(diag), dim, dim))
+        t[:, i, i] = diag
+        t[:, i[1:], i[:-1]] = t[:, i[:-1], i[1:]] = off
+        squares = [numkernel.batch_square_scaled(t, j)[0] for j in range(1, 9)]
+        tiny = np.finfo(np.float64).tiny
+        subnormal = [int(((p != 0.0) & (np.abs(p) < tiny)).sum()) for p in squares]
+        assert subnormal[:4] == [0] * 4 and min(subnormal[4:]) > 0
+        pick = np.argmax(np.diagonal(squares[-1], axis1=1, axis2=2), axis=1)
+        v = squares[-1][np.arange(len(diag)), :, pick, None]
+        want = (v * (t @ v)).sum(axis=(1, 2)) / (v * v).sum(axis=(1, 2))
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_dense_field_stacks_end_in_two_passes(self, n, monkeypatch):
         # Q (M + ramp) Q* for a Haar Q and a fixed Ginibre M, inverted at the

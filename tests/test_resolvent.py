@@ -40,6 +40,7 @@ from pseudolab import (
     expansion_residual,
     gnr_defect,
     power_diff_bound_check,
+    region_with_step,
     resolvent_norm,
     resolvent_power_norm,
     scale_operator,
@@ -778,6 +779,25 @@ def _four_limit_oracle(z: complex, n: int) -> float:
     return spectral_norm_oracle(np.linalg.matrix_power(lim, m)) ** (1.0 / m)
 
 
+def _screen_counts(monkeypatch) -> dict:
+    """Counts, while the test runs, of the 4x4 blocks formed for the screens
+    and of the matrices that reach jacobi_singular_values."""
+    counts = {"screened": 0, "evaluated": 0}
+    stack, jacobi = resolvent._four_power_stack, resolvent.jacobi_singular_values
+
+    def screened(family, ks, zs, n):
+        counts["screened"] += len(ks) * len(zs)
+        return stack(family, ks, zs, n)
+
+    def evaluated(mats):
+        counts["evaluated"] += len(mats)
+        return jacobi(mats)
+
+    monkeypatch.setattr(resolvent, "_four_power_stack", screened)
+    monkeypatch.setattr(resolvent, "jacobi_singular_values", evaluated)
+    return counts
+
+
 class TestFourByFourHeads:
     """Exact 4x4 head values: a Frobenius pre-screen, then pooled Jacobi stacks."""
 
@@ -887,22 +907,63 @@ class TestFourByFourHeads:
         if floor == "inf":
             assert keep.all()
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        first=st.sampled_from([1, 17, 81, 5000, 10**6]),
+        count=st.sampled_from([16, 64, 300]),
+        floor=st.sampled_from(["zero", "inf", "below", "at", "above"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(1, 16, "zero", 0)
+    @example(17, 64, "below", 1)
+    @example(81, 300, "at", 2)
+    def test_gram_screen_drops_only_blocks_below_the_maximum(self, first, count, floor, seed):
+        # the Gram screen (taken at n = 0) on every block, not only the
+        # Frobenius survivors, with the block index carried in the points
+        # column
+        n = 0
+        rng = np.random.default_rng(seed)
+        weights = REMARK.alpha.values(np.array([first, first + count // 2]))
+        root = np.sqrt(weights + 1.0)
+        zs = np.concatenate([
+            rng.uniform(-3.0, 3.0, 5) + 1j * rng.uniform(-3.0, 3.0, 5),
+            [0.0, root[0], 1j * root[1], 40.0 + 3.0j, 1.5 * root[0] * np.exp(0.3j)],
+        ])
+        ks = np.arange(first, first + count)
+        mats, exps, q = _four_power_stack(REMARK, ks, zs, n)
+        sigma = jacobi_singular_values(mats)[:, 0]
+        with np.errstate(divide="ignore"):
+            blocks = (resolvent._scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
+        top = blocks.max(axis=1)
+        floors = {
+            "zero": np.zeros(len(zs)), "inf": np.full(len(zs), math.inf),
+            "below": 0.9 * top, "at": top, "above": 1.1 * top,
+        }[floor]
+        (mats, exps, q, _, line), _ = resolvent._four_survivors(
+            REMARK, ks, zs, n, floors, slice(None))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kept = resolvent._gram_survivors([mats, exps, q, np.arange(len(mats)), line])
+        dropped = np.ones(blocks.size, dtype=bool)
+        dropped[kept[3]] = False
+        dropped = dropped.reshape(blocks.shape)
+        bound = (1.0 - 0.99 * resolvent.FOUR_ROUNDING) * np.maximum(floors, top)
+        assert np.all(blocks[dropped] < np.broadcast_to(bound[:, None], blocks.shape)[dropped])
+        if floor == "inf":
+            assert not dropped.any()
+
+    def test_gram_screen_leaves_jacobi_a_few_field_blocks(self, monkeypatch):
+        # remark_n1 at n = 0 on [-1, 1]^2 at h = 0.4: the Frobenius pre-screen
+        # alone passed 160 of the 576 blocks to Jacobi
+        counts = _screen_counts(monkeypatch)
+        field = compute_norm_field(REMARK, region_with_step(-1.0, 1.0, -1.0, 1.0, 0.4), 0)
+        assert field.values.size == 36
+        assert counts["screened"] == 576
+        assert counts["evaluated"] <= 24
+
     def test_frobenius_pre_screen_clears_most_blocks(self, monkeypatch):
         # sigma_max <= ||M||_F: of the 2176 blocks this field screens, 84 reach
         # Jacobi
-        counts = {"screened": 0, "evaluated": 0}
-        stack, jacobi = resolvent._four_power_stack, resolvent.jacobi_singular_values
-
-        def screened(family, ks, zs, n):
-            counts["screened"] += len(ks) * len(zs)
-            return stack(family, ks, zs, n)
-
-        def evaluated(mats):
-            counts["evaluated"] += len(mats)
-            return jacobi(mats)
-
-        monkeypatch.setattr(resolvent, "_four_power_stack", screened)
-        monkeypatch.setattr(resolvent, "jacobi_singular_values", evaluated)
+        counts = _screen_counts(monkeypatch)
         zs = GridRegion(-1.0, 1.0, -1.0, 1.0, 11, 11).lattice().ravel()
         resolvent.resolvent_power_norms(REMARK, zs, 1)
         assert 0 < counts["evaluated"] < 0.1 * counts["screened"]
@@ -1255,6 +1316,31 @@ class TestTwoSignCertificate:
         ]
         slack = ones + resolvent.TAIL_TOL
         assert resolvent._two_stays_below(SHARG, 66.0, NEAR_HYPERBOLA[4:], slack).all()
+
+    def test_tail_bound_takes_both_thresholds_in_one_call(self, monkeypatch):
+        # the value and value + TAIL_TOL rounded toward it share one call, and
+        # the bound is the one-call-per-threshold rule's bit for bit: the
+        # hyperbola points close at 1 + TAIL_TOL or at 1, some disc points at
+        # neither
+        zs = np.concatenate([_disc_points(4.0, 40, seed=3), NEAR_HYPERBOLA[4:]])
+        values = np.maximum(
+            resolvent.resolvent_power_norms(TruncatedFamily(SHARG, 64), zs, 0).value, 1.0)
+        below = resolvent._two_stays_below
+        slack = np.nextafter(values + resolvent.TAIL_TOL, values)
+        exact, loose = below(SHARG, 66.0, zs, values), below(SHARG, 66.0, zs, slack)
+        assert exact.any() and (loose & ~exact).any() and (~loose).any()
+        want = np.where(exact, values, np.where(loose, slack, math.nan))
+        want = np.fmin(want, resolvent._envelope_sup(SHARG, 66.0, zs))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return below(*args)
+
+        monkeypatch.setattr(resolvent, "_two_stays_below", counted)
+        got = resolvent._tail_bound(SHARG, 66.0, zs, 0, values, None)
+        assert len(calls) == 1
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("family", [SHARG, NONCONST], ids=["shargorodsky", "nonconstant"])
     def test_accepted_shifts_are_nonnegative_exactly(self, family):
@@ -1701,9 +1787,10 @@ class TestFieldEngine:
         resolvent_power_norm(REMARK, 0.4, 1, max_blocks=20000)
         resolvent.resolvent_power_norms(SHARG, zs, 1, max_blocks=20000)
         resolvent_power_norm(TruncatedFamily(SHARG, 10**5), 0.3 + 3j, 1)
-        # the Frobenius pre-screen leaves the 11x11 field too few Jacobi
-        # candidates a chunk to fill a stack; this window pools more
-        wide = GridRegion(-2.0, 2.0, -2.0, 2.0, 41, 41).lattice().ravel()
+        # the 4x4 screens leave the 11x11 field too few Jacobi candidates a
+        # chunk to fill a stack; this window pools more (a 41x41 one, 864 at
+        # n = 0 after the Gram screen)
+        wide = GridRegion(-2.0, 2.0, -2.0, 2.0, 61, 61).lattice().ravel()
         resolvent.resolvent_power_norms(REMARK, wide, 0)
         assert max(four) == resolvent.STACK_CAP
         assert max(two) == 16 * resolvent.STACK_CAP
@@ -1895,6 +1982,19 @@ class TestPowerDiffBound:
     def test_finite_powers_keep_their_values(self, n, lhs, rhs):
         res = power_diff_bound_check(NILPOTENT, 0.5, 0.52, n)
         assert (res.lhs, res.rhs, res.holds) == (lhs, rhs, True)
+
+    def test_verdict_holds_past_an_overflowing_bound(self, monkeypatch):
+        # at n = 9 the bound, about e^905, overflows; a difference inflated by
+        # 2^2000 overflows too, and lies far above it
+        square = resolvent.batch_square_scaled
+
+        def inflated(mats, n):
+            powers, exps = square(mats, n)
+            return powers, exps + np.array([2000.0, 0.0])
+
+        monkeypatch.setattr(resolvent, "batch_square_scaled", inflated)
+        res = power_diff_bound_check(NILPOTENT, 0.5, 0.52, 9)
+        assert (res.lhs, res.rhs, res.holds) == (math.inf, math.inf, False)
 
     @pytest.mark.parametrize("n", [10, 64])
     def test_overflowing_powers_give_inf(self, n):
