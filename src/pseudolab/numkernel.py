@@ -282,12 +282,14 @@ def largest_singular_values(mats: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(lam), e)
 
 
-def _householder(x: np.ndarray):
+def _householder(x: np.ndarray, floor: np.ndarray):
     """(v, tau, ||x||) per row x of a stack (b, L), with (I - tau v v*) x = beta e_1.
 
     beta = -phase(x_0) ||x||, v = x - beta e_1 and tau = 2 / ||v||^2 =
     1 / (||x|| (||x|| + |x_0|)), so v_0 = phase(x_0) (|x_0| + ||x||) does
-    not cancel.  tau = 0 (H = I) where x is already a multiple of e_1.
+    not cancel.  tau = 0 (H = I) where x is already a multiple of e_1, and
+    where ||x|| <= floor: such an x counts as reduced, its norm the
+    off-diagonal.
     """
     flat = x.view(np.float64)
     norm = np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
@@ -297,8 +299,8 @@ def _householder(x: np.ndarray):
     grow = (mag + norm) / np.where(nonzero, mag, 1.0)
     v = x.copy()
     v[:, 0] = np.where(nonzero, lead * grow, norm)
-    turn = norm > mag
-    tau = np.where(turn, 1.0, 0.0) / np.where(turn, norm * (norm + mag), 1.0)
+    turn = norm > np.maximum(mag, floor)
+    tau = turn / np.where(turn, norm * (norm + mag), 1.0)  # 0.0 where not turn
     return v, tau, norm
 
 
@@ -314,11 +316,18 @@ def _tridiagonal(a: np.ndarray):
     Reflector j leaves beta_j = -phase ||x|| below the diagonal of column j;
     the diagonal unitary similarity that removes the phases leaves ||x||,
     so the off-diagonal is nonnegative.
+
+    The matrices are Gram matrices, so lambda_max <= trace.  An x with
+    ||x||^2 <= 2^-1022 trace is left as it is (tau = 0): it moves lambda_max
+    by about 2 ||x|| at most, far below an ulp of lambda_max >= 1/4 as
+    largest_singular_values scales it.  Any other x has tau < 2^1022 / trace,
+    so (tau/2) v* (tau A v) <= lambda_max tau stays finite.
     """
     count, k = a.shape[:2]
     diag = np.empty((count, k))
     off = np.empty((count, k - 1))
     diag[:, -1] = a[:, -1, -1].real
+    floor = np.sqrt(np.trace(a, axis1=1, axis2=2).real) * 2.0**-511
     for start in range(0, k - 1, PANEL):
         width = min(PANEL, k - 1 - start)
         # rows start.. of the reflectors and of W = tau A v - (tau/2)(v* tau A v) v
@@ -331,7 +340,7 @@ def _tridiagonal(a: np.ndarray):
                 done_v @ ws[:, i, :i, None].conj() + done_w @ vs[:, i, :i, None].conj()
             )[..., 0]
             diag[:, j] = col[:, 0].real
-            v, tau, off[:, j] = _householder(np.ascontiguousarray(col[:, 1:]))
+            v, tau, off[:, j] = _householder(np.ascontiguousarray(col[:, 1:]), floor)
             if j == k - 2:
                 last = done_v[:, -1, None] @ done_w[:, -1, :, None].conj()
                 diag[:, -1] = (a[:, -1, -1] - 2.0 * last[:, 0, 0]).real

@@ -16,6 +16,7 @@ with member in {0,1}.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -28,7 +29,7 @@ from .resolvent import resolvent_power_norms
 
 STRICTNESS_MODES = ("open_sigma", "closed_Sigma")
 
-READ_CHARS = 1 << 16  # CSV characters a reader splits at a time, in whole lines
+READ_CHARS = 1 << 16  # CSV characters a reader slices or a mask writer joins, in whole lines
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,15 @@ class GridRegion:
 
     def lattice(self) -> np.ndarray:
         """All lattice points as an (nx, ny) complex array."""
-        re = self.re_min + self.hx * np.arange(self.nx)
-        im = self.im_min + self.hy * np.arange(self.ny)
+        re, im = self._axes()
         return re[:, None] + 1j * im[None, :]
+
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        # the lattice's real parts down its first column and imaginary parts
+        # along its first row, bit for bit: no axis value is -0.0, so adding
+        # the other part's signed zero changes none
+        return (self.re_min + self.hx * np.arange(self.nx),
+                self.im_min + self.hy * np.arange(self.ny))
 
 
 def region_with_step(re_min, re_max, im_min, im_max, h) -> GridRegion:
@@ -237,24 +244,44 @@ def _format(v: float) -> str:
     return repr(float(v))
 
 
-def _write_rows(fp, column: str, region: GridRegion, cells) -> None:
-    # header re,im,<column>, then one line per lattice point, real axis outer:
-    # each coordinate is repr'd once, each row of cells strings is one write
-    pts = region.lattice()
-    fp.write(f"re,im,{column}\n")
-    ims = [f",{v!r}," for v in pts[0].imag.tolist()]
-    for re, row in zip(map(repr, pts[:, 0].real.tolist()), cells):
-        fp.write(re + ("\n" + re).join(map(str.__add__, ims, row)) + "\n")
+def _coordinates(region: GridRegion) -> tuple[list, list]:
+    # the repr'd re of each lattice row and im of each lattice column, the
+    # text both CSV writers give every point
+    re, im = region._axes()
+    return list(map(repr, re.tolist())), list(map(repr, im.tolist()))
 
 
 def write_field_csv(field: NormField, fp) -> None:
     """Write `re,im,value` rows, row-major with the real axis outer."""
-    _write_rows(fp, "value", field.region, (map(_format, r) for r in field.values.tolist()))
+    # each coordinate is repr'd once, each lattice row of cell strings is one write
+    res, ims = _coordinates(field.region)
+    fp.write("re,im,value\n")
+    ims = [f",{im}," for im in ims]
+    for re, row in zip(res, field.values.tolist()):
+        fp.write(re + ("\n" + re).join(map(str.__add__, ims, map(_format, row))) + "\n")
 
 
 def write_mask_csv(mask: LevelSetMask, fp) -> None:
-    """Write `re,im,member` rows in the same order as field CSVs."""
-    _write_rows(fp, "member", mask.region, np.where(mask.mask, "1", "0").tolist())
+    """Write `re,im,member` rows in the same order as field CSVs.
+
+    The rows go out in blocks of whole lattice rows of at most READ_CHARS
+    characters, a longer row a block of its own.  A block is joined with
+    every member flag "0", encoded to ASCII, and one indexed assignment
+    sets the members' flags to "1": each flag sits two characters before
+    the end of its line, at the cumulative sum of the line lengths.
+    """
+    res, ims = _coordinates(mask.region)
+    fp.write("re,im,member\n")
+    cells = [f",{im},0" for im in ims]
+    widths = np.array([len(c) + 1 for c in cells])  # a cell and its newline
+    rows = max(1, READ_CHARS // (max(map(len, res)) * len(cells) + int(widths.sum())))
+    for start in range(0, len(res), rows):
+        block = res[start : start + rows]
+        data = bytearray("".join(re + ("\n" + re).join(cells) + "\n" for re in block), "ascii")
+        ends = np.cumsum(np.array([len(re) for re in block])[:, None] + widths)  # row-major
+        flags = ends[mask.mask[start : start + rows].ravel()] - 2
+        np.frombuffer(data, np.uint8)[flags] = ord("1")
+        fp.write(data.decode("ascii"))
 
 
 def write_json(obj, fp) -> None:
@@ -267,7 +294,10 @@ def write_json(obj, fp) -> None:
     doc = {**asdict(obj.region), "n": obj.n}
     if isinstance(obj, NormField):
         key, rows = "values", obj.values.tolist()
-        rows = [[repr(v) if math.isfinite(v) else f'"{v}"' for v in r] for r in rows]
+        if np.isfinite(obj.values).all():
+            rows = [list(map(repr, r)) for r in rows]
+        else:
+            rows = [[repr(v) if math.isfinite(v) else f'"{v}"' for v in r] for r in rows]
     else:
         key, doc["epsilon"], doc["strictness"] = "member", obj.epsilon, obj.strictness
         rows = np.where(obj.mask, "1", "0").tolist()
@@ -286,28 +316,49 @@ def _floats(tokens) -> np.ndarray:
     return np.fromiter(map(value.__getitem__, tokens), float, len(tokens))
 
 
-def _plain_values(lines) -> np.ndarray | None:
-    # the floats of lines that are each three comma-separated fields ending
-    # in a newline, split on commas as csv.reader splits them; None where
-    # csv.reader may read otherwise (a CR, a field past the size limit,
-    # blank, short or long lines, no final newline) or a token is not a
-    # number, as no token holding a quote or NUL is
-    text = ",".join(lines)
-    if (
-        "\r" in text or len(text) >= csv.field_size_limit()
-        or not text.endswith("\n") or text.count("\n") != len(lines)
-    ):
+def _plain_values(text: str) -> np.ndarray | None:
+    # the floats of text's lines when each is three comma-separated fields
+    # ending in a newline, split on commas as csv.reader splits them; None
+    # where csv.reader may read otherwise (a CR, a field past the size
+    # limit, blank, short or long lines, no final newline) or a token is
+    # not a number, as no token holding a quote or NUL is
+    if "\r" in text or len(text) >= csv.field_size_limit() or not text.endswith("\n"):
         return None
-    # each line ends in its one newline, so a token holds a newline only at
-    # its end, and every line has three fields exactly when the newlines end
-    # every third token
-    tokens = text.split(",")
-    if len(tokens) != 3 * len(lines) or "".join(tokens[2::3]).count("\n") != len(lines):
+    # each newline ends its token, so every line has three fields exactly
+    # when the newlines end every third token; the last token, after the
+    # final newline, is empty
+    lines = text.count("\n")
+    tokens = text.replace("\n", "\n,").split(",")
+    tokens.pop()
+    if len(tokens) != 3 * lines or "".join(tokens[2::3]).count("\n") != lines:
         return None
     try:
         return _floats(tokens)
     except ValueError:
         return None
+
+
+def _slices(fp):
+    # the body in slices of whole lines, as (text, lines): text None where
+    # fp does not split it at its newlines, lines those fp splits it into.
+    # A stream reading universal newlines (as the CLI opens files) splits
+    # them as io.StringIO(text, newline="") does, so it is sliced by
+    # characters and a slice split only when a record reader needs it.
+    # Any other stream (io.StringIO's default splits at LF alone) is sliced
+    # by fp.readlines, as its text does not tell where it splits
+    if getattr(fp, "newlines", None) is not None:
+        while text := fp.read(READ_CHARS):
+            text += fp.readline()
+            yield text, _lines(text)
+    else:
+        while lines := fp.readlines(READ_CHARS):
+            text = "".join(lines)
+            yield (text if text.count("\n") == len(lines) else None), lines
+
+
+def _lines(text: str):
+    # a generator, so the StringIO copy is made only for a slice csv.reader reads
+    yield from io.StringIO(text, newline="")
 
 
 def _record_values(lines, lineno):
@@ -336,18 +387,17 @@ def _read_rows(fp, header) -> np.ndarray:
             f"expected header {','.join(header)}, got {','.join(first)}"
         )
     parts, lineno = [np.empty(0)], 2
-    # the body in slices of whole lines, as fp itself splits them: a plain
-    # slice is split on commas, and the first other one goes with the rest
-    # of the file to csv.reader, record by record, which alone reads quotes,
-    # CR and blank lines and names the first bad line; a plain slice holds
-    # no blank line, so line numbers agree
-    while lines := fp.readlines(READ_CHARS):
-        values = _plain_values(lines)
+    # a plain slice is split on commas, and the first other one goes with
+    # the rest of the file to csv.reader, record by record, which alone
+    # reads quotes, CR and blank lines and names the first bad line; a
+    # plain slice holds no blank line, so line numbers agree
+    for text, lines in _slices(fp):
+        values = None if text is None else _plain_values(text)
         if values is None:
             parts.append(np.fromiter(_record_values(chain(lines, fp), lineno), float))
             break
         parts.append(values)
-        lineno += len(lines)
+        lineno += len(values) // 3
     rows = np.concatenate(parts).reshape(-1, 3)
     if not len(rows):
         raise ConfigurationError("CSV holds no data rows")

@@ -141,6 +141,15 @@ class TestGridRegion:
         with pytest.raises(ConfigurationError, match="positive and finite"):
             region_with_step(-1.0, 1.0, -1.0, 1.0, h)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(region=regions())
+    @example(region=GridRegion(-0.0, 1.0, -1.0, -0.0, 2, 3))
+    def test_axes_are_the_lattice_edges_bit_for_bit(self, region):
+        re, im = region._axes()
+        grid = region.lattice()
+        assert re.tobytes() == grid[:, 0].real.tobytes()
+        assert im.tobytes() == grid[0].imag.tobytes()
+
 
 class TestNormFieldType:
     def test_shape_mismatch(self):
@@ -373,6 +382,69 @@ class TestCsvRoundTrip:
         assert written(write_mask_csv, mask) == per_point_csv(
             region, "member", lambda i, j: int(mask.mask[i, j]))
 
+
+
+def member_csv(mask):
+    return per_point_csv(mask.region, "member", lambda i, j: int(mask.mask[i, j]))
+
+
+def mask_writes(mask):
+    """The strings write_mask_csv hands to write, one per call."""
+    chunks = []
+    write_mask_csv(mask, types.SimpleNamespace(write=chunks.append))
+    return chunks
+
+
+def random_mask(region, seed):
+    members = np.random.default_rng(seed).random((region.nx, region.ny)) < 0.5
+    return LevelSetMask(region, 1.0, 0, "closed_Sigma", members)
+
+
+class TestMaskWriterBlocks:
+    """write_mask_csv writes blocks of lattice rows, each at most READ_CHARS
+    characters; its bytes are the per-point writer's."""
+
+    def test_a_121_mask_spans_several_blocks(self):
+        mask = random_mask(GridRegion(-1.5, 1.5, -1.5, 1.5, 121, 121), 5)
+        header, *blocks = mask_writes(mask)
+        assert header + "".join(blocks) == member_csv(mask)
+        assert 1 < len(blocks) < 121 // 4  # several blocks of many rows
+        for block in blocks:
+            assert len(block) <= READ_CHARS and block.count("\n") % 121 == 0
+
+    def test_a_row_longer_than_read_chars_is_a_block_of_its_own(self):
+        mask = random_mask(GridRegion(-1.0, 1.0, -1.0, 1.0, 3, 4000), 6)
+        header, *blocks = mask_writes(mask)
+        assert header + "".join(blocks) == member_csv(mask)
+        assert [block.count("\n") for block in blocks] == [4000] * 3
+        assert min(map(len, blocks)) > READ_CHARS
+
+    @pytest.mark.parametrize("member", [False, True])
+    def test_masks_of_one_flag(self, member):
+        region = GridRegion(-1.0, 1.0, -0.5, 0.5, 90, 70)
+        mask = LevelSetMask(region, 1.0, 0, "closed_Sigma", np.full((90, 70), member))
+        assert written(write_mask_csv, mask) == member_csv(mask)
+
+    def test_coordinates_whose_reprs_differ_in_length(self):
+        region = GridRegion(-1e-3, 2.5, -7, 3, 37, 53)
+        re, im = region._axes()
+        assert len({len(repr(v)) for v in re.tolist()}) > 3
+        assert len({len(repr(v)) for v in im.tolist()}) > 3
+        mask = random_mask(region, 7)
+        assert len(mask_writes(mask)) > 2
+        assert written(write_mask_csv, mask) == member_csv(mask)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(region=regions())
+    def test_field_and_mask_csv_share_their_coordinate_text(self, region):
+        field = types.SimpleNamespace(region=region, values=np.ones((region.nx, region.ny)))
+        mask = random_mask(region, 8)
+
+        def coordinates(text):
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+        assert coordinates(written(write_field_csv, field))[1:] == coordinates(
+            written(write_mask_csv, mask))[1:]
 
 
 class TestJsonWriter:
@@ -614,6 +686,97 @@ class TestCsvReaderEdges:
         assert str(err.value) == message
 
 
+def line_end_at(text, offset, cr=False):
+    """text with the end of one body line moved to body character offset
+    (its value takes leading zeros), as CR LF where cr; and that line's index."""
+    header, body = text.split("\n", 1)
+    lines = body.split("\n")
+    ends = np.cumsum([len(line) + 1 for line in lines]) - 1
+    k = int(np.searchsorted(ends, offset, side="right")) - 1
+    re, im, value = lines[k].split(",")
+    lines[k] = f"{re},{im},{'0' * (offset - int(ends[k]))}{value}" + "\r" * cr
+    return header + "\n" + "\n".join(lines), k
+
+
+def universal_streams(text, tmp_path):
+    """text as streams that read universal newlines: strings, and a file
+    opened as the CLI opens it and with the default newline."""
+    path = tmp_path / "field.csv"
+    path.write_text(text, newline="")
+    return [
+        lambda: io.StringIO(text, newline=""),
+        lambda: io.StringIO(text, newline=None),
+        lambda: open(path, newline=""),
+        lambda: open(path),
+    ]
+
+
+def read_outcome(read, stream):
+    with stream() as fp:
+        try:
+            return read(fp).tobytes()
+        except (ConfigurationError, csv.Error) as err:
+            return type(err), str(err)
+
+
+class TestCharacterSlices:
+    """Streams that read universal newlines are sliced by READ_CHARS
+    characters and the rest of a line; the values and errors are those of
+    a per-record reader."""
+
+    @pytest.mark.parametrize("cr", [False, True])
+    @pytest.mark.parametrize("bad", [None, 0, 1, 2])
+    def test_a_slice_boundary_at_a_line_end(self, tmp_path, cr, bad):
+        # the first slice's characters end with the newline of body line k,
+        # or between the CR and LF that end it; bad marks body line k, the
+        # line that completes the first slice or the first of the second
+        text, k = line_end_at(lattice_csv(100, 60), READ_CHARS - 1, cr)
+        body = text.split("\n", 1)[1]
+        assert body[READ_CHARS - 1 : READ_CHARS + cr] == "\r\n"[1 - cr :]
+        if bad is not None:
+            lines = text.split("\n")
+            lines[k + 1 + bad] = "x" + lines[k + 1 + bad]
+            text = "\n".join(lines)
+        for stream in universal_streams(text, tmp_path):
+            got = read_outcome(lambda fp: read_field_csv(fp).values, stream)
+            assert got == read_outcome(lambda fp: reference_rows(fp)[:, 2], stream)
+            if bad is not None:
+                assert got == (ConfigurationError, f"line {k + 2 + bad}: malformed number")
+
+    @pytest.mark.parametrize("bad", ["0.5,0.5,one", "0.5,0.5"])
+    def test_a_bad_line_in_a_later_slice_is_named(self, tmp_path, bad):
+        lines = lattice_csv(100, 60).splitlines()
+        lines[THIRD_SLICE_LINE - 1] = bad
+        text = "\n".join(lines) + "\n"
+        message = "malformed number" if bad.count(",") == 2 else "expected 3 columns"
+        for stream in universal_streams(text, tmp_path):
+            got = read_outcome(lambda fp: read_field_csv(fp).values, stream)
+            assert got == (ConfigurationError, f"line {THIRD_SLICE_LINE}: {message}")
+
+    @pytest.mark.parametrize("edit", [
+        # CR line ends throughout; a CR line end as the first slice's last
+        # character; a CR inside a line of the third slice
+        lambda text: text.replace("\n", "\r"),
+        lambda text: line_end_at(text, READ_CHARS - 1, cr=True)[0].replace("\r\n", "\r"),
+        lambda text: (text[:5 * READ_CHARS // 2]
+                      + text[5 * READ_CHARS // 2:].replace(",", ",\r", 1)),
+    ])
+    def test_a_lone_cr_ends_a_line_as_the_stream_reads_it(self, tmp_path, edit):
+        text = edit(lattice_csv(100, 60))
+        for stream in universal_streams(text, tmp_path):
+            got = read_outcome(lambda fp: read_field_csv(fp).values, stream)
+            assert got == read_outcome(lambda fp: reference_rows(fp)[:, 2], stream)
+
+    def test_plain_slices_are_read_as_characters(self):
+        class CharactersOnly(io.StringIO):
+            def readlines(self, hint=-1):
+                raise AssertionError("sliced by lines")
+
+        field = diag_field(GridRegion(1.0, 7.0, -1.0, 1.0, 150, 70))
+        back = read_field_csv(CharactersOnly(written(write_field_csv, field), newline=""))
+        assert np.array_equal(back.values, field.values)
+
+
 # VmHWM, the peak RSS of this process image: ru_maxrss of a child would
 # also count the memory of the process that started it
 PEAK_KIB = """
@@ -630,6 +793,23 @@ from pseudolab import read_mask_csv
 before = peak_kib()
 with open(sys.argv[1], newline="") as fh:
     mask = read_mask_csv(fh)
+print((peak_kib() - before) / 1024.0, int(mask.mask.sum()))
+"""
+
+WRITE_PEAK = PEAK_KIB + """
+import numpy as np
+from pseudolab import GridRegion, write_mask_csv
+from pseudolab.pseudospectra import LevelSetMask
+
+region = GridRegion(-1.0, 1.0, -1.0, 1.0, 401, 401)
+x = np.linspace(-1.0, 1.0, 401)
+members = np.empty((401, 401), dtype=bool)
+for i in range(401):  # row by row: no lattice-sized temporary before the write
+    np.less(x[i] * x[i] + x * x, 0.49, out=members[i])
+mask = LevelSetMask(region, 0.5, 0, "closed_Sigma", members)
+before = peak_kib()
+with open(sys.argv[1], "w", newline="") as fh:
+    write_mask_csv(mask, fh)
 print((peak_kib() - before) / 1024.0, int(mask.mask.sum()))
 """
 
@@ -685,6 +865,18 @@ def test_reading_a_401_mask_with_crlf_line_ends_keeps_peak_rss_low(tmp_path):
     # list of every float added about 22 MB here, floats collected into one
     # growing array add about 10.5 MB
     assert _read_peak_of_a_401_mask(tmp_path, "\r\n") < 20.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_writing_a_401_mask_keeps_peak_rss_low(tmp_path):
+    path = tmp_path / "mask.csv"
+    added_mb, members = _peak_run(WRITE_PEAK, str(path))
+    back = read_mask_csv(io.StringIO(path.read_text(), newline=""))
+    assert int(back.mask.sum()) == int(members) > 0
+    # one string of the whole file added about 8.9 MB here, row writes with
+    # the whole lattice and its flags as strings about 2.4 MB; blocks of at
+    # most READ_CHARS characters add about 0.13 MB
+    assert float(added_mb) < 1.0
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")

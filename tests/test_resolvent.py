@@ -596,6 +596,29 @@ class TestDenseSigmaMax:
             got = resolvent_power_norm(DenseOperator(a), z, n).value
             assert got == pytest.approx(resolvent_power_norm_oracle(a, z, n), rel=tol)
 
+    # below the diagonal a Gram column of norm about 1e-156 overflows the
+    # Householder tau = 1 / (||x|| (||x|| + |x_0|)) unless it counts as reduced
+    @pytest.mark.parametrize("a", [
+        [[1.0, 1e-156, 0.0], [0.0, 1e-3, 0.0], [0.0, 0.0, 1e-3]],
+        [[1.0, 1e-156, 1e-156], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]],
+    ])
+    def test_a_tiny_gram_column_gives_no_nan(self, a):
+        assert largest_singular_value(a) == pytest.approx(spectral_norm_oracle(a), rel=1e-15)
+
+    def test_a_tiny_entry_gives_a_resolvent_value(self):
+        a = np.array([[0.0, 1e-156, 0.0], [0.0, 3.0, 1.0], [0.0, 0.0, 3.0]])
+        got = resolvent_power_norm(DenseOperator(a), 1.0, 0).value
+        assert got == pytest.approx(resolvent_norm_oracle(a, 1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("dims, e", [(8, -509), (40, -507)])
+    def test_a_tiny_gram_column_before_a_large_block(self, dims, e):
+        # the Gram column x below (0, 0) has norm 2^(e - 1), and the trailing
+        # Gram block lambda_max about (0.99 dims)^2: reflecting x would form
+        # (tau / 2) v* (tau A v), about lambda_max / ||x||^2, past overflow
+        a = np.zeros((dims + 1, dims + 1))
+        a[0, 0], a[0, 1:], a[1:, 1:] = 0.5, 2.0**e / math.sqrt(dims), 0.99
+        assert largest_singular_value(a) == pytest.approx(spectral_norm_oracle(a), rel=1e-14)
+
 
 class TestBlockScanChunks:
     """Finite block ranges that cross the 16-, 80- and 336-block chunk ends."""
