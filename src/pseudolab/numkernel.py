@@ -16,8 +16,12 @@ a stack of them by one-sided Jacobi in round-robin order, which the block
 engine calls on stacks of 4x4 blocks.
 ``batch_square_scaled`` raises a stack to the power 2^n by squarings,
 each rescaled exactly by a power of two, for the dense power norms and
-power_diff_bound_check; the multisection's seed (``_power_estimate``)
-squares on its own, dropping what would turn subnormal.
+power_diff_bound_check, and ``scaled_root`` takes the 2^n-th root of such a
+scaled power's norm, rounding the root alone; the multisection's seed
+(``_power_estimate``) squares on its own, dropping what would turn
+subnormal.
+``cmul`` multiplies complex arrays elementwise in real arithmetic, rounded
+as Python's complex product whatever the arrays' layout.
 ``smallest_singular_value``, 1 / sigma_max of the explicit inverse of one
 matrix, is the public one-matrix helper; no package path calls it.
 
@@ -424,6 +428,31 @@ def batch_square_scaled(mats: np.ndarray, n: int):
             # flags every matrix that an earlier one would
             exps = np.where((s > 0.0) & (s < np.inf), exps, np.inf)
     return w, exps
+
+
+def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, in real arithmetic rounded as Python's complex product."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def scaled_root(sigma, exps, m: int):
+    """(sigma * 2^exps)^(1/m) for integer-valued exps; inf where exps is.
+
+    With exps = m q + r, 0 <= r < m, this is (sigma 2^r)^(1/m) 2^q: the
+    scalings stay exact and only the root rounds.  Above m = 512, where
+    sigma 2^r may overflow, 2^(r/m) is taken on its own.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = np.floor(exps / m)  # exact: m is a power of two
+        r = exps - m * q
+        if m <= 512:
+            head = (sigma * np.exp2(r)) ** (1.0 / m)
+        else:
+            head = sigma ** (1.0 / m) * np.exp2(r / m)
+        return np.where(np.isinf(exps), np.inf, head * np.exp2(q))
 
 
 def _power_estimate(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -23,6 +23,23 @@ schedule and the tail certificates live in resolvent, which a sequence's
 anchor check calls at its default budget and reads as a certified upper
 bound on the resolvent norm.
 
+Each model also records, when it is built, the exact mirror symmetry of
+z -> ||(T - z)^-m|| that its structure gives (its ``mirror``).
+``mirror_points`` maps points to their canonical mirrors under it, and
+``mirror_classes`` groups points by those:
+
+* ``"quadrant"``   z, -z, conj(z) and -conj(z) give one value: every block
+                   B of a family or truncation is real with D B D = -B for
+                   a diagonal D of +-1, diag(1, -1) on a 2x2 block and
+                   diag(1, 1, -1, -1) on a 4x4 one; canonical (|Re|, |Im|)
+* ``"conjugate"``  z and conj(z) give one value: a dense matrix with no
+                   imaginary part; canonical (Re, |Im|)
+* ``None``         no symmetry: a complex dense matrix
+
+A ScaledOperator has no mirror of its own: (sT - z)/s = T - z/s, so
+resolvent evaluates it as its model at the points z/s, and the model's
+mirror folds those, whatever the factor.
+
 All models are immutable after construction and every operation here is
 pure, so concurrent reads are safe.
 """
@@ -146,6 +163,7 @@ class DenseOperator:
         reach = np.where(coupled, idx, idx[:, None]).max(axis=1)
         ends = np.flatnonzero(np.maximum.accumulate(reach) == idx) + 1
         self.blocks = (0, *ends.tolist())
+        self.mirror = None if m.imag.any() else "conjugate"
 
     def __repr__(self):
         return f"DenseOperator(dim={self.dim})"
@@ -180,6 +198,7 @@ class DiagBlockFamily:
     symbol: SymbolSpec
     alpha: AlphaRule = field(default_factory=AlphaRule)
     block_shape: str = "two_by_two"
+    mirror = "quadrant"  # not a field: every family has it
 
     def __post_init__(self):
         if self.block_shape not in ("two_by_two", "four_by_four"):
@@ -251,10 +270,58 @@ class TruncatedFamily:
 
     family: DiagBlockFamily
     n_blocks: int
+    mirror = "quadrant"  # its blocks are its family's
 
     def __post_init__(self):
         if self.n_blocks < 1:
             raise DomainError("truncation needs at least one block")
+
+
+def mirror_points(model, zs: np.ndarray) -> np.ndarray:
+    """The canonical mirror of each point of zs under model.mirror; zs itself without one.
+
+    A sign is cleared by abs, which is exact, so every point of a mirror
+    class maps to the same canonical point; -0.0 and 0.0 parts compare
+    equal.  A model of a kind this module does not define has no mirror.
+    """
+    mirror = getattr(model, "mirror", None)
+    if mirror is None:
+        return zs
+    out = np.empty_like(zs)
+    out.real = np.abs(zs.real) if mirror == "quadrant" else zs.real
+    out.imag = np.abs(zs.imag)
+    return out
+
+
+def mirror_classes(model, zs: np.ndarray):
+    """(heads, cls) for the mirror classes of zs; None when no two points share one.
+
+    heads marks the first point of each class, and zs[heads][cls] is, point
+    by point, a mirror of zs: cls numbers the classes in the order of their
+    first points.  A class is a run of equal keys after a sort (not
+    np.unique, whose first call imports numpy.ma); complex keys sort by
+    (Re, Im), and a class's first point is the least index in its run, so
+    the sort need not be stable (lexsort and the stable sorts page in about
+    128 KiB more of numpy's code, which peak RSS counts).  Fewer than two
+    points, as in every one-point evaluation, return None without a sort.
+    """
+    keys = mirror_points(model, zs) if len(zs) > 1 else zs
+    if keys is zs:
+        return None
+    order = np.argsort(keys)
+    keys = keys[order]
+    start = np.ones(len(zs), dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    run = np.cumsum(start) - 1
+    firsts = np.full(np.count_nonzero(start), len(zs))
+    np.minimum.at(firsts, run, order)
+    if len(firsts) == len(zs):
+        return None
+    heads = np.zeros(len(zs), dtype=bool)
+    heads[firsts] = True
+    cls = np.empty_like(order)
+    cls[order] = (np.cumsum(heads) - 1)[firsts[run]]
+    return heads, cls
 
 
 def scale_operator(model, s: complex):

@@ -416,8 +416,14 @@ def _region_from_rows(rows: np.ndarray) -> GridRegion:
     im0, re1, im1 = float(rows[0, 1]), float(rows[-ny, 0]), float(rows[ny - 1, 1])
     region = GridRegion(re0, re1, im0, im1, nx, ny)
     scale = max(abs(re1 - re0), abs(im1 - im0), 1.0)
-    want = region.lattice().ravel()
-    off = np.abs(rows[:, 0] - want.real) + np.abs(rows[:, 1] - want.imag) > 1e-9 * scale
+    # each row against the lattice's axes by broadcasting, in one nx-by-ny
+    # buffer and one temporary; a NaN coordinate fails the test
+    re, im = region._axes()
+    grid = rows[:, :2].reshape(nx, ny, 2)
+    dist = np.abs(grid[..., 0] - re[:, None])
+    step = np.subtract(grid[..., 1], im)
+    dist += np.abs(step, out=step)
+    off = ~(dist <= 1e-9 * scale)
     if off.any():
         row = int(np.argmax(off))
         re, im, _ = rows[row].tolist()

@@ -4,6 +4,21 @@ resolvent_power_norms evaluates one model at many points z and returns
 one columnar ResolventValues; resolvent_power_norm is its one-point call.
 These two alone take max_blocks, the tail-scan budget of infinite families.
 
+It evaluates each exact mirror class of points once.  A model records its
+symmetry when it is built (operators.mirror_classes): block families and
+their truncations have real blocks with D B D = -B for a diagonal D of
++-1, so z, -z, conj(z) and -conj(z) give one value (canonical point
+(|Re|, |Im|)); a dense matrix with no imaginary part gives one value at z
+and conj(z) (canonical (Re, |Im|)); a complex one has none.  A
+ScaledOperator is evaluated as its model at z / s, and the fold is taken
+there.  Points with one canonical point form a class, found by a sort
+(not np.unique, whose first call imports numpy.ma); the class is
+evaluated at its first point, classes in the order of those points, and
+the four columns are scattered back.  Each point's arithmetic depends on that point alone, and sign
+flips and conjugation are exact in IEEE arithmetic and in every step
+below, so each value, gap, flag and cutoff is the one the point itself
+gives, bit for bit.
+
 A dense matrix T is the direct sum of its diagonal blocks
 (DenseOperator.blocks), so every dense value is the largest of its blocks'
 values (_dense_power_norms): 1/|z - d| for a 1x1 block d, and for a larger
@@ -63,7 +78,7 @@ Each point's arithmetic depends on that point alone, so a value does not
 depend on the other points of the call.  The certificates are array
 functions of the points, NaN where none applies.  numpy's complex
 products and powers may round a point differently by its place in the
-batch, so powers of z are taken in real arithmetic (_cmul) and |z| by
+batch, so powers of z are taken in real arithmetic (cmul) and |z| by
 hypot.  The reported value is max(head maximum, analytic tail limit): a
 certified lower bound that is exact whenever the certificates close the
 gap to within TAIL_TOL.  The one-sided gap that remains is reported in
@@ -84,10 +99,12 @@ from .errors import DomainError, SingularityError
 from .numkernel import (
     SHIFTS,
     batch_square_scaled,
+    cmul,
     explicit_inverses,
     jacobi_singular_values,
     largest_singular_value,
     largest_singular_values,
+    scaled_root,
     sv2x2_batch,
 )
 from .operators import (
@@ -96,6 +113,7 @@ from .operators import (
     ScaledOperator,
     TruncatedFamily,
     TruncationSequence,
+    mirror_classes,
 )
 
 TAIL_TOL = 1e-9
@@ -228,21 +246,13 @@ def _dense_power_norms(matrix: np.ndarray, blocks, zs: np.ndarray, n: int) -> np
             else:
                 w, ok = explicit_inverses(_shifted(mats, z))
                 powers, exps = batch_square_scaled(w, n)
-                sigma = _scaled_root(largest_singular_values(powers), exps, 1 << n)
+                sigma = scaled_root(largest_singular_values(powers), exps, 1 << n)
                 values = np.where(ok, sigma, math.inf).reshape(len(z), count).max(axis=1)
             np.maximum(out[i : i + rows], values, out=out[i : i + rows])
     return out
 
 
 # ------------------------------------------------------ block head values
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, in real arithmetic rounded as Python's complex product."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _power_coefficients(d: int, alphas, fs, zs: np.ndarray, n: int):
@@ -253,12 +263,12 @@ def _power_coefficients(d: int, alphas, fs, zs: np.ndarray, n: int):
     Before each and after the last, c is scaled exactly by 2^-e, e the
     frexp exponent of its largest real or imaginary part (at least -1023).
     c is (d, points, blocks), exps (inf where a power overflows) and
-    q (points, blocks); the products round as _cmul's.
+    q (points, blocks); the products round as cmul's.
     """
     p = (alphas * fs) ** (d // 2)
     z = zs[:, None]
-    z2 = _cmul(z, z)
-    powers = [np.ones_like(z), z, z2] + ([_cmul(z, z2), _cmul(z2, z2)] if d == 4 else [])
+    z2 = cmul(z, z)
+    powers = [np.ones_like(z), z, z2] + ([cmul(z, z2), cmul(z2, z2)] if d == 4 else [])
     q = np.hypot(p - powers[d].real, powers[d].imag)
     c = np.stack(powers[d - 1 :: -1])
     x, y, exps = c.real, c.imag, np.zeros(q.shape)
@@ -302,7 +312,7 @@ def _four_power_stack(family, ks: np.ndarray, zs: np.ndarray, n: int):
 def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, n: int) -> np.ndarray:
     """(points, blocks) values ||(B_k - z)^-2^n||^(1/2^n); inf marks a singular block.
 
-    n = 0 takes real arithmetic, z^2 by _cmul; n >= 1 the matrix
+    n = 0 takes real arithmetic, z^2 by cmul; n >= 1 the matrix
     c0 + c1 B = [[c0, c1 f], [c1 alpha, c0]] of _power_coefficients.
     """
     alphas = family.alpha.values(ks)
@@ -314,7 +324,7 @@ def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, n: int) -> np.ndar
         # F = ||B - z||_F^2; the radicand is summed from the rows (-z, f),
         # (alpha, -z) as (f^2 - alpha^2)^2 + 4 |alpha z + f conj(z)|^2, so it
         # does not cancel when sigma_max is close to sigma_min
-        zsq = _cmul(z, z)
+        zsq = cmul(z, z)
         x, y = z.real, z.imag
         big = 2.0 * (x * x + y * y) + alphas * alphas + fs * fs
         det = np.hypot(alphas * fs - zsq.real, zsq.imag)
@@ -326,7 +336,7 @@ def _two_block_values(family, ks: np.ndarray, zs: np.ndarray, n: int) -> np.ndar
     c, exps, q = _power_coefficients(2, alphas, fs, zs, n)
     hi, _ = sv2x2_batch(c[0], c[1] * fs, c[1] * alphas, c[0])
     with np.errstate(divide="ignore"):
-        return _scaled_root(hi, exps, 1 << n) / q
+        return scaled_root(hi, exps, 1 << n) / q
 
 
 # ------------------------------------------------------- tail certificates
@@ -399,7 +409,7 @@ def _two_stays_below(family, a: float, zs: np.ndarray, t: np.ndarray) -> np.ndar
     z = np.where(ok, zs, 0.0)
     big_t = np.where(ok, t, 1.0) ** 2
     tt = big_t * big_t
-    v = _cmul(z, z).imag
+    v = cmul(z, z).imag
     r2 = z.real * z.real + z.imag * z.imag
 
     def coefficients(e, h, u, v, t1, s):
@@ -570,7 +580,7 @@ def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         for mats, exps, q, points, _ in stacks:
             sigma = jacobi_singular_values(mats)[:, 0]
-            np.maximum.at(best, points, _scaled_root(sigma, exps, 1 << n) / q)
+            np.maximum.at(best, points, scaled_root(sigma, exps, 1 << n) / q)
     return best
 
 
@@ -688,34 +698,17 @@ def _inverse_family_values(zs: np.ndarray, n: int) -> ResolventValues:
 # --------------------------------------------------------------- 4x4 blocks
 
 
-def _scaled_root(sigma, exps, m: int):
-    """(sigma * 2^exps)^(1/m) for integer-valued exps; inf where exps is.
-
-    With exps = m q + r, 0 <= r < m, this is (sigma 2^r)^(1/m) 2^q: the
-    scalings stay exact and only the root rounds.  Above m = 512, where
-    sigma 2^r may overflow, 2^(r/m) is taken on its own.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        q = np.floor(exps / m)  # exact: m is a power of two
-        r = exps - m * q
-        if m <= 512:
-            head = (sigma * np.exp2(r)) ** (1.0 / m)
-        else:
-            head = sigma ** (1.0 / m) * np.exp2(r / m)
-        return np.where(np.isinf(exps), math.inf, head * np.exp2(q))
-
-
 def _poly_product(p: np.ndarray, q: np.ndarray, matrix: bool) -> np.ndarray:
     """Coefficients in u of the product of two polynomials with coefficient stacks p, q.
 
     matrix multiplies the (points, 4, 4) coefficients as matrices;
-    otherwise they are multiplied elementwise with broadcasting, by _cmul.
+    otherwise they are multiplied elementwise with broadcasting, by cmul.
     """
     shape = np.broadcast_shapes(p.shape[1:], q.shape[1:])
     out = np.zeros((len(p) + len(q) - 1,) + shape, dtype=np.complex128)
     for i in range(len(p)):
         for j in range(len(q)):
-            out[i + j] += p[i] @ q[j] if matrix else _cmul(p[i], q[j])
+            out[i + j] += p[i] @ q[j] if matrix else cmul(p[i], q[j])
     return out
 
 
@@ -778,8 +771,8 @@ def _four_terms(family, zs, n):
     ub3 = _poly_product(ub2, ub, True)
     norms = np.zeros((2, n, 2, 5, len(zs)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        z2 = _cmul(z1, z1)
-        z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
+        z2 = cmul(z1, z1)
+        z3, z4 = cmul(z2, z1), cmul(z2, z2)
         # P = (uB)^3 / u + z (uB)^2 + z^2 u (uB) + z^3 u^2, where (uB)^3 has no
         # u^0 or u^6 term: E_alpha^3 = E_f^3 = 0
         p = ub3[1:6] + z1 * ub2
@@ -794,8 +787,8 @@ def _four_terms(family, zs, n):
                 c = sq[:5]
             powers.append(c)
         p, q = powers
-        x1 = p[1] - _cmul(q[1], p[0])
-        s = np.stack([p[0], x1, p[2] - _cmul(q[1], x1) - _cmul(q[2], p[0])])
+        x1 = p[1] - cmul(q[1], p[0])
+        s = np.stack([p[0], x1, p[2] - cmul(q[1], x1) - cmul(q[2], p[0])])
         rem = _poly_product(s, q, False)  # negated; its terms to u^2 vanish
         rem[: len(p)] -= p
         sign = _four_sign_rows(family, zs, r, n, s) if n < 2 else np.zeros((0, len(zs)))
@@ -931,9 +924,11 @@ def resolvent_power_norms(
     1x1 block d, through _dense_power_norms in stacks of points; the
     inverse-symbol family takes its exact rule of z, scaled models the
     identity ||(sT - z)^-1|| = ||(T - z/s)^-1|| / |s|.  Again each value is
-    the single-point one.  max_blocks bounds the tail scan of infinite
-    families.  n past POWER_INDEX_LIMIT, a non-finite point, or a block
-    point beyond BLOCK_Z_LIMIT raises DomainError.
+    the single-point one.  A model with a mirror symmetry is evaluated once
+    per class of mirrored points, at the class's first point (module
+    docstring).  max_blocks bounds the tail scan of infinite families.  n
+    past POWER_INDEX_LIMIT, a non-finite point, or a block point beyond
+    BLOCK_Z_LIMIT raises DomainError.
     """
     if not 0 <= n <= POWER_INDEX_LIMIT:
         raise DomainError(f"power index n must lie in 0..{POWER_INDEX_LIMIT}, got {n}")
@@ -941,6 +936,11 @@ def resolvent_power_norms(
     if not np.isfinite(zs).all():
         bad = complex(zs[~np.isfinite(zs)][0])
         raise DomainError(f"evaluation points must be finite, got {bad}")
+    classes = mirror_classes(model, zs)
+    if classes is not None:
+        heads, cls = classes
+        folded = resolvent_power_norms(model, zs[heads], n, max_blocks=max_blocks)
+        return ResolventValues(*(col[cls] for col in vars(folded).values()))
     if isinstance(model, ScaledOperator):
         factor = complex(model.factor)
         s = abs(factor)

@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from pseudolab import numkernel
-from pseudolab.resolvent import FOUR_ROUNDING, _cmul, _poly_product, _tail_limit
+from pseudolab.numkernel import cmul
+from pseudolab.resolvent import FOUR_ROUNDING, _poly_product, _tail_limit
 
 
 def singular_values_oracle(a) -> np.ndarray:
@@ -208,8 +209,8 @@ def per_weight_four_tail(family, a: float, zs, n: int):
     ub[1:, 0, 0, 3] = ub[1:, 0, 3, 1] = 1.0
     ub2 = _poly_product(ub, ub, True)
     ub3 = _poly_product(ub2, ub, True)
-    z2 = _cmul(z1, z1)
-    z3, z4 = _cmul(z2, z1), _cmul(z2, z2)
+    z2 = cmul(z1, z1)
+    z3, z4 = cmul(z2, z1), cmul(z2, z2)
     p = ub3[1:6] + z1 * ub2
     p[1:4] += z2 * ub
     p[2] += z3 * np.eye(4)
@@ -219,8 +220,8 @@ def per_weight_four_tail(family, a: float, zs, n: int):
         for _ in range(n):
             p, rho_p = truncated_square(p, rho_p, u)
             q, rho_q = truncated_square(q, rho_q, u)
-        x1 = p[1] - _cmul(q[1], p[0])
-        s = np.stack([p[0], x1, p[2] - _cmul(q[1], x1) - _cmul(q[2], p[0])])
+        x1 = p[1] - cmul(q[1], p[0])
+        s = np.stack([p[0], x1, p[2] - cmul(q[1], x1) - cmul(q[2], p[0])])
         rem = _poly_product(s, q, False)
         rem[: len(p)] -= p
         s_norm = fro(s[0]) + u * fro(s[1]) + u * u * fro(s[2])

@@ -288,6 +288,16 @@ class TestExitCodeMatrix:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    def test_mask_with_a_nan_coordinate_is_two(self, tmp_path, capsys):
+        # nan > tol is False, so the off-grid check must refuse the NaN row itself
+        mask = tmp_path / "nan.csv"
+        mask.write_text("re,im,member\n0,0,1\n0,0.5,0\n0,1,1\n0.5,0,1\nnan,nan,1\n"
+                        "0.5,1,1\n1,0,0\n1,0.5,0\n1,1,0\n")
+        assert run(["hausdorff", "--a", str(mask), "--b", str(mask)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: row 6: lattice point (nan,nan) is not on a uniform grid\n"
+
     def test_memory_error_is_two(self, tmp_path, monkeypatch, capsys):
         # no lattice is allocated: the distance itself runs out of memory
         mask = tmp_path / "m.csv"

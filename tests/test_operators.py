@@ -20,9 +20,12 @@ from pseudolab.operators import (
     OperatorSequence,
     ScaledOperator,
     SymbolSpec,
+    TruncatedFamily,
     TruncationSequence,
     assemble_truncation,
     build_named_example,
+    mirror_classes,
+    mirror_points,
     scale_operator,
 )
 
@@ -231,6 +234,57 @@ class TestScaleOperator:
         assert isinstance(s, ScaledOperator)
         assert s.inner is base
         assert s.factor == 6.0
+
+
+class TestMirror:
+    """Each model's mirror symmetry comes from its kind and its entries."""
+
+    @pytest.mark.parametrize("name", ["shargorodsky", "empty_resolvent", "nonconstant",
+                                      "decay", "remark_n1"])
+    def test_block_families_and_truncations_fold_quadrants(self, name):
+        family = build_named_example(name).model
+        assert family.mirror == TruncatedFamily(family, 3).mirror == "quadrant"
+        # D B D = -B for a diagonal D of +-1, and B is real
+        for k in (1, 7):
+            b = family.block(k)
+            d = np.diag([1.0, -1.0] if family.block_dim == 2 else [1.0, 1.0, -1.0, -1.0])
+            assert np.array_equal(d @ b @ d, -b) and not b.imag.any()
+
+    def test_a_dense_matrix_folds_conjugates_when_it_is_real(self):
+        assert DenseOperator(np.array([[1.0, 2.0], [0.0, -1.0]])).mirror == "conjugate"
+        assert assemble_truncation(shargorodsky_family(), 4).mirror == "conjugate"
+        assert DenseOperator(np.array([[1.0, 1e-300j], [0.0, 1.0]])).mirror is None
+
+    def test_a_scaled_model_has_no_mirror_of_its_own(self):
+        # resolvent evaluates s T at z as T at z / s, and T's mirror folds there
+        zs = np.array([1.0 - 2.0j, -1.0 + 2.0j])
+        for factor in (-2.0, 1j):
+            scaled = scale_operator(shargorodsky_family(), factor)
+            assert not hasattr(scaled, "mirror")
+            assert mirror_points(scaled, zs) is zs
+
+    def test_canonical_points(self):
+        zs = np.array([complex(-1.5, -0.0), complex(-0.0, 2.0), complex(0.5, -3.0)])
+        family = shargorodsky_family()
+        quadrant = mirror_points(family, zs)
+        assert quadrant.tolist() == [1.5, 2.0j, 0.5 + 3.0j]
+        assert not np.signbit(quadrant.view(np.float64)).any()
+        conjugate = mirror_points(DenseOperator(np.eye(2)), zs)
+        assert conjugate.tobytes() == np.array(
+            [complex(-1.5, 0.0), complex(-0.0, 2.0), complex(0.5, 3.0)]).tobytes()
+        assert mirror_points(DenseOperator(np.eye(2) * 1j), zs) is zs
+        assert mirror_points(object(), zs) is zs
+
+    def test_classes_keep_the_order_of_their_first_points(self):
+        family = shargorodsky_family()
+        zs = np.array([-1 + 2j, 3 + 0j, 1 - 2j, complex(-3.0, -0.0), 0.5j, 1 + 2j])
+        heads, cls = mirror_classes(family, zs)
+        assert heads.tolist() == [True, True, False, False, True, False]
+        assert cls.tolist() == [0, 1, 0, 1, 2, 0]
+        # no two points in one class, no point, or no mirror: nothing to fold
+        assert mirror_classes(family, zs[heads]) is None
+        assert mirror_classes(family, np.zeros(0, dtype=complex)) is None
+        assert mirror_classes(DenseOperator(np.eye(2) * 1j), zs) is None
 
 
 class TestSequences:

@@ -351,6 +351,25 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigurationError, match=r"^row 5: lattice point \(1.0,1.5\)"):
             read_field_csv(io.StringIO(text))
 
+    # a NaN coordinate inside the lattice: nan > tol is False, so the off-grid
+    # test has to fail on it rather than pass it
+    NAN_MASK = ("re,im,member\n0,0,1\n0,0.5,0\n0,1,1\n0.5,0,1\nnan,nan,1\n"
+                "0.5,1,1\n1,0,0\n1,0.5,0\n1,1,0\n")
+
+    def test_nan_coordinates_in_a_mask_are_off_the_lattice(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^row 6: lattice point \(nan,nan\) is not on a uniform grid$"):
+            read_mask_csv(io.StringIO(self.NAN_MASK))
+
+    @pytest.mark.parametrize("row, cell", [(5, "0.5,nan"), (6, "nan,0.5"), (9, "1.0,nan")])
+    def test_a_nan_coordinate_in_a_field_is_off_the_lattice(self, row, cell):
+        cells = ["0,0", "0,0.5", "0,1", "0.5,0", "0.5,0.5", "0.5,1", "1,0", "1,0.5", "1,1"]
+        cells[row - 2] = cell
+        text = "re,im,value\n" + "".join(f"{c},2.0\n" for c in cells)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^row {row}: lattice point \({cell}\) is not on a uniform grid$"):
+            read_field_csv(io.StringIO(text))
+
     def test_bad_header_rejected(self):
         with pytest.raises(ConfigurationError):
             read_field_csv(io.StringIO("x,y,v\n0,0,1\n"))
@@ -813,6 +832,22 @@ with open(sys.argv[1], "w", newline="") as fh:
 print((peak_kib() - before) / 1024.0, int(mask.mask.sum()))
 """
 
+LATTICE_CHECK_PEAK = PEAK_KIB + """
+import numpy as np
+from pseudolab import GridRegion
+from pseudolab.pseudospectra import _region_from_rows
+
+re, im = GridRegion(-1.0, 1.0, -1.0, 1.0, 401, 401)._axes()
+rows = np.empty((401 * 401, 3))
+cells = rows.reshape(401, 401, 3)  # filled in place: no lattice-sized temporary
+cells[..., 0] = re[:, None]
+cells[..., 1] = im
+cells[..., 2] = 1.0
+before = peak_kib()
+region = _region_from_rows(rows)
+print((peak_kib() - before) / 1024.0, region.nx, region.ny)
+"""
+
 DIAGONAL_FIELD_PEAK = PEAK_KIB + """
 import numpy as np
 from pseudolab import DenseOperator, GridRegion, compute_norm_field, resolvent_power_norm
@@ -877,6 +912,15 @@ def test_writing_a_401_mask_keeps_peak_rss_low(tmp_path):
     # the whole lattice and its flags as strings about 2.4 MB; blocks of at
     # most READ_CHARS characters add about 0.13 MB
     assert float(added_mb) < 1.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_checking_a_401_lattice_keeps_peak_rss_low():
+    added_mb, nx, ny = _peak_run(LATTICE_CHECK_PEAK)
+    assert (int(nx), int(ny)) == (401, 401)
+    # the complex lattice and three nx-by-ny temporaries added about 6.5 MB
+    # here; rows checked against the axes by broadcasting add about 2.6 MB
+    assert float(added_mb) < 4.0
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")

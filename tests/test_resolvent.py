@@ -1,6 +1,9 @@
 """Resolvent and resolvent-power norms: frozen values, invariants, errors."""
 import decimal
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -45,14 +48,15 @@ from pseudolab import (
     resolvent_power_norm,
     scale_operator,
 )
-from pseudolab import numkernel, resolvent
+import pseudolab
+from pseudolab import numkernel, operators, resolvent
 from pseudolab.numkernel import (
     jacobi_singular_values,
     largest_singular_value,
     smallest_singular_value,
     sv2x2_batch,
 )
-from pseudolab.operators import TruncatedFamily
+from pseudolab.operators import ScaledOperator, TruncatedFamily
 from pseudolab.resolvent import _dense_power_norms, _four_power_stack
 
 SHARG = build_named_example("shargorodsky").model
@@ -873,7 +877,7 @@ class TestFourByFourHeads:
         mats, exps, q = _four_power_stack(REMARK, ks, zs, n)
         sigma = jacobi_singular_values(mats)[:, 0]
         with np.errstate(divide="ignore"):
-            blocks = (resolvent._scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
+            blocks = (numkernel.scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
         top = blocks.max(axis=1)
         floors = {
             "zero": np.zeros(len(zs)), "inf": np.full(len(zs), math.inf),
@@ -917,7 +921,7 @@ class TestFourByFourHeads:
         mats, exps, q = _four_power_stack(REMARK, ks, zs, n)
         sigma = jacobi_singular_values(mats)[:, 0]
         with np.errstate(divide="ignore"):
-            blocks = (resolvent._scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
+            blocks = (numkernel.scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
         top = blocks.max(axis=1)
         floors = {
             "zero": np.zeros(len(zs)), "inf": np.full(len(zs), math.inf),
@@ -956,7 +960,7 @@ class TestFourByFourHeads:
         mats, exps, q = _four_power_stack(REMARK, ks, zs, n)
         sigma = jacobi_singular_values(mats)[:, 0]
         with np.errstate(divide="ignore"):
-            blocks = (resolvent._scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
+            blocks = (numkernel.scaled_root(sigma, exps, 1 << n) / q).reshape(len(zs), count)
         top = blocks.max(axis=1)
         floors = {
             "zero": np.zeros(len(zs)), "inf": np.full(len(zs), math.inf),
@@ -975,19 +979,20 @@ class TestFourByFourHeads:
             assert not dropped.any()
 
     def test_gram_screen_leaves_jacobi_a_few_field_blocks(self, monkeypatch):
-        # remark_n1 at n = 0 on [-1, 1]^2 at h = 0.4: the Frobenius pre-screen
-        # alone passed 160 of the 576 blocks to Jacobi
+        # remark_n1 at n = 0 on [-0.9, 1.1]^2 at h = 0.4, a window with no two
+        # points in one mirror class, so all 36 are scanned: the Frobenius
+        # pre-screen alone passed 165 of the 576 blocks to Jacobi
         counts = _screen_counts(monkeypatch)
-        field = compute_norm_field(REMARK, region_with_step(-1.0, 1.0, -1.0, 1.0, 0.4), 0)
+        field = compute_norm_field(REMARK, region_with_step(-0.9, 1.1, -0.9, 1.1, 0.4), 0)
         assert field.values.size == 36
         assert counts["screened"] == 576
         assert counts["evaluated"] <= 24
 
     def test_frobenius_pre_screen_clears_most_blocks(self, monkeypatch):
-        # sigma_max <= ||M||_F: of the 2176 blocks this field screens, 84 reach
-        # Jacobi
+        # sigma_max <= ||M||_F: of the 2192 blocks this field screens, 82 reach
+        # Jacobi; no two of its points share a mirror class
         counts = _screen_counts(monkeypatch)
-        zs = GridRegion(-1.0, 1.0, -1.0, 1.0, 11, 11).lattice().ravel()
+        zs = GridRegion(-0.99, 1.01, -0.99, 1.01, 11, 11).lattice().ravel()
         resolvent.resolvent_power_norms(REMARK, zs, 1)
         assert 0 < counts["evaluated"] < 0.1 * counts["screened"]
 
@@ -1805,18 +1810,151 @@ class TestFieldEngine:
 
         record("jacobi_singular_values", four, 16)
         record("sv2x2_batch", two, 1)
-        zs = GridRegion(-1.0, 1.0, -1.0, 1.0, 11, 11).lattice().ravel()
+        # windows with no two points in one mirror class, so every point is
+        # scanned
+        zs = GridRegion(-0.99, 1.01, -0.99, 1.01, 11, 11).lattice().ravel()
         resolvent.resolvent_power_norms(REMARK, zs, 0, max_blocks=4096)
         resolvent_power_norm(REMARK, 0.4, 1, max_blocks=20000)
         resolvent.resolvent_power_norms(SHARG, zs, 1, max_blocks=20000)
         resolvent_power_norm(TruncatedFamily(SHARG, 10**5), 0.3 + 3j, 1)
         # the 4x4 screens leave the 11x11 field too few Jacobi candidates a
-        # chunk to fill a stack; this window pools more (a 41x41 one, 864 at
-        # n = 0 after the Gram screen)
-        wide = GridRegion(-2.0, 2.0, -2.0, 2.0, 61, 61).lattice().ravel()
+        # chunk to fill a stack; this window pools 1790 at n = 0 after the
+        # Gram screen
+        wide = GridRegion(-1.99, 2.01, -1.99, 2.01, 61, 61).lattice().ravel()
         resolvent.resolvent_power_norms(REMARK, wide, 0)
         assert max(four) == resolvent.STACK_CAP
         assert max(two) == 16 * resolvent.STACK_CAP
+
+
+def _mirror_models():
+    """(id, model) for every kind of model the engine takes, and real, negative and complex factors."""
+    rng = np.random.default_rng(34)
+    real = rng.standard_normal((5, 5))
+    # 1x1, 2x2 and 3x3 diagonal blocks, one of them -0.0
+    split = np.zeros((6, 6))
+    split[[0, 1, 2], [0, 1, 2]] = [-0.0, 1.5, -0.5]
+    split[1, 2], split[2, 1] = 2.0, -1.0
+    split[3:, 3:] = rng.standard_normal((3, 3))
+    log_sharg = DiagBlockFamily(SymbolSpec("one_plus_inv"), AlphaRule("log_grid"))
+    return [
+        ("shargorodsky", SHARG), ("shargorodsky-log", log_sharg), ("nonconstant", NONCONST),
+        ("decay", DECAY), ("empty", EMPTY), ("remark_n1", REMARK),
+        ("trunc-2x2", TruncatedFamily(SHARG, 40)), ("trunc-4x4", TruncatedFamily(REMARK, 40)),
+        ("trunc-inverse", TruncatedFamily(EMPTY, 12)),
+        ("dense-real", DenseOperator(real)), ("dense-split", DenseOperator(split)),
+        ("dense-trunc", assemble_truncation(SHARG, 12)),
+        ("dense-complex", DenseOperator(random_complex_matrix(rng, 5))),
+        ("scaled-positive", scale_operator(SHARG, 0.75)),
+        ("scaled-negative", scale_operator(REMARK, -1.25)),
+        ("scaled-negative-dense", scale_operator(DenseOperator(real), -2.0)),
+        ("scaled-complex", scale_operator(NONCONST, 0.6 + 0.8j)),
+        ("scaled-complex-dense", scale_operator(DenseOperator(real), 1j)),
+    ]
+
+
+MIRROR_MODELS = _mirror_models()
+# points with +-0.0 parts, on both axes and off them
+_MIRROR_BASE = [
+    (0.3, 0.2), (1.5, 0.7), (0.0, 1.0), (2.0, 0.0), (0.0, 0.0), (0.7, 2.4), (1e-3, 0.5),
+    (0.25, 1.75), (3.1, 0.4), (0.0, 0.35),
+]
+# every sign pattern of every base point, so each class has up to four points
+SYMMETRIC = np.array([complex(sx * x, sy * y) for x, y in _MIRROR_BASE
+                      for sx in (1.0, -1.0) for sy in (1.0, -1.0)])
+# no two points of one class, in every quadrant and with signed zeros
+ASYMMETRIC = np.array([complex(x, y) for x, y in [
+    (0.3, 0.2), (-1.5, 0.7), (-0.0, 1.0), (2.0, -0.0), (-0.7, -2.4), (1e-3, -0.5),
+    (-0.0, -0.0), (0.25, -1.75), (-3.1, 0.4), (0.0, -0.35),
+]])
+
+
+# where each evaluation kernel takes its points
+ZS_ARG = {"_family_values": 1, "_inverse_family_values": 0, "_head_maxima": 2,
+          "_dense_power_norms": 2}
+
+
+class TestMirrorFold:
+    """resolvent_power_norms evaluates each exact mirror class once, bit for bit."""
+
+    @staticmethod
+    def _columns(model, zs, n):
+        got = resolvent.resolvent_power_norms(model, zs, n, max_blocks=512)
+        return [col.dtype.str + col.tobytes().hex() for col in
+                (got.value, got.tail_gap, got.certified, got.k_cutoff)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("model", [m for _, m in MIRROR_MODELS],
+                             ids=[name for name, _ in MIRROR_MODELS])
+    def test_folded_values_are_the_unfolded_ones(self, monkeypatch, model, n):
+        sets = (SYMMETRIC, ASYMMETRIC, SYMMETRIC[::-1], np.zeros(0, dtype=complex))
+        folded = [self._columns(model, zs, n) for zs in sets]
+        monkeypatch.setattr(operators, "mirror_points", lambda model, zs: zs)
+        assert folded == [self._columns(model, zs, n) for zs in sets]
+
+    @pytest.mark.parametrize("model", [m for _, m in MIRROR_MODELS],
+                             ids=[name for name, _ in MIRROR_MODELS])
+    def test_no_points_give_empty_columns(self, model):
+        got = resolvent.resolvent_power_norms(model, [], 1)
+        assert [(len(col), col.dtype) for col in vars(got).values()] == [
+            (0, np.float64), (0, np.float64), (0, np.bool_), (0, np.int64)]
+
+    @pytest.mark.parametrize("model, kernel, classes", [
+        (SHARG, "_family_values", 10),
+        (REMARK, "_family_values", 10),
+        (EMPTY, "_inverse_family_values", 10),
+        (TruncatedFamily(REMARK, 40), "_head_maxima", 10),
+        # z and conj(z) only, and Re -0.0 is Re 0.0
+        (DenseOperator(np.array([[1.0, 2.0], [0.0, -1.0]])), "_dense_power_norms", 17),
+        (DenseOperator(np.diag([2.0, 6.0j])), "_dense_power_norms", 40),
+        # a scaled model is its model at z / s, folded there whatever the factor
+        (scale_operator(SHARG, -2.0), "_family_values", 10),
+        (scale_operator(SHARG, 1j), "_family_values", 10),
+        (scale_operator(DenseOperator(np.eye(2)), 0.5), "_dense_power_norms", 17),
+        (scale_operator(DenseOperator(np.diag([2.0, 6.0j])), 1j), "_dense_power_norms", 40),
+    ], ids=["2x2", "4x4", "inverse", "truncation", "dense-real", "dense-complex",
+            "scaled-negative", "scaled-imaginary", "scaled-dense", "scaled-complex"])
+    def test_each_class_is_evaluated_once_at_its_first_point(self, monkeypatch, model, kernel,
+                                                             classes):
+        seen = []
+        original = getattr(resolvent, kernel)
+
+        def recorded(*args):
+            seen.append(args[ZS_ARG[kernel]])
+            return original(*args)
+
+        monkeypatch.setattr(resolvent, kernel, recorded)
+        # reversed, so that a class's first point is not its canonical one
+        zs = SYMMETRIC[::-1]
+        resolvent.resolvent_power_norms(model, zs, 0, max_blocks=64)
+        (points,) = seen
+        assert len(points) == classes
+        if isinstance(model, ScaledOperator):
+            zs, model = zs / model.factor, model.inner
+        # each class at the first of its points, classes in the order of those
+        fold = {"quadrant": abs, "conjugate": lambda x: x, None: None}[model.mirror]
+        keys = [z if fold is None else (fold(z.real), abs(z.imag)) for z in zs]
+        firsts = [i for i, k in enumerate(keys) if fold is None or k not in keys[:i]]
+        assert points.tobytes() == zs[firsts].tobytes()
+
+    def test_numpy_ma_is_not_imported(self):
+        # np.unique's first call imports numpy.ma, about 1 MB of peak RSS
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from pseudolab import DenseOperator, GridRegion, build_named_example, "
+            "compute_norm_field\n"
+            "region = GridRegion(-1.0, 1.0, -1.0, 1.0, 5, 5)\n"
+            "compute_norm_field(build_named_example('remark_n1').model, region, 0)\n"
+            "compute_norm_field(build_named_example('shargorodsky').model, region, 1)\n"
+            "compute_norm_field(DenseOperator(np.array([[1.0, 2.0], [0.0, -1.0]])), region, 0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pseudolab.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestGnrDefect:
