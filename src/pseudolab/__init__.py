@@ -5,6 +5,7 @@ The package is organised bottom-up:
 * ``numkernel``      stacked complex LU, direct largest singular values, 2x2 closed forms
 * ``operators``      operator descriptions: dense, scaled, diagonal block families,
                      truncations, operator sequences, the named example catalogue
+* ``tails``          tail limits, closed forms and tail bounds of block families
 * ``resolvent``      resolvent and resolvent-power norms with certified tail
                      handling for infinite block families
 * ``pseudospectra``  norm fields on rectangular grids and level-set masks

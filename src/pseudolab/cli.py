@@ -108,11 +108,12 @@ def _complex_pair(text: str, flag: str) -> complex:
 
 def _make_region(args) -> GridRegion:
     vals = _floats(args.region, 4, "--region")
-    if args.h is not None:
-        if getattr(args, "nx", None) is not None or getattr(args, "ny", None) is not None:
+    nx, ny = args.nx, args.ny
+    h = args.h_default if args.h is None and nx is None and ny is None else args.h
+    if h is not None:
+        if nx is not None or ny is not None:
             raise ConfigurationError("give either --h or --nx/--ny, not both")
-        return region_with_step(*vals, args.h)
-    nx, ny = getattr(args, "nx", None), getattr(args, "ny", None)
+        return region_with_step(*vals, h)
     if nx is None or ny is None:
         raise ConfigurationError("grid needs --h or both --nx and --ny")
     return GridRegion(*vals, nx, ny)
@@ -267,7 +268,8 @@ def _add_grid_flags(p, region_default=None, h_default=None):
         p.add_argument("--region", required=True, help="re_min,re_max,im_min,im_max")
     else:
         p.add_argument("--region", default=region_default, help=f"re_min,re_max,im_min,im_max (default {region_default})")
-    p.add_argument("--h", type=float, default=h_default, help="lattice step (alternative to --nx/--ny)")
+    p.add_argument("--h", type=float, default=None, help="lattice step (alternative to --nx/--ny)")
+    p.set_defaults(h_default=h_default)  # the step when neither --h nor --nx/--ny is given
     p.add_argument("--nx", type=int, default=None, help="grid points along the real axis")
     p.add_argument("--ny", type=int, default=None, help="grid points along the imaginary axis")
 

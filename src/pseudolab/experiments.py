@@ -37,8 +37,9 @@ from .pseudospectra import (
     dilate_one_cell,
     level_set,
 )
-from .resolvent import TAIL_TOL, gnr_defect, resolvent_norm, resolvent_power_norms
+from .resolvent import gnr_defect, resolvent_norm, resolvent_power_norms
 from .setgeom import MaskSet, hausdorff_distance
+from .tails import TAIL_TOL
 
 PASS = "pass"
 FAIL = "fail"
@@ -379,7 +380,7 @@ def in_constant_region(z: complex) -> bool:
     radius 1/2, or the wedge where cos(2 arg z) < 0 beyond radius
     1/|cos(2 arg z)|."""
     z = complex(z)
-    r = abs(z)
+    r = math.hypot(z.real, z.imag)  # abs(z) raises OverflowError past the largest float
     if r < 0.5:
         return True
     c2 = math.cos(2.0 * math.atan2(z.imag, z.real))

@@ -22,7 +22,7 @@ import numpy as np
 
 from pseudolab import numkernel
 from pseudolab.numkernel import cmul
-from pseudolab.resolvent import FOUR_ROUNDING, _poly_product, _tail_limit
+from pseudolab.tails import FOUR_ROUNDING, _poly_product, tail_limit
 
 
 def singular_values_oracle(a) -> np.ndarray:
@@ -181,7 +181,7 @@ def json_document_oracle(obj) -> str:
 def per_weight_four_tail(family, a: float, zs, n: int):
     """The 4x4 tail certificates at weight a, each formed afresh at that weight.
 
-    The expansion, sign certificate and tail bound of resolvent as they
+    The expansion, sign certificate and tail bound of tails as they
     were before the z-only algebra was formed once per call: points with
     |z|^2 >= a + 1, and those outside the sign certificate's range, are
     zeroed before the algebra.  Returns ((ok, S, t), below, bound) at
@@ -230,7 +230,7 @@ def per_weight_four_tail(family, a: float, zs, n: int):
     ok &= np.isfinite(t)
     s, t = np.where(ok[:, None, None], s, 0.0), np.where(ok, t, 0.0)
 
-    limit = _tail_limit(family, zs, n)
+    limit = tail_limit(family, zs, n)
     m = 1 << n
     with np.errstate(over="ignore"):
         total = limit**m + u * fro(s[1]) + u * u * fro(s[2]) + u**3 * t
@@ -252,7 +252,7 @@ def per_weight_four_tail(family, a: float, zs, n: int):
     h3 = xh1 @ x2 + xh2 @ x1
     big_k = fro(h3) + u * fro(xh2 @ x2) + 2.0 * s_norm * tz + u**3 * tz * tz
     v = np.zeros((len(zs), 4, 1), dtype=np.complex128)
-    c = _tail_limit(family, z, n)
+    c = tail_limit(family, z, n)
     c2 = c * c
     if n == 0:
         norm = np.sqrt(c2 + 1.0)

@@ -158,6 +158,19 @@ class TestExitCodeMatrix:
         assert run(["field", "--model", "shargorodsky", "--region", "0,1,0,1",
                     "--h", "0.5", "--nx", "3", "--ny", "3"]) == 2
 
+    @pytest.mark.parametrize("study", [
+        ["global-min", "--model", "shargorodsky", "--M", "1", "--region", "-1,1,-1,1"],
+        ["counterexample-K", "--direction", "shrink"],
+        ["counterexample-const"],
+    ], ids=lambda argv: argv[0])
+    def test_studies_take_nx_ny_in_place_of_their_step(self, capsys, study):
+        # their --h has a default, which once made every --nx/--ny refused
+        assert run(["verify", *study, "--nx", "6", "--ny", "5"]) == 0
+        region = json.loads(capsys.readouterr().out)["params"]["region"]
+        assert (region["nx"], region["ny"]) == (6, 5)
+        assert run(["verify", *study, "--h", "0.5", "--nx", "6", "--ny", "5"]) == 2
+        assert "not both" in capsys.readouterr().err
+
     def test_unknown_model(self, capsys):
         assert run(["field", "--model", "nosuch",
                     "--region", "0,1,0,1", "--nx", "3", "--ny", "3"]) == 2
@@ -272,6 +285,12 @@ class TestExitCodeMatrix:
     def test_non_finite_point_is_two(self, capsys):
         assert run(["verify", "empty-resolvent", "--lam", "nan,0"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_probe_whose_modulus_overflows_is_two(self, capsys):
+        # abs() of this probe raised OverflowError, a traceback with exit 1
+        assert run(["verify", "constant-region", "--model", "shargorodsky",
+                    "--probe=-1.7e308,1.7e308"]) == 2
+        assert "beyond the range of the block arithmetic" in capsys.readouterr().err
 
     @pytest.mark.parametrize("probe", ["nan,0", "inf,0"])
     def test_non_finite_constant_region_probe_is_two(self, capsys, probe):

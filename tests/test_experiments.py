@@ -260,6 +260,11 @@ class TestConstantRegionScan:
         assert not in_constant_region(1.2 * np.exp(1j * PHI))  # below r0 = 1.236
         assert in_constant_region(1.5j)  # cos(2 phi) = -1, r0 = 1
 
+    def test_membership_of_a_point_whose_modulus_overflows(self):
+        # abs() raises OverflowError here; the wedge holds it
+        assert in_constant_region(complex(-1.7e308, 1.7e308))
+        assert not in_constant_region(complex(1.7e308, 1.7e308))
+
     def test_disc_probes_pass(self):
         rng = np.random.default_rng(0)
         pts = 0.45 * np.sqrt(rng.random(25)) * np.exp(2j * math.pi * rng.random(25))

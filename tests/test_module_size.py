@@ -4,9 +4,10 @@ Tokens are counted with the tokenize module, leaving out ENCODING, COMMENT
 and NL, so comments, blank lines and the length of a docstring are free.
 CPython's parser doubles its token buffer past 2^13 tokens, and with no
 bytecode cache the package is compiled at every import, so a module past
-the limit raises peak RSS by about half a megabyte (CHANGES.md).
-resolvent.py, the largest module, sits just below it: a change that needs
-more code there makes room first.
+the limit raises peak RSS by about half a megabyte (CHANGES.md).  The
+largest modules, numkernel.py and resolvent.py, hold about 5000 tokens
+each since the tail certificates moved to tails.py; a change that would
+take one past the limit makes room first.
 """
 import pathlib
 import tokenize

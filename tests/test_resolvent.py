@@ -1,5 +1,7 @@
 """Resolvent and resolvent-power norms: frozen values, invariants, errors."""
+import ast
 import decimal
+import inspect
 import math
 import os
 import subprocess
@@ -49,7 +51,7 @@ from pseudolab import (
     scale_operator,
 )
 import pseudolab
-from pseudolab import numkernel, operators, resolvent
+from pseudolab import numkernel, operators, resolvent, tails
 from pseudolab.numkernel import (
     jacobi_singular_values,
     largest_singular_value,
@@ -352,6 +354,26 @@ class TestScaledPath:
             direct = resolvent_norm(scale_operator(model, s), z).value
             via = resolvent_norm(model, z / s).value / abs(s)
             assert direct == pytest.approx(via, rel=1e-12)
+
+    def test_nested_scalings_divide_in_order(self):
+        # z by the outer factor first, the values by the inner modulus first
+        zs = np.array([0.3 + 0.2j, -1.7 + 0.4j, 2.5j, 0.0])
+        inner, outer = 1.0 - 0.5j, -3.0 + 1.0j
+        got = resolvent.resolvent_power_norms(
+            ScaledOperator(ScaledOperator(REMARK, inner), outer), zs, 1)
+        base = resolvent.resolvent_power_norms(REMARK, zs / outer / inner, 1)
+        for col in ("value", "tail_gap"):
+            want = getattr(base, col) / abs(inner) / abs(outer)
+            assert getattr(got, col).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_point_that_overflows_its_scaling_is_named(self):
+        # 1e10 (1 + i) / 1e-300 overflowed with a warning, and the error
+        # named the quotient (inf+infj), not the point given
+        for model in (scale_operator(SHARG, 1e-300),
+                      ScaledOperator(ScaledOperator(SHARG, 1e-200), 1e-200)):
+            with pytest.raises(DomainError, match=r"\(10000000000\+10000000000j\)"):
+                resolvent_norm(model, 1e10 + 1e10j)
 
 
 class TestBlockFamilies:
@@ -929,7 +951,7 @@ class TestFourByFourHeads:
         }[floor]
         _, keep = resolvent._four_survivors(REMARK, ks, zs, n, floors, slice(None))
         dropped = ~keep.reshape(blocks.shape)
-        line = (1.0 - 0.99 * resolvent.FOUR_ROUNDING) * np.maximum(floors, top)
+        line = (1.0 - 0.99 * tails.FOUR_ROUNDING) * np.maximum(floors, top)
         assert np.all(blocks[dropped] < np.broadcast_to(line[:, None], blocks.shape)[dropped])
         if floor == "inf":
             assert keep.all()
@@ -973,7 +995,7 @@ class TestFourByFourHeads:
         dropped = np.ones(blocks.size, dtype=bool)
         dropped[kept[3]] = False
         dropped = dropped.reshape(blocks.shape)
-        bound = (1.0 - 0.99 * resolvent.FOUR_ROUNDING) * np.maximum(floors, top)
+        bound = (1.0 - 0.99 * tails.FOUR_ROUNDING) * np.maximum(floors, top)
         assert np.all(blocks[dropped] < np.broadcast_to(bound[:, None], blocks.shape)[dropped])
         if floor == "inf":
             assert not dropped.any()
@@ -1055,14 +1077,14 @@ def _disc_points(radius: float, count: int, seed: int) -> np.ndarray:
 
 def _terms(zs: np.ndarray, n: int):
     """remark_n1's once-per-call 4x4 expansion terms at zs."""
-    return resolvent._four_terms(REMARK, zs, n)
+    return tails._four_terms(REMARK, zs, n)
 
 
 def _four_below(a: float, zs: np.ndarray, n: int) -> np.ndarray:
     """The 4x4 sign certificate on its own expansion."""
     terms = _terms(zs, n)
-    expansion = resolvent._four_expansion(terms, a, n)
-    return resolvent._four_stays_below_limit(terms, a, n, expansion)
+    expansion = tails._four_expansion(terms, a, n)
+    return tails._four_stays_below_limit(terms, a, n, expansion)
 
 
 def _four_tail_weights(a: float) -> np.ndarray:
@@ -1119,7 +1141,7 @@ class TestFourMajorant:
     @pytest.mark.parametrize("a", [17.0, 66.0, 322.0, 1346.0])
     def test_bound_holds_over_the_tail(self, a, n):
         zs = _disc_points(math.sqrt(a), 60, seed=int(a) + n)
-        bound = resolvent._tail_bound(REMARK, a, zs, n, np.zeros(len(zs)), _terms(zs, n))
+        bound = tails._tail_bound(REMARK, a, zs, n, np.zeros(len(zs)), _terms(zs, n))
         assert np.isfinite(bound).all()
         # the majorant, not only the limit, carries points with |z|^4 >= a
         assert (np.abs(zs) ** 4 >= a).sum() > 40
@@ -1132,7 +1154,7 @@ class TestFourMajorant:
         # the expansion formed at n itself underflowed and gave exactly 0
         # here; the n' = 3 bound covers every n >= 3
         zs = np.array([0.3 + 0.2j, 3.0 + 0.05j])
-        bound = resolvent._tail_bound(REMARK, 65.0, zs, n, np.zeros(2), _terms(zs, n))
+        bound = tails._tail_bound(REMARK, 65.0, zs, n, np.zeros(2), _terms(zs, n))
         # weight 65 is block 64
         ks = np.concatenate([np.arange(64, 20064), np.geomspace(20064, 1e7, 64).astype(np.int64)])
         head = resolvent._chunk_maxima(REMARK, ks, zs, n, np.zeros(2))
@@ -1151,7 +1173,7 @@ class TestFourMajorant:
     def test_points_past_its_range_have_no_bound(self, n):
         # |z|^2 >= a + 1 leaves no lower bound on |Q| over the tail
         zs = np.array([8.2, 9.0j, 1e75])
-        bound = resolvent._tail_bound(REMARK, 66.0, zs, n, np.ones(3), _terms(zs, n))
+        bound = tails._tail_bound(REMARK, 66.0, zs, n, np.ones(3), _terms(zs, n))
         assert np.isnan(bound).all()
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -1188,16 +1210,16 @@ class TestFourTermsOncePerCall:
         terms = terms._make(a[..., still] for a in terms)
         (ok, s, t), below, bound = per_weight_four_tail(REMARK, a, zs, n)
         assert ok.any() and not ok.all()
-        expansion = resolvent._four_expansion(terms, a, min(n, 3))
+        expansion = tails._four_expansion(terms, a, min(n, 3))
         s_norms = np.stack([np.sqrt((x.real**2 + x.imag**2).sum(axis=(1, 2))) for x in s])
         assert expansion[0].tolist() == ok.tolist()
         assert expansion[1].tobytes() == s_norms.tobytes()
         assert expansion[2].tobytes() == t.tobytes()
-        got = resolvent._tail_bound(REMARK, a, zs, n, np.zeros(len(zs)), terms)
+        got = tails._tail_bound(REMARK, a, zs, n, np.zeros(len(zs)), terms)
         assert got.tobytes() == bound.tobytes()
         if n < 2:
             assert below.any()
-            got = resolvent._four_stays_below_limit(terms, a, n, expansion)
+            got = tails._four_stays_below_limit(terms, a, n, expansion)
             assert got.tolist() == below.tolist()
 
     @pytest.mark.parametrize("n", [0, 2])
@@ -1216,19 +1238,38 @@ class TestFourTermsOncePerCall:
         # z = 0 closes by its closed form at n = 0 and 1 before any chunk, and
         # a zero block budget scans no chunk: neither forms terms there
         seen = []
-        form = resolvent._four_terms
+        form = tails._four_terms
 
         def counted(family, zs, n):
             seen.append(zs.tolist())
             return form(family, zs, n)
 
-        monkeypatch.setattr(resolvent, "_four_terms", counted)
+        monkeypatch.setattr(tails, "_four_terms", counted)
         resolvent.resolvent_power_norms(REMARK, [0.0, 0.3 + 0.2j, 0.0, 1.5j], 1)
         assert seen == [[0.3 + 0.2j, 1.5j]]
         seen.clear()
         resolvent.resolvent_power_norms(REMARK, [0.0, 0.0], 0)
         resolvent.resolvent_power_norms(REMARK, [0.3 + 0.2j], 0, max_blocks=0)
         assert seen == []
+
+
+class TestTailsModule:
+    """The tail certificates live in tails; the scan asks it for the seed,
+    the closed forms and the bound after each chunk, and nothing else."""
+
+    def test_tails_imports_nothing_from_resolvent(self):
+        tree = ast.parse(inspect.getsource(tails))
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        modules |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names}
+        assert modules == {"__future__", "math", "collections", "numpy", "numkernel"}
+
+    def test_the_scan_does_not_branch_on_the_block_shape(self):
+        names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                 for node in ast.walk(ast.parse(inspect.getsource(resolvent._family_values)))
+                 if isinstance(node, (ast.Attribute, ast.Name))}
+        assert not names & {"block_dim", "_four_terms", "terms"}
+        assert {"tail_limit", "closed_form_points", "tail_bounds"} <= names
 
 
 # the 2x2 families with a sign certificate: both symbols, both weight rules
@@ -1315,8 +1356,8 @@ class TestTwoSignCertificate:
         value = np.maximum(head, 1.0)
         blocks = _two_tail_blocks(family, a)
         claimed = 0
-        for t in (value, value + resolvent.TAIL_TOL):
-            below = resolvent._two_stays_below(family, a, zs, t)
+        for t in (value, value + tails.TAIL_TOL):
+            below = tails._two_stays_below(family, a, zs, t)
             claimed += below.sum()
             for z, bound in zip(zs[below], t[below]):
                 top = two_block_power_norms_oracle(blocks, z, 0).max()
@@ -1328,7 +1369,7 @@ class TestTwoSignCertificate:
         # at +-2.7 +- 2.5i the blocks peak near weight 3880, past a
         zs = NEAR_HYPERBOLA[:4]
         head = resolvent.resolvent_power_norms(TruncatedFamily(SHARG, int(a) - 2), zs, 0).value
-        assert not resolvent._two_stays_below(SHARG, a, zs, head).any()
+        assert not tails._two_stays_below(SHARG, a, zs, head).any()
         for z, t in zip(zs, head):
             assert two_block_power_norms_oracle(_two_tail_blocks(SHARG, a), z, 0).max() > t
 
@@ -1337,13 +1378,13 @@ class TestTwoSignCertificate:
         # = 1 exactly keeps every block below 1, and Re z^2 = 1 + 8.9e-16
         # needs the limit + TAIL_TOL
         peak = np.full(4, 1.0000051556306346)
-        assert resolvent._two_stays_below(SHARG, 5442.0, NEAR_HYPERBOLA[:4], peak).all()
+        assert tails._two_stays_below(SHARG, 5442.0, NEAR_HYPERBOLA[:4], peak).all()
         ones = np.ones(5)
-        assert list(resolvent._two_stays_below(SHARG, 66.0, NEAR_HYPERBOLA[4:], ones)) == [
+        assert list(tails._two_stays_below(SHARG, 66.0, NEAR_HYPERBOLA[4:], ones)) == [
             False, False, False, False, True
         ]
-        slack = ones + resolvent.TAIL_TOL
-        assert resolvent._two_stays_below(SHARG, 66.0, NEAR_HYPERBOLA[4:], slack).all()
+        slack = ones + tails.TAIL_TOL
+        assert tails._two_stays_below(SHARG, 66.0, NEAR_HYPERBOLA[4:], slack).all()
 
     def test_tail_bound_takes_both_thresholds_in_one_call(self, monkeypatch):
         # the value and value + TAIL_TOL rounded toward it share one call, and
@@ -1353,20 +1394,20 @@ class TestTwoSignCertificate:
         zs = np.concatenate([_disc_points(4.0, 40, seed=3), NEAR_HYPERBOLA[4:]])
         values = np.maximum(
             resolvent.resolvent_power_norms(TruncatedFamily(SHARG, 64), zs, 0).value, 1.0)
-        below = resolvent._two_stays_below
-        slack = np.nextafter(values + resolvent.TAIL_TOL, values)
+        below = tails._two_stays_below
+        slack = np.nextafter(values + tails.TAIL_TOL, values)
         exact, loose = below(SHARG, 66.0, zs, values), below(SHARG, 66.0, zs, slack)
         assert exact.any() and (loose & ~exact).any() and (~loose).any()
         want = np.where(exact, values, np.where(loose, slack, math.nan))
-        want = np.fmin(want, resolvent._envelope_sup(SHARG, 66.0, zs))
+        want = np.fmin(want, tails._envelope_sup(SHARG, 66.0, zs))
         calls = []
 
         def counted(*args):
             calls.append(1)
             return below(*args)
 
-        monkeypatch.setattr(resolvent, "_two_stays_below", counted)
-        got = resolvent._tail_bound(SHARG, 66.0, zs, 0, values, None)
+        monkeypatch.setattr(tails, "_two_stays_below", counted)
+        got = tails._tail_bound(SHARG, 66.0, zs, 0, values, None)
         assert len(calls) == 1
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -1388,7 +1429,7 @@ class TestTwoSignCertificate:
             for rel in (0.0, 1e-15, 1e-13, 1e-11):
                 x0 = top * (1.0 + rel)
                 a = x0 if kind == "one_plus_inv" else x0 * x0
-                if not (a > 2.0 and resolvent._two_stays_below(
+                if not (a > 2.0 and tails._two_stays_below(
                         family, a, np.array([z]), np.array([t]))[0]):
                     continue
                 accepted += 1
@@ -1405,7 +1446,7 @@ class TestTwoSignCertificate:
         for z, rv in zip(zs, batch):
             assert rv == resolvent_norm(SHARG, z)
         t = np.array([math.inf, 1.0, 1.0, 1.0, 1.0])
-        assert not resolvent._two_stays_below(SHARG, 66.0, zs, t)[0]
+        assert not tails._two_stays_below(SHARG, 66.0, zs, t)[0]
 
     def test_shargorodsky_window_certifies_every_cell(self):
         # at a 20000-block budget 110 of these 6561 cells stayed open with
@@ -1466,7 +1507,7 @@ class TestFourTailLimitNearZero:
 
     @pytest.mark.parametrize("r", [1e-8, 1e-7, 1e-5, 1e-3, 0.5, 1.0, 10.0])
     def test_limit_matches_fifty_digits(self, r):
-        got = resolvent._tail_limit(REMARK, np.array([complex(r)]), 0)[0]
+        got = tails.tail_limit(REMARK, np.array([complex(r)]), 0)[0]
         want = float(_four_limit_digits(r))
         assert abs(got - want) <= np.spacing(want)
 
@@ -1544,8 +1585,8 @@ class TestCertificatesAreArrayFunctions:
             (REMARK, 2, "_four_expansion"),
             (REMARK, 0, "_four_stays_below_limit"),
             (REMARK, 1, "_four_stays_below_limit"),
-            (REMARK, 0, "_tail_limit"),
-            (SHARG, 0, "_tail_limit"),
+            (REMARK, 0, "tail_limit"),
+            (SHARG, 0, "tail_limit"),
             (SHARG, 0, "_two_stays_below"),
             (NONCONST, 0, "_two_stays_below"),
             (SHARG, 1, "_power_tail_bound"),
@@ -1553,13 +1594,16 @@ class TestCertificatesAreArrayFunctions:
     )
     def test_call_count_does_not_grow_with_the_points(self, monkeypatch, model, n, certificate):
         calls = []
-        kernel = getattr(resolvent, certificate)
+        kernel = getattr(tails, certificate)
 
         def counted(*args):
             calls.append(1)
             return kernel(*args)
 
-        monkeypatch.setattr(resolvent, certificate, counted)
+        # the engine's own binding too: it seeds each scan with tail_limit
+        for module in (tails, resolvent):
+            if hasattr(module, certificate):
+                monkeypatch.setattr(module, certificate, counted)
         zs = GridRegion(0.1, 0.9, 0.1, 0.9, 9, 9).lattice().ravel()
         counts = []
         for points in (zs[:1], zs):
@@ -1935,6 +1979,26 @@ class TestMirrorFold:
         keys = [z if fold is None else (fold(z.real), abs(z.imag)) for z in zs]
         firsts = [i for i, k in enumerate(keys) if fold is None or k not in keys[:i]]
         assert points.tobytes() == zs[firsts].tobytes()
+
+    @pytest.mark.parametrize("model", [
+        SHARG, scale_operator(SHARG, -2.0), ScaledOperator(ScaledOperator(REMARK, 2.0), 1j),
+    ], ids=["2x2", "scaled", "nested-scaled"])
+    def test_a_folded_field_finds_its_classes_once(self, monkeypatch, model):
+        # the class heads are distinct, and sorting them again found nothing
+        calls = []
+        original = resolvent.mirror_classes
+
+        def counted(model, zs):
+            calls.append(len(zs))
+            return original(model, zs)
+
+        monkeypatch.setattr(resolvent, "mirror_classes", counted)
+        region = GridRegion(-2.0, 2.0, -2.0, 2.0, 21, 21)
+        field = compute_norm_field(model, region, 0)
+        assert calls == [441]
+        # and each cell is the value of its own one-point call
+        for i, j in ((0, 0), (3, 17), (20, 20), (10, 10)):
+            assert field.values[i, j] == resolvent_norm(model, region.point(i, j)).value
 
     def test_numpy_ma_is_not_imported(self):
         # np.unique's first call imports numpy.ma, about 1 MB of peak RSS
