@@ -18,10 +18,10 @@ truncations of a family, whose limit is the family) and
 ``OperatorSequence`` (a term rule k -> model and a limit model), and a
 catalogue of named examples.
 
-The module describes models only and scans no blocks: the block-scan
-schedule and the tail certificates live in resolvent, which a sequence's
-anchor check calls at its default budget and reads as a certified upper
-bound on the resolvent norm.
+The module describes models only and scans no blocks: the block scan and
+its schedule live in resolvent and the tail certificates in tails.  A
+sequence's anchor check calls resolvent at its default budget and reads
+the result as a certified upper bound on the resolvent norm.
 
 Each model also records, when it is built, the exact mirror symmetry of
 z -> ||(T - z)^-m|| that its structure gives (its ``mirror``).
@@ -46,6 +46,7 @@ pure, so concurrent reads are safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -235,14 +236,24 @@ class DiagBlockFamily:
         return b
 
 
+def _block_count(n_blocks) -> int:
+    """n_blocks as an int, a whole number of blocks and at least one; DomainError otherwise."""
+    try:
+        count = operator.index(n_blocks)  # numpy integers pass
+    except TypeError:
+        raise DomainError(f"a truncation takes a whole number of blocks, got {n_blocks!r}") from None
+    if count < 1:
+        raise DomainError("truncation needs at least one block")
+    return count
+
+
 def assemble_truncation(family: DiagBlockFamily, n_blocks: int) -> DenseOperator:
     """Dense block-diagonal matrix of the first n_blocks blocks.
 
     Truncations are nested by construction: the leading principal
     submatrix of size s*M equals the size-M truncation for M < n_blocks.
     """
-    if n_blocks < 1:
-        raise DomainError("truncation needs at least one block")
+    n_blocks = _block_count(n_blocks)
     ks = np.arange(1, n_blocks + 1)
     alphas = family.alpha.values(ks)
     fs = family.symbol.values(alphas)
@@ -273,8 +284,7 @@ class TruncatedFamily:
     mirror = "quadrant"  # its blocks are its family's
 
     def __post_init__(self):
-        if self.n_blocks < 1:
-            raise DomainError("truncation needs at least one block")
+        object.__setattr__(self, "n_blocks", _block_count(self.n_blocks))
 
 
 def mirror_points(model, zs: np.ndarray) -> np.ndarray:

@@ -24,14 +24,15 @@ power_diff_bound_check read their clearance sigma_min(T - z) off the
 inverse of the whole T they go on to use; a truncation sequence's defect
 is the engine's scan of its family past block k.
 
-Block families evaluate sup_k ||(B_k - z)^-m|| ^ (1/m) with one block
-engine that takes all points at once; this module alone scans blocks.  The
-points walk the block_chunks schedule together, chunks growing from
-HEAD_CHUNK blocks to CHUNK_CAP, each evaluated in (points x blocks) groups
-of at most STACK_CAP 4x4 matrices (16 * STACK_CAP 2x2 values).
-Truncations take the exact maximum over their blocks.  Infinite families
-scan a head until the tail bound of tails closes the gap; a point leaves
-the scan once it closes, its value is inf, or the budget ends.
+Block families and their truncations evaluate sup_k ||(B_k - z)^-m||^(1/m)
+in one block scan (_family_values), the one loop over block_chunks: all
+points walk its chunks together, growing from HEAD_CHUNK blocks to
+CHUNK_CAP, each evaluated in (points x blocks) groups of at most STACK_CAP
+4x4 matrices (16 * STACK_CAP 2x2 values).  tails alone says where each
+point starts, which points a closed form settles at once, and what bounds
+the blocks past each chunk.  A point leaves the scan once that bound
+closes its gap, its value is inf, or the budget ends; a truncation's scan
+ends at its last block.
 
 Head values are exact.  A block is a weighted cycle with B^d = P I,
 P = (alpha f)^(d/2), so (P - z^d)(B - z)^-1 is a polynomial in B of degree
@@ -43,16 +44,16 @@ then at n = 0 a Gram screen, sigma_max^2 <= ||M* M||_inf, on the pooled
 survivors.  Each drops only blocks provably below the threshold, and
 Jacobi stacks of at most STACK_CAP evaluate the rest.
 
-The reported value is max(head maximum, tail limit), certified when the
+The reported value is max(head maximum, start value), certified when the
 tail bound closes the gap to within TAIL_TOL; the one-sided gap that
-remains is reported, with the value marked uncertified.  The inverse
-symbol f(x) = 1/x takes an exact rule of z (_inverse_family_values).
+remains is reported, with the value marked uncertified.
 Every model takes n <= POWER_INDEX_LIMIT, and a block point must lie
 within BLOCK_Z_LIMIT, where the certificates' powers of |z| stay finite.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,13 +153,6 @@ class ResolventValues:
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
-
-
-def _exact_values(value: np.ndarray, k_cutoff: int) -> ResolventValues:
-    """Certified values with no tail gap, every point at the same cutoff."""
-    count = len(value)
-    gaps, flags = np.zeros(count), np.ones(count, dtype=bool)
-    return ResolventValues(value, gaps, flags, np.full(count, k_cutoff))
 
 
 @dataclass(frozen=True)
@@ -415,49 +409,36 @@ def _chunk_maxima(family, ks, zs, n: int, floors: np.ndarray) -> np.ndarray:
     return best
 
 
-def _head_maxima(family, n_blocks: int, zs: np.ndarray, n: int) -> np.ndarray:
-    """Exact max of the block values over k <= n_blocks at each point.
-
-    inf marks a singular block; such a point leaves the scan.
-    """
-    best = np.zeros(len(zs))
-    active = np.arange(len(zs))
-    for ks in block_chunks(0, n_blocks):
-        best[active] = _chunk_maxima(family, ks, zs[active], n, best[active])
-        active = active[np.isfinite(best[active])]
-        if not len(active):
-            break
-    return best
-
-
 def _family_values(
-    family, zs: np.ndarray, n: int, max_blocks: int, start: int = 0
+    model, zs: np.ndarray, n: int, max_blocks: int, start: int = 0
 ) -> ResolventValues:
-    """Certified sup over the blocks k > start of an infinite 2x2 or 4x4 family at each point.
+    """Certified sup over the blocks k > start of a block model at each point.
 
-    The scan covers at most max_blocks blocks past start, and k_cutoff is
-    the absolute index of the last block examined.  All points walk the
-    block_chunks schedule together.  A point's value starts at the tail
-    limit and its head maximum is exact; after each chunk its gap is
-    max(0, tail bound at the next weight - value), and it leaves the scan
-    once the gap is within TAIL_TOL or its value is inf.  Points still open
-    when the budget ends are uncertified and keep their smallest gap.
+    The one block scan, for families and truncations alike: at most
+    max_blocks blocks past start, but a truncation's (n_blocks) to its last
+    whatever max_blocks is; k_cutoff is the last block examined.  All
+    points walk block_chunks together from tails' start value, unless a
+    closed form settles them.  After each chunk a point's gap is max(0,
+    tails' bound from the next block on - value); it leaves once the gap
+    is within TAIL_TOL or its value is inf.  Points still open when the
+    budget ends are uncertified and keep their smallest gap.
     """
-    value = tail_limit(family, zs, n)
-    certified = closed_form_points(family, zs, n)
+    family = getattr(model, "family", model)
+    stop = getattr(model, "n_blocks", start + max_blocks)
+    value = tail_limit(model, zs, n)
+    certified = closed_form_points(model, zs, n)
     tail_gap = np.where(certified, 0.0, math.inf)
     k_cutoff = np.zeros(len(zs), dtype=np.int64)
     active = np.flatnonzero(~certified)
-    bound, still = tail_bounds(family, n), None
-    for ks in block_chunks(start, start + max_blocks):
+    bound, still = tail_bounds(model, n), None
+    for ks in block_chunks(start, stop):
         if not len(active):
             break
         k_done = int(ks[-1])
         value[active] = _chunk_maxima(family, ks, zs[active], n, value[active])
         k_cutoff[active] = k_done
-        a = float(family.alpha.values(np.array([k_done + 1]))[0])
         v = value[active]
-        ub = bound(a, zs[active], v, still)
+        ub = bound(k_done + 1, zs[active], v, still)
         # an inf value is exact; a NaN gap (no certificate) keeps the old gap
         gap = np.where(np.isinf(v), 0.0, np.maximum(ub - v, 0.0))
         tail_gap[active] = np.fmin(tail_gap[active], gap)
@@ -465,23 +446,6 @@ def _family_values(
         still = ~certified[active]
         active = active[still]
     return ResolventValues(value, tail_gap, certified, k_cutoff)
-
-
-def _inverse_family_values(zs: np.ndarray, n: int) -> ResolventValues:
-    """The inverse symbol f(x) = 1/x by an exact rule of z, with no scan.
-
-    alpha f = 1, so B^2 = I and (B - z)^-m = A' I + D' B with A', D' =
-    (w+^m +- w-^m)/2, w+ = 1/(1 - z) and w- = -1/(1 + z).  The off-diagonal
-    carries D' alpha_k, unbounded unless D' = 0, that is unless
-    ((z - 1)/(z + 1))^m = 1: z = i cot(pi j/m).  For m = 2^n the only
-    doubles of that form are 0 (n >= 1) and +-i (n >= 2), where the sup is
-    |A'|^(1/m) = |w+| = 1/|1 - z|; every other value is inf.
-    """
-    x, y = zs.real, zs.imag
-    exact = (x == 0) & (((y == 0) & (n >= 1)) | ((np.abs(y) == 1) & (n >= 2)))
-    value = np.full(len(zs), math.inf)
-    value[exact] = 1.0 / np.hypot(1.0 - x[exact], y[exact])
-    return _exact_values(value, 0)
 
 
 # ------------------------------------------------------------- public API
@@ -542,29 +506,26 @@ def resolvent_power_norms(
 def _evaluate(model, zs: np.ndarray, n: int, *, max_blocks: int) -> ResolventValues:
     """The values of an unscaled model at finite points, with no fold.
 
-    Block families and their truncations scan all points in one block
-    engine pass, a dense matrix takes the largest value over its diagonal
-    blocks (_dense_power_norms) and the inverse-symbol family its exact
-    rule of z.
+    Block families, the inverse symbol included, and their truncations
+    scan all points in one block engine pass (_family_values); a dense
+    matrix takes the largest value over its diagonal blocks
+    (_dense_power_norms), certified with no gap.
     """
     if isinstance(model, DenseOperator):
-        return _exact_values(_dense_power_norms(model.matrix, model.blocks, zs, n), 0)
+        count = len(zs)
+        value = _dense_power_norms(model.matrix, model.blocks, zs, n)
+        return ResolventValues(value, np.zeros(count), np.ones(count, dtype=bool),
+                               np.zeros(count, dtype=np.int64))
+    if not isinstance(model, (TruncatedFamily, DiagBlockFamily)):
+        raise DomainError(f"unknown operator model {type(model).__name__}")
     with np.errstate(over="ignore"):  # |z| may pass the largest float
         far = np.hypot(zs.real, zs.imag) > BLOCK_Z_LIMIT
-    if isinstance(model, (TruncatedFamily, DiagBlockFamily)) and far.any():
+    if far.any():
         raise DomainError(
             f"evaluation point {complex(zs[far][0])} is beyond the range of the "
             f"block arithmetic, |z| <= {BLOCK_Z_LIMIT:g}"
         )
-    if isinstance(model, TruncatedFamily):
-        total = model.n_blocks
-        values = _head_maxima(model.family, total, zs, n)
-        return _exact_values(values, total)
-    if isinstance(model, DiagBlockFamily):
-        if model.symbol.kind == "inverse":
-            return _inverse_family_values(zs, n)
-        return _family_values(model, zs, n, max_blocks)
-    raise DomainError(f"unknown operator model {type(model).__name__}")
+    return _family_values(model, zs, n, max_blocks)
 
 
 def _dense_matrix_of(model) -> np.ndarray:
@@ -589,8 +550,12 @@ def gnr_defect(seq, k: int) -> float:
     (+inf where no certificate applies), so a defect gate never passes on
     an uncertified lower bound.  Other sequences are compared densely in
     their common space, and an anchor on the spectrum of term k raises
-    SingularityError naming it.
+    SingularityError naming it.  A k that is not whole raises DomainError.
     """
+    try:
+        k = operator.index(k)  # numpy integers pass
+    except TypeError:
+        raise DomainError(f"sequence index must be a whole number, got {k!r}") from None
     lam = complex(seq.gnr_anchor)
     if isinstance(seq, TruncationSequence):
         if k < 1:

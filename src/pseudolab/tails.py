@@ -1,13 +1,15 @@
-"""Tail certificates of the infinite block families.
+"""Tail certificates of the block models: what the block scan asks of them.
 
-The block engine (resolvent) scans a head of blocks until a closed-form
-bound on the tail beyond it closes the gap.  This module gives it the
-seed, the tail limit (tail_limit); the points a closed form certifies
-before any scan (closed_form_points); and after each chunk an upper bound
-on every block past the next weight (tail_bounds).  All are array
-functions of the points, NaN where none applies, and each point's
-arithmetic depends on that point alone.
+The one block scan (resolvent) asks this module alone, for a family or a
+truncation: where each point starts (tail_limit), which points a closed
+form settles before any chunk (closed_form_points), and after each chunk
+an upper bound on every block from the next one on (tail_bounds).  All
+are array functions of the points, NaN where no bound applies, and each
+point's arithmetic depends on that point alone.
 
+* A truncation (a model with n_blocks) starts at 0 and is bounded by 0
+  past its last block, so the scan gives the exact maximum of its blocks.
+* The inverse symbol f(x) = 1/x: an exact rule of z settles every point.
 * 2x2 shapes: at n = 0 exact polynomial algebra shows that no block past
   the scan point exceeds the point's value (_two_stays_below), or a
   monotone envelope bounds them (_envelope_sup); for powers a decreasing
@@ -16,7 +18,7 @@ arithmetic depends on that point alone.
   nilpotent limit (_four_expansion) proves at n = 0 and 1 that every block
   past the scan point stays below the tail limit (_four_stays_below_limit);
   elsewhere a majorant read off it bounds the tail.  Its algebra in z
-  alone is formed once per scan (_four_terms).
+  alone is formed once per scan (_four_terms), and z = 0 has closed forms.
 """
 from __future__ import annotations
 
@@ -32,50 +34,82 @@ SIGN_SLACK = 64 * np.finfo(np.float64).eps  # the 2x2 sign certificate's allowan
 FOUR_ROUNDING = 1e-9  # the relative growth of the 4x4 bounds that covers their rounding
 
 
-def tail_limit(family, zs: np.ndarray, n: int) -> np.ndarray:
-    """At each z, the tail limit lim_k ||(B_k - z)^-2^n||^(1/2^n) of an infinite family.
+def tail_limit(model, zs: np.ndarray, n: int) -> np.ndarray:
+    """At each z, the value a scan of the block model starts from.
 
-    A 2x2 block tends to the antidiagonal [[0, C], [alpha, 0]]: the limit is
-    1/C at n = 0, and 0 for n >= 1, where the power norms decay.  The 4x4
-    resolvents tend to L, nilpotent plus z times its square, with L^4 = 0
-    and ||L^2|| = 1: the limit is c at n = 0, 1 at n = 1 and 0 for n >= 2.
-    c^2, the top eigenvalue of L*L, is (t + sqrt(t^2 - 4)) / 2 with
-    t = 2 + r^2, r = |z|, taken as 1 + r (r + sqrt(r^2 + 4)) / 2, which does
-    not cancel as r -> 0.
+    A truncation starts at 0, an infinite family at its tail limit
+    lim_k ||(B_k - z)^-2^n||^(1/2^n), for the inverse symbol its exact
+    value (_inverse_values).  A 2x2 block tends to the antidiagonal
+    [[0, C], [alpha, 0]]: the limit is 1/C at n = 0, and 0 for n >= 1,
+    where the power norms decay.  The 4x4 resolvents tend to L, nilpotent
+    plus z times its square, with L^4 = 0 and ||L^2|| = 1: the limit is c
+    at n = 0, 1 at n = 1 and 0 for n >= 2.  c^2, the top eigenvalue of
+    L*L, is (t + sqrt(t^2 - 4)) / 2 with t = 2 + r^2, r = |z|, taken as
+    1 + r (r + sqrt(r^2 + 4)) / 2, which does not cancel as r -> 0.
     """
-    if family.block_dim == 2:
-        return np.full(len(zs), 1.0 / family.symbol.tail_limit if n == 0 else 0.0)
+    if hasattr(model, "n_blocks"):
+        return np.zeros(len(zs))
+    if model.symbol.kind == "inverse":
+        return _inverse_values(zs, n)
+    if model.block_dim == 2:
+        return np.full(len(zs), 1.0 / model.symbol.tail_limit if n == 0 else 0.0)
     if n == 0:
         r = np.hypot(zs.real, zs.imag)
         return np.sqrt(1.0 + r * (r + np.sqrt(r * r + 4.0)) / 2.0)
     return np.full(len(zs), 1.0 if n == 1 else 0.0)
 
 
-def closed_form_points(family, zs: np.ndarray, n: int) -> np.ndarray:
-    """At each z, whether a closed form shows the tail limit is the sup over any tail.
+def closed_form_points(model, zs: np.ndarray, n: int) -> np.ndarray:
+    """At each z, whether a closed form shows the start value is the sup over any tail.
 
-    At z = 0 the 4x4 blocks have ||B^-1|| = 1/beta_k < 1 and ||B^-2|| =
-    1/beta_k^2 < 1, while the tail limit is exactly 1 (n = 0, 1).
+    Every point of the inverse symbol (_inverse_values).  At z = 0 the 4x4
+    blocks have ||B^-1|| = 1/beta_k < 1 and ||B^-2|| = 1/beta_k^2 < 1,
+    while the tail limit is exactly 1 (n = 0, 1).  A truncation has none.
     """
-    return (zs == 0) & (family.block_dim == 4 and n < 2)
+    if hasattr(model, "n_blocks"):
+        return np.zeros(len(zs), dtype=bool)
+    return ((zs == 0) & (model.block_dim == 4 and n < 2)) | (model.symbol.kind == "inverse")
 
 
-def tail_bounds(family, n: int):
-    """bound(a, zs, values, still): _tail_bound at weight a, for the chunks of one scan.
+def tail_bounds(model, n: int):
+    """bound(k, zs, values, still): a bound on every block from k on, for one scan's chunks.
 
-    still marks which of the previous call's points zs holds (None at the
-    first call); the 4x4 terms are formed at the first call, then narrowed.
+    A truncation's is 0 past its last block and NaN before: not values,
+    which would give inf - inf at a singular point.  A family's is
+    _tail_bound at the weight of block k; still marks which of the previous
+    call's points zs holds (None at the first call), and the 4x4 terms are
+    formed at the first call, then narrowed.
     """
+    last = getattr(model, "n_blocks", None)
+    if last is not None:
+        return lambda k, zs, values, still: np.full(len(zs), 0.0 if k > last else math.nan)
     terms = None
 
-    def bound(a: float, zs: np.ndarray, values: np.ndarray, still) -> np.ndarray:
+    def bound(k: int, zs: np.ndarray, values: np.ndarray, still) -> np.ndarray:
         nonlocal terms
-        if family.block_dim == 4:
-            terms = (_four_terms(family, zs, n) if terms is None
+        if model.block_dim == 4:
+            terms = (_four_terms(model, zs, n) if terms is None
                      else terms._make(x[..., still] for x in terms))
-        return _tail_bound(family, a, zs, n, values, terms)
+        return _tail_bound(model, model.alpha.value(k), zs, n, values, terms)
 
     return bound
+
+
+def _inverse_values(zs: np.ndarray, n: int) -> np.ndarray:
+    """The inverse symbol's value at each z, by an exact rule of z.
+
+    alpha f = 1, so B^2 = I and (B - z)^-m = A' I + D' B with A', D' =
+    (w+^m +- w-^m)/2, w+ = 1/(1 - z) and w- = -1/(1 + z).  The off-diagonal
+    carries D' alpha_k, unbounded unless D' = 0, that is unless
+    ((z - 1)/(z + 1))^m = 1: z = i cot(pi j/m).  For m = 2^n the only
+    doubles of that form are 0 (n >= 1) and +-i (n >= 2), where every block
+    has the value |A'|^(1/m) = |w+| = 1/|1 - z|; every other value is inf.
+    """
+    x, y = zs.real, zs.imag
+    exact = (x == 0) & (((y == 0) & (n >= 1)) | ((np.abs(y) == 1) & (n >= 2)))
+    value = np.full(len(zs), math.inf)
+    value[exact] = 1.0 / np.hypot(1.0 - x[exact], y[exact])
+    return value
 
 
 def _tail_bound(family, a: float, zs: np.ndarray, n: int, values: np.ndarray, terms):

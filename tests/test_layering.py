@@ -135,6 +135,30 @@ def test_only_the_engine_entries_take_max_blocks():
     assert set(_max_blocks_passers(ast.parse(src))) == {"<module>", "h"}
 
 
+def _callers(tree: ast.AST, callee: str, scope: str = "<module>"):
+    """The innermost function or class around each call of callee, by name or attribute."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == callee:
+                yield scope
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _callers(node, callee, node.name if named else scope)
+
+
+def test_one_loop_walks_the_block_chunks():
+    # every block model goes through the one block scan; a second loop over
+    # the chunk schedule would be a second route to hook into
+    callers = [
+        f"{path.stem}.{scope}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in _callers(ast.parse(path.read_text()), "block_chunks")
+    ]
+    assert callers == ["resolvent._family_values"]
+    src = "block_chunks(0, 1)\ndef g():\n    for ks in resolvent.block_chunks(0, 2):\n        pass\n"
+    assert list(_callers(ast.parse(src), "block_chunks")) == ["<module>", "g"]
+
+
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 # public names no program path reaches yet, each with its reason

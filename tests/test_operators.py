@@ -287,6 +287,23 @@ class TestMirror:
         assert mirror_classes(DenseOperator(np.eye(2) * 1j), zs) is None
 
 
+class TestTruncatedFamily:
+    @pytest.mark.parametrize("count", [1.5, 2.0, "3", None])
+    @pytest.mark.parametrize("build", [TruncatedFamily, assemble_truncation])
+    def test_a_block_count_that_is_not_a_whole_number_is_refused(self, build, count):
+        # 1.5 used to reach the scan, which evaluated block 2 of a
+        # truncation that has no block 2
+        with pytest.raises(DomainError, match="whole number of blocks"):
+            build(shargorodsky_family(), count)
+
+    def test_numpy_integers_pass_as_python_ints(self):
+        got = TruncatedFamily(shargorodsky_family(), np.int64(7))
+        assert type(got.n_blocks) is int and got == TruncatedFamily(shargorodsky_family(), 7)
+        with pytest.raises(DomainError, match="at least one block"):
+            TruncatedFamily(shargorodsky_family(), np.int32(0))
+        assert assemble_truncation(shargorodsky_family(), np.int64(3)).dim == 6
+
+
 class TestSequences:
     def test_diag_pair_sequences(self):
         ex = build_named_example("diag_pair")

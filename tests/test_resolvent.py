@@ -392,6 +392,20 @@ class TestBlockFamilies:
         got = resolvent_norm(SHARG, 2.0)  # sqrt(alpha_2 f(alpha_2)) = 2
         assert math.isinf(got.value) and got.certified
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("family", [SHARG, REMARK], ids=["2x2", "4x4"])
+    def test_truncation_leaves_a_block_eigenvalue_where_its_family_does(self, family, n):
+        # z = 2 is an eigenvalue of block 2 of both shapes: a truncation
+        # that holds the first chunk leaves the scan at its end, as its
+        # family does, with the same certified inf; a shorter one at its
+        # last block
+        limit = resolvent_power_norm(family, 2.0, n)
+        assert math.isinf(limit.value) and limit.certified
+        assert limit.k_cutoff == resolvent.HEAD_CHUNK
+        for n_blocks in (16, 100, 400):
+            assert resolvent_power_norm(TruncatedFamily(family, n_blocks), 2.0, n) == limit
+        assert resolvent_power_norm(TruncatedFamily(family, 2), 2.0, n).k_cutoff == 2
+
     def test_family_agrees_with_deep_truncation_off_the_constant_disc(self):
         for z in (3.5, 1.0 + 0.5j, -2.3 + 0.2j):
             fam = resolvent_norm(SHARG, z)
@@ -1265,11 +1279,15 @@ class TestTailsModule:
         assert modules == {"__future__", "math", "collections", "numpy", "numkernel"}
 
     def test_the_scan_does_not_branch_on_the_block_shape(self):
+        # nor on the symbol or on a truncation: every block model takes the
+        # same loop, and tails alone seeds, settles and bounds its points
         names = {node.attr if isinstance(node, ast.Attribute) else node.id
                  for node in ast.walk(ast.parse(inspect.getsource(resolvent._family_values)))
                  if isinstance(node, (ast.Attribute, ast.Name))}
-        assert not names & {"block_dim", "_four_terms", "terms"}
-        assert {"tail_limit", "closed_form_points", "tail_bounds"} <= names
+        assert not names & {"block_dim", "_four_terms", "terms", "kind", "symbol",
+                            "TruncatedFamily"}
+        called = {name for name in names if callable(getattr(tails, name, None))}
+        assert called == {"tail_limit", "closed_form_points", "tail_bounds"}
 
 
 # the 2x2 families with a sign certificate: both symbols, both weight rules
@@ -1913,8 +1931,7 @@ ASYMMETRIC = np.array([complex(x, y) for x, y in [
 
 
 # where each evaluation kernel takes its points
-ZS_ARG = {"_family_values": 1, "_inverse_family_values": 0, "_head_maxima": 2,
-          "_dense_power_norms": 2}
+ZS_ARG = {"_family_values": 1, "_dense_power_norms": 2}
 
 
 class TestMirrorFold:
@@ -1945,8 +1962,8 @@ class TestMirrorFold:
     @pytest.mark.parametrize("model, kernel, classes", [
         (SHARG, "_family_values", 10),
         (REMARK, "_family_values", 10),
-        (EMPTY, "_inverse_family_values", 10),
-        (TruncatedFamily(REMARK, 40), "_head_maxima", 10),
+        (EMPTY, "_family_values", 10),
+        (TruncatedFamily(REMARK, 40), "_family_values", 10),
         # z and conj(z) only, and Re -0.0 is Re 0.0
         (DenseOperator(np.array([[1.0, 2.0], [0.0, -1.0]])), "_dense_power_norms", 17),
         (DenseOperator(np.diag([2.0, 6.0j])), "_dense_power_norms", 40),
@@ -2061,6 +2078,19 @@ class TestGnrDefect:
         padded = np.zeros((32, 32), dtype=complex)
         padded[:8, :8] = r_k
         assert got == pytest.approx(np.linalg.norm(padded - r_ref, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, "2"])
+    def test_an_index_that_is_not_a_whole_number_is_refused(self, k):
+        # 1.5 used to scan from a block of weight 3.5, which no term has
+        seq = TruncationSequence(DECAY, gnr_anchor=0.5 + 1j)
+        with pytest.raises(DomainError, match="whole number"):
+            gnr_defect(seq, k)
+        with pytest.raises(DomainError, match="whole number"):
+            gnr_defect(build_named_example("diag_pair").sequences["scale"], k)
+
+    def test_numpy_indices_pass(self):
+        seq = TruncationSequence(DECAY, gnr_anchor=0.5 + 1j)
+        assert gnr_defect(seq, np.int64(2)) == gnr_defect(seq, 2)
 
     def test_shargorodsky_defect_never_decays(self):
         # every block value stays below 1/C = 1 and tends to it: the sup
