@@ -17,13 +17,9 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InapplicableConditionError,
-    SingularityError,
-)
+from .errors import ConfigurationError, DomainError, SingularityError
 from .experiments import (
+    DEFECT_THRESHOLD_DEFAULT,
     constant_region_scan,
     convergence_study,
     counterexample_K_study,
@@ -329,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--ks", default="4,8,16,32", help="comma-separated sequence indices")
     p.add_argument("--anchor", default="0,1", help="re,im resolvent point for the defect gate of any sequence; it must clear the spectra of the limit and of the term the gate evaluates")
-    p.add_argument("--defect-threshold", type=float, default=0.25)
+    p.add_argument("--defect-threshold", type=float, default=DEFECT_THRESHOLD_DEFAULT)
     _add_out_flag(p)
     p.set_defaults(func=_cmd_converge)
 
@@ -415,13 +411,7 @@ def parse_and_dispatch(argv) -> int:
     try:
         return args.func(args)
     except (
-        ConfigurationError,
-        DomainError,
-        InapplicableConditionError,
-        SingularityError,
-        OSError,
-        csv.Error,
-        MemoryError,
+        ConfigurationError, DomainError, SingularityError, OSError, csv.Error, MemoryError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

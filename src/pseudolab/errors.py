@@ -1,9 +1,10 @@
 """Shared exception types.
 
-The CLI maps ConfigurationError, DomainError, InapplicableConditionError,
-SingularityError, OSError and csv.Error to exit code 2; everything else
-that escapes is a genuine failure.  No numerical kernel can fail to
-converge, so no exit code stands for that.
+The CLI maps ConfigurationError, DomainError (InapplicableConditionError
+and numkernel's DimensionError among them), SingularityError, OSError,
+csv.Error and MemoryError to exit code 2; everything else that escapes is
+a genuine failure.  No numerical kernel can fail to converge, so no exit
+code stands for that.
 """
 
 

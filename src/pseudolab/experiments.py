@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -99,6 +100,14 @@ class StudyReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _whole(value, what: str) -> int:
+    """value as an int (numpy integers pass); ConfigurationError unless whole."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{what} must be a whole number, got {value!r}") from None
+
+
 def _grid_step(region: GridRegion) -> float:
     return max(region.hx, region.hy)
 
@@ -132,10 +141,11 @@ def convergence_study(
     the configured threshold.  Either failure produces a fail verdict
     naming the violated assumption; distances are then not computed.  The
     indices are taken in increasing order, so the report does not depend
-    on the order they are given in.  An index below 1 or a defect_threshold
-    that is not > 0 is a ConfigurationError.
+    on the order they are given in.  An index that is not a whole number
+    or is below 1, or a defect_threshold that is not > 0, is a
+    ConfigurationError.
     """
-    ks = sorted(int(k) for k in ks)
+    ks = sorted(_whole(k, "sequence index") for k in ks)
     if not ks:
         raise ConfigurationError("convergence study needs at least one index")
     if min(ks) < 1:
@@ -158,37 +168,22 @@ def convergence_study(
     }
     limit_field = compute_norm_field(seq.limit_model(), region, n)
     check = assumption_i_check(limit_field, epsilon)
+    violated = None
     if not check.holds_at_resolution:
         where = (
             f" at lattice point {check.witness_z}" if check.witness is not None else ""
         )
-        return StudyReport(
-            "convergence",
-            params,
-            (),
-            FAIL,
-            budget,
-            (
-                "precondition violated: closure assumption fails on the limit "
-                f"field{where}",
-                STUDY_PROXY_NOTE,
-            ),
-        )
-    defect = gnr_defect(seq, ks[-1])
-    budget["defect_at_last_k"] = defect
-    if not defect < defect_threshold:
-        return StudyReport(
-            "convergence",
-            params,
-            (),
-            FAIL,
-            budget,
-            (
-                "precondition violated: sequence defect "
-                f"{defect:.6g} at k={ks[-1]} is not below {defect_threshold}",
-                STUDY_PROXY_NOTE,
-            ),
-        )
+        violated = f"closure assumption fails on the limit field{where}"
+    else:
+        defect = gnr_defect(seq, ks[-1])
+        budget["defect_at_last_k"] = defect
+        if not defect < defect_threshold:
+            violated = (
+                f"sequence defect {defect:.6g} at k={ks[-1]} is not below {defect_threshold}"
+            )
+    if violated is not None:
+        notes = (f"precondition violated: {violated}", STUDY_PROXY_NOTE)
+        return StudyReport("convergence", params, (), FAIL, budget, notes)
     limit_mask = _closed_mask(limit_field, epsilon)
     series = []
     notes = [STUDY_PROXY_NOTE]
@@ -236,11 +231,13 @@ def counterexample_K_study(
     """
     if direction not in ("shrink", "grow"):
         raise ConfigurationError("direction must be 'shrink' or 'grow'")
+    if not (math.isfinite(lam1) and math.isfinite(lam2)):
+        raise ConfigurationError(f"lam1 and lam2 must be finite, got {lam1} and {lam2}")
     if not lam1 < lam2:
         raise ConfigurationError("needs lam1 < lam2")
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ConfigurationError("epsilon must be positive")
-    ks = [int(k) for k in ks]
+    ks = [_whole(k, "index") for k in ks]
     if not ks or min(ks) < 2:
         raise ConfigurationError("indices must be >= 2")
     w0 = lam1 + epsilon
@@ -302,9 +299,9 @@ def counterexample_const_study(ks, region: GridRegion) -> StudyReport:
     lies in the closed level set at epsilon = 1 because the minimum of
     the norm field is (1-1/k)^-1 > 1; the open level set of the limit
     family still misses the constant disc.  Both facts are checked for
-    every k.
+    every k, the first by global_min_scan with M = (1-1/k)^-1.
     """
-    ks = [int(k) for k in ks]
+    ks = [_whole(k, "index") for k in ks]
     if not ks or min(ks) < 2:
         raise ConfigurationError("indices must be >= 2")
     grid = region.lattice()
@@ -329,13 +326,14 @@ def counterexample_const_study(ks, region: GridRegion) -> StudyReport:
     ok = disc_clear
     for k in ks:
         factor = 1.0 - 1.0 / k
-        f = compute_norm_field(scale_operator(base, factor), region)
-        lo = float(f.values.min())
+        scan = global_min_scan(scale_operator(base, factor), region, 1, 1.0 / factor)
+        lo = scan.series[0][1]
         series.append((float(k), lo))
-        required = (1.0 / factor) * (1.0 - MIN_SLACK)
-        if not lo >= required:
+        if not scan.passed:
             ok = False
-            notes.append(f"k={k}: window minimum {lo:.12g} below {required:.12g}")
+            notes.append(
+                f"k={k}: window minimum {lo:.12g} below {scan.budget['required_min']:.12g}"
+            )
     return StudyReport(
         "counterexample_const",
         params,
@@ -348,6 +346,7 @@ def counterexample_const_study(ks, region: GridRegion) -> StudyReport:
 
 def global_min_scan(model, region: GridRegion, l: int, M: float) -> StudyReport:
     """Lattice assertion that the norm field never drops below M."""
+    l = _whole(l, "power l")
     if l < 1 or (l & (l - 1)) != 0:
         raise ConfigurationError("power l must be a power of two")
     if not (M > 0.0 and math.isfinite(M)):
@@ -481,11 +480,13 @@ def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyRepor
     within 0.05, the maximizer location must scale like r^(2/(1+beta))
     within 0.05 on the exponent, and with a dense weight grid the
     compensated values r^(2 beta/(1+beta)) * value must settle to 2%
-    between the last two radii.
+    between the last two radii.  The family refuses a beta outside (0, 1).
     """
-    if not 0.0 < beta < 1.0:
-        raise ConfigurationError("beta must lie in (0,1)")
+    rule = AlphaRule("log_grid" if dense_spectrum else "successor")
+    family = DiagBlockFamily(SymbolSpec("power_beta", beta=beta), rule)
     phi = float(phi)
+    if not math.isfinite(2.0 * phi):
+        raise ConfigurationError(f"phi and 2 phi must be finite, got phi = {phi}")
     if math.isclose(math.sin(phi), 0.0, abs_tol=1e-12):
         raise ConfigurationError("phi must avoid the real axis (0 and pi)")
     rs = [float(r) for r in rs]
@@ -494,11 +495,6 @@ def decay_study(beta: float, phi: float, rs, dense_spectrum: bool) -> StudyRepor
     if max(rs) / min(rs) < 10.0:
         raise ConfigurationError("radii must span at least one decade")
     rs = sorted(rs)
-    if dense_spectrum:
-        rule = AlphaRule("log_grid")
-    else:
-        rule = AlphaRule("successor")
-    family = DiagBlockFamily(SymbolSpec("power_beta", beta=beta), rule)
 
     target_slope = -2.0 * beta / (1.0 + beta)
     target_exp = 2.0 / (1.0 + beta)
@@ -565,7 +561,7 @@ def empty_resolvent_probe(family: DiagBlockFamily, lam: complex, Ns) -> StudyRep
         raise ConfigurationError(
             "probe needs the inverse-symbol family (tail limit 0)"
         )
-    Ns = [int(N) for N in Ns]
+    Ns = [_whole(N, "truncation size") for N in Ns]
     if len(Ns) < 2 or min(Ns) < 1:
         raise ConfigurationError("needs at least two truncation sizes")
     lam = complex(lam)

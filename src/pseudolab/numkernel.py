@@ -47,6 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 PIVOT_FLOOR = 1e-300
 JACOBI_SWEEP_CAP = 60
 # columns a blocked LU or tridiagonalization reduces before it updates the
@@ -60,7 +62,7 @@ SEED_OFFSETS = np.array(sorted([0.0] + [s * 2.0 ** (44 * j / (SHIFTS // 2 - 1))
                                         for s in (-1, 1) for j in range(SHIFTS // 2)]))
 
 
-class DimensionError(ValueError):
+class DimensionError(DomainError):
     """Input is not a finite square complex matrix of the expected shape."""
 
 

@@ -337,8 +337,6 @@ def mirror_classes(model, zs: np.ndarray):
 def scale_operator(model, s: complex):
     """Wrap model with a nonzero scale factor; nested scalings flatten."""
     f = complex(s)
-    if f == 0:
-        raise DomainError("scale factor must be nonzero")
     if isinstance(model, ScaledOperator):
         return ScaledOperator(model.inner, complex(model.factor) * f)
     return ScaledOperator(model, f)

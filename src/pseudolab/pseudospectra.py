@@ -188,12 +188,9 @@ def level_set(field: NormField, epsilon: float, strictness: str) -> LevelSetMask
     """Threshold a field at 1/epsilon.
 
     open_sigma keeps cells with value > 1/epsilon, closed_Sigma those
-    with value >= 1/epsilon; unbounded cells belong to both.
+    with value >= 1/epsilon; unbounded cells belong to both.  The mask
+    refuses an unknown strictness.
     """
-    if strictness not in STRICTNESS_MODES:
-        raise ConfigurationError(
-            f"strictness must be one of {STRICTNESS_MODES}, got {strictness!r}"
-        )
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise DomainError("epsilon must be positive and finite")
     threshold = 1.0 / epsilon

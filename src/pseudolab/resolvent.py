@@ -550,16 +550,17 @@ def gnr_defect(seq, k: int) -> float:
     (+inf where no certificate applies), so a defect gate never passes on
     an uncertified lower bound.  Other sequences are compared densely in
     their common space, and an anchor on the spectrum of term k raises
-    SingularityError naming it.  A k that is not whole raises DomainError.
+    SingularityError naming it.  A k that is not whole or is below 1
+    raises DomainError.
     """
     try:
         k = operator.index(k)  # numpy integers pass
     except TypeError:
         raise DomainError(f"sequence index must be a whole number, got {k!r}") from None
+    if k < 1:
+        raise DomainError("sequence index must be >= 1")
     lam = complex(seq.gnr_anchor)
     if isinstance(seq, TruncationSequence):
-        if k < 1:
-            raise DomainError("sequence index must be >= 1")
         tail = _family_values(seq.family, np.array([lam]), 0, MAX_BLOCKS_DEFAULT, start=k)
         return float(tail.value[0] + tail.tail_gap[0])
     w_term, _ = _inverse_of(_dense_matrix_of(seq.term(k)), lam, f"term k={k}")
@@ -587,19 +588,6 @@ def _inverse_of(matrix: np.ndarray, z: complex, label: str):
     return w[0], sigma
 
 
-def _mat_power(a: np.ndarray, m: int) -> np.ndarray:
-    out = np.eye(a.shape[0], dtype=np.complex128)
-    base = a
-    e = m
-    while e > 0:
-        if e & 1:
-            out = out @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return out
-
-
 def expansion_residual(op, lam: complex, lam0: complex, l: int) -> float:
     """Residual of the l-step resolvent expansion around lam0.
 
@@ -617,16 +605,19 @@ def expansion_residual(op, lam: complex, lam0: complex, l: int) -> float:
     r0, _ = _inverse_of(matrix, lam0, "the operator at lam0")
     a = lam - lam0
     eye = np.eye(matrix.shape[0], dtype=np.complex128)
+    step = eye - a * r0
     acc = np.zeros_like(r)
     power = r0.copy()
     coeff = 1.0 + 0.0j
+    left, right = eye, r  # (I - a R(lam0))^j and R(lam)^(j+1) after j passes
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1, l):
             acc += coeff * power
             power = power @ r0
             coeff *= a
-        tail = coeff * _mat_power(eye - a * r0, l - 1) @ _mat_power(r, l)
-        residual = r - acc - tail
+            left = left @ step
+            right = right @ r
+        residual = r - acc - coeff * left @ right
     return largest_singular_value(residual) if np.isfinite(residual).all() else math.inf
 
 

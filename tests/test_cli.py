@@ -22,6 +22,7 @@ from pseudolab import (
     read_mask_csv,
 )
 from pseudolab.cli import parse_and_dispatch
+from pseudolab.numkernel import DimensionError
 
 
 def run(argv):
@@ -329,6 +330,18 @@ class TestExitCodeMatrix:
         assert run(["hausdorff", "--a", str(mask), "--b", str(mask)]) == 2
         assert capsys.readouterr().err == "error: cannot allocate the distances\n"
 
+    def test_dimension_error_is_two(self, tmp_path, monkeypatch, capsys):
+        # numkernel's shape and finiteness refusals are DomainErrors
+        mask = tmp_path / "m.csv"
+        mask.write_text("re,im,member\n0,0,1\n0,1,0\n1,0,0\n1,1,1\n")
+
+        def refused(a, b):
+            raise DimensionError("matrix entries must be finite")
+
+        monkeypatch.setattr(cli, "hausdorff_distance", refused)
+        assert run(["hausdorff", "--a", str(mask), "--b", str(mask)]) == 2
+        assert capsys.readouterr().err == "error: matrix entries must be finite\n"
+
     def test_non_normal_dense_field_is_exact(self, tmp_path, capsys):
         # a Jordan block: not diagonal, so every cell takes the dense kernel,
         # which has no iteration that could fail
@@ -359,31 +372,92 @@ class TestExitCodeMatrix:
 
 DIAG_CONVERGE = ["converge", "--model", "diag_pair", "--region", "1,7,-1.5,1.5", "--h", "0.5"]
 
+# malformed numbers, each refused with one error line
+MALFORMED = {
+    "step-nan": ["field", "--model", "shargorodsky", "--region", "-1,1,-1,1", "--h", "nan"],
+    "index-zero": [*DIAG_CONVERGE, "--sequence", "scale", "--ks", "0"],
+    "threshold-nan": [*DIAG_CONVERGE, "--sequence", "shrink", "--defect-threshold", "nan"],
+    "anchor-on-limit": [*DIAG_CONVERGE, "--sequence", "grow", "--anchor", "6,0"],
+    "anchor-on-term": [*DIAG_CONVERGE, "--sequence", "grow", "--anchor", "2.5,0", "--ks", "4"],
+    # windows no lattice can lay out; they escaped as tracebacks or warned
+    "step-too-fine": ["field", "--model", "shargorodsky", "--region", "0,1,0,1", "--h", "1e-300"],
+    "too-many-points": ["field", "--model", "shargorodsky", "--region", "0,1,0,1",
+                        "--nx", str(10**20), "--ny", "3"],
+    "step-overflows": ["field", "--model", "diag_pair", "--region", "-1e308,1e308,0,1",
+                       "--nx", "3", "--ny", "3"],
+    "study-step-too-fine": ["verify", "counterexample-const", "--h", "1e-300"],
+    # sin(inf) and cos(2e308) raised "math domain error" with exit 1
+    "decay-phi-inf": ["decay", "--phi", "inf"],
+    "decay-phi-1e308": ["decay", "--phi", "1e308"],
+    # an infinite lambda passed every window check and failed in the dense model
+    "cek-lambda2-inf": ["verify", "counterexample-K", "--direction", "shrink",
+                        "--lambda2", "inf"],
+}
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["field", "--model", "shargorodsky", "--region", "-1,1,-1,1", "--h", "nan"],
-        [*DIAG_CONVERGE, "--sequence", "scale", "--ks", "0"],
-        [*DIAG_CONVERGE, "--sequence", "shrink", "--defect-threshold", "nan"],
-        [*DIAG_CONVERGE, "--sequence", "grow", "--anchor", "6,0"],
-        [*DIAG_CONVERGE, "--sequence", "grow", "--anchor", "2.5,0", "--ks", "4"],
-        # windows no lattice can lay out; they escaped as tracebacks or warned
-        ["field", "--model", "shargorodsky", "--region", "0,1,0,1", "--h", "1e-300"],
-        ["field", "--model", "shargorodsky", "--region", "0,1,0,1",
-         "--nx", str(10**20), "--ny", "3"],
-        ["field", "--model", "diag_pair", "--region", "-1e308,1e308,0,1", "--nx", "3", "--ny", "3"],
-        ["verify", "counterexample-const", "--h", "1e-300"],
-    ],
-    ids=["step-nan", "index-zero", "threshold-nan", "anchor-on-limit", "anchor-on-term",
-         "step-too-fine", "too-many-points", "step-overflows", "study-step-too-fine"],
-)
+
+@pytest.mark.parametrize("argv", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_numeric_input_is_one_error_line(argv):
     proc = run_module(argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# every input the front end refuses past argument parsing, exit 2 each
+REFUSED = {
+    **MALFORMED,
+    "decay-phi-nan": ["decay", "--phi", "nan"],
+    "decay-phi-minus-inf": ["decay", "--phi=-inf"],
+    "decay-beta-range": ["decay", "--beta", "1.5"],
+    "decay-radius-zero": ["decay", "--r-min", "0"],
+    "decay-two-samples": ["decay", "--samples", "2"],
+    "cek-lambda1-nan": ["verify", "counterexample-K", "--direction", "grow",
+                        "--lambda1", "nan"],
+    "cek-lambda1-minus-inf": ["verify", "counterexample-K", "--direction", "grow",
+                              "--lambda1=-inf"],
+    "cec-index-one": ["verify", "counterexample-const", "--ks", "1,2"],
+    "global-min-power-three": ["verify", "global-min", "--model", "shargorodsky",
+                               "--M", "1", "--l", "3"],
+    "empty-resolvent-one-size": ["verify", "empty-resolvent", "--sizes", "25"],
+    "ks-not-whole": [*DIAG_CONVERGE, "--sequence", "scale", "--ks", "2.5,4"],
+    "region-count": ["field", "--model", "shargorodsky", "--region", "0,1,0",
+                     "--nx", "3", "--ny", "3"],
+    "grid-spec-missing": ["field", "--model", "shargorodsky", "--region", "0,1,0,1"],
+    "grid-spec-both": ["verify", "counterexample-const", "--h", "0.5", "--nx", "6", "--ny", "5"],
+    "unknown-model": ["field", "--model", "nosuch", "--region", "0,1,0,1",
+                      "--nx", "3", "--ny", "3"],
+    "missing-mask-file": ["hausdorff", "--a", "nope.csv", "--b", "nope.csv"],
+    "epsilon-zero": ["levelset", "--model", "shargorodsky", "--region", "0,1,0,1",
+                     "--nx", "3", "--ny", "3", "--epsilon", "0"],
+    "inverse-symbol-anchor": ["converge", "--model", "empty_resolvent", "--region",
+                              "0,3,0.1,1.5", "--h", "0.1", "--ks", "2,4"],
+    "beta-for-another-example": ["field", "--model", "shargorodsky", "--beta", "0.5",
+                                 "--region", "0,1,0,1", "--nx", "2", "--ny", "2"],
+    "beta-without-growth": ["field", "--model", "decay", "--beta", "0.001",
+                            "--region", "0,1,0,1", "--nx", "2", "--ny", "2"],
+    "unknown-sequence": ["converge", "--model", "shargorodsky", "--sequence", "shrink",
+                         "--region", "1,7,-1.5,1.5", "--h", "0.5", "--ks", "2,4"],
+    "constant-region-four-by-four": ["verify", "constant-region", "--model", "remark_n1"],
+    "probe-nan": ["verify", "constant-region", "--model", "shargorodsky", "--probe", "nan,0"],
+    "probe-modulus-overflows": ["verify", "constant-region", "--model", "shargorodsky",
+                                "--probe=-1.7e308,1.7e308"],
+    "lam-nan": ["verify", "empty-resolvent", "--lam", "nan,0"],
+    "power-index-overflows": ["field", "--model", "shargorodsky", "--region", "0,1,0,1",
+                              "--nx", "2", "--ny", "2", "--n", "1100"],
+    "beyond-block-range": ["field", "--model", "remark_n1", "--region", "1e76,2e76,0,1e76",
+                           "--nx", "2", "--ny", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED.values()), ids=list(REFUSED))
+def test_refused_input_exits_two_with_an_error_line(argv, capsys):
+    # in process, an exception the front end does not map fails the test
+    # with its own traceback
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestStudies:

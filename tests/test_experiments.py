@@ -184,6 +184,15 @@ class TestCounterexampleKStudy:
         with pytest.raises(ConfigurationError):
             counterexample_K_study(2.0, 6.0, 1.0, self.K, [2], "sideways")
 
+    @pytest.mark.parametrize(
+        "lam1, lam2", [(2.0, math.inf), (-math.inf, 6.0), (2.0, math.nan)]
+    )
+    def test_eigenvalues_must_be_finite(self, lam1, lam2):
+        # an infinite lam2 made the window tolerance inf, so every geometry
+        # check passed and the dense model refused diag(2, inf) untyped
+        with pytest.raises(ConfigurationError, match="finite"):
+            counterexample_K_study(lam1, lam2, 1.0, self.K, [2], "shrink")
+
 
 class TestCounterexampleConstStudy:
     K = region_with_step(-0.4, 2.2, -0.4, 0.4, 0.05)
@@ -368,6 +377,17 @@ class TestDecayStudy:
         with pytest.raises(ConfigurationError):
             decay_study(1.5, PHI, self.RS, True)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, -0.5, math.nan])
+    def test_the_family_refuses_the_beta(self, beta):
+        with pytest.raises(ConfigurationError, match=r"power_beta needs beta in \(0, 1\)"):
+            decay_study(beta, PHI, self.RS, False)
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan, 1e308])
+    def test_phi_whose_double_is_not_finite_is_refused(self, phi):
+        # sin(inf) and cos(2e308) raised a bare ValueError: math domain error
+        with pytest.raises(ConfigurationError, match="phi"):
+            decay_study(0.5, phi, self.RS, False)
+
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("phi", [0.3, math.pi / 4, PHI, 1.5, 2.8])
     def test_closed_form_maximizer(self, beta, phi):
@@ -417,3 +437,48 @@ class TestEmptyResolventProbe:
     def test_wrong_family_rejected(self):
         with pytest.raises(ConfigurationError):
             empty_resolvent_probe(SHARG, 2j, [25, 100])
+
+
+class TestWholeNumberIndices:
+    """Every study takes its indices as whole numbers: 2.7 used to be
+    reported as k = 2, and global_min_scan raised a bare TypeError."""
+
+    CONV = region_with_step(1.0, 7.0, -1.5, 1.5, 0.5)
+    CEK = region_with_step(3.0, 8.0, -2.0, 2.0, 0.05)
+    CEC = region_with_step(-0.4, 2.2, -0.4, 0.4, 0.05)
+    EMPTY = build_named_example("empty_resolvent").model
+    STUDIES = {
+        "convergence": lambda ks: convergence_study(
+            DIAG_EX.sequences["scale"], 1.0, TestWholeNumberIndices.CONV, ks
+        ),
+        "counterexample_K": lambda ks: counterexample_K_study(
+            2.0, 6.0, 1.0, TestWholeNumberIndices.CEK, ks, "shrink"
+        ),
+        "counterexample_const": lambda ks: counterexample_const_study(
+            ks, TestWholeNumberIndices.CEC
+        ),
+        "empty_resolvent": lambda ks: empty_resolvent_probe(
+            TestWholeNumberIndices.EMPTY, 2j, [25] + ks
+        ),
+    }
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    @pytest.mark.parametrize("bad", [4.2, 4.0, "4"])
+    def test_an_index_that_is_not_whole_is_refused(self, study, bad):
+        with pytest.raises(ConfigurationError, match="whole number"):
+            self.STUDIES[study]([2, bad])
+
+    @pytest.mark.parametrize("study", sorted(STUDIES))
+    def test_numpy_indices_pass(self, study):
+        ks = [2, 4] if study != "empty_resolvent" else [100]
+        plain = self.STUDIES[study](ks)
+        assert self.STUDIES[study]([np.int64(k) for k in ks]).to_json() == plain.to_json()
+
+    @pytest.mark.parametrize("l", [2.0, 1.5, "2"])
+    def test_global_min_power_must_be_whole(self, l):
+        model = DenseOperator(np.diag([2.0, 6.0]))
+        region = region_with_step(0.0, 1.0, 0.0, 1.0, 0.5)
+        with pytest.raises(ConfigurationError, match="whole number"):
+            global_min_scan(model, region, l, 0.1)
+        rep = global_min_scan(model, region, np.int64(2), 0.1)
+        assert rep.to_json() == global_min_scan(model, region, 2, 0.1).to_json()

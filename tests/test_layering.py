@@ -168,6 +168,8 @@ UNREACHED = {
         "benchmark repair"
     ),
     "pseudospectra.read_field_csv": "the reader the field-CSV writer tests compare against",
+    "operators.DiagBlockFamily.block": "the tests' block-spectrum oracle",
+    "pseudolab.__version__": "the package's version string, which no program path reads",
 }
 
 # the class members that make up a public surface
@@ -201,16 +203,71 @@ def _program_files():
     yield REPO / "tests" / "test_acceptance.py"
 
 
+MODULES = {p.stem for p in PACKAGE.glob("*.py")} | {NAME}
+
+
+def _reached(tree: ast.AST, stem: str):
+    """The surface names one program file reaches.
+
+    A method or property is reached by an attribute load (``x.name``), a
+    module-level name by an import from the package, by an attribute of
+    the package or one of its modules (``pl.resolvent.name``) or by a load
+    in its own module, so a local variable or numpy's attribute of the
+    same bare name reaches nothing.  Yields "member:name" for attribute
+    loads, "*.name" for imports and package attributes, and "module.name"
+    for loads in the file's own module.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == NAME
+        ):
+            yield from (f"*.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Load):
+                yield f"member:{node.attr}"
+            base = node.value
+            if (base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)) in MODULES:
+                yield f"*.{node.attr}"
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield f"{stem}.{node.id}"
+
+
+def _is_reached(qualified: str, name: str, reached: set) -> bool:
+    if qualified.count(".") == 2:  # module.Class.member
+        return f"member:{name}" in reached
+    return qualified in reached or f"*.{name}" in reached
+
+
 def test_every_public_name_is_reached_from_a_program_path():
-    used = set()
+    reached = set()
     for path in _program_files():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    unreached = {q for q, name in _public_surface().items() if name not in used}
+        reached.update(_reached(ast.parse(path.read_text()), path.stem))
+    unreached = {
+        q for q, name in _public_surface().items() if not _is_reached(q, name, reached)
+    }
     assert unreached == set(UNREACHED)
+
+
+def test_a_bare_name_of_the_same_spelling_reaches_nothing():
+    src = (
+        "import numpy\n"
+        "from .operators import TruncatedFamily\n"
+        "def f(pl, fam):\n"
+        "    block = fam.values\n"
+        "    x.size = block\n"
+        "    return numpy.__version__, pl.setgeom.hausdorff_distance, local_helper()\n"
+    )
+    reached = set(_reached(ast.parse(src), "resolvent"))
+    assert _is_reached("operators.TruncatedFamily", "TruncatedFamily", reached)
+    assert _is_reached("setgeom.hausdorff_distance", "hausdorff_distance", reached)
+    assert _is_reached("resolvent.local_helper", "local_helper", reached)
+    assert _is_reached("operators.AlphaRule.values", "values", reached)
+    # a local variable, a stored attribute, numpy's attribute and a load in
+    # another module do not count
+    assert not _is_reached("operators.DiagBlockFamily.block", "block", reached)
+    assert not _is_reached("setgeom.MaskSet.size", "size", reached)
+    assert not _is_reached("pseudolab.__version__", "__version__", reached)
+    assert not _is_reached("operators.local_helper", "local_helper", reached)
 
 
 def test_the_surface_covers_exports_methods_and_properties():

@@ -5,7 +5,7 @@ and NL, so comments, blank lines and the length of a docstring are free.
 CPython's parser doubles its token buffer past 2^13 tokens, and with no
 bytecode cache the package is compiled at every import, so a module past
 the limit raises peak RSS by about half a megabyte (CHANGES.md).  The
-largest modules are numkernel.py (5013 tokens), resolvent.py (4707) and
+largest modules are numkernel.py (5019 tokens), resolvent.py (4625) and
 tails.py (3476), since every block model takes the one block scan; a
 change that would take one past the limit makes room first.
 """

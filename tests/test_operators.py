@@ -225,8 +225,10 @@ class TestBlockEigenvalues:
 
 class TestScaleOperator:
     def test_zero_factor_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="nonzero"):
             scale_operator(shargorodsky_family(), 0.0)
+        with pytest.raises(DomainError, match="nonzero"):
+            scale_operator(scale_operator(shargorodsky_family(), 2.0), 0.0)
 
     def test_nested_scalings_flatten(self):
         base = DenseOperator(np.diag([2.0, 6.0]))

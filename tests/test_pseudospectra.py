@@ -264,7 +264,7 @@ class TestLevelSet:
 
     def test_strictness_validated(self):
         field = diag_field(GridRegion(1.0, 7.0, -1.0, 1.0, 3, 3))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="strictness must be one of"):
             level_set(field, 1.0, "sigma")
         with pytest.raises(DomainError):
             level_set(field, 0.0, "open_sigma")

@@ -2092,6 +2092,15 @@ class TestGnrDefect:
         seq = TruncationSequence(DECAY, gnr_anchor=0.5 + 1j)
         assert gnr_defect(seq, np.int64(2)) == gnr_defect(seq, 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_an_index_below_one_is_refused_for_every_sequence(self, k):
+        # a dense shrink sequence divided by zero at k = 0 and evaluated
+        # the term diag(4, 6) at k = -1
+        dense = build_named_example("diag_pair").sequences["shrink"]
+        for seq in (TruncationSequence(DECAY, gnr_anchor=0.5 + 1j), dense):
+            with pytest.raises(DomainError, match=">= 1"):
+                gnr_defect(seq, k)
+
     def test_shargorodsky_defect_never_decays(self):
         # every block value stays below 1/C = 1 and tends to it: the sup
         # over any tail is exactly 1, certified
